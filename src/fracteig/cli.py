@@ -114,6 +114,8 @@ class RunConfig:
             raise ConfigError(f"malformed config value: {exc}") from exc
         if not isinstance(domain, dict) or "shape" not in domain:
             raise ConfigError("config 'domain' must be an object with a 'shape'")
+        if not isinstance(merged.get("solver", {}), dict):
+            raise ConfigError("config 'solver' must be an object")
 
         cfg = cls(
             command=command,
@@ -220,15 +222,18 @@ def build_domain(cfg: RunConfig) -> GridDomain:
     raise ConfigError(f"unknown domain shape {kind!r}")
 
 
+_SOLVER_KEYS = ("max_iters", "tol_rel_q", "tol_grad", "step0", "backtrack_factor",
+                "init_mode", "seed")
+
+
 def _solver_options(cfg: RunConfig) -> SolverOptions:
     s = cfg.solver
+    unknown = sorted(set(s) - set(_SOLVER_KEYS))
+    if unknown:
+        raise ConfigError(f"unknown solver option(s) {unknown}; "
+                          f"allowed: {', '.join(_SOLVER_KEYS)}")
     try:
-        kwargs = {}
-        for key in ("max_iters", "tol_rel_q", "tol_grad", "step0", "backtrack_factor",
-                    "init_mode", "seed"):
-            if key in s:
-                kwargs[key] = s[key]
-        return SolverOptions(**kwargs)
+        return SolverOptions(**s)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad solver options: {exc}") from exc
 
@@ -297,6 +302,8 @@ def cmd_eig(cfg: RunConfig) -> RunReport:
         "p": cfg.p,
         "lambda": res.lam,
         "iters": res.iters,
+        "evals": res.evals,
+        "stop_reason": res.stop_reason,
         "final_grad_norm": res.final_grad_norm,
         "converged": res.converged,
         "inside_nodes": dom.inside_count,
@@ -336,6 +343,7 @@ def cmd_sweep(cfg: RunConfig) -> RunReport:
         "final_gap": gaps[-1],
         "gaps": gaps,
         "all_converged": all(r.converged for r in result.rows),
+        "stop_reasons": [r.stop_reason for r in result.rows],
     }
     return _finish(cfg, outputs, summary, started)
 

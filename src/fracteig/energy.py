@@ -248,33 +248,65 @@ class QuotientTables:
         w = v / m
         return _exp(self.log_numerator(w) - self.log_denominator(w))
 
-    def gradient(self, v: np.ndarray) -> np.ndarray:
-        """Exact gradient of the quotient with respect to inside values."""
-        m = float(np.abs(v).max())
+    def value_and_grad(self, v: np.ndarray):
+        """Quotient and its exact gradient w.r.t. inside values, in one pass.
+
+        Builds the pair differences, the Hoelder quotients r = |diff| * holder
+        and r**(p-1) once and draws both results from them.  Like `quotient`,
+        it works on v / max|v| with the largest pair term factored out, so
+        neither result overflows at large p; the quotient is 0-homogeneous,
+        so the gradient at v is the gradient at v / max|v| divided by max|v|.
+        """
+        m = float(np.abs(v).max()) if v.size else 0.0
         if m == 0.0:
-            raise ValueError("gradient undefined for the zero function")
+            raise ValueError("quotient undefined for the zero function")
         w = v / m
         p = self.prm.p
+        a = np.abs(w)
+        a_pm1 = a ** (p - 1.0)
+        a_p = a_pm1 * a
+        log_den = math.log(float(a_p.sum())) + self.log_hn
+        s_ct = float((self.ct_coef * a_p).sum())
+        log_ct = math.log(s_ct) if s_ct > 0.0 else -math.inf
+
+        # dQ/dw = (dN/dw - Q dD/dw) / D, with N the numerator and D = h^n sum |w|^p
         diff = w[:, None] - w[None, :]
-        q = np.abs(diff) * self.holder
-        g_int = 2.0 * p * self.h2n * (q ** (p - 1.0) * np.sign(diff) * self.holder).sum(axis=1)
-        odd = np.abs(w) ** (p - 1.0) * np.sign(w)
-        g_ct = p * odd * self.ct_coef
-        g_den = p * odd * self.hn
-        den = _exp(self.log_denominator(w))
-        quot = _exp(self.log_numerator(w) - self.log_denominator(w))
-        return ((g_int + g_ct) - quot * g_den) / den / m
+        r = np.abs(diff)
+        r *= self.holder
+        rmax = float(r.max())
+        if rmax > 0.0:
+            r /= rmax
+            rp1 = r ** (p - 1.0)
+            r *= rp1
+            # numpy's pairwise sum, not a BLAS dot: OpenBLAS splits long dots
+            # across threads, which would tie the result to the thread count
+            log_int = p * math.log(rmax) + math.log(float(r.sum())) + self.log_h2n
+            rp1 *= self.holder
+            np.copysign(rp1, diff, out=rp1)
+            scale = _exp(self.log_h2n + (p - 1.0) * math.log(rmax) - log_den)
+            grad = (2.0 * p * scale) * rp1.sum(axis=1)
+        else:  # constant on the inside nodes: no interior energy
+            log_int = -math.inf
+            grad = np.zeros_like(w)
+        quot = _exp(np.logaddexp(log_int, log_ct) - log_den)
+        odd = np.copysign(a_pm1, w)
+        grad += (p / math.exp(log_den)) * odd * (self.ct_coef - quot * self.hn)
+        return quot, grad / m
+
+    def gradient(self, v: np.ndarray) -> np.ndarray:
+        """Exact gradient of the quotient with respect to inside values."""
+        return self.value_and_grad(v)[1]
+
+    def norm(self, v: np.ndarray) -> float:
+        """(sum |v|^p h^n)^(1/p), computed without overflow."""
+        return _exp(self.log_denominator(v) / self.prm.p)
 
     def normalize(self, v: np.ndarray) -> np.ndarray:
         """Scale v so that sum |v|^p h^n = 1."""
-        logn = self.log_denominator(v)
-        if logn == -math.inf:
+        c = self.norm(v)
+        if c == 0.0:
             raise ValueError("cannot normalize the zero function")
-        return v / math.exp(logn / self.prm.p)
-
-    def tail_mid_at(self, coords: np.ndarray) -> float:
-        """Tail-bracket midpoint of the radial integral at one point."""
-        return _tail_mid_at(self.dom, self.prm.ap, coords)
+        return v / c
 
 
 def _tail_mid_at(dom: GridDomain, ap: float, coords: np.ndarray) -> float:

@@ -241,9 +241,6 @@ class GridDomain:
     def inside_count(self) -> int:
         return int(self.inside_indices.size)
 
-    def coords_of(self, flat_index: int) -> np.ndarray:
-        return self.node_coords[int(flat_index)]
-
     def same_lattice(self, other: "GridDomain") -> bool:
         """True when two domains share dim, spacing and node coordinates."""
         return (

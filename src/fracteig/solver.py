@@ -1,19 +1,23 @@
 """First-eigenpair minimization of the discrete fractional Rayleigh quotient.
 
-`minimize_first` runs projected gradient descent with a backtracking line
-search: steps move along the negative quotient gradient, acceptance demands an
-Armijo decrease, and iterates are renormalized to sum |u|^p h^n = 1 after every
-accepted step (the quotient is scale-free, so renormalizing never changes it).
+`minimize_first` runs a projected limited-memory BFGS descent with a
+backtracking Armijo line search.  Search directions come from the L-BFGS
+two-loop recursion over the last few (step, gradient change) pairs, with a
+steepest-descent restart whenever that memory is empty or fails to give a
+descent direction.  Iterates are renormalized to sum |u|^p h^n = 1 after
+every accepted step (the quotient is scale-free, so renormalizing never
+changes it).  Each trial point costs one fused quotient-and-gradient pass.
 
 `p2_oracle` solves the p = 2 case by an entirely different route — assembling
-the quadratic form's symmetric matrix and running inverse power iteration —
-and exists to cross-check the descent path.
+the quadratic form's symmetric matrix and handing it to a dense symmetric
+eigensolver — and exists to cross-check the descent path.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from collections import deque
+from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -40,11 +44,17 @@ __all__ = [
 
 _ARMIJO = 1e-4
 _STEP_GROWTH = 2.0
+_MEMORY = 10  # (s, y) pairs kept for the L-BFGS two-loop recursion
 
 
 @dataclass(frozen=True)
 class SolverOptions:
     """Knobs for minimize_first.
+
+    step0 and backtrack_factor shape the steepest-descent restarts only: the
+    first such trial step is 2 * step0, and every restart begins at twice
+    the last accepted steepest-descent step.  Quasi-Newton trials always
+    start at step 1; both kinds backtrack by backtrack_factor.
 
     init_mode: "distance" starts from the distance-to-complement profile
     (positive, the right shape near the large-p limit), "random" from a seeded
@@ -78,13 +88,23 @@ class SolverOptions:
 
 @dataclass(eq=False)
 class EigenResult:
-    """Converged (or best-effort) eigenpair with solver diagnostics."""
+    """Converged (or best-effort) eigenpair with solver diagnostics.
+
+    stop_reason says why minimize_first stopped: "grad" (gradient norm at most
+    tol_grad), "rel_drop" (an accepted step lowered the quotient by at most
+    tol_rel_q relatively), "no_descent" (the line search found no decrease)
+    or "max_iters".  converged is true for the first two.  evals counts
+    quotient-and-gradient evaluations.  The direct p = 2 solve leaves both at
+    their defaults.
+    """
 
     lam: float
     u: GridFunction
     iters: int
     final_grad_norm: float
     converged: bool
+    stop_reason: Optional[str] = None
+    evals: int = 0
     history: Optional[List[float]] = None
 
 
@@ -107,66 +127,114 @@ def _initial_vector(dom: GridDomain, opts: SolverOptions) -> np.ndarray:
     return v
 
 
+def _lbfgs_direction(g: np.ndarray, pairs) -> np.ndarray:
+    """-H g for the L-BFGS inverse-Hessian estimate H built from (s, y, 1/s.y)."""
+    d = g.copy()
+    alphas = []
+    for s, y, rho in reversed(pairs):
+        a = rho * float(s @ d)
+        d -= a * y
+        alphas.append(a)
+    s, y, _ = pairs[-1]
+    d *= float(s @ y) / float(y @ y)
+    for (s, y, rho), a in zip(pairs, reversed(alphas)):
+        d += (a - rho * float(y @ d)) * s
+    return -d
+
+
 def minimize_first(dom: GridDomain, prm: FracParams,
                    opts: Optional[SolverOptions] = None) -> EigenResult:
-    """Minimize the discrete quotient by projected gradient descent.
+    """Minimize the discrete quotient by projected L-BFGS descent.
+
+    Each iteration tries the L-BFGS direction from step 1, or, when the
+    memory is empty or that direction does not descend, the negative
+    gradient from the adaptive steepest-descent step seeded by step0.  A trial
+    is accepted on an Armijo decrease; otherwise the step shrinks by
+    backtrack_factor.  A quasi-Newton search that finds no decrease clears
+    the memory and falls back to steepest descent in the same iteration.
 
     The quotient is non-increasing across iterations; the run stops when the
     gradient norm falls below tol_grad, when an accepted step changes the
-    quotient by less than tol_rel_q relatively, or at max_iters (reported as
-    converged=False; never an exception).
+    quotient by less than tol_rel_q relatively, when no step descends, or at
+    max_iters (reported as converged=False; never an exception).
     """
     opts = opts or SolverOptions()
     tables = QuotientTables(dom, prm)
-    v = tables.normalize(_initial_vector(dom, opts))
-    q = tables.quotient(v)
-    history = [q] if opts.keep_history else None
+    evals = 0
 
-    step = opts.step0
-    converged = False
-    grad_norm = math.inf
+    def evaluate(w):
+        nonlocal evals
+        evals += 1
+        return tables.value_and_grad(w)
+
+    def line_search(v, q, d, slope, step):
+        """First Armijo point v + step * d along a descent direction, or None."""
+        dnorm = max(float(np.linalg.norm(d)), 1.0)
+        while step * dnorm > 1e-20:
+            w = v + step * d
+            if np.any(w) and np.isfinite(w).all():
+                qw, gw = evaluate(w)
+                if math.isfinite(qw) and qw <= q + _ARMIJO * step * slope:
+                    return step, w, qw, gw
+            step *= opts.backtrack_factor
+        return None
+
+    v = tables.normalize(_initial_vector(dom, opts))
+    q, g = evaluate(v)
+    history = [q] if opts.keep_history else None
+    pairs = deque(maxlen=_MEMORY)
+
+    sd_step = opts.step0
+    stop = "max_iters"
     iters = 0
     for iters in range(1, opts.max_iters + 1):
-        g = tables.gradient(v)
         grad_norm = float(np.linalg.norm(g))
         if grad_norm <= opts.tol_grad:
-            converged = True
+            stop = "grad"
             iters -= 1
             break
 
-        step = step * _STEP_GROWTH
-        accepted = False
-        while step > 1e-20 / max(grad_norm, 1.0):
-            w = v - step * g
-            if np.any(w) and np.isfinite(w).all():
-                qw = tables.quotient(w)
-                if math.isfinite(qw) and qw <= q - _ARMIJO * step * grad_norm * grad_norm:
-                    accepted = True
-                    break
-            step *= opts.backtrack_factor
-        if not accepted:
-            # descent direction exhausted at this precision
-            converged = grad_norm <= opts.tol_grad
-            break
+        trial = None
+        if pairs:
+            d = _lbfgs_direction(g, pairs)
+            slope = float(d @ g)
+            if slope < 0.0:
+                trial = line_search(v, q, d, slope, 1.0)
+        if trial is None:
+            pairs.clear()
+            trial = line_search(v, q, -g, -grad_norm * grad_norm, sd_step * _STEP_GROWTH)
+            if trial is None:
+                # descent direction exhausted at this precision
+                stop = "no_descent"
+                break
+            sd_step = trial[0]
 
-        v = tables.normalize(w)
+        _, w, qw, gw = trial
+        # the quotient is 0-homogeneous: the gradient at w / c is c * grad(w)
+        c = tables.norm(w)
+        v_next, g_next = w / c, gw * c
+        s, y = v_next - v, g_next - g
+        sy = float(s @ y)
+        if sy > 0.0:
+            pairs.append((s, y, 1.0 / sy))
+        v, g = v_next, g_next
         drop = q - qw
         q = qw
         if history is not None:
             history.append(q)
         if drop <= opts.tol_rel_q * max(1.0, abs(q)):
-            converged = True
+            stop = "rel_drop"
             break
 
-    v = tables.normalize(v)
     u = GridFunction.from_inside(dom, v)
     return EigenResult(lam=float(q), u=u, iters=iters,
-                       final_grad_norm=grad_norm, converged=converged,
-                       history=history)
+                       final_grad_norm=float(np.linalg.norm(g)),
+                       converged=stop in ("grad", "rel_drop"),
+                       stop_reason=stop, evals=evals, history=history)
 
 
 # ---------------------------------------------------------------------------
-# p = 2 oracle: explicit quadratic form + inverse power iteration
+# p = 2 oracle: explicit quadratic form + dense symmetric eigensolver
 # ---------------------------------------------------------------------------
 
 
@@ -189,36 +257,25 @@ def p2_matrix(dom: GridDomain, alpha: float) -> np.ndarray:
     return a
 
 
-def p2_oracle(dom: GridDomain, alpha: float, max_iters: int = 5_000,
-              tol: float = 1e-15) -> EigenResult:
-    """Smallest eigenpair of the p = 2 problem by inverse power iteration.
+def p2_oracle(dom: GridDomain, alpha: float) -> EigenResult:
+    """Smallest eigenpair of the p = 2 problem from a dense eigensolver.
 
-    Deterministic all-ones start; the generalized problem A v = lam h^n v is
-    attacked through a Cholesky factorization of A (positive definite thanks to
-    the strictly positive cross/tail diagonal).  Independent of the descent
-    code path on purpose.
+    The generalized problem A v = lam h^n v is the ordinary symmetric problem
+    for A scaled by h^-n; scipy.linalg.eigh computes only its lowest
+    eigenpair.  final_grad_norm holds the residual |A v - lam h^n v|.
+    Independent of the descent code path on purpose.
     """
     a = p2_matrix(dom, alpha)
     hn = dom.h ** dom.dim
-    factor = scipy.linalg.cho_factor(a)
-    v = np.ones(a.shape[0]) / math.sqrt(a.shape[0])
-    lam_prev = math.inf
-    converged = False
-    iters = 0
-    for iters in range(1, max_iters + 1):
-        v = scipy.linalg.cho_solve(factor, v)
-        v /= np.linalg.norm(v)
-        lam = float(v @ (a @ v) / (hn * (v @ v)))
-        if abs(lam - lam_prev) <= tol * max(1.0, abs(lam)):
-            converged = True
-            break
-        lam_prev = lam
+    evals, vecs = scipy.linalg.eigh(a, subset_by_index=[0, 0])
+    lam = float(evals[0]) / hn
+    v = vecs[:, 0]
     # fix sign (make the dominant node positive) and normalize sum u^2 h^n = 1
     v = v * np.sign(v[int(np.argmax(np.abs(v)))])
     v = v / (math.sqrt(hn) * np.linalg.norm(v))
     resid = float(np.linalg.norm(a @ v - lam * hn * v))
-    return EigenResult(lam=lam, u=GridFunction.from_inside(dom, v), iters=iters,
-                       final_grad_norm=resid, converged=converged)
+    return EigenResult(lam=lam, u=GridFunction.from_inside(dom, v), iters=0,
+                       final_grad_norm=resid, converged=True)
 
 
 # ---------------------------------------------------------------------------
@@ -233,6 +290,7 @@ class PSweepRow:
     root: float  # lam ** (1/p)
     converged: bool
     iters: int
+    stop_reason: str
 
 
 @dataclass(eq=False)
@@ -268,7 +326,8 @@ def p_sweep(dom: GridDomain, alpha: float, ps: Sequence[float],
         res = minimize_first(dom, FracParams(alpha, p), run_opts)
         rows.append(PSweepRow(p=p, lam=res.lam,
                               root=math.exp(math.log(res.lam) / p),
-                              converged=res.converged, iters=res.iters))
+                              converged=res.converged, iters=res.iters,
+                              stop_reason=res.stop_reason))
         warm = res.u.inside_values()
         last_u = res.u
     return PSweepResult(rows=rows, target=float(target), final_u=last_u)

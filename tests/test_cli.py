@@ -58,6 +58,8 @@ def test_eig_writes_artifacts_and_matches_oracle(tmp_path, capsys):
     s = rep["summary"]
     assert s["converged"] is True
     assert s["inside_nodes"] == 15
+    assert s["stop_reason"] in ("grad", "rel_drop")
+    assert s["evals"] >= s["iters"] + 1
     assert s["oracle_gap"] <= 1e-8
     assert abs(s["lambda"] - s["oracle_lambda"]) == s["oracle_gap"]
 
@@ -105,6 +107,22 @@ def test_config_missing_required_key_exits_2(tmp_path, capsys):
                                    "h": 0.25})
     assert main(["eig", "--config", str(cfg)]) == 2
     assert "missing required key" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["eig", "sweep"])
+def test_unknown_solver_option_exits_2(tmp_path, capsys, command):
+    out = tmp_path / "run"
+    cfg = _eig_config(tmp_path, out, ps=[2.0, 3.0],
+                      solver={"max_iters": 5, "max_iter": 5})
+    assert main([command, "--config", str(cfg)]) == 2
+    assert "unknown solver option(s) ['max_iter']" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+
+
+def test_solver_section_must_be_an_object(tmp_path, capsys):
+    cfg = _eig_config(tmp_path, tmp_path / "run", solver=[1, 2])
+    assert main(["eig", "--config", str(cfg)]) == 2
+    assert "'solver' must be an object" in capsys.readouterr().err
 
 
 def test_invalid_exponent_window_exits_2(tmp_path, capsys):
@@ -164,6 +182,8 @@ def test_sweep_run_writes_rows_and_target(tmp_path):
     s = _report(out)["summary"]
     assert s["target"] == 1.0
     assert s["all_converged"] is True
+    assert len(s["stop_reasons"]) == 3
+    assert set(s["stop_reasons"]) <= {"grad", "rel_drop"}
     assert len(s["gaps"]) == 3
     assert s["final_gap"] == s["gaps"][-1]
     assert s["final_gap"] == pytest.approx(abs(float(rows[-1][2]) - 1.0), rel=1e-12)
@@ -369,6 +389,7 @@ def test_nonconvergence_stays_in_band(tmp_path):
     s = _report(out)["summary"]
     assert s["converged"] is False
     assert s["iters"] == 1
+    assert s["stop_reason"] == "max_iters"
     assert np.isfinite(s["lambda"])
 
 

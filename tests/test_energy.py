@@ -3,6 +3,7 @@ import pytest
 
 from fracteig.energy import (
     FracParams,
+    QuotientTables,
     apply_Lp,
     gagliardo_energy,
     rayleigh_gradient,
@@ -191,6 +192,37 @@ def test_gradient_matches_central_differences(p):
         fd = (q_at(eps) - q_at(-eps)) / (2.0 * eps)
         gv = float(g @ v)
         assert abs(fd - gv) <= 1e-6 * max(abs(gv), abs(fd))
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e200])
+@pytest.mark.parametrize("p", [2.0, 8.0, 64.0])
+def test_value_and_grad_matches_quotient_and_differences(p, scale):
+    dom = build_interval(0.0, 1.0, 1 / 16)
+    tables = QuotientTables(dom, FracParams(0.6, p))
+    rng = np.random.default_rng(11)
+    v = (0.5 + rng.random(dom.inside_count)) * scale
+    q, g = tables.value_and_grad(v)
+    assert q == pytest.approx(tables.quotient(v), rel=1e-14, abs=0.0)
+    np.testing.assert_array_equal(tables.gradient(v), g)
+    eps = 1e-6 * scale
+    for _ in range(5):
+        d = rng.normal(size=v.size)
+        d /= np.linalg.norm(d)
+        fd = (tables.quotient(v + eps * d) - tables.quotient(v - eps * d)) / (2.0 * eps)
+        gd = float(g @ d)
+        assert abs(fd - gd) <= 1e-6 * max(abs(fd), abs(gd))
+
+
+def test_value_and_grad_of_a_constant():
+    """No pair term: only cross and tail remain, and the gradient stays finite."""
+    dom = build_interval(0.0, 1.0, 1 / 8)
+    tables = QuotientTables(dom, FracParams(0.75, 4.0))
+    v = np.ones(dom.inside_count)
+    q, g = tables.value_and_grad(v)
+    assert q == pytest.approx(tables.quotient(v), rel=1e-14)
+    assert np.all(np.isfinite(g))
+    with pytest.raises(ValueError, match="quotient undefined for the zero function"):
+        tables.value_and_grad(np.zeros(dom.inside_count))
 
 
 def test_gradient_zero_homogeneity():

@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
 
-from fracteig.energy import FracParams, rayleigh_quotient, surface_measure
+from fracteig.energy import (
+    FracParams,
+    rayleigh_gradient,
+    rayleigh_quotient,
+    surface_measure,
+)
 from fracteig.geometry import (
     GridFunction,
     Rectangle,
@@ -123,6 +128,30 @@ def test_nonconvergence_is_flagged_not_raised():
     res = minimize_first(dom, FracParams(0.75, 4.0), SolverOptions(max_iters=1))
     assert not res.converged
     assert res.iters == 1
+    assert res.stop_reason == "max_iters"
+    assert res.evals >= 2  # the start point plus at least one trial
+
+
+def test_stop_reasons_and_eval_counts():
+    dom = build_interval(0.0, 1.0, 1 / 16)
+    prm = FracParams(0.75, 4.0)
+    res = minimize_first(dom, prm, SolverOptions(tol_grad=1e6))
+    assert (res.stop_reason, res.converged, res.iters, res.evals) == ("grad", True, 0, 1)
+    res = minimize_first(dom, prm, SolverOptions())
+    assert res.stop_reason in ("grad", "rel_drop") and res.converged
+    assert res.evals >= res.iters + 1
+    assert res.final_grad_norm == pytest.approx(
+        float(np.linalg.norm(rayleigh_gradient(res.u, prm).inside_values())), rel=1e-6)
+
+
+def test_sweep1d_p32_step_matches_the_reference():
+    """The p=32 step of the (0,2), h=1/100, alpha=1/2 sweep: the eigenvalue may
+    not rise above the steepest-descent reference, and the root keeps 5 digits."""
+    dom = build_interval(0.0, 2.0, 1 / 100)
+    row = p_sweep(dom, 0.5, [8.0, 16.0, 32.0]).rows[-1]
+    assert row.converged and row.stop_reason in ("grad", "rel_drop")
+    assert row.lam <= 0.29568468460880976 * (1.0 + 1e-9)
+    assert abs(row.root - 0.9626388856283133) <= 0.5e-5
 
 
 @pytest.mark.parametrize("kwargs,msg", [
