@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 import time
 from dataclasses import dataclass, field
@@ -79,7 +78,6 @@ class RunConfig:
     gamma1: Optional[list] = None
     h_list: Optional[list] = None
     out: Path = Path(".")
-    threads: Optional[int] = None
     raw: dict = field(default_factory=dict)
 
     @classmethod
@@ -101,13 +99,15 @@ class RunConfig:
             merged["margin"] = args.margin
         if args.out is not None:
             merged["out"] = args.out
-        if args.threads is not None:
-            merged["threads"] = args.threads
 
         try:
             domain = merged["domain"]
             alpha = float(merged["alpha"])
             h = float(merged["h"])
+            margin = float(merged.get("margin", 2.0))
+            p = float(merged["p"]) if "p" in merged else None
+            ps = [float(v) for v in merged["ps"]] if "ps" in merged else None
+            h_list = [float(v) for v in merged["h_list"]] if "h_list" in merged else None
         except KeyError as exc:
             raise ConfigError(f"config missing required key {exc}") from exc
         except (TypeError, ValueError) as exc:
@@ -117,22 +117,20 @@ class RunConfig:
         if not isinstance(merged.get("solver", {}), dict):
             raise ConfigError("config 'solver' must be an object")
 
-        cfg = cls(
+        return cls(
             command=command,
             domain=domain,
             alpha=alpha,
             h=h,
-            margin=float(merged.get("margin", 2.0)),
-            p=float(merged["p"]) if "p" in merged else None,
-            ps=[float(v) for v in merged["ps"]] if "ps" in merged else None,
+            margin=margin,
+            p=p,
+            ps=ps,
             solver=dict(merged.get("solver", {})),
             gamma1=merged.get("gamma1"),
-            h_list=[float(v) for v in merged["h_list"]] if "h_list" in merged else None,
+            h_list=h_list,
             out=Path(merged.get("out", ".")),
-            threads=int(merged["threads"]) if "threads" in merged else None,
             raw=merged,
         )
-        return cfg
 
     def echo(self) -> dict:
         d = dict(self.raw)
@@ -465,8 +463,6 @@ def _parser() -> argparse.ArgumentParser:
                          help="box margin in region diameters (overrides config)")
         cmd.add_argument("--h", type=float, default=None,
                          help="lattice spacing (overrides config)")
-        cmd.add_argument("--threads", type=int, default=None,
-                         help="cap BLAS/OMP thread pools (results are identical)")
     return parser
 
 
@@ -480,9 +476,6 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
-    if args.threads is not None and args.threads > 0:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ[var] = str(args.threads)
     try:
         cfg = RunConfig.load(args.command, args)
         _COMMANDS[args.command](cfg)

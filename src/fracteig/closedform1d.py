@@ -68,19 +68,21 @@ def first_1d(alpha: float) -> Example1D:
     return Example1D(kind="first", alpha=alpha, a=None, lam=1.0, evaluator=evaluator)
 
 
-def second_1d(alpha: float) -> Example1D:
-    """Antisymmetric sign-changing profile; maximum at a = 2/(2^(1/alpha)+2)."""
-    _check_alpha(alpha)
-    a = 2.0 / (2.0 ** (1.0 / alpha) + 2.0)
-    lam = (2.0 ** (1.0 / alpha - 1.0) + 1.0) ** alpha
+def _sign_changing(kind: str, alpha: float, a: float, lam: float, c: float,
+                   mirror: float) -> Example1D:
+    """Sign-changing profile on (0, 2) built from its values on (0, 1].
+
+    There it rises on (0, a] to its maximum 1 at the break point a, then
+    follows ((c - x)^alpha - (x - a)^alpha) / ((c - x)^alpha + (x - a)^alpha),
+    which vanishes at (a + c) / 2.  The right half is mirror * left(2 - x).
+    """
 
     def left(xs: np.ndarray) -> np.ndarray:
-        # values on (0, 1]: rising piece on (0, a], then the middle piece
         out = np.empty_like(xs)
         lo = xs <= a
         xa, xb = xs[lo], xs[~lo]
         out[lo] = xa ** alpha / (xa ** alpha + (a - xa) ** alpha)
-        num_hi = (2.0 - a - xb) ** alpha
+        num_hi = (c - xb) ** alpha
         num_lo = (xb - a) ** alpha
         out[~lo] = (num_hi - num_lo) / (num_hi + num_lo)
         return out
@@ -92,12 +94,20 @@ def second_1d(alpha: float) -> Example1D:
         vals = np.empty_like(xs)
         l = xs <= 1.0
         vals[l] = left(xs[l])
-        vals[~l] = -left(2.0 - xs[~l])
+        vals[~l] = mirror * left(2.0 - xs[~l])
         out = np.zeros_like(x)
         out[sup] = vals
         return out
 
-    return Example1D(kind="second", alpha=alpha, a=a, lam=lam, evaluator=evaluator)
+    return Example1D(kind=kind, alpha=alpha, a=a, lam=lam, evaluator=evaluator)
+
+
+def second_1d(alpha: float) -> Example1D:
+    """Antisymmetric sign-changing profile; maximum at a = 2/(2^(1/alpha)+2)."""
+    _check_alpha(alpha)
+    a = 2.0 / (2.0 ** (1.0 / alpha) + 2.0)
+    lam = (2.0 ** (1.0 / alpha - 1.0) + 1.0) ** alpha
+    return _sign_changing("second", alpha, a, lam, c=2.0 - a, mirror=-1.0)
 
 
 def third_1d(alpha: float) -> Example1D:
@@ -105,31 +115,7 @@ def third_1d(alpha: float) -> Example1D:
     _check_alpha(alpha)
     a = 1.0 / (2.0 ** (1.0 / alpha) + 1.0)
     lam = (1.0 + 2.0 ** (1.0 / alpha)) ** alpha
-
-    def left(xs: np.ndarray) -> np.ndarray:
-        # values on (0, 1]: rising piece on (0, a], then the inner piece
-        out = np.empty_like(xs)
-        lo = xs <= a
-        xa, xb = xs[lo], xs[~lo]
-        out[lo] = xa ** alpha / (xa ** alpha + (a - xa) ** alpha)
-        num_hi = (1.0 - xb) ** alpha
-        num_lo = (xb - a) ** alpha
-        out[~lo] = (num_hi - num_lo) / (num_hi + num_lo)
-        return out
-
-    def evaluator(x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        sup = _support_mask(x)
-        xs = x[sup]
-        vals = np.empty_like(xs)
-        l = xs <= 1.0
-        vals[l] = left(xs[l])
-        vals[~l] = left(2.0 - xs[~l])
-        out = np.zeros_like(x)
-        out[sup] = vals
-        return out
-
-    return Example1D(kind="third", alpha=alpha, a=a, lam=lam, evaluator=evaluator)
+    return _sign_changing("third", alpha, a, lam, c=1.0, mirror=1.0)
 
 
 def sample(example: Example1D, dom: GridDomain) -> GridFunction:

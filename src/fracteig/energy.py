@@ -25,6 +25,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial.distance import cdist
 
 from .geometry import GridDomain, GridFunction
 
@@ -175,42 +176,26 @@ class QuotientTables:
         xin = dom.inside_coords
         m = xin.shape[0]
 
-        # pairwise alpha-kernel |x_i - x_j|^(-alpha); zero diagonal so the
-        # Hoelder quotient q_ij = |u_i - u_j| * kernel vanishes at i == j
-        d2 = ((xin[:, None, :] - xin[None, :, :]) ** 2).sum(-1)
-        np.fill_diagonal(d2, np.inf)
-        with np.errstate(divide="ignore"):
-            self.holder = np.sqrt(d2) ** (-prm.alpha)
-        np.fill_diagonal(self.holder, 0.0)
+        # pairwise alpha-kernel |x_i - x_j|^(-alpha); an infinite diagonal
+        # makes the Hoelder quotient q_ij = |u_i - u_j| * kernel vanish at i == j
+        d = cdist(xin, xin)
+        np.fill_diagonal(d, np.inf)
+        self.holder = d ** (-prm.alpha)
 
         # cross weights: sum over outside-but-in-box nodes of |y - x_i|^(-ap)
         out = dom.node_coords[~dom.inside_flat]
         w_out = np.zeros(m)
         for k0 in range(0, m, _CHUNK):
             blk = xin[k0:k0 + _CHUNK]
-            d2b = ((blk[:, None, :] - out[None, :, :]) ** 2).sum(-1)
-            w_out[k0:k0 + len(blk)] = (np.sqrt(d2b) ** (-ap)).sum(axis=1)
-
-        # analytic tail bracket beyond the box: the radial integral
-        # sigma_{n-1} * d^(n-ap) / (ap - n) evaluated at the nearest box
-        # boundary distance (upper bound) and the farthest one (lower bound)
-        lo, hi = dom.box_lo, dom.box_hi
-        near = np.minimum(xin - lo[None, :], hi[None, :] - xin).min(axis=1)
-        if n == 1:
-            far = np.maximum(xin[:, 0] - lo[0], hi[0] - xin[:, 0])
-        else:
-            corners = np.array([[lo[0], lo[1]], [lo[0], hi[1]],
-                                [hi[0], lo[1]], [hi[0], hi[1]]])
-            far = np.sqrt(((xin[:, None, :] - corners[None, :, :]) ** 2).sum(-1)).max(axis=1)
-        sig = surface_measure(n)
-        tail_at = lambda d: sig * d ** (n - ap) / (ap - n)
+            w_out[k0:k0 + len(blk)] = (cdist(blk, out) ** (-ap)).sum(axis=1)
 
         hn = h ** n
         h2n = h ** (2 * n)
+        tail_lower, tail_upper = _tail_bracket(dom, ap, xin)
         # coefficients multiplying |u_i|^p in each energy piece
         self.cross_coef = 2.0 * h2n * w_out
-        self.tail_lower_coef = 2.0 * hn * tail_at(far)
-        self.tail_upper_coef = 2.0 * hn * tail_at(near)
+        self.tail_lower_coef = 2.0 * hn * tail_lower
+        self.tail_upper_coef = 2.0 * hn * tail_upper
         # cross + tail midpoint combined (quotient numerator and gradient)
         self.ct_coef = self.cross_coef + 0.5 * (self.tail_lower_coef + self.tail_upper_coef)
         self.hn = hn
@@ -309,19 +294,17 @@ class QuotientTables:
         return v / c
 
 
-def _tail_mid_at(dom: GridDomain, ap: float, coords: np.ndarray) -> float:
-    """Midpoint of the analytic radial tail bracket at one point of the box."""
+def _tail_bracket(dom: GridDomain, ap: float, pts: np.ndarray):
+    """Analytic far-field tail beyond the box at each point, as (lower, upper).
+
+    The radial integral sigma_{n-1} * d^(n-ap) / (ap - n) of |y - x|^(-ap)
+    over |y - x| > d, evaluated at the farthest box-boundary distance (lower
+    bound) and at the nearest one (upper bound).
+    """
     n = dom.dim
-    lo, hi = dom.box_lo, dom.box_hi
-    near = float(np.minimum(coords - lo, hi - coords).min())
-    if n == 1:
-        far = float(max(coords[0] - lo[0], hi[0] - coords[0]))
-    else:
-        corners = np.array([[lo[0], lo[1]], [lo[0], hi[1]],
-                            [hi[0], lo[1]], [hi[0], hi[1]]])
-        far = float(np.sqrt(((coords[None, :] - corners) ** 2).sum(-1)).max())
+    near, far = dom.box_distances(pts)
     sig = surface_measure(n)
-    return 0.5 * sig * (near ** (n - ap) + far ** (n - ap)) / (ap - n)
+    return sig * far ** (n - ap) / (ap - n), sig * near ** (n - ap) / (ap - n)
 
 
 # ---------------------------------------------------------------------------
@@ -369,14 +352,17 @@ def apply_Lp(u: GridFunction, prm: FracParams, x: int) -> float:
     if not (0 <= x < dom.n_nodes):
         raise ValueError(f"node index {x} out of range")
     coords = dom.node_coords
+    if np.any((coords[x] == dom.box_lo) | (coords[x] == dom.box_hi)):
+        raise ValueError(f"node {x} lies on the box boundary, where the tail diverges")
     vals = u.flat()
     ux = vals[x]
-    d = np.sqrt(((coords - coords[x][None, :]) ** 2).sum(axis=1))
+    d = cdist(coords[x:x + 1], coords)[0]
     d[x] = np.inf
     diff = vals - ux
     with np.errstate(invalid="ignore"):
         core = np.abs(diff) ** (prm.p - 2.0) * diff * d ** (-prm.ap)
     core[x] = 0.0
-    tail = _tail_mid_at(dom, prm.ap, coords[x])
+    lower, upper = _tail_bracket(dom, prm.ap, coords[x:x + 1])
+    tail = 0.5 * (lower[0] + upper[0])
     return float(2.0 * (core.sum() * dom.h ** dom.dim
                         - np.abs(ux) ** (prm.p - 2.0) * ux * tail))

@@ -26,6 +26,7 @@ from typing import Callable, Optional, Union
 import numpy as np
 from scipy import ndimage
 from scipy.spatial import cKDTree
+from scipy.spatial.distance import cdist
 
 __all__ = [
     "Interval",
@@ -216,6 +217,18 @@ class GridDomain:
     @property
     def box_hi(self) -> np.ndarray:
         return np.array([ax[-1] for ax in self.axes])
+
+    def box_distances(self, pts: np.ndarray):
+        """Distances from points of the box to the nearest and the farthest
+        point of its boundary, as two vectors ``(near, far)``.
+
+        The farthest boundary point is the corner opposite along every axis
+        (the far end of the segment in 1D).
+        """
+        lo, hi = self.box_lo, self.box_hi
+        near = np.minimum(pts - lo, hi - pts).min(axis=1)
+        far = np.sqrt((np.maximum(pts - lo, hi - pts) ** 2).sum(axis=1))
+        return near, far
 
     @cached_property
     def node_coords(self) -> np.ndarray:
@@ -508,5 +521,4 @@ def nearest_node(dom: GridDomain, point) -> int:
     p = np.atleast_1d(np.asarray(point, dtype=float))
     if p.shape != (dom.dim,):
         raise ValueError(f"point must have {dom.dim} coordinates")
-    d2 = ((dom.node_coords - p[None, :]) ** 2).sum(axis=1)
-    return int(np.argmin(d2))
+    return int(np.argmin(cdist(p[None, :], dom.node_coords, "sqeuclidean")))

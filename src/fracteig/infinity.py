@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
+from scipy.spatial.distance import cdist
 
 from .geometry import (
     GridDomain,
@@ -63,11 +64,6 @@ BRANCH_EIGEN = "eig"       # the eigen-balance branch attains it
 BRANCH_ZERO = "zero"       # node classified as u = 0 (dead band)
 
 
-def _box_boundary_distance(dom: GridDomain, coords: np.ndarray) -> np.ndarray:
-    lo, hi = dom.box_lo, dom.box_hi
-    return np.minimum(coords - lo[None, :], hi[None, :] - coords).min(axis=1)
-
-
 def _extreme_quotients(u: GridFunction, alpha: float, base: np.ndarray,
                        include_exterior: bool) -> Tuple[np.ndarray, ...]:
     """Max/min Hoelder quotients (and witnesses) over the lattice for each base node."""
@@ -87,7 +83,7 @@ def _extreme_quotients(u: GridFunction, alpha: float, base: np.ndarray,
     for k0 in range(0, n, _CHUNK):
         sl = slice(k0, min(k0 + _CHUNK, n))
         blk = bc[sl]
-        d = np.sqrt(((blk[:, None, :] - coords[None, :, :]) ** 2).sum(-1))
+        d = cdist(blk, coords)
         rows = np.arange(sl.stop - sl.start)
         d[rows, base[sl]] = np.inf  # exclude y = x
         quot = (vals[None, :] - bv[sl, None]) / d ** alpha
@@ -99,7 +95,7 @@ def _extreme_quotients(u: GridFunction, alpha: float, base: np.ndarray,
         w_minus[sl] = quot.argmin(axis=1)
 
     if include_exterior and u.zero_extended:
-        dbox = _box_boundary_distance(dom, bc)
+        dbox, _ = dom.box_distances(bc)
         cand = -bv / dbox ** alpha
         up = cand > l_plus
         l_plus = np.where(up, cand, l_plus)
@@ -347,7 +343,7 @@ def cone(dom: GridDomain, x0: int, radius: float, alpha: float,
         raise ValueError(f"radius must be positive, got {radius}")
     x0 = int(x0)
     coords = dom.node_coords
-    r = np.sqrt(((coords - coords[x0][None, :]) ** 2).sum(axis=1))
+    r = cdist(coords[x0:x0 + 1], coords)[0]
     if alpha < 1.0:
         vals = np.minimum(r ** alpha, radius ** alpha)
     else:
@@ -381,7 +377,7 @@ def r2_radius(dom: GridDomain) -> float:
     best = 0.0
     for k0 in range(0, pts.shape[0], _CHUNK):
         blk = slice(k0, min(k0 + _CHUNK, pts.shape[0]))
-        d = 0.5 * np.sqrt(((pts[blk, None, :] - pts[None, :, :]) ** 2).sum(-1))
+        d = 0.5 * cdist(pts[blk], pts)
         cap = np.minimum(np.minimum(delta[blk, None], delta[None, :]), d)
         best = max(best, float(cap.max()))
     return best

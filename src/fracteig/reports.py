@@ -65,10 +65,10 @@ def mask_rows(dom: GridDomain):
         yield (*(float(c) for c in coords[k]), bool(inside[k]))
 
 
-def function_rows(u: GridFunction, inside_only: bool = True):
-    """Rows (coordinates..., value); inside nodes only by default."""
+def function_rows(u: GridFunction):
+    """Rows (coordinates..., value) at the inside nodes."""
     dom = u.domain
-    idx = dom.inside_indices if inside_only else np.arange(dom.n_nodes)
+    idx = dom.inside_indices
     coords = dom.node_coords[idx]
     vals = u.flat()[idx]
     for k in range(idx.size):

@@ -371,14 +371,24 @@ def test_h_flag_overrides_config(tmp_path):
     assert rep["summary"]["inside_nodes"] == 7
 
 
-def test_threads_flag_caps_pools(tmp_path, monkeypatch):
-    monkeypatch.setenv("OMP_NUM_THREADS", "8")
-    out = tmp_path / "run"
-    cfg = _eig_config(tmp_path, out, h=0.25)
-    assert main(["eig", "--config", str(cfg), "--threads", "2"]) == 0
-    import os
+def test_threads_flag_is_a_usage_error(tmp_path, capsys):
+    cfg = _eig_config(tmp_path, tmp_path / "run", h=0.25)
+    with pytest.raises(SystemExit) as exc:
+        main(["eig", "--config", str(cfg), "--threads", "2"])
+    assert exc.value.code == 2
+    capsys.readouterr()
 
-    assert os.environ["OMP_NUM_THREADS"] == "2"
+
+@pytest.mark.parametrize("key,value", [
+    ("margin", "wide"),
+    ("p", "four"),
+    ("ps", [8, "x"]),
+    ("h_list", "abc"),
+])
+def test_malformed_config_value_exits_2(tmp_path, capsys, key, value):
+    cfg = _eig_config(tmp_path, tmp_path / "run", **{key: value})
+    assert main(["eig", "--config", str(cfg)]) == 2
+    assert "malformed config value" in capsys.readouterr().err
 
 
 def test_nonconvergence_stays_in_band(tmp_path):

@@ -12,6 +12,7 @@ from fracteig.energy import (
 )
 from fracteig.geometry import (
     GridFunction,
+    build_disk,
     build_interval,
     distance_to_complement,
     high_ridge,
@@ -104,6 +105,41 @@ def test_single_node_cross_by_hand(alpha, p):
     expected_tail = 2.0 * 2.0 * 3.0 ** (1.0 - ap) / (ap - 1.0)
     assert b.tail_lower == pytest.approx(expected_tail, rel=1e-14)
     assert b.tail_width == pytest.approx(0.0, abs=1e-16)
+
+
+@pytest.mark.parametrize("dom", [
+    build_interval(0.0, 1.0, 1 / 16),
+    build_disk((0.0, 0.0), 1.0, 0.25, margin=1.0),
+], ids=["interval", "disk"])
+def test_kernel_tables_equal_broadcast_reference(dom):
+    """holder and cross weights equal the explicit broadcast expressions bitwise."""
+    prm = FracParams(0.75, 4.0)
+    tables = QuotientTables(dom, prm)
+    xin = dom.inside_coords
+    d2 = ((xin[:, None, :] - xin[None, :, :]) ** 2).sum(-1)
+    np.fill_diagonal(d2, np.inf)
+    holder = np.sqrt(d2) ** (-prm.alpha)
+    np.fill_diagonal(holder, 0.0)
+    np.testing.assert_array_equal(tables.holder, holder)
+    out = dom.node_coords[~dom.inside_flat]
+    d_out = np.sqrt(((xin[:, None, :] - out[None, :, :]) ** 2).sum(-1))
+    w_out = (d_out ** (-prm.ap)).sum(axis=1)
+    np.testing.assert_array_equal(tables.cross_coef, 2.0 * dom.h ** (2 * dom.dim) * w_out)
+
+
+def test_disk_tail_bracket_by_hand():
+    """Box [-4, 4]^2: the bracket runs from the nearest side to the far corner."""
+    dom = build_disk((0.0, 0.0), 1.0, 0.25, margin=1.0)
+    np.testing.assert_array_equal(dom.box_lo, [-4.0, -4.0])
+    np.testing.assert_array_equal(dom.box_hi, [4.0, 4.0])
+    prm = FracParams(0.75, 4.0)  # ap = 3
+    tables = QuotientTables(dom, prm)
+    tail = lambda d: 2.0 * 0.25 ** 2 * 2.0 * np.pi * d ** (2.0 - 3.0) / (3.0 - 2.0)
+    for point, near, far in [((0.0, 0.0), 4.0, np.hypot(4.0, 4.0)),
+                             ((0.25, -0.5), 3.5, np.hypot(4.25, 4.5))]:
+        k = int(np.flatnonzero((dom.inside_coords == point).all(axis=1))[0])
+        assert tables.tail_lower_coef[k] == pytest.approx(tail(far), rel=1e-14)
+        assert tables.tail_upper_coef[k] == pytest.approx(tail(near), rel=1e-14)
 
 
 def test_energy_homogeneity():
@@ -248,6 +284,8 @@ def test_apply_Lp_zero_and_range():
         assert apply_Lp(u, prm, int(ix)) == 0.0
     with pytest.raises(ValueError, match="out of range"):
         apply_Lp(u, prm, dom.n_nodes)
+    with pytest.raises(ValueError, match="box boundary"):
+        apply_Lp(u, prm, dom.n_nodes - 1)
 
 
 def test_apply_L2_odd_symmetry():

@@ -213,6 +213,27 @@ def test_node_set_validation():
     np.testing.assert_array_equal(ns.indices, [1, 3])
 
 
+@pytest.mark.parametrize("dom", [
+    build_interval(0.0, 1.0, 1 / 8),
+    build_disk((0.3, -0.2), 0.7, 1 / 8, margin=1.0),
+    build_rectangle((0.0, 0.0), (1.0, 0.5), 1 / 8, margin=1.5),
+], ids=["interval", "disk", "rectangle"])
+def test_box_distances_match_brute_force(dom):
+    pts = dom.node_coords
+    lo, hi = dom.box_lo, dom.box_hi
+    near, far = dom.box_distances(pts)
+    faces = [pts[:, k] - lo[k] for k in range(dom.dim)]
+    faces += [hi[k] - pts[:, k] for k in range(dom.dim)]
+    np.testing.assert_array_equal(near, np.min(faces, axis=0))
+    if dom.dim == 1:
+        want = np.maximum(pts[:, 0] - lo[0], hi[0] - pts[:, 0])
+    else:
+        corners = [(cx, cy) for cx in (lo[0], hi[0]) for cy in (lo[1], hi[1])]
+        want = np.max([np.sqrt(((pts - np.array(c)) ** 2).sum(axis=1))
+                       for c in corners], axis=0)
+    np.testing.assert_array_equal(far, want)
+
+
 def test_nearest_node_validation():
     dom = build_interval(0.0, 1.0, 0.25)
     with pytest.raises(ValueError, match="point must have 1 coordinates"):
