@@ -63,6 +63,12 @@ class ConfigError(Exception):
     """Bad configuration or environment; maps to a nonzero exit code."""
 
 
+def _float_list(value) -> list:
+    if not isinstance(value, list):
+        raise TypeError(f"expected a JSON list, got {value!r}")
+    return [float(v) for v in value]
+
+
 @dataclass
 class RunConfig:
     """Validated run parameters (config file merged with CLI overrides)."""
@@ -106,8 +112,8 @@ class RunConfig:
             h = float(merged["h"])
             margin = float(merged.get("margin", 2.0))
             p = float(merged["p"]) if "p" in merged else None
-            ps = [float(v) for v in merged["ps"]] if "ps" in merged else None
-            h_list = [float(v) for v in merged["h_list"]] if "h_list" in merged else None
+            ps = _float_list(merged["ps"]) if "ps" in merged else None
+            h_list = _float_list(merged["h_list"]) if "h_list" in merged else None
         except KeyError as exc:
             raise ConfigError(f"config missing required key {exc}") from exc
         except (TypeError, ValueError) as exc:
@@ -393,14 +399,18 @@ def cmd_verify1d(cfg: RunConfig) -> RunReport:
         examples = [first_1d(alpha), second_1d(alpha), third_1d(alpha)]
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    out = _prepare_out(cfg)
     hs = cfg.h_list or _DEFAULT_VERIFY1D_H
+    finest = min(hs)
+    try:
+        doms = [build_interval(0.0, 2.0, h, cfg.margin) for h in hs]
+        nodal_dom = build_interval(0.0, 1.0, finest, cfg.margin)
+    except ValueError as exc:
+        raise ConfigError(f"bad h_list or margin: {exc}") from exc
+    out = _prepare_out(cfg)
 
     outputs = {}
     table = []
-    finest = min(hs)
-    for h in hs:
-        dom = build_interval(0.0, 2.0, h, cfg.margin)
+    for h, dom in zip(hs, doms):
         delta = distance_to_complement(dom)
         for ex in examples:
             u = sample(ex, dom)
@@ -419,7 +429,7 @@ def cmd_verify1d(cfg: RunConfig) -> RunReport:
     outputs["residuals"] = path.name
 
     second, third = examples[1], examples[2]
-    lam_nodal = lambda_infinity(build_interval(0.0, 1.0, finest, cfg.margin), alpha)
+    lam_nodal = lambda_infinity(nodal_dom, alpha)
     verdicts = {
         "max_left_of_midpoint": bool(second.a < 0.5),
         "unequal_nodal_lengths": bool(

@@ -5,12 +5,17 @@ a node x are the supremum and infimum over y of
 
     (u(y) - u(x)) / |y - x|^alpha .
 
-On the lattice the sup/inf run over all box nodes, plus one analytic exterior
-candidate for zero-extended functions: just beyond the box u vanishes, so the
-quotient -u(x) / d^alpha at the nearest box-boundary distance is a genuine
-candidate and is offered to both extremes (witness index -1).  Comparison
-functions that are not zero-extended (cones) skip the exterior candidate;
-they are constant far out, so in-box candidates already dominate.
+For a zero-extended u the sup/inf run over all of R^n, and every y outside
+the region contributes -u(x) / |y - x|^alpha.  Only two such y can be
+extreme: the nearest outside node, and the far field, where the quotient
+tends to 0.  The nearest outside node always has an inside neighbour along an
+axis (one lattice step from it toward x lands inside), so the scan covers the
+inside nodes and their outside axis neighbours, in ascending flat index, and
+then offers the far field at value 0 (witness index -1), which wins only when
+strictly better.  At a strict positive maximum l_plus is therefore exactly 0,
+whatever the box margin.  Comparison functions that are not zero-extended
+(cones) are scanned over every box node; the box is all the lattice knows of
+them.  Ties go to the lowest flat index.
 
 The first-eigenvalue equation residual at an inside node is
 
@@ -28,6 +33,7 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
+from scipy import ndimage
 from scipy.spatial.distance import cdist
 
 from .geometry import (
@@ -56,7 +62,7 @@ __all__ = [
 ]
 
 _CHUNK = 64
-EXTERIOR_WITNESS = -1  # witness index marking the analytic beyond-the-box candidate
+EXTERIOR_WITNESS = -1  # witness index marking the far field, where u = 0
 
 # branch labels stored per node
 BRANCH_OPERATOR = "op"     # the full-operator branch l_plus + l_minus attains the max
@@ -64,15 +70,23 @@ BRANCH_EIGEN = "eig"       # the eigen-balance branch attains it
 BRANCH_ZERO = "zero"       # node classified as u = 0 (dead band)
 
 
-def _extreme_quotients(u: GridFunction, alpha: float, base: np.ndarray,
-                       include_exterior: bool) -> Tuple[np.ndarray, ...]:
-    """Max/min Hoelder quotients (and witnesses) over the lattice for each base node."""
+def _extreme_quotients(u: GridFunction, alpha: float,
+                       base: np.ndarray) -> Tuple[np.ndarray, ...]:
+    """Max/min Hoelder quotients (and witnesses) for each base node: over R^n
+    for a zero-extended u, over the box otherwise (see the module docstring)."""
     dom = u.domain
-    coords = dom.node_coords
-    vals = u.flat()
+    if u.zero_extended:
+        cand = np.flatnonzero(ndimage.binary_dilation(dom.inside))
+    else:
+        cand = np.arange(dom.n_nodes)
+    coords = dom.node_coords[cand]
+    vals = u.flat()[cand]
     base = np.asarray(base, dtype=np.int64)
-    bc = coords[base]
-    bv = vals[base]
+    bc = dom.node_coords[base]
+    bv = u.flat()[base]
+    # column of each base node among the candidates, where it is one (y = x is excluded)
+    col = np.minimum(np.searchsorted(cand, base), cand.size - 1)
+    is_cand = cand[col] == base
 
     n = base.size
     l_plus = np.empty(n)
@@ -82,27 +96,25 @@ def _extreme_quotients(u: GridFunction, alpha: float, base: np.ndarray,
 
     for k0 in range(0, n, _CHUNK):
         sl = slice(k0, min(k0 + _CHUNK, n))
-        blk = bc[sl]
-        d = cdist(blk, coords)
-        rows = np.arange(sl.stop - sl.start)
-        d[rows, base[sl]] = np.inf  # exclude y = x
+        self_row = np.flatnonzero(is_cand[sl])
+        self_col = col[sl][self_row]
+        d = cdist(bc[sl], coords)
+        d[self_row, self_col] = np.inf
         quot = (vals[None, :] - bv[sl, None]) / d ** alpha
-        quot[rows, base[sl]] = -np.inf
+        quot[self_row, self_col] = -np.inf
         l_plus[sl] = quot.max(axis=1)
-        w_plus[sl] = quot.argmax(axis=1)
-        quot[rows, base[sl]] = np.inf
+        w_plus[sl] = cand[quot.argmax(axis=1)]
+        quot[self_row, self_col] = np.inf
         l_minus[sl] = quot.min(axis=1)
-        w_minus[sl] = quot.argmin(axis=1)
+        w_minus[sl] = cand[quot.argmin(axis=1)]
 
-    if include_exterior and u.zero_extended:
-        dbox, _ = dom.box_distances(bc)
-        cand = -bv / dbox ** alpha
-        up = cand > l_plus
-        l_plus = np.where(up, cand, l_plus)
-        w_plus = np.where(up, EXTERIOR_WITNESS, w_plus)
-        dn = cand < l_minus
-        l_minus = np.where(dn, cand, l_minus)
-        w_minus = np.where(dn, EXTERIOR_WITNESS, w_minus)
+    if u.zero_extended:
+        up = 0.0 > l_plus
+        l_plus[up] = 0.0
+        w_plus[up] = EXTERIOR_WITNESS
+        dn = 0.0 < l_minus
+        l_minus[dn] = 0.0
+        w_minus[dn] = EXTERIOR_WITNESS
 
     return l_plus, w_plus, l_minus, w_minus
 
@@ -110,19 +122,20 @@ def _extreme_quotients(u: GridFunction, alpha: float, base: np.ndarray,
 def linf_plus(u: GridFunction, alpha: float, x: int) -> Tuple[float, int]:
     """Sup of the alpha-quotient at node x; returns (value, witness index).
 
-    Witness -1 means the analytic exterior candidate beyond the box won.
+    Witness -1 means the far field won: every other quotient is negative.
     """
     _check_alpha(alpha)
-    lp, wp, _, _ = _extreme_quotients(u, alpha, np.array([int(x)]),
-                                      include_exterior=True)
+    lp, wp, _, _ = _extreme_quotients(u, alpha, np.array([int(x)]))
     return float(lp[0]), int(wp[0])
 
 
 def linf_minus(u: GridFunction, alpha: float, x: int) -> Tuple[float, int]:
-    """Inf of the alpha-quotient at node x; returns (value, witness index)."""
+    """Inf of the alpha-quotient at node x; returns (value, witness index).
+
+    Witness -1 means the far field won: every other quotient is positive.
+    """
     _check_alpha(alpha)
-    _, _, lm, wm = _extreme_quotients(u, alpha, np.array([int(x)]),
-                                      include_exterior=True)
+    _, _, lm, wm = _extreme_quotients(u, alpha, np.array([int(x)]))
     return float(lm[0]), int(wm[0])
 
 
@@ -147,13 +160,14 @@ def holder_seminorm(u: GridFunction, alpha: float) -> float:
     """Discrete alpha-Hoelder seminorm: max quotient over node pairs.
 
     Pairs with both values zero contribute nothing, so scanning (nonzero node,
-    any node) pairs is exact.
+    any node) pairs is exact.  The far-field candidate of a zero-extended u
+    is 0, so it cannot raise the maximum of |quotient|.
     """
     _check_alpha(alpha)
     nz = np.flatnonzero(u.flat())
     if nz.size == 0:
         return 0.0
-    lp, _, lm, _ = _extreme_quotients(u, alpha, nz, include_exterior=False)
+    lp, _, lm, _ = _extreme_quotients(u, alpha, nz)
     return float(max(lp.max(), -lm.min(), 0.0))
 
 
@@ -213,20 +227,11 @@ class InfinityReport:
     def rows(self):
         """Per-node tuples for CSV export (coords, values, witnesses, branch)."""
         coords = self.domain.node_coords[self.nodes]
-        for k in range(self.nodes.size):
-            yield (
-                int(self.nodes[k]),
-                *(float(c) for c in coords[k]),
-                float(self.u[k]),
-                float(self.delta[k]),
-                float(self.l_plus[k]),
-                int(self.witness_plus[k]),
-                float(self.l_minus[k]),
-                int(self.witness_minus[k]),
-                float(self.l_minus_analytic[k]),
-                str(self.branch[k]),
-                float(self.residual[k]),
-            )
+        return zip(self.nodes.tolist(), *coords.T.tolist(), self.u.tolist(),
+                   self.delta.tolist(), self.l_plus.tolist(),
+                   self.witness_plus.tolist(), self.l_minus.tolist(),
+                   self.witness_minus.tolist(), self.l_minus_analytic.tolist(),
+                   self.branch.tolist(), self.residual.tolist())
 
 
 def _report_core(u: GridFunction, alpha: float, delta: GridFunction):
@@ -238,7 +243,7 @@ def _report_core(u: GridFunction, alpha: float, delta: GridFunction):
     din = delta.flat()[nodes]
     if np.any(din <= 0.0):
         raise RuntimeError("distance must be positive at inside nodes")
-    lp, wp, lm, wm = _extreme_quotients(u, alpha, nodes, include_exterior=True)
+    lp, wp, lm, wm = _extreme_quotients(u, alpha, nodes)
     lma = -uin / din ** alpha
     return nodes, uin, din, lp, wp, lm, wm, lma
 

@@ -37,10 +37,30 @@ def fmt17(value) -> str:
     return format(float(value), ".17g")
 
 
+def _row_format(row: Sequence) -> str:
+    """One %-format for a row: fmt17's output for each value's type."""
+    def spec(v):
+        if isinstance(v, str):
+            return "%s"
+        if isinstance(v, (bool, np.bool_, int, np.integer)):
+            return "%d"
+        return "%.17g"
+    return ",".join(spec(v) for v in row)
+
+
 def write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Write a CSV whose cells read as ``fmt17`` would write them.
+
+    Every column keeps the type it has in the first row, so one format string
+    built from that row serves them all.
+    """
     lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(fmt17(v) if not isinstance(v, str) else v for v in row))
+    rows = iter(rows)
+    first = next(rows, None)
+    if first is not None:
+        fmt = _row_format(first)
+        lines.append(fmt % tuple(first))
+        lines.extend(fmt % tuple(row) for row in rows)
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -59,20 +79,13 @@ def config_digest(obj) -> str:
 
 def mask_rows(dom: GridDomain):
     """Full-lattice rows (coordinates..., inside flag)."""
-    coords = dom.node_coords
-    inside = dom.inside_flat
-    for k in range(dom.n_nodes):
-        yield (*(float(c) for c in coords[k]), bool(inside[k]))
+    return zip(*dom.node_coords.T.tolist(), dom.inside_flat.tolist())
 
 
 def function_rows(u: GridFunction):
     """Rows (coordinates..., value) at the inside nodes."""
-    dom = u.domain
-    idx = dom.inside_indices
-    coords = dom.node_coords[idx]
-    vals = u.flat()[idx]
-    for k in range(idx.size):
-        yield (*(float(c) for c in coords[k]), float(vals[k]))
+    idx = u.domain.inside_indices
+    return zip(*u.domain.node_coords[idx].T.tolist(), u.flat()[idx].tolist())
 
 
 def infinity_header(dom: GridDomain) -> list:

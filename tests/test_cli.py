@@ -235,6 +235,28 @@ def test_infinity_run_summary_and_artifacts(tmp_path):
     assert len(rep_lines) == 1 + s["nodes"]
 
 
+def test_infinity_reruns_are_byte_identical(tmp_path):
+    out = tmp_path / "run"
+    cfg = _write_config(tmp_path, {
+        "domain": {"shape": "disk", "center": [0.0, 0.0], "radius": 1.0},
+        "alpha": 0.5,
+        "h": 0.25,
+        "out": str(out),
+    })
+    names = ("domain_mask.csv", "representation.csv", "infinity_report.csv")
+    assert main(["infinity", "--config", str(cfg)]) == 0
+    first = {name: (out / name).read_bytes() for name in names}
+    first_report = _report(out)
+
+    assert main(["infinity", "--config", str(cfg)]) == 0
+    for name, blob in first.items():
+        assert (out / name).read_bytes() == blob
+    second_report = _report(out)
+    for rep in (first_report, second_report):
+        rep.pop("wall_time_s")
+    assert first_report == second_report
+
+
 def test_infinity_rejects_gamma1_off_the_ridge(tmp_path, capsys):
     cfg = _write_config(tmp_path, {
         "domain": {"shape": "interval", "a": 0.0, "b": 2.0},
@@ -331,6 +353,18 @@ def test_verify1d_alpha_one_degenerates_every_verdict(tmp_path):
     }
 
 
+def test_verify1d_coarse_h_list_entry_exits_2(tmp_path, capsys):
+    cfg = _write_config(tmp_path, {
+        "domain": {"shape": "interval", "a": 0.0, "b": 2.0},
+        "alpha": 0.5,
+        "h": 1 / 50,
+        "h_list": [4.0],
+        "out": str(tmp_path / "run"),
+    })
+    assert main(["verify1d", "--config", str(cfg)]) == 2
+    assert "no inside nodes" in capsys.readouterr().err
+
+
 def test_mask_file_roundtrip(tmp_path):
     base = {
         "domain": {"shape": "disk", "center": [0.0, 0.0], "radius": 0.5},
@@ -383,7 +417,9 @@ def test_threads_flag_is_a_usage_error(tmp_path, capsys):
     ("margin", "wide"),
     ("p", "four"),
     ("ps", [8, "x"]),
+    ("ps", "8"),
     ("h_list", "abc"),
+    ("h_list", "48"),
 ])
 def test_malformed_config_value_exits_2(tmp_path, capsys, key, value):
     cfg = _eig_config(tmp_path, tmp_path / "run", **{key: value})
@@ -425,6 +461,21 @@ def test_config_digest_is_order_independent():
     assert one == two
     assert len(one) == 64
     assert config_digest({"a": 1, "b": [1, 3]}) != one
+
+
+def test_write_csv_matches_fmt17(tmp_path):
+    rows = [
+        (-0.0, np.float64(1 / 3), 7, np.int64(-3), True, np.bool_(False), "op"),
+        (5e-324, np.float64(-2.5), -1, np.int64(2 ** 40), False, np.bool_(True), "eig"),
+        (1e300, np.float64(math.inf), 0, np.int64(0), True, np.bool_(True), ""),
+        (-math.inf, np.float64(0.1), 2 ** 70, np.int64(-1), False, np.bool_(False), "zero"),
+    ]
+    path = tmp_path / "t.csv"
+    write_csv(path, list("abcdefg"), rows)
+    want = [",".join(v if isinstance(v, str) else fmt17(v) for v in row) for row in rows]
+    assert path.read_text().splitlines() == ["a,b,c,d,e,f,g", *want]
+    write_csv(path, ["a"], [])
+    assert path.read_text() == "a\n"
 
 
 def test_write_csv_passes_strings_through(tmp_path):

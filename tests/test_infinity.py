@@ -60,6 +60,63 @@ def test_l_plus_nonpositive_at_unique_max():
     assert linf_plus(u, 0.5, int(ridge.indices[0]))[0] <= 0.0
 
 
+@pytest.mark.parametrize("margin", [1.0, 2.0, 4.0, 8.0])
+def test_l_plus_at_the_maximum_is_the_far_field(margin):
+    # every other quotient at the strict maximum is negative; the sup over
+    # R^n is the 0 the zero extension approaches far away, whatever the box
+    dom = build_interval(0.0, 2.0, 1 / 16, margin)
+    ridge = high_ridge(distance_to_complement(dom))
+    u = representation(dom, ridge, 0.5)
+    assert linf_plus(u, 0.5, int(ridge.indices[0])) == (0.0, EXTERIOR_WITNESS)
+
+
+def _brute_extremes(u, alpha, x):
+    """(value, witness, unique) for the sup and the inf at node x, scanning
+    every box node y != x and then the far field, value 0, which wins only
+    when strictly better."""
+    coords = u.domain.node_coords
+    vals = u.flat()
+    d = np.sqrt(((coords - coords[x]) ** 2).sum(axis=1))
+    d[x] = np.inf
+    q = (vals - vals[x]) / d ** alpha
+    out = []
+    for pick, better, own in ((np.argmax, np.greater, -np.inf), (np.argmin, np.less, np.inf)):
+        q[x] = own
+        k = int(pick(q))
+        if better(0.0, q[k]):
+            out.append((0.0, EXTERIOR_WITNESS, True))
+        else:
+            ties = np.count_nonzero(q == q[k]) + (q[k] == 0.0)
+            out.append((q[k], k, ties == 1))
+    return out
+
+
+@pytest.mark.parametrize("dom", [build_interval(0.0, 2.0, 1 / 8, 1.0),
+                                 build_disk((0.1, 0.0), 1.0, 1 / 4, 1.0)],
+                         ids=["interval", "disk"])
+def test_extremes_match_full_box_scan_plus_far_field(dom):
+    # positive on most of the region, negative on a slab at its left end, so
+    # near either end the nearest outside node sets one of the two extremes
+    rng = np.random.default_rng(3)
+    x0 = dom.node_coords[:, 0]
+    sign = np.where(x0 < x0[dom.inside_flat].min() + 0.5, -1.0, 1.0)
+    vals = (0.1 + rng.uniform(size=dom.n_nodes)) * sign
+    vals[~dom.inside_flat] = 0.0
+    vals[dom.inside_indices[::5]] = 0.0
+    u = GridFunction(dom, vals.reshape(dom.lattice_shape))
+    alpha = 0.6
+    unique = 0
+    for x in range(dom.n_nodes):
+        got = (linf_plus(u, alpha, x), linf_minus(u, alpha, x))
+        for (value, witness), (want, want_witness, is_unique) in zip(
+                got, _brute_extremes(u, alpha, x)):
+            assert np.float64(value).tobytes() == np.float64(want).tobytes()
+            if is_unique:
+                assert witness == want_witness
+                unique += 1
+    assert unique > dom.n_nodes  # most extremes are unique
+
+
 def test_l_minus_analytic_values():
     dom, delta, ridge, u = rep_on_interval()
     # at the ridge: -u/delta^alpha = -1
