@@ -201,6 +201,10 @@ def _load_mask_csv(path: Path, margin: float) -> GridDomain:
     inside = np.zeros(shape, dtype=bool)
     pos = [np.searchsorted(axes[j], coords[:, j]) for j in range(dim)]
     inside[tuple(pos)] = flags
+    # distances to the complement see only the lattice, so it must surround the region
+    if any(np.moveaxis(inside, j, 0)[[0, -1]].any() for j in range(dim)):
+        raise ConfigError(f"mask file {path} has inside nodes on the lattice edge; "
+                          "pad the lattice with outside nodes")
     return GridDomain(dim=dim, h=h, axes=tuple(axes), inside=inside,
                       shape_tag=None, margin=margin)
 

@@ -25,9 +25,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
-from .geometry import GridDomain, GridFunction
+from .geometry import GridDomain, GridFunction, block_rows, distances
 
 __all__ = [
     "FracParams",
@@ -39,8 +38,6 @@ __all__ = [
     "apply_Lp",
     "surface_measure",
 ]
-
-_CHUNK = 256  # rows per block in pairwise-distance loops
 
 
 def surface_measure(n: int) -> float:
@@ -178,16 +175,19 @@ class QuotientTables:
 
         # pairwise alpha-kernel |x_i - x_j|^(-alpha); an infinite diagonal
         # makes the Hoelder quotient q_ij = |u_i - u_j| * kernel vanish at i == j
-        d = cdist(xin, xin)
+        d = distances(xin, xin)
         np.fill_diagonal(d, np.inf)
-        self.holder = d ** (-prm.alpha)
+        d **= -prm.alpha
+        self.holder = d
 
         # cross weights: sum over outside-but-in-box nodes of |y - x_i|^(-ap)
         out = dom.node_coords[~dom.inside_flat]
         w_out = np.zeros(m)
-        for k0 in range(0, m, _CHUNK):
-            blk = xin[k0:k0 + _CHUNK]
-            w_out[k0:k0 + len(blk)] = (cdist(blk, out) ** (-ap)).sum(axis=1)
+        rows = block_rows(len(out))
+        for k0 in range(0, m, rows):
+            d = distances(xin[k0:k0 + rows], out)
+            d **= -ap
+            w_out[k0:k0 + rows] = d.sum(axis=1)
 
         hn = h ** n
         h2n = h ** (2 * n)
@@ -356,7 +356,7 @@ def apply_Lp(u: GridFunction, prm: FracParams, x: int) -> float:
         raise ValueError(f"node {x} lies on the box boundary, where the tail diverges")
     vals = u.flat()
     ux = vals[x]
-    d = cdist(coords[x:x + 1], coords)[0]
+    d = distances(coords[x:x + 1], coords)[0]
     d[x] = np.inf
     diff = vals - ux
     with np.errstate(invalid="ignore"):

@@ -24,9 +24,6 @@ from functools import cached_property
 from typing import Callable, Optional, Union
 
 import numpy as np
-from scipy import ndimage
-from scipy.spatial import cKDTree
-from scipy.spatial.distance import cdist
 
 __all__ = [
     "Interval",
@@ -44,7 +41,15 @@ __all__ = [
     "high_ridge",
     "distance_to_set",
     "nearest_node",
+    "block_rows",
+    "squared_distances",
+    "distances",
 ]
+
+# Elements in one block temporary of the pairwise-distance loops (here and in
+# energy, infinity): 2**17 doubles, 1 MB, so a block and the few arrays made
+# from it stay in a core's L2 cache.
+_BLOCK_ELEMENTS = 2**17
 
 # Fraction of h used as a guard band: nodes this close to a canonical boundary
 # count as outside, so inside nodes always carry a strictly positive distance.
@@ -464,6 +469,33 @@ def build_rectangle(lo, hi, h: float, margin: float = 2.0) -> GridDomain:
 # ---------------------------------------------------------------------------
 
 
+def block_rows(ncols: int) -> int:
+    """Rows per block of a pairwise-distance loop with ncols columns."""
+    return max(1, _BLOCK_ELEMENTS // ncols)
+
+
+def squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(len(a), len(b)) squared Euclidean distances between two point arrays.
+
+    Summed axis by axis, (a0-b0)**2 + (a1-b1)**2, as scipy's cdist does, so
+    the values agree with it bitwise.
+    """
+    bt = np.ascontiguousarray(b.T)  # contiguous per-axis rows keep the loops vectorized
+    d2 = np.subtract.outer(a[:, 0], bt[0])
+    d2 *= d2
+    for k in range(1, a.shape[1]):
+        t = np.subtract.outer(a[:, k], bt[k])
+        t *= t
+        d2 += t
+    return d2
+
+
+def distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(len(a), len(b)) Euclidean distances between two point arrays."""
+    d = squared_distances(a, b)
+    return np.sqrt(d, out=d)
+
+
 def distance_to_complement(dom: GridDomain) -> GridFunction:
     """Distance from each node to the complement of the region (zero outside).
 
@@ -475,6 +507,8 @@ def distance_to_complement(dom: GridDomain) -> GridFunction:
         vals = dom.shape_tag.distance(dom.node_coords)
         vals = np.where(dom.inside_flat, vals, 0.0)
         return GridFunction(dom, vals.reshape(dom.lattice_shape))
+    from scipy import ndimage  # imported here: only free-form masks pay its start-up cost
+
     vals = ndimage.distance_transform_edt(dom.inside, sampling=dom.h)
     return GridFunction(dom, np.asarray(vals, dtype=float))
 
@@ -510,10 +544,13 @@ def distance_to_set(dom: GridDomain, nodes: NodeSet) -> GridFunction:
     """
     if nodes.domain is not dom and not dom.same_lattice(nodes.domain):
         raise ValueError("node set lives on a different lattice")
-    tree = cKDTree(nodes.coords())
-    d, _ = tree.query(dom.node_coords)
-    return GridFunction(dom, np.asarray(d, dtype=float).reshape(dom.lattice_shape),
-                        zero_extended=False)
+    pts, targets = dom.node_coords, nodes.coords()
+    d = np.empty(dom.n_nodes)
+    rows = block_rows(len(targets))
+    for k0 in range(0, dom.n_nodes, rows):
+        d[k0:k0 + rows] = squared_distances(pts[k0:k0 + rows], targets).min(axis=1)
+    np.sqrt(d, out=d)
+    return GridFunction(dom, d.reshape(dom.lattice_shape), zero_extended=False)
 
 
 def nearest_node(dom: GridDomain, point) -> int:
@@ -521,4 +558,4 @@ def nearest_node(dom: GridDomain, point) -> int:
     p = np.atleast_1d(np.asarray(point, dtype=float))
     if p.shape != (dom.dim,):
         raise ValueError(f"point must have {dom.dim} coordinates")
-    return int(np.argmin(cdist(p[None, :], dom.node_coords, "sqeuclidean")))
+    return int(np.argmin(squared_distances(p[None, :], dom.node_coords)))

@@ -33,16 +33,16 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy import ndimage
-from scipy.spatial.distance import cdist
 
 from .geometry import (
     GridDomain,
     GridFunction,
     Interval,
     NodeSet,
+    block_rows,
     distance_to_complement,
     distance_to_set,
+    distances,
     high_ridge,
     inscribed_radius,
 )
@@ -61,7 +61,6 @@ __all__ = [
     "holder_seminorm",
 ]
 
-_CHUNK = 64
 EXTERIOR_WITNESS = -1  # witness index marking the far field, where u = 0
 
 # branch labels stored per node
@@ -70,13 +69,24 @@ BRANCH_EIGEN = "eig"       # the eigen-balance branch attains it
 BRANCH_ZERO = "zero"       # node classified as u = 0 (dead band)
 
 
+def _dilate(mask: np.ndarray) -> np.ndarray:
+    """The mask together with the axis neighbours of its nodes: a binary
+    dilation with the cross structure, nothing beyond the lattice edge."""
+    out = mask.copy()
+    for ax in range(mask.ndim):
+        src, dst = np.moveaxis(mask, ax, 0), np.moveaxis(out, ax, 0)
+        dst[1:] |= src[:-1]
+        dst[:-1] |= src[1:]
+    return out
+
+
 def _extreme_quotients(u: GridFunction, alpha: float,
                        base: np.ndarray) -> Tuple[np.ndarray, ...]:
     """Max/min Hoelder quotients (and witnesses) for each base node: over R^n
     for a zero-extended u, over the box otherwise (see the module docstring)."""
     dom = u.domain
     if u.zero_extended:
-        cand = np.flatnonzero(ndimage.binary_dilation(dom.inside))
+        cand = np.flatnonzero(_dilate(dom.inside))
     else:
         cand = np.arange(dom.n_nodes)
     coords = dom.node_coords[cand]
@@ -94,13 +104,16 @@ def _extreme_quotients(u: GridFunction, alpha: float,
     l_minus = np.empty(n)
     w_minus = np.empty(n, dtype=np.int64)
 
-    for k0 in range(0, n, _CHUNK):
-        sl = slice(k0, min(k0 + _CHUNK, n))
+    rows = block_rows(cand.size)
+    for k0 in range(0, n, rows):
+        sl = slice(k0, min(k0 + rows, n))
         self_row = np.flatnonzero(is_cand[sl])
         self_col = col[sl][self_row]
-        d = cdist(bc[sl], coords)
+        d = distances(bc[sl], coords)
         d[self_row, self_col] = np.inf
-        quot = (vals[None, :] - bv[sl, None]) / d ** alpha
+        d **= alpha  # ** rather than np.power: alpha = 0.5 takes numpy's sqrt path
+        quot = vals[None, :] - bv[sl, None]
+        quot /= d
         quot[self_row, self_col] = -np.inf
         l_plus[sl] = quot.max(axis=1)
         w_plus[sl] = cand[quot.argmax(axis=1)]
@@ -348,7 +361,7 @@ def cone(dom: GridDomain, x0: int, radius: float, alpha: float,
         raise ValueError(f"radius must be positive, got {radius}")
     x0 = int(x0)
     coords = dom.node_coords
-    r = cdist(coords[x0:x0 + 1], coords)[0]
+    r = distances(coords[x0:x0 + 1], coords)[0]
     if alpha < 1.0:
         vals = np.minimum(r ** alpha, radius ** alpha)
     else:
@@ -380,9 +393,14 @@ def r2_radius(dom: GridDomain) -> float:
     delta = distance_to_complement(dom).flat()[dom.inside_indices]
     pts = dom.inside_coords
     best = 0.0
-    for k0 in range(0, pts.shape[0], _CHUNK):
-        blk = slice(k0, min(k0 + _CHUNK, pts.shape[0]))
-        d = 0.5 * cdist(pts[blk], pts)
-        cap = np.minimum(np.minimum(delta[blk, None], delta[None, :]), d)
+    # cap is symmetric (bitwise), so a block needs only the columns from its own
+    # first row on: the pairs before them were rows of an earlier block
+    rows = block_rows(pts.shape[0])
+    for k0 in range(0, pts.shape[0], rows):
+        blk = slice(k0, k0 + rows)
+        cap = distances(pts[blk], pts[k0:])
+        cap *= 0.5
+        np.minimum(cap, delta[None, k0:], out=cap)
+        np.minimum(cap, delta[blk, None], out=cap)
         best = max(best, float(cap.max()))
     return best

@@ -21,7 +21,6 @@ from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .energy import FracParams, QuotientTables
 from .geometry import (
@@ -265,6 +264,8 @@ def p2_oracle(dom: GridDomain, alpha: float) -> EigenResult:
     eigenpair.  final_grad_norm holds the residual |A v - lam h^n v|.
     Independent of the descent code path on purpose.
     """
+    import scipy.linalg  # imported here: only the p = 2 oracle pays its start-up cost
+
     a = p2_matrix(dom, alpha)
     hn = dom.h ** dom.dim
     evals, vecs = scipy.linalg.eigh(a, subset_by_index=[0, 0])

@@ -396,6 +396,20 @@ def test_mask_file_roundtrip(tmp_path):
         (out_a / "domain_mask.csv").read_bytes()
 
 
+def test_mask_touching_lattice_edge_exits_2(tmp_path, capsys):
+    # 12 nodes at h = 1/4, inside for x <= 1: the node x = 0 sits on the lattice
+    # edge, where an EDT over the lattice would find no complement beyond it
+    rows = [f"{0.25 * k!r},{int(0.25 * k <= 1.0)}" for k in range(12)]
+    mask = tmp_path / "mask.csv"
+    mask.write_text("\n".join(["x,inside", *rows]) + "\n", encoding="utf-8")
+    out = tmp_path / "run"
+    cfg = _write_config(tmp_path, {"domain": {"shape": "mask", "path": str(mask)},
+                                   "alpha": 0.5, "h": 0.25, "out": str(out)})
+    assert main(["infinity", "--config", str(cfg)]) == 2
+    assert "inside nodes on the lattice edge" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_h_flag_overrides_config(tmp_path):
     out = tmp_path / "run"
     cfg = _eig_config(tmp_path, out, h=0.25)

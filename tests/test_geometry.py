@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
+from scipy.spatial.distance import cdist
 
 from fracteig.geometry import (
     Disk,
@@ -13,9 +15,11 @@ from fracteig.geometry import (
     build_rectangle,
     distance_to_complement,
     distance_to_set,
+    distances,
     high_ridge,
     inscribed_radius,
     nearest_node,
+    squared_distances,
 )
 
 
@@ -232,6 +236,33 @@ def test_box_distances_match_brute_force(dom):
         want = np.max([np.sqrt(((pts - np.array(c)) ** 2).sum(axis=1))
                        for c in corners], axis=0)
     np.testing.assert_array_equal(far, want)
+
+
+# non-dyadic h and centre: coordinates and their differences round, so any
+# other distance formula (say |a|^2 + |b|^2 - 2 a.b) would show
+_DISTANCE_DOMAINS = pytest.mark.parametrize("dom", [
+    build_interval(0.1, 1.3, 0.1),
+    build_disk((0.3, -0.7), 0.9, 0.1, margin=1.0),
+    build_rectangle((0.0, 0.0), (1.0, 0.5), 1 / 8, margin=1.5),
+], ids=["interval", "disk", "rectangle"])
+
+
+@_DISTANCE_DOMAINS
+def test_distances_equal_cdist_bitwise(dom):
+    a, b = dom.inside_coords, dom.node_coords
+    np.testing.assert_array_equal(distances(a, b), cdist(a, b))
+    np.testing.assert_array_equal(squared_distances(a, b), cdist(a, b, "sqeuclidean"))
+    np.testing.assert_array_equal(distances(b[:1], b), cdist(b[:1], b))
+
+
+@_DISTANCE_DOMAINS
+def test_distance_to_set_equals_kdtree_query(dom):
+    ridge = high_ridge(distance_to_complement(dom))
+    if isinstance(dom.shape_tag, Rectangle):  # the ridge is a segment of nodes
+        assert len(ridge) == 5
+    for nodes in (NodeSet(dom, ridge.indices[:1]), ridge):
+        want, _ = cKDTree(nodes.coords()).query(dom.node_coords)
+        np.testing.assert_array_equal(distance_to_set(dom, nodes).flat(), want)
 
 
 def test_nearest_node_validation():

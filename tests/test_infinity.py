@@ -1,6 +1,10 @@
 import numpy as np
 import pytest
+from scipy import ndimage
+from scipy.spatial.distance import cdist
 
+from fracteig import geometry
+from fracteig.energy import FracParams, QuotientTables
 from fracteig.geometry import (
     GridFunction,
     NodeSet,
@@ -17,6 +21,8 @@ from fracteig.infinity import (
     BRANCH_OPERATOR,
     BRANCH_ZERO,
     EXTERIOR_WITNESS,
+    _dilate,
+    _extreme_quotients,
     cone,
     first_residual,
     higher_residual,
@@ -388,6 +394,44 @@ def test_r2_radius_values():
     r2 = r2_radius(dom)
     assert r2 == pytest.approx(0.5, abs=1e-12)
     assert r2 <= delta.flat().max() + 1e-15
+
+
+def test_r2_radius_equals_full_pair_scan():
+    dom = build_disk((0.3, -0.7), 0.9, 0.1, margin=1.0)
+    delta = distance_to_complement(dom).flat()[dom.inside_indices]
+    cap = np.minimum(np.minimum(delta[:, None], delta[None, :]),
+                     0.5 * cdist(dom.inside_coords, dom.inside_coords))
+    assert r2_radius(dom) == cap.max()
+
+
+def test_blocked_loops_do_not_depend_on_the_block_size(monkeypatch):
+    """Every blocked pairwise loop gives the same bits with one-row blocks,
+    with few-row blocks and a ragged last block, and with the default."""
+    dom = build_disk((0.3, -0.7), 0.9, 0.1, margin=1.0)
+    ridge = high_ridge(distance_to_complement(dom))
+    u = representation(dom, ridge, 0.5)
+
+    def run():
+        return (QuotientTables(dom, FracParams(0.75, 4.0)).cross_coef,
+                *_extreme_quotients(u, 0.5, dom.inside_indices),
+                r2_radius(dom), distance_to_set(dom, ridge).flat())
+
+    want = run()
+    for budget in (1, 1000):
+        monkeypatch.setattr(geometry, "_BLOCK_ELEMENTS", budget)
+        for got, ref in zip(run(), want):
+            np.testing.assert_array_equal(got, ref)
+
+
+@pytest.mark.parametrize("shape", [(1,), (2,), (17,), (1, 5), (6, 1), (7, 9), (12, 12)])
+def test_axis_dilation_equals_ndimage(shape):
+    rng = np.random.default_rng(sum(shape))
+    for density in (0.05, 0.3, 0.7):
+        mask = rng.random(shape) < density
+        np.testing.assert_array_equal(_dilate(mask), ndimage.binary_dilation(mask))
+    edges = np.zeros(shape, dtype=bool)  # nodes on the lattice edge and corners
+    edges[(0,) * len(shape)] = edges[(-1,) * len(shape)] = True
+    np.testing.assert_array_equal(_dilate(edges), ndimage.binary_dilation(edges))
 
 
 def test_distance_supersolution_alpha1():

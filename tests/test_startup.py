@@ -1,0 +1,87 @@
+"""Start-up cost: the command line runs on numpy alone.
+
+Each check runs in a fresh interpreter, since this test session has long since
+imported scipy.  scipy is loaded only by the two jobs that need it, the p = 2
+dense oracle (scipy.linalg) and the distance transform of a free-form mask
+(scipy.ndimage), and only when such a run asks for it.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import fracteig
+
+SRC = str(Path(fracteig.__file__).resolve().parents[1])
+
+_INTERVAL = {"shape": "interval", "a": 0.0, "b": 2.0}
+_DISK = {"shape": "disk", "center": [0.0, 0.0], "radius": 1.0}
+_TINY_RUNS = [
+    ("sweep", {"domain": _INTERVAL, "alpha": 0.5, "h": 0.05, "ps": [8.0, 16.0]}),
+    ("eig", {"domain": _DISK, "alpha": 0.75, "h": 0.25, "p": 4.0}),
+    ("infinity", {"domain": _DISK, "alpha": 0.5, "h": 0.125, "margin": 1.0}),
+    ("verify1d", {"domain": _INTERVAL, "alpha": 0.5, "h": 0.0625,
+                  "h_list": [0.0625, 0.03125]}),
+]
+
+# Runs the CLI in process, one config after another, and prints the scipy
+# modules loaded after the import and after each run.
+_SCRIPT = """
+import json, sys
+from pathlib import Path
+from fracteig.cli import main
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+tmp = Path(sys.argv[1])
+seen = {"import": scipy_modules()}
+for k, (command, cfg) in enumerate(json.loads(sys.argv[2])):
+    out = tmp / f"run{k}"
+    cfg = dict(cfg, out=str(out))
+    path = tmp / f"config{k}.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    assert main([command, "--config", str(path)]) == 0, (command, cfg)
+    seen[f"{k}:{command}"] = scipy_modules()
+print(json.dumps(seen))
+"""
+
+
+def _run_fresh(tmp_path: Path, runs: list) -> dict:
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [SRC, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    proc = subprocess.run([sys.executable, "-c", _SCRIPT, str(tmp_path), json.dumps(runs)],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def test_cli_import_and_tiny_runs_load_no_scipy(tmp_path):
+    seen = _run_fresh(tmp_path, _TINY_RUNS)
+    assert list(seen) == ["import", "0:sweep", "1:eig", "2:infinity", "3:verify1d"]
+    for stage, modules in seen.items():
+        assert modules == [], stage
+
+
+def test_oracle_and_mask_distances_load_scipy_lazily(tmp_path):
+    # a free-form disk on a 7x7 lattice at h = 1/4, outside nodes all round
+    mask = tmp_path / "mask.csv"
+    ticks = [0.25 * k for k in range(-3, 4)]
+    mask.write_text("x,y,inside\n" + "".join(
+        f"{x!r},{y!r},{int(x * x + y * y < 0.5)}\n" for x in ticks for y in ticks),
+        encoding="utf-8")
+    runs = [
+        ("eig", {"domain": _INTERVAL, "alpha": 0.75, "h": 0.125, "p": 2.0}),
+        ("infinity", {"domain": {"shape": "mask", "path": str(mask)},
+                      "alpha": 0.5, "h": 0.25}),
+    ]
+    seen = _run_fresh(tmp_path, runs)
+    assert seen["import"] == []
+    assert "scipy.linalg" in seen["0:eig"]
+    assert "scipy.ndimage" not in seen["0:eig"]
+    assert "scipy.ndimage" in seen["1:infinity"]
+    assert not any(m.startswith("scipy.spatial") for m in seen["1:infinity"])
+    report = json.loads((tmp_path / "run0" / "report.json").read_text(encoding="utf-8"))
+    assert report["summary"]["oracle_gap"] < 1e-8 * report["summary"]["oracle_lambda"]
