@@ -194,7 +194,11 @@ def _load_mask_csv(path: Path, margin: float) -> GridDomain:
         if not np.allclose(steps, steps[0], rtol=0.0, atol=1e-9 * abs(steps[0])):
             raise ConfigError(f"mask file {path} is not a uniform lattice")
         axes.append(ax)
-    h = float(np.diff(axes[0])[0])
+    # the energy's offset kernel and cell area, and the EDT, take one spacing for every axis
+    spacings = [float(ax[1] - ax[0]) for ax in axes]
+    h = spacings[0]
+    if not all(math.isclose(s, h, rel_tol=1e-9) for s in spacings):
+        raise ConfigError(f"mask file {path} has unequal axis spacings {spacings}")
     shape = tuple(len(ax) for ax in axes)
     if coords.shape[0] != int(np.prod(shape)):
         raise ConfigError(f"mask file {path} does not cover the full lattice")
@@ -299,7 +303,10 @@ def cmd_eig(cfg: RunConfig) -> RunReport:
     out = _prepare_out(cfg)
     opts = _solver_options(cfg)
 
-    res = minimize_first(dom, prm, opts)
+    try:
+        res = minimize_first(dom, prm, opts)
+    except ValueError as exc:  # kernel tables too large for this machine
+        raise ConfigError(str(exc)) from exc
     outputs = {"mask": _write_mask(dom, out)}
     path = out / "eigenfunction.csv"
     write_csv(path, [*_coord_header(dom), "u"], function_rows(res.u))
@@ -352,6 +359,8 @@ def cmd_sweep(cfg: RunConfig) -> RunReport:
         "gaps": gaps,
         "all_converged": all(r.converged for r in result.rows),
         "stop_reasons": [r.stop_reason for r in result.rows],
+        "iters": [r.iters for r in result.rows],
+        "evals": [r.evals for r in result.rows],
     }
     return _finish(cfg, outputs, summary, started)
 

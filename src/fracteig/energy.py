@@ -9,7 +9,15 @@ integral splits into three computable pieces:
 
 * interior: midpoint-rule sum over ordered pairs of distinct inside nodes;
 * cross: twice the sum over (inside, outside-but-in-box) pairs, where u
-  vanishes at the outside node;
+  vanishes at the outside node.  The kernel depends only on the integer
+  lattice offset, and the outside nodes of each lattice line form runs, so
+  every run is summed for all inside nodes at once as a difference of two
+  suffix sums of one offset table, accumulated from the far end.  The
+  subtracted suffix holds only terms farther out than the run, so no
+  difference cancels the run itself, even at nodes deep inside the region:
+  the weights match a 30-digit sum to 1e-15 relative at alpha*p from 1.2
+  to 48, while at alpha*p = 48 a direct pair sum over node coordinates is off
+  by up to 7e-14 from the rounding of the coordinates;
 * tail: twice the analytic radial integral over the complement of the box,
   bracketed between evaluations at the nearest and farthest box-boundary
   distance of each inside node.  Quotients use the bracket midpoint.
@@ -22,11 +30,12 @@ quotient never overflows even when individual weights do.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import GridDomain, GridFunction, block_rows, distances
+from .geometry import GridDomain, GridFunction, distances
 
 __all__ = [
     "FracParams",
@@ -172,6 +181,11 @@ class QuotientTables:
 
         xin = dom.inside_coords
         m = xin.shape[0]
+        # holder and value_and_grad's workspace: four m x m float arrays
+        need, have = 4 * 8 * m * m, _physical_memory()
+        if have is not None and need > have:
+            raise ValueError(f"kernel tables for {m} inside nodes need {need / 2**30:.1f} GiB, "
+                             f"more than the {have / 2**30:.1f} GiB of physical memory")
 
         # pairwise alpha-kernel |x_i - x_j|^(-alpha); an infinite diagonal
         # makes the Hoelder quotient q_ij = |u_i - u_j| * kernel vanish at i == j
@@ -179,16 +193,9 @@ class QuotientTables:
         np.fill_diagonal(d, np.inf)
         d **= -prm.alpha
         self.holder = d
+        self._work = None  # value_and_grad's (3, m, m) workspace, built on first use
 
-        # cross weights: sum over outside-but-in-box nodes of |y - x_i|^(-ap)
-        out = dom.node_coords[~dom.inside_flat]
-        w_out = np.zeros(m)
-        rows = block_rows(len(out))
-        for k0 in range(0, m, rows):
-            d = distances(xin[k0:k0 + rows], out)
-            d **= -ap
-            w_out[k0:k0 + rows] = d.sum(axis=1)
-
+        w_out = _cross_weights(dom, ap)
         hn = h ** n
         h2n = h ** (2 * n)
         tail_lower, tail_upper = _tail_bracket(dom, ap, xin)
@@ -254,14 +261,18 @@ class QuotientTables:
         s_ct = float((self.ct_coef * a_p).sum())
         log_ct = math.log(s_ct) if s_ct > 0.0 else -math.inf
 
-        # dQ/dw = (dN/dw - Q dD/dw) / D, with N the numerator and D = h^n sum |w|^p
-        diff = w[:, None] - w[None, :]
-        r = np.abs(diff)
+        # dQ/dw = (dN/dw - Q dD/dw) / D, with N the numerator and D = h^n sum |w|^p;
+        # the m x m passes write into one workspace, so no call allocates one
+        if self._work is None:
+            self._work = np.empty((3,) + self.holder.shape)
+        diff, r, rp1 = self._work
+        np.subtract.outer(w, w, out=diff)
+        np.abs(diff, out=r)
         r *= self.holder
         rmax = float(r.max())
         if rmax > 0.0:
             r /= rmax
-            rp1 = r ** (p - 1.0)
+            np.power(r, p - 1.0, out=rp1)
             r *= rp1
             # numpy's pairwise sum, not a BLAS dot: OpenBLAS splits long dots
             # across threads, which would tie the result to the thread count
@@ -292,6 +303,49 @@ class QuotientTables:
         if c == 0.0:
             raise ValueError("cannot normalize the zero function")
         return v / c
+
+
+def _physical_memory():
+    """Bytes of physical memory, or None where the platform does not say."""
+    try:
+        return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):
+        return None
+
+
+def _cross_weights(dom: GridDomain, ap: float) -> np.ndarray:
+    """Sum over the outside-but-in-box nodes y of |y - x_i|^(-ap), per inside node.
+
+    The lattice lines run along the last axis (the whole lattice is one line
+    in 1D).  The kernel depends only on the offset between two nodes, a lines
+    apart and b nodes apart along a line, so one table K[a, b] holds it, and
+    S[a, b] = sum over b' >= b of K[a, b'], accumulated from the far end so
+    that small terms are added first.  The outside nodes of a line form runs
+    [lo, hi); a run at line offset a from a node at position t on its line
+    covers along-line offsets lo - t .. hi - 1 - t.  Its part at offsets >= 0
+    and its part at offsets < 0 are each a difference of two lookups in S.
+    """
+    inside = dom.inside.reshape(-1, dom.lattice_shape[-1])
+    nlines, n = inside.shape
+    a = np.arange(nlines, dtype=float)[:, None]
+    b = np.arange(n, dtype=float)
+    r2 = a * a + b * b
+    r2[0, 0] = np.inf  # zero offset: a node is never its own outside neighbour
+    kern = dom.h ** -ap * r2 ** (-0.5 * ap)
+    suffix = np.zeros((nlines, n + 1))
+    suffix[:, -2::-1] = np.cumsum(kern[:, ::-1], axis=1)
+    suffix = suffix.ravel()
+
+    line, t = np.divmod(dom.inside_indices, n)
+    edges = np.diff(np.pad(~inside, ((0, 0), (1, 1))).astype(np.int8), axis=1)
+    run_line, run_lo = np.nonzero(edges == 1)
+    run_hi = np.nonzero(edges == -1)[1]
+    w = np.zeros(len(t))
+    for k, lo, hi in zip(run_line.tolist(), run_lo.tolist(), run_hi.tolist()):
+        row = np.abs(line - k) * (n + 1)
+        w += suffix[row + np.maximum(lo - t, 0)] - suffix[row + np.maximum(hi - t, 0)]
+        w += suffix[row + np.maximum(t - hi + 1, 1)] - suffix[row + np.maximum(t - lo + 1, 1)]
+    return w
 
 
 def _tail_bracket(dom: GridDomain, ap: float, pts: np.ndarray):

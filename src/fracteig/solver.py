@@ -292,6 +292,7 @@ class PSweepRow:
     converged: bool
     iters: int
     stop_reason: str
+    evals: int
 
 
 @dataclass(eq=False)
@@ -328,7 +329,7 @@ def p_sweep(dom: GridDomain, alpha: float, ps: Sequence[float],
         rows.append(PSweepRow(p=p, lam=res.lam,
                               root=math.exp(math.log(res.lam) / p),
                               converged=res.converged, iters=res.iters,
-                              stop_reason=res.stop_reason))
+                              stop_reason=res.stop_reason, evals=res.evals))
         warm = res.u.inside_values()
         last_u = res.u
     return PSweepResult(rows=rows, target=float(target), final_u=last_u)

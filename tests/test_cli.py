@@ -8,11 +8,15 @@ in-band.
 
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fracteig
 from fracteig import __version__
 from fracteig.cli import main
 from fracteig.geometry import build_rectangle, distance_to_complement, high_ridge
@@ -184,6 +188,10 @@ def test_sweep_run_writes_rows_and_target(tmp_path):
     assert s["all_converged"] is True
     assert len(s["stop_reasons"]) == 3
     assert set(s["stop_reasons"]) <= {"grad", "rel_drop"}
+    # every iteration takes at least one evaluation, after the one at the start
+    assert s["iters"] == [int(r[5]) for r in rows]
+    assert len(s["evals"]) == 3
+    assert all(e >= i + 1 for e, i in zip(s["evals"], s["iters"]))
     assert len(s["gaps"]) == 3
     assert s["final_gap"] == s["gaps"][-1]
     assert s["final_gap"] == pytest.approx(abs(float(rows[-1][2]) - 1.0), rel=1e-12)
@@ -408,6 +416,45 @@ def test_mask_touching_lattice_edge_exits_2(tmp_path, capsys):
     assert main(["infinity", "--config", str(cfg)]) == 2
     assert "inside nodes on the lattice edge" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_mask_with_unequal_axis_spacings_exits_2(tmp_path, capsys):
+    # x spacing 1/4, y spacing 1/2, inside on the row y = 0 for |x| <= 1: with
+    # one h taken from x, the nearest complement node would read 0.25 away, not 0.5
+    rows = [f"{0.25 * i!r},{0.5 * j!r},{int(j == 0 and abs(i) <= 4)}"
+            for i in range(-8, 9) for j in range(-2, 3)]
+    mask = tmp_path / "mask.csv"
+    mask.write_text("\n".join(["x,y,inside", *rows]) + "\n", encoding="utf-8")
+    out = tmp_path / "run"
+    cfg = _write_config(tmp_path, {"domain": {"shape": "mask", "path": str(mask)},
+                                   "alpha": 0.5, "h": 0.25, "out": str(out)})
+    assert main(["infinity", "--config", str(cfg)]) == 2
+    assert "unequal axis spacings [0.25, 0.5]" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_tables_larger_than_memory_exit_2_before_allocating(tmp_path):
+    """(0, 2) at h = 1e-5 has 199,999 inside nodes, whose m x m tables need
+    1.3 TB.  The child's address space is capped at 4 GiB, so an attempt to
+    allocate them fails inside the child instead of exhausting the machine."""
+    import resource
+
+    out = tmp_path / "run"
+    cfg = _eig_config(tmp_path, out, domain={"shape": "interval", "a": 0.0, "b": 2.0},
+                      alpha=0.75, h=1e-5, p=4.0)
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))
+
+    src = str(Path(fracteig.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    proc = subprocess.run([sys.executable, "-m", "fracteig.cli", "eig", "--config", str(cfg)],
+                          capture_output=True, text=True, env=env, timeout=120,
+                          preexec_fn=cap)
+    assert proc.returncode == 2, proc.stderr
+    assert "kernel tables for 199999 inside nodes need 1192.1 GiB" in proc.stderr
+    assert not (out / "report.json").exists()
 
 
 def test_h_flag_overrides_config(tmp_path):

@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
 from fracteig.energy import (
     FracParams,
     QuotientTables,
+    _cross_weights,
     apply_Lp,
     gagliardo_energy,
     rayleigh_gradient,
@@ -14,6 +17,8 @@ from fracteig.geometry import (
     GridFunction,
     build_disk,
     build_interval,
+    build_mask2d,
+    build_rectangle,
     distance_to_complement,
     high_ridge,
     nearest_node,
@@ -107,12 +112,32 @@ def test_single_node_cross_by_hand(alpha, p):
     assert b.tail_width == pytest.approx(0.0, abs=1e-16)
 
 
+def direct_cross_weights(dom, ap):
+    """Sum of |y - x|^(-ap) over the outside box nodes y, by broadcasting over coordinates."""
+    xin = dom.inside_coords
+    out = dom.node_coords[~dom.inside_flat]
+    d_out = np.sqrt(((xin[:, None, :] - out[None, :, :]) ** 2).sum(-1))
+    return (d_out ** (-ap)).sum(axis=1)
+
+
+def annulus_mask(h):
+    """Free-form annulus: lines through the hole have an outside run between two inside runs."""
+    c = np.array([0.25, -0.125])
+
+    def inside(pts):
+        r = np.hypot(*(pts - c).T)
+        return (r > 0.375) & (r < 1.0)
+
+    return build_mask2d((c - 1.0, c + 1.0), h, inside, margin=1.0)
+
+
 @pytest.mark.parametrize("dom", [
     build_interval(0.0, 1.0, 1 / 16),
     build_disk((0.0, 0.0), 1.0, 0.25, margin=1.0),
 ], ids=["interval", "disk"])
 def test_kernel_tables_equal_broadcast_reference(dom):
-    """holder and cross weights equal the explicit broadcast expressions bitwise."""
+    """holder equals the explicit broadcast expression bitwise; the cross weights,
+    summed over outside runs, equal the direct pair sum to 1e-13 relative."""
     prm = FracParams(0.75, 4.0)
     tables = QuotientTables(dom, prm)
     xin = dom.inside_coords
@@ -121,10 +146,29 @@ def test_kernel_tables_equal_broadcast_reference(dom):
     holder = np.sqrt(d2) ** (-prm.alpha)
     np.fill_diagonal(holder, 0.0)
     np.testing.assert_array_equal(tables.holder, holder)
-    out = dom.node_coords[~dom.inside_flat]
-    d_out = np.sqrt(((xin[:, None, :] - out[None, :, :]) ** 2).sum(-1))
-    w_out = (d_out ** (-prm.ap)).sum(axis=1)
-    np.testing.assert_array_equal(tables.cross_coef, 2.0 * dom.h ** (2 * dom.dim) * w_out)
+    want = 2.0 * dom.h ** (2 * dom.dim) * direct_cross_weights(dom, prm.ap)
+    np.testing.assert_allclose(tables.cross_coef, want, rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("ap", [1.2, 2.2, 3.0, 32.0, 48.0])
+@pytest.mark.parametrize("dom, max_runs", [
+    (build_interval(0.125, 1.375, 1 / 16), 2),
+    (build_disk((0.25, -0.75), 0.9, 1 / 8, margin=1.0), 2),
+    (build_rectangle((0.0, 0.0), (1.0, 0.5), 1 / 8, margin=1.0), 2),
+    (annulus_mask(1 / 8), 3),
+], ids=["interval", "disk", "rectangle", "annulus"])
+def test_cross_weights_match_direct_sum(dom, max_runs, ap):
+    """Every grid has outside runs that reach the lattice edge and runs that
+    cross a node's own position; the 2D grids have lines with no inside node,
+    and the annulus has lines with an inner outside run.  Spacings and anchors
+    are dyadic, so the reference's coordinate differences are exact: at h = 0.1
+    its own rounding reaches 7e-14 relative at ap = 48."""
+    outside = ~dom.inside.reshape(-1, dom.lattice_shape[-1])
+    runs = (np.diff(outside.astype(np.int8), axis=1) == 1).sum(axis=1) + outside[:, 0]
+    assert runs.max() == max_runs
+    assert dom.dim == 1 or outside.all(axis=1).any()
+    got = _cross_weights(dom, ap)
+    np.testing.assert_allclose(got, direct_cross_weights(dom, ap), rtol=1e-13, atol=0.0)
 
 
 def test_disk_tail_bracket_by_hand():
@@ -247,6 +291,53 @@ def test_value_and_grad_matches_quotient_and_differences(p, scale):
         fd = (tables.quotient(v + eps * d) - tables.quotient(v - eps * d)) / (2.0 * eps)
         gd = float(g @ d)
         assert abs(fd - gd) <= 1e-6 * max(abs(fd), abs(gd))
+
+
+def reference_value_and_grad(tables, v):
+    """value_and_grad written with fresh m x m temporaries, expression by expression."""
+    m = float(np.abs(v).max())
+    w = v / m
+    p = tables.prm.p
+    a = np.abs(w)
+    a_pm1 = a ** (p - 1.0)
+    a_p = a_pm1 * a
+    log_den = math.log(float(a_p.sum())) + tables.log_hn
+    s_ct = float((tables.ct_coef * a_p).sum())
+    log_ct = math.log(s_ct) if s_ct > 0.0 else -math.inf
+    diff = w[:, None] - w[None, :]
+    r = np.abs(diff)
+    r *= tables.holder
+    rmax = float(r.max())
+    r /= rmax
+    rp1 = r ** (p - 1.0)
+    r *= rp1
+    log_int = p * math.log(rmax) + math.log(float(r.sum())) + tables.log_h2n
+    rp1 *= tables.holder
+    np.copysign(rp1, diff, out=rp1)
+    scale = math.exp(tables.log_h2n + (p - 1.0) * math.log(rmax) - log_den)
+    grad = (2.0 * p * scale) * rp1.sum(axis=1)
+    quot = math.exp(np.logaddexp(log_int, log_ct) - log_den)
+    odd = np.copysign(a_pm1, w)
+    grad += (p / math.exp(log_den)) * odd * (tables.ct_coef - quot * tables.hn)
+    return quot, grad / m
+
+
+@pytest.mark.parametrize("p", [2.0, 3.0, 4.0, 8.0, 64.0])
+def test_value_and_grad_equals_reference_bitwise(p):
+    """The workspace changes no bit, and nothing of one call leaks into the next."""
+    dom = build_interval(0.125, 1.375, 1 / 32)
+    prm = FracParams(0.6, p)
+    tables = QuotientTables(dom, prm)
+    rng = np.random.default_rng(int(p))
+    inputs = [0.5 + rng.random(dom.inside_count), rng.normal(size=dom.inside_count)]
+    for v in inputs:
+        q, g = tables.value_and_grad(v)
+        q_ref, g_ref = reference_value_and_grad(tables, v)
+        assert q == q_ref
+        np.testing.assert_array_equal(g, g_ref)
+        q_fresh, g_fresh = QuotientTables(dom, prm).value_and_grad(v)
+        assert q == q_fresh
+        np.testing.assert_array_equal(g, g_fresh)
 
 
 def test_value_and_grad_of_a_constant():

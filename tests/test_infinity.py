@@ -4,7 +4,6 @@ from scipy import ndimage
 from scipy.spatial.distance import cdist
 
 from fracteig import geometry
-from fracteig.energy import FracParams, QuotientTables
 from fracteig.geometry import (
     GridFunction,
     NodeSet,
@@ -412,8 +411,7 @@ def test_blocked_loops_do_not_depend_on_the_block_size(monkeypatch):
     u = representation(dom, ridge, 0.5)
 
     def run():
-        return (QuotientTables(dom, FracParams(0.75, 4.0)).cross_coef,
-                *_extreme_quotients(u, 0.5, dom.inside_indices),
+        return (*_extreme_quotients(u, 0.5, dom.inside_indices),
                 r2_radius(dom), distance_to_set(dom, ridge).flat())
 
     want = run()
