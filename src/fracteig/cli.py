@@ -185,11 +185,15 @@ def _load_mask_csv(path: Path, margin: float) -> GridDomain:
     dim = len(header) - 1
     if header[-1] != "inside" or dim not in (1, 2):
         raise ConfigError(f"mask file {path} must have columns x[,y],inside")
+    if len(text) < 2:
+        raise ConfigError(f"mask file {path} has no node rows")
     data = np.array([[float(v) for v in line.split(",")] for line in text[1:]])
     coords, flags = data[:, :dim], data[:, dim] != 0.0
     axes = []
     for j in range(dim):
         ax = np.unique(coords[:, j])
+        if ax.size < 2:
+            raise ConfigError(f"mask file {path} needs at least two nodes along every axis")
         steps = np.diff(ax)
         if not np.allclose(steps, steps[0], rtol=0.0, atol=1e-9 * abs(steps[0])):
             raise ConfigError(f"mask file {path} is not a uniform lattice")
@@ -368,6 +372,10 @@ def cmd_sweep(cfg: RunConfig) -> RunReport:
 def cmd_infinity(cfg: RunConfig) -> RunReport:
     started = time.perf_counter()
     dom = build_domain(cfg)
+    try:
+        lam = lambda_infinity(dom, cfg.alpha)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     out = _prepare_out(cfg)
     delta = distance_to_complement(dom)
     ridge = high_ridge(delta)
@@ -381,7 +389,6 @@ def cmd_infinity(cfg: RunConfig) -> RunReport:
     else:
         gamma1 = ridge
 
-    lam = lambda_infinity(dom, cfg.alpha)
     u = representation(dom, gamma1, cfg.alpha)
     report = first_residual(u, cfg.alpha, lam, delta)
 

@@ -24,7 +24,9 @@ integral splits into three computable pieces:
 
 Large exponents (p up to 64 and beyond) are handled by factoring the largest
 term out of every p-th-power sum and combining sums in log space, so the
-quotient never overflows even when individual weights do.
+quotient never overflows even when individual weights do.  One pair pass,
+`QuotientTables._interior`, computes the interior sum for every evaluation:
+quotient, gradient and breakdown.
 """
 
 from __future__ import annotations
@@ -130,16 +132,7 @@ class EnergyBreakdown:
 # ---------------------------------------------------------------------------
 
 
-def _log_pow_sum(q: np.ndarray, p: float) -> float:
-    """log(sum q**p) for q >= 0, largest term factored out; -inf if all zero."""
-    m = float(q.max()) if q.size else 0.0
-    if m == 0.0:
-        return -math.inf
-    s = float(((q / m) ** p).sum())
-    return p * math.log(m) + math.log(s)
-
-
-def _log_coef_pow_sum(vals: np.ndarray, coef: np.ndarray, p: float) -> float:
+def _log_coef_pow_sum(vals: np.ndarray, coef: np.ndarray | float, p: float) -> float:
     """log(sum coef * vals**p) for vals, coef >= 0; -inf if the sum vanishes."""
     m = float(vals.max()) if vals.size else 0.0
     if m == 0.0:
@@ -169,7 +162,8 @@ class QuotientTables:
 
     Holds the pairwise alpha-Hoelder kernel between inside nodes plus the
     per-node cross and tail coefficients, so repeated quotient/gradient
-    evaluations (the solver's inner loop) cost one m*m elementwise pass.
+    evaluations (the solver's inner loop) cost one m*m elementwise pass.  That
+    pass, `_interior`, is the only place the pair terms are formed.
     """
 
     def __init__(self, dom: GridDomain, prm: FracParams):
@@ -181,7 +175,7 @@ class QuotientTables:
 
         xin = dom.inside_coords
         m = xin.shape[0]
-        # holder and value_and_grad's workspace: four m x m float arrays
+        # holder and the pair pass's workspace: four m x m float arrays
         need, have = 4 * 8 * m * m, _physical_memory()
         if have is not None and need > have:
             raise ValueError(f"kernel tables for {m} inside nodes need {need / 2**30:.1f} GiB, "
@@ -193,7 +187,7 @@ class QuotientTables:
         np.fill_diagonal(d, np.inf)
         d **= -prm.alpha
         self.holder = d
-        self._work = None  # value_and_grad's (3, m, m) workspace, built on first use
+        self._work = None  # the pair pass's (3, m, m) workspace, built on first use
 
         w_out = _cross_weights(dom, ap)
         hn = h ** n
@@ -212,42 +206,57 @@ class QuotientTables:
 
     # -- energies -------------------------------------------------------------
 
+    def _interior(self, w: np.ndarray):
+        """The one m x m pair pass: log interior energy of w, and rmax.
+
+        Fills the workspace with diff = w_i - w_j, r = (r_ij / rmax)**p and
+        rp1 = (r_ij / rmax)**(p-1), where r_ij = |diff| * holder_ij, and returns
+        log(h^2n * sum r_ij**p) with rmax = max r_ij factored out; a constant w
+        has no pair term and gives (-inf, 0.0).
+        """
+        if self._work is None:
+            self._work = np.empty((3,) + self.holder.shape)
+        diff, r, rp1 = self._work
+        np.subtract.outer(w, w, out=diff)
+        np.abs(diff, out=r)
+        r *= self.holder
+        rmax = float(r.max())
+        if rmax == 0.0:
+            return -math.inf, rmax
+        p = self.prm.p
+        r /= rmax
+        np.power(r, p - 1.0, out=rp1)
+        r *= rp1
+        # numpy's pairwise sum, not a BLAS dot: OpenBLAS splits long dots
+        # across threads, which would tie the result to the thread count
+        return p * math.log(rmax) + math.log(float(r.sum())) + self.log_h2n, rmax
+
     def breakdown(self, v: np.ndarray) -> EnergyBreakdown:
         """Energy pieces for inside values v (honest floats; may overflow to inf
         for inputs far outside double range, in which case use the quotient)."""
-        q = np.abs(v[:, None] - v[None, :]) * self.holder
-        interior = _exp(_log_pow_sum(q, self.prm.p) + self.log_h2n)
+        p = self.prm.p
         a = np.abs(v)
-        cross = _exp(_log_coef_pow_sum(a, self.cross_coef, self.prm.p))
-        tail_lo = _exp(_log_coef_pow_sum(a, self.tail_lower_coef, self.prm.p))
-        tail_up = _exp(_log_coef_pow_sum(a, self.tail_upper_coef, self.prm.p))
-        return EnergyBreakdown(interior, cross, tail_lo, tail_up)
-
-    def log_numerator(self, v: np.ndarray) -> float:
-        q = np.abs(v[:, None] - v[None, :]) * self.holder
-        li = _log_pow_sum(q, self.prm.p) + self.log_h2n
-        lct = _log_coef_pow_sum(np.abs(v), self.ct_coef, self.prm.p)
-        return np.logaddexp(li, lct)
-
-    def log_denominator(self, v: np.ndarray) -> float:
-        return _log_pow_sum(np.abs(v), self.prm.p) + self.log_hn
+        m = float(a.max()) if v.size else 0.0
+        # the pair pass runs on v / max|v|; p * log(max|v|) scales it back
+        log_int = self._interior(v / m)[0] + p * math.log(m) if m > 0.0 else -math.inf
+        cross = _exp(_log_coef_pow_sum(a, self.cross_coef, p))
+        tail_lo = _exp(_log_coef_pow_sum(a, self.tail_lower_coef, p))
+        tail_up = _exp(_log_coef_pow_sum(a, self.tail_upper_coef, p))
+        return EnergyBreakdown(_exp(log_int), cross, tail_lo, tail_up)
 
     def quotient(self, v: np.ndarray) -> float:
         """Rayleigh quotient; scale-free in v (evaluated on v / max|v|)."""
-        m = float(np.abs(v).max()) if v.size else 0.0
-        if m == 0.0:
-            raise ValueError("quotient undefined for the zero function")
-        w = v / m
-        return _exp(self.log_numerator(w) - self.log_denominator(w))
+        return self.value_and_grad(v)[0]
 
     def value_and_grad(self, v: np.ndarray):
         """Quotient and its exact gradient w.r.t. inside values, in one pass.
 
-        Builds the pair differences, the Hoelder quotients r = |diff| * holder
-        and r**(p-1) once and draws both results from them.  Like `quotient`,
-        it works on v / max|v| with the largest pair term factored out, so
-        neither result overflows at large p; the quotient is 0-homogeneous,
-        so the gradient at v is the gradient at v / max|v| divided by max|v|.
+        `_interior` builds the pair differences, the Hoelder quotients
+        r = |diff| * holder and r**(p-1) once, and both results are drawn from
+        them; `quotient` and `breakdown` run the same pass.  It works on
+        v / max|v| with the largest pair term factored out, so neither result
+        overflows at large p; the quotient is 0-homogeneous, so the gradient
+        at v is the gradient at v / max|v| divided by max|v|.
         """
         m = float(np.abs(v).max()) if v.size else 0.0
         if m == 0.0:
@@ -263,26 +272,14 @@ class QuotientTables:
 
         # dQ/dw = (dN/dw - Q dD/dw) / D, with N the numerator and D = h^n sum |w|^p;
         # the m x m passes write into one workspace, so no call allocates one
-        if self._work is None:
-            self._work = np.empty((3,) + self.holder.shape)
-        diff, r, rp1 = self._work
-        np.subtract.outer(w, w, out=diff)
-        np.abs(diff, out=r)
-        r *= self.holder
-        rmax = float(r.max())
+        log_int, rmax = self._interior(w)
         if rmax > 0.0:
-            r /= rmax
-            np.power(r, p - 1.0, out=rp1)
-            r *= rp1
-            # numpy's pairwise sum, not a BLAS dot: OpenBLAS splits long dots
-            # across threads, which would tie the result to the thread count
-            log_int = p * math.log(rmax) + math.log(float(r.sum())) + self.log_h2n
+            diff, _, rp1 = self._work
             rp1 *= self.holder
             np.copysign(rp1, diff, out=rp1)
             scale = _exp(self.log_h2n + (p - 1.0) * math.log(rmax) - log_den)
             grad = (2.0 * p * scale) * rp1.sum(axis=1)
         else:  # constant on the inside nodes: no interior energy
-            log_int = -math.inf
             grad = np.zeros_like(w)
         quot = _exp(np.logaddexp(log_int, log_ct) - log_den)
         odd = np.copysign(a_pm1, w)
@@ -295,7 +292,8 @@ class QuotientTables:
 
     def norm(self, v: np.ndarray) -> float:
         """(sum |v|^p h^n)^(1/p), computed without overflow."""
-        return _exp(self.log_denominator(v) / self.prm.p)
+        p = self.prm.p
+        return _exp((_log_coef_pow_sum(np.abs(v), 1.0, p) + self.log_hn) / p)
 
     def normalize(self, v: np.ndarray) -> np.ndarray:
         """Scale v so that sum |v|^p h^n = 1."""

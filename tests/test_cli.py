@@ -404,32 +404,45 @@ def test_mask_file_roundtrip(tmp_path):
         (out_a / "domain_mask.csv").read_bytes()
 
 
-def test_mask_touching_lattice_edge_exits_2(tmp_path, capsys):
+# Rejected mask files: header, rows and the expected message.
+_BAD_MASKS = {
     # 12 nodes at h = 1/4, inside for x <= 1: the node x = 0 sits on the lattice
     # edge, where an EDT over the lattice would find no complement beyond it
-    rows = [f"{0.25 * k!r},{int(0.25 * k <= 1.0)}" for k in range(12)]
+    "edge": ("x,inside", [f"{0.25 * k!r},{int(0.25 * k <= 1.0)}" for k in range(12)],
+             "inside nodes on the lattice edge"),
+    # x spacing 1/4, y spacing 1/2, inside on the row y = 0 for |x| <= 1: with
+    # one h taken from x, the nearest complement node would read 0.25 away, not 0.5
+    "unequal_spacings": ("x,y,inside",
+                         [f"{0.25 * i!r},{0.5 * j!r},{int(j == 0 and abs(i) <= 4)}"
+                          for i in range(-8, 9) for j in range(-2, 3)],
+                         "unequal axis spacings [0.25, 0.5]"),
+    # one node along y: there is no spacing to read
+    "single_node_axis": ("x,y,inside", ["0.0,0.0,0", "0.25,0.0,1", "0.5,0.0,0"],
+                         "at least two nodes along every axis"),
+    "header_only": ("x,inside", [], "no node rows"),
+}
+
+
+@pytest.mark.parametrize("case", list(_BAD_MASKS))
+def test_bad_mask_file_exits_2(tmp_path, capsys, case):
+    header, rows, message = _BAD_MASKS[case]
     mask = tmp_path / "mask.csv"
-    mask.write_text("\n".join(["x,inside", *rows]) + "\n", encoding="utf-8")
+    mask.write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
     out = tmp_path / "run"
     cfg = _write_config(tmp_path, {"domain": {"shape": "mask", "path": str(mask)},
                                    "alpha": 0.5, "h": 0.25, "out": str(out)})
     assert main(["infinity", "--config", str(cfg)]) == 2
-    assert "inside nodes on the lattice edge" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 
-def test_mask_with_unequal_axis_spacings_exits_2(tmp_path, capsys):
-    # x spacing 1/4, y spacing 1/2, inside on the row y = 0 for |x| <= 1: with
-    # one h taken from x, the nearest complement node would read 0.25 away, not 0.5
-    rows = [f"{0.25 * i!r},{0.5 * j!r},{int(j == 0 and abs(i) <= 4)}"
-            for i in range(-8, 9) for j in range(-2, 3)]
-    mask = tmp_path / "mask.csv"
-    mask.write_text("\n".join(["x,y,inside", *rows]) + "\n", encoding="utf-8")
+@pytest.mark.parametrize("alpha", [1.5, 0.0, -0.5])
+def test_infinity_alpha_outside_unit_interval_exits_2(tmp_path, capsys, alpha):
     out = tmp_path / "run"
-    cfg = _write_config(tmp_path, {"domain": {"shape": "mask", "path": str(mask)},
-                                   "alpha": 0.5, "h": 0.25, "out": str(out)})
+    cfg = _write_config(tmp_path, {"domain": {"shape": "interval", "a": 0.0, "b": 2.0},
+                                   "alpha": alpha, "h": 0.25, "out": str(out)})
     assert main(["infinity", "--config", str(cfg)]) == 2
-    assert "unequal axis spacings [0.25, 0.5]" in capsys.readouterr().err
+    assert "alpha must lie in (0, 1]" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -282,7 +282,9 @@ def test_value_and_grad_matches_quotient_and_differences(p, scale):
     rng = np.random.default_rng(11)
     v = (0.5 + rng.random(dom.inside_count)) * scale
     q, g = tables.value_and_grad(v)
-    assert q == pytest.approx(tables.quotient(v), rel=1e-14, abs=0.0)
+    # the quotient is 0-homogeneous, so the brute-force sum runs on unscaled values
+    want = brute_quotient(GridFunction.from_inside(dom, v / scale), tables.prm)
+    assert q == pytest.approx(want, rel=1e-13, abs=0.0)
     np.testing.assert_array_equal(tables.gradient(v), g)
     eps = 1e-6 * scale
     for _ in range(5):
@@ -346,10 +348,29 @@ def test_value_and_grad_of_a_constant():
     tables = QuotientTables(dom, FracParams(0.75, 4.0))
     v = np.ones(dom.inside_count)
     q, g = tables.value_and_grad(v)
-    assert q == pytest.approx(tables.quotient(v), rel=1e-14)
+    assert q == pytest.approx(brute_quotient(GridFunction.from_inside(dom, v), tables.prm),
+                              rel=1e-13)
+    assert tables.breakdown(v).interior == 0.0
     assert np.all(np.isfinite(g))
     with pytest.raises(ValueError, match="quotient undefined for the zero function"):
         tables.value_and_grad(np.zeros(dom.inside_count))
+
+
+@pytest.mark.parametrize("signed", [False, True], ids=["positive", "signed"])
+@pytest.mark.parametrize("shape, p", [
+    *[("interval", p) for p in (2.0, 3.5, 8.0, 64.0)],
+    # at p = 2 no alpha <= 1 puts alpha * p above n = 2
+    *[("disk", p) for p in (3.5, 8.0, 64.0)],
+])
+def test_breakdown_total_over_denominator_is_the_quotient(shape, p, signed):
+    """The energy pieces and the quotient come from one pair pass."""
+    dom = (build_interval(0.0, 1.0, 1 / 16) if shape == "interval"
+           else build_disk((0.25, -0.125), 0.75, 1 / 8, margin=1.0))
+    tables = QuotientTables(dom, FracParams(0.75, p))
+    v = random_function(dom, 8, signed=signed).inside_values()
+    b = tables.breakdown(v)
+    den = dom.h ** dom.dim * np.sum(np.abs(v) ** p)
+    assert b.total / den == pytest.approx(tables.quotient(v), rel=1e-13, abs=0.0)
 
 
 def test_gradient_zero_homogeneity():
