@@ -304,13 +304,13 @@ def cmd_eig(cfg: RunConfig) -> RunReport:
         prm.validate_for_dim(dom.dim)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    out = _prepare_out(cfg)
     opts = _solver_options(cfg)
 
     try:
         res = minimize_first(dom, prm, opts)
     except ValueError as exc:  # kernel tables too large for this machine
         raise ConfigError(str(exc)) from exc
+    out = _prepare_out(cfg)
     outputs = {"mask": _write_mask(dom, out)}
     path = out / "eigenfunction.csv"
     write_csv(path, [*_coord_header(dom), "u"], function_rows(res.u))
@@ -376,21 +376,20 @@ def cmd_infinity(cfg: RunConfig) -> RunReport:
         lam = lambda_infinity(dom, cfg.alpha)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    out = _prepare_out(cfg)
     delta = distance_to_complement(dom)
     ridge = high_ridge(delta)
+    gamma1 = ridge
     if cfg.gamma1 is not None:
         try:
             gamma1 = NodeSet(dom, np.asarray(cfg.gamma1, dtype=np.int64))
         except ValueError as exc:
             raise ConfigError(f"bad gamma1 node list: {exc}") from exc
-        if not np.isin(gamma1.indices, ridge.indices).all():
-            raise ConfigError("gamma1 contains nodes outside the ridge")
-    else:
-        gamma1 = ridge
-
-    u = representation(dom, gamma1, cfg.alpha)
+    try:
+        u = representation(dom, gamma1, cfg.alpha)
+    except ValueError as exc:  # gamma1 off the ridge
+        raise ConfigError(str(exc)) from exc
     report = first_residual(u, cfg.alpha, lam, delta)
+    out = _prepare_out(cfg)
 
     outputs = {"mask": _write_mask(dom, out)}
     path = out / "representation.csv"

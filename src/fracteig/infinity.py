@@ -23,7 +23,8 @@ The first-eigenvalue equation residual at an inside node is
 
 and the sign-changing (higher eigenvalue) residual switches branches with the
 sign of u, using a dead band proportional to one lattice cell of Hoelder
-variation to classify "u = 0" nodes.
+variation to classify "u = 0" nodes.  Each report makes one scan over the
+inside nodes and reads the seminorm that sizes the dead band off that scan.
 """
 
 from __future__ import annotations
@@ -138,7 +139,7 @@ def linf_plus(u: GridFunction, alpha: float, x: int) -> Tuple[float, int]:
     Witness -1 means the far field won: every other quotient is negative.
     """
     _check_alpha(alpha)
-    lp, wp, _, _ = _extreme_quotients(u, alpha, np.array([int(x)]))
+    lp, wp, _, _ = _extreme_quotients(u, alpha, np.array([_node(u.domain, x)]))
     return float(lp[0]), int(wp[0])
 
 
@@ -148,7 +149,7 @@ def linf_minus(u: GridFunction, alpha: float, x: int) -> Tuple[float, int]:
     Witness -1 means the far field won: every other quotient is positive.
     """
     _check_alpha(alpha)
-    _, _, lm, wm = _extreme_quotients(u, alpha, np.array([int(x)]))
+    _, _, lm, wm = _extreme_quotients(u, alpha, np.array([_node(u.domain, x)]))
     return float(lm[0]), int(wm[0])
 
 
@@ -157,7 +158,7 @@ def linf_minus_analytic(u: GridFunction, delta: GridFunction, alpha: float,
     """-u(x) / delta(x)^alpha: the infimum a nonnegative zero-extended function
     attains in the complement of the region."""
     _check_alpha(alpha)
-    x = int(x)
+    x = _node(u.domain, x)
     dx = delta.flat()[x]
     if not (dx > 0.0):
         raise RuntimeError(f"distance vanishes at node {x}; not an inside node?")
@@ -167,6 +168,14 @@ def linf_minus_analytic(u: GridFunction, delta: GridFunction, alpha: float,
 def _check_alpha(alpha: float) -> None:
     if not (0.0 < alpha <= 1.0):
         raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
+
+
+def _node(dom: GridDomain, x) -> int:
+    """x as a flat node index; numpy would silently wrap a negative one."""
+    x = int(x)
+    if not (0 <= x < dom.n_nodes):
+        raise ValueError(f"node index {x} out of range")
+    return x
 
 
 def holder_seminorm(u: GridFunction, alpha: float) -> float:
@@ -247,7 +256,15 @@ class InfinityReport:
                    self.branch.tolist(), self.residual.tolist())
 
 
-def _report_core(u: GridFunction, alpha: float, delta: GridFunction):
+def _residual_report(u: GridFunction, alpha: float, lam: float, delta: GridFunction,
+                     band_scale: Optional[float], name: str) -> InfinityReport:
+    """One extreme-quotient scan over the inside nodes.  band_scale None is the
+    first-eigenvalue equation: u >= 0 and no dead band."""
+    _check_alpha(alpha)
+    if not u.zero_extended:
+        raise ValueError(f"{name} expects a zero-extended function")
+    if band_scale is not None and not band_scale >= 0.0:  # NaN included
+        raise ValueError("band_scale must be >= 0")
     dom = u.domain
     if delta.domain is not dom and not dom.same_lattice(delta.domain):
         raise ValueError("distance function lives on a different lattice")
@@ -256,28 +273,40 @@ def _report_core(u: GridFunction, alpha: float, delta: GridFunction):
     din = delta.flat()[nodes]
     if np.any(din <= 0.0):
         raise RuntimeError("distance must be positive at inside nodes")
+    if band_scale is None and np.any(uin < 0.0):
+        raise ValueError(f"{name} expects a nonnegative function")
     lp, wp, lm, wm = _extreme_quotients(u, alpha, nodes)
-    lma = -uin / din ** alpha
-    return nodes, uin, din, lp, wp, lm, wm, lma
+
+    # the seminorm is holder_seminorm(u, alpha) exactly: every pair with a
+    # nonzero end is a row of this scan, and |x - y| is bitwise symmetric
+    band = (-np.inf if band_scale is None
+            else band_scale * dom.h ** alpha * max(lp.max(), -lm.min(), 0.0))
+    zero = np.abs(uin) <= band
+    neg = (uin < 0.0) & ~zero
+    pos = ~(zero | neg)
+
+    op = lp + lm
+    pos_eig = lm + lam * uin
+    neg_eig = lp + lam * uin
+    residual = np.empty_like(uin)
+    branch = np.empty(uin.shape, dtype="U8")
+    residual[zero] = op[zero]
+    branch[zero] = BRANCH_ZERO
+    residual[pos] = np.maximum(op[pos], pos_eig[pos])
+    branch[pos] = np.where(op[pos] >= pos_eig[pos], BRANCH_OPERATOR, BRANCH_EIGEN)
+    residual[neg] = np.minimum(op[neg], neg_eig[neg])
+    branch[neg] = np.where(op[neg] <= neg_eig[neg], BRANCH_OPERATOR, BRANCH_EIGEN)
+
+    return InfinityReport(domain=dom, alpha=alpha, lam=lam, nodes=nodes,
+                          u=uin, delta=din, l_plus=lp, witness_plus=wp,
+                          l_minus=lm, witness_minus=wm, l_minus_analytic=-uin / din ** alpha,
+                          branch=branch, residual=residual)
 
 
 def first_residual(u: GridFunction, alpha: float, lam: float,
                    delta: GridFunction) -> InfinityReport:
     """Residual of max{ l_plus + l_minus, l_minus + lam*u } = 0 for u >= 0."""
-    _check_alpha(alpha)
-    if not u.zero_extended:
-        raise ValueError("first_residual expects a zero-extended function")
-    nodes, uin, din, lp, wp, lm, wm, lma = _report_core(u, alpha, delta)
-    if np.any(uin < 0.0):
-        raise ValueError("first_residual expects a nonnegative function")
-    op = lp + lm
-    eig = lm + lam * uin
-    residual = np.maximum(op, eig)
-    branch = np.where(op >= eig, BRANCH_OPERATOR, BRANCH_EIGEN)
-    return InfinityReport(domain=u.domain, alpha=alpha, lam=lam, nodes=nodes,
-                          u=uin, delta=din, l_plus=lp, witness_plus=wp,
-                          l_minus=lm, witness_minus=wm, l_minus_analytic=lma,
-                          branch=branch.astype("U8"), residual=residual)
+    return _residual_report(u, alpha, lam, delta, None, "first_residual")
 
 
 def higher_residual(u: GridFunction, alpha: float, lam: float,
@@ -288,38 +317,10 @@ def higher_residual(u: GridFunction, alpha: float, lam: float,
     the mirrored min{ l_plus + l_minus, l_plus + lam*u }; nodes with |u| below
     the dead band count as u = 0 and must satisfy l_plus + l_minus = 0.  The
     dead band is band_scale * h^alpha * [u]_alpha, one lattice cell's worth of
-    Hoelder variation, so it vanishes under refinement.
+    Hoelder variation, so it vanishes under refinement.  The seminorm is read
+    off the same scan that gives l_plus and l_minus: one scan per report.
     """
-    _check_alpha(alpha)
-    if not u.zero_extended:
-        raise ValueError("higher_residual expects a zero-extended function")
-    if band_scale < 0.0:
-        raise ValueError("band_scale must be >= 0")
-    nodes, uin, din, lp, wp, lm, wm, lma = _report_core(u, alpha, delta)
-    band = band_scale * u.domain.h ** alpha * holder_seminorm(u, alpha)
-
-    op = lp + lm
-    pos_eig = lm + lam * uin
-    neg_eig = lp + lam * uin
-
-    residual = np.empty_like(uin)
-    branch = np.empty(uin.shape, dtype="U8")
-
-    zero = np.abs(uin) <= band
-    pos = (uin > 0.0) & ~zero
-    neg = (uin < 0.0) & ~zero
-
-    residual[zero] = op[zero]
-    branch[zero] = BRANCH_ZERO
-    residual[pos] = np.maximum(op[pos], pos_eig[pos])
-    branch[pos] = np.where(op[pos] >= pos_eig[pos], BRANCH_OPERATOR, BRANCH_EIGEN)
-    residual[neg] = np.minimum(op[neg], neg_eig[neg])
-    branch[neg] = np.where(op[neg] <= neg_eig[neg], BRANCH_OPERATOR, BRANCH_EIGEN)
-
-    return InfinityReport(domain=u.domain, alpha=alpha, lam=lam, nodes=nodes,
-                          u=uin, delta=din, l_plus=lp, witness_plus=wp,
-                          l_minus=lm, witness_minus=wm, l_minus_analytic=lma,
-                          branch=branch, residual=residual)
+    return _residual_report(u, alpha, lam, delta, band_scale, "higher_residual")
 
 
 # ---------------------------------------------------------------------------
@@ -331,15 +332,13 @@ def representation(dom: GridDomain, gamma1: NodeSet, alpha: float) -> GridFuncti
     """First eigenfunction of the limiting equation built from distances.
 
     u = delta^alpha / (delta^alpha + rho^alpha), where delta is the distance to
-    the complement and rho the distance to the chosen closed subset of the
-    ridge.  Equals 1 exactly on the subset, lies in (0, 1] inside, 0 outside.
+    the complement and rho the distance to the chosen subset gamma1 of the
+    ridge, high_ridge(delta).  Equals 1 exactly on gamma1, lies in (0, 1]
+    inside, 0 outside.
     """
     _check_alpha(alpha)
     delta = distance_to_complement(dom)
-    r = inscribed_radius(delta)
-    ridge_tol = dom.h / 2.0
-    dsub = delta.flat()[gamma1.indices]
-    if np.any(dsub < r - ridge_tol - 1e-12 * max(1.0, r)):
+    if not np.isin(gamma1.indices, high_ridge(delta).indices).all():
         raise ValueError("gamma1 contains nodes outside the ridge tolerance")
     rho = distance_to_set(dom, gamma1)
     da = delta.flat() ** alpha

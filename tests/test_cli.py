@@ -120,7 +120,7 @@ def test_unknown_solver_option_exits_2(tmp_path, capsys, command):
                       solver={"max_iters": 5, "max_iter": 5})
     assert main([command, "--config", str(cfg)]) == 2
     assert "unknown solver option(s) ['max_iter']" in capsys.readouterr().err
-    assert not (out / "report.json").exists()
+    assert not out.exists()
 
 
 def test_solver_section_must_be_an_object(tmp_path, capsys):
@@ -266,15 +266,17 @@ def test_infinity_reruns_are_byte_identical(tmp_path):
 
 
 def test_infinity_rejects_gamma1_off_the_ridge(tmp_path, capsys):
+    out = tmp_path / "run"
     cfg = _write_config(tmp_path, {
         "domain": {"shape": "interval", "a": 0.0, "b": 2.0},
         "alpha": 0.5,
         "h": 0.25,
         "gamma1": [0],
-        "out": str(tmp_path / "run"),
+        "out": str(out),
     })
     assert main(["infinity", "--config", str(cfg)]) == 2
     assert "outside the ridge" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_infinity_gamma1_subset_changes_representation(tmp_path):
@@ -359,6 +361,32 @@ def test_verify1d_alpha_one_degenerates_every_verdict(tmp_path):
         "unequal_nodal_lengths": False,
         "lambda_exceeds_nodal_lambda": False,
     }
+
+
+def test_verify1d_scans_once_per_residual_report(tmp_path, monkeypatch):
+    """Each of the three profiles at each h costs one extreme-quotient scan:
+    the dead band of higher_residual comes from its own scan, not a second
+    holder_seminorm pass."""
+    from fracteig import infinity
+
+    calls = []
+    scan = infinity._extreme_quotients
+
+    def counted(*args):
+        calls.append(1)
+        return scan(*args)
+
+    monkeypatch.setattr(infinity, "_extreme_quotients", counted)
+    h_list = [1 / 16, 1 / 32]
+    cfg = _write_config(tmp_path, {
+        "domain": {"shape": "interval", "a": 0.0, "b": 2.0},
+        "alpha": 0.5,
+        "h": 1 / 32,
+        "h_list": h_list,
+        "out": str(tmp_path / "run"),
+    })
+    assert main(["verify1d", "--config", str(cfg)]) == 0
+    assert len(calls) == 3 * len(h_list)
 
 
 def test_verify1d_coarse_h_list_entry_exits_2(tmp_path, capsys):
@@ -467,7 +495,7 @@ def test_tables_larger_than_memory_exit_2_before_allocating(tmp_path):
                           preexec_fn=cap)
     assert proc.returncode == 2, proc.stderr
     assert "kernel tables for 199999 inside nodes need 1192.1 GiB" in proc.stderr
-    assert not (out / "report.json").exists()
+    assert not out.exists()
 
 
 def test_h_flag_overrides_config(tmp_path):

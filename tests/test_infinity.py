@@ -33,7 +33,7 @@ from fracteig.infinity import (
     r2_radius,
     representation,
 )
-from fracteig.closedform1d import first_1d, sample, second_1d
+from fracteig.closedform1d import first_1d, sample, second_1d, third_1d
 
 
 def rep_on_interval(h=0.25, alpha=0.5):
@@ -128,6 +128,18 @@ def test_l_minus_analytic_values():
     assert linf_minus_analytic(u, delta, 0.5, int(ridge.indices[0])) == pytest.approx(-1.0)
     with pytest.raises(RuntimeError, match="distance vanishes at node"):
         linf_minus_analytic(u, delta, 0.5, nearest_node(dom, -1.0))
+
+
+def test_node_index_out_of_range_is_rejected():
+    # numpy would wrap x = -1 to the last box node instead of failing
+    dom, delta, ridge, u = rep_on_interval()
+    for x in (-1, dom.n_nodes):
+        with pytest.raises(ValueError, match=f"node index {x} out of range"):
+            linf_plus(u, 0.5, x)
+        with pytest.raises(ValueError, match=f"node index {x} out of range"):
+            linf_minus(u, 0.5, x)
+        with pytest.raises(ValueError, match=f"node index {x} out of range"):
+            linf_minus_analytic(u, delta, 0.5, x)
 
 
 @pytest.mark.parametrize("alpha", [0.5, 1.0])
@@ -228,8 +240,9 @@ def test_higher_residual_zero_function_and_validation():
     rep = higher_residual(z, 0.5, 1.0, delta)
     assert rep.sup_norm() == 0.0
     assert set(rep.branch) == {BRANCH_ZERO}
-    with pytest.raises(ValueError, match="band_scale must be >= 0"):
-        higher_residual(z, 0.5, 1.0, delta, band_scale=-1.0)
+    for bad in (-1.0, float("nan")):
+        with pytest.raises(ValueError, match="band_scale must be >= 0"):
+            higher_residual(z, 0.5, 1.0, delta, band_scale=bad)
     rho = distance_to_set(dom, high_ridge(delta))
     with pytest.raises(ValueError, match="zero-extended"):
         higher_residual(rho, 0.5, 1.0, delta)
@@ -277,6 +290,37 @@ def test_higher_matches_first_on_positive_part():
     strong = hi.u > band
     assert strong.any()
     np.testing.assert_array_equal(hi.residual[strong], lo.residual[strong])
+
+
+def _seminorm_cases():
+    for ex in (second_1d(0.5), third_1d(0.5)):
+        for h in (1 / 64, 1 / 128):
+            yield f"{ex.kind}-h{round(1 / h)}", sample(ex, build_interval(0.0, 2.0, h))
+    dom = build_disk((0.1, -0.2), 1.0, 1 / 8)
+    rng = np.random.default_rng(8)
+    v = rng.standard_normal(dom.inside_count)
+    v[rng.random(v.size) < 0.3] = 0.0
+    yield "disk", GridFunction.from_inside(dom, v)
+    yield "zero", GridFunction(dom, np.zeros(dom.lattice_shape))
+    # steepest at the left edge, a drop whose upward twin starts outside, so
+    # only the l_minus side of the scan sees it
+    dom = build_interval(0.0, 2.0, 1 / 16)
+    ramp = np.maximum(1.0 - 0.125 * np.arange(dom.inside_count), 0.0)
+    yield "edge_ramp", GridFunction.from_inside(dom, ramp)
+
+
+@pytest.mark.parametrize("alpha", [0.25, 0.5, 1.0])
+def test_report_scan_gives_the_holder_seminorm_exactly(alpha):
+    # higher_residual sizes its dead band from its own scan over the inside
+    # nodes: for a zero-extended u that is holder_seminorm, bit for bit
+    for name, u in _seminorm_cases():
+        rep = higher_residual(u, alpha, 1.0, distance_to_complement(u.domain))
+        seminorm = holder_seminorm(u, alpha)
+        assert max(rep.l_plus.max(), -rep.l_minus.min(), 0.0) == seminorm, name
+        band = u.domain.h ** alpha * seminorm
+        np.testing.assert_array_equal(rep.branch == BRANCH_ZERO, np.abs(rep.u) <= band)
+        if name == "disk":
+            assert np.count_nonzero(rep.u == 0.0) > 0 and (rep.u < 0.0).any()
 
 
 def test_giant_band_classifies_everything_zero():
