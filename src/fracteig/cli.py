@@ -385,7 +385,7 @@ def cmd_infinity(cfg: RunConfig) -> RunReport:
         except ValueError as exc:
             raise ConfigError(f"bad gamma1 node list: {exc}") from exc
     try:
-        u = representation(dom, gamma1, cfg.alpha)
+        u = representation(dom, gamma1, cfg.alpha, delta=delta)
     except ValueError as exc:  # gamma1 off the ridge
         raise ConfigError(str(exc)) from exc
     report = first_residual(u, cfg.alpha, lam, delta)

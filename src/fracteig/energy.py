@@ -26,7 +26,10 @@ Large exponents (p up to 64 and beyond) are handled by factoring the largest
 term out of every p-th-power sum and combining sums in log space, so the
 quotient never overflows even when individual weights do.  One pair pass,
 `QuotientTables._interior`, computes the interior sum for every evaluation:
-quotient, gradient and breakdown.
+quotient, gradient and breakdown.  It runs over blocks of rows of the pair
+matrix, with each block's largest term factored out, and combines the block
+sums in log space; a (3, B, m) workspace is all it writes, so the m x m
+`holder` is the only array that grows with m squared.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import GridDomain, GridFunction, distances
+from .geometry import GridDomain, GridFunction, block_rows, distances
 
 __all__ = [
     "FracParams",
@@ -163,7 +166,9 @@ class QuotientTables:
     Holds the pairwise alpha-Hoelder kernel between inside nodes plus the
     per-node cross and tail coefficients, so repeated quotient/gradient
     evaluations (the solver's inner loop) cost one m*m elementwise pass.  That
-    pass, `_interior`, is the only place the pair terms are formed.
+    pass, `_interior`, is the only place the pair terms are formed; it and the
+    build of `holder` both run in blocks of `block_rows(m)` rows, so the m x m
+    `holder` is the only table of that size.
     """
 
     def __init__(self, dom: GridDomain, prm: FracParams):
@@ -175,19 +180,23 @@ class QuotientTables:
 
         xin = dom.inside_coords
         m = xin.shape[0]
-        # holder and the pair pass's workspace: four m x m float arrays
-        need, have = 4 * 8 * m * m, _physical_memory()
+        self._block = block = min(block_rows(m), m)
+        # holder plus the pair pass's (3, block, m) workspace
+        need, have = 8 * m * (m + 3 * block), _physical_memory()
         if have is not None and need > have:
             raise ValueError(f"kernel tables for {m} inside nodes need {need / 2**30:.1f} GiB, "
                              f"more than the {have / 2**30:.1f} GiB of physical memory")
 
-        # pairwise alpha-kernel |x_i - x_j|^(-alpha); an infinite diagonal
-        # makes the Hoelder quotient q_ij = |u_i - u_j| * kernel vanish at i == j
-        d = distances(xin, xin)
-        np.fill_diagonal(d, np.inf)
-        d **= -prm.alpha
-        self.holder = d
-        self._work = None  # the pair pass's (3, m, m) workspace, built on first use
+        # pairwise alpha-kernel |x_i - x_j|^(-alpha), built in place a block of
+        # rows at a time; an infinite diagonal makes the Hoelder quotient
+        # q_ij = |u_i - u_j| * kernel vanish at i == j
+        self.holder = np.empty((m, m))
+        for start in range(0, m, block):
+            d = distances(xin[start:start + block], xin, out=self.holder[start:start + block])
+            k = np.arange(d.shape[0])
+            d[k, start + k] = np.inf
+            d **= -prm.alpha
+        self._work = None  # the pair pass's (3, block, m) workspace, built on first use
 
         w_out = _cross_weights(dom, ap)
         hn = h ** n
@@ -207,29 +216,53 @@ class QuotientTables:
     # -- energies -------------------------------------------------------------
 
     def _interior(self, w: np.ndarray):
-        """The one m x m pair pass: log interior energy of w, and rmax.
+        """The one pair pass: log interior energy of w, rmax and the row sums.
 
-        Fills the workspace with diff = w_i - w_j, r = (r_ij / rmax)**p and
-        rp1 = (r_ij / rmax)**(p-1), where r_ij = |diff| * holder_ij, and returns
-        log(h^2n * sum r_ij**p) with rmax = max r_ij factored out; a constant w
-        has no pair term and gives (-inf, 0.0).
+        Runs over blocks of B = min(`block_rows(m)`, m) rows.  Block b fills
+        the workspace with diff = w_i - w_j, r = (r_ij / bmax)**p and
+        rp1 = sign(diff) * holder_ij * (r_ij / bmax)**(p-1), where
+        r_ij = |diff| * holder_ij and bmax is the block's largest r_ij, and
+        keeps S_b = sum r.  With rmax = max bmax, it returns
+        log(h^2n * sum r_ij**p) = log(sum (bmax/rmax)**p * S_b) + p log rmax
+        + log h^2n, rmax, and rows_i = sum_j sign(diff) * holder_ij *
+        (r_ij / rmax)**(p-1).  With one block (m <= 362) both block factors
+        are exactly 1.  A constant w has no pair term and gives
+        (-inf, 0.0, zeros).
         """
+        holder, block = self.holder, self._block
+        m = holder.shape[0]
         if self._work is None:
-            self._work = np.empty((3,) + self.holder.shape)
-        diff, r, rp1 = self._work
-        np.subtract.outer(w, w, out=diff)
-        np.abs(diff, out=r)
-        r *= self.holder
-        rmax = float(r.max())
-        if rmax == 0.0:
-            return -math.inf, rmax
+            self._work = np.empty((3, block, m))
         p = self.prm.p
-        r /= rmax
-        np.power(r, p - 1.0, out=rp1)
-        r *= rp1
-        # numpy's pairwise sum, not a BLAS dot: OpenBLAS splits long dots
-        # across threads, which would tie the result to the thread count
-        return p * math.log(rmax) + math.log(float(r.sum())) + self.log_h2n, rmax
+        rows = np.zeros(m)
+        blocks = []  # (slice, bmax, S_b) of every block with a pair term
+        for start in range(0, m, block):
+            sl = slice(start, start + block)
+            diff, r, rp1 = self._work[:, :min(block, m - start)]
+            np.subtract.outer(w[sl], w, out=diff)
+            np.abs(diff, out=r)
+            r *= holder[sl]
+            bmax = float(r.max())
+            if bmax == 0.0:
+                continue
+            r /= bmax
+            np.power(r, p - 1.0, out=rp1)
+            r *= rp1
+            # numpy's pairwise sum, not a BLAS dot: OpenBLAS splits long dots
+            # across threads, which would tie the result to the thread count
+            blocks.append((sl, bmax, float(r.sum())))
+            rp1 *= holder[sl]
+            np.copysign(rp1, diff, out=rp1)
+            rp1.sum(axis=1, out=rows[sl])
+        if not blocks:
+            return -math.inf, 0.0, rows
+        rmax = max(bmax for _, bmax, _ in blocks)
+        total = 0.0
+        for sl, bmax, s in blocks:
+            ratio = bmax / rmax
+            total += ratio ** p * s
+            rows[sl] *= ratio ** (p - 1.0)
+        return p * math.log(rmax) + math.log(total) + self.log_h2n, rmax, rows
 
     def breakdown(self, v: np.ndarray) -> EnergyBreakdown:
         """Energy pieces for inside values v (honest floats; may overflow to inf
@@ -252,11 +285,12 @@ class QuotientTables:
         """Quotient and its exact gradient w.r.t. inside values, in one pass.
 
         `_interior` builds the pair differences, the Hoelder quotients
-        r = |diff| * holder and r**(p-1) once, and both results are drawn from
-        them; `quotient` and `breakdown` run the same pass.  It works on
-        v / max|v| with the largest pair term factored out, so neither result
-        overflows at large p; the quotient is 0-homogeneous, so the gradient
-        at v is the gradient at v / max|v| divided by max|v|.
+        r = |diff| * holder and r**(p-1) once per block of rows, and both
+        results are drawn from its energy and row sums; `quotient` and
+        `breakdown` run the same pass.  It works on v / max|v| with the
+        largest pair term factored out, so neither result overflows at large
+        p; the quotient is 0-homogeneous, so the gradient at v is the gradient
+        at v / max|v| divided by max|v|.
         """
         m = float(np.abs(v).max()) if v.size else 0.0
         if m == 0.0:
@@ -271,14 +305,11 @@ class QuotientTables:
         log_ct = math.log(s_ct) if s_ct > 0.0 else -math.inf
 
         # dQ/dw = (dN/dw - Q dD/dw) / D, with N the numerator and D = h^n sum |w|^p;
-        # the m x m passes write into one workspace, so no call allocates one
-        log_int, rmax = self._interior(w)
+        # the pair pass writes into one O(B*m) workspace, so no call allocates an m x m array
+        log_int, rmax, rows = self._interior(w)
         if rmax > 0.0:
-            diff, _, rp1 = self._work
-            rp1 *= self.holder
-            np.copysign(rp1, diff, out=rp1)
             scale = _exp(self.log_h2n + (p - 1.0) * math.log(rmax) - log_den)
-            grad = (2.0 * p * scale) * rp1.sum(axis=1)
+            grad = (2.0 * p * scale) * rows
         else:  # constant on the inside nodes: no interior energy
             grad = np.zeros_like(w)
         quot = _exp(np.logaddexp(log_int, log_ct) - log_den)

@@ -474,14 +474,16 @@ def block_rows(ncols: int) -> int:
     return max(1, _BLOCK_ELEMENTS // ncols)
 
 
-def squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def squared_distances(a: np.ndarray, b: np.ndarray,
+                      out: Optional[np.ndarray] = None) -> np.ndarray:
     """(len(a), len(b)) squared Euclidean distances between two point arrays.
 
     Summed axis by axis, (a0-b0)**2 + (a1-b1)**2, as scipy's cdist does, so
-    the values agree with it bitwise.
+    the values agree with it bitwise.  The result is written into out when
+    given.
     """
     bt = np.ascontiguousarray(b.T)  # contiguous per-axis rows keep the loops vectorized
-    d2 = np.subtract.outer(a[:, 0], bt[0])
+    d2 = np.subtract.outer(a[:, 0], bt[0], out=out)
     d2 *= d2
     for k in range(1, a.shape[1]):
         t = np.subtract.outer(a[:, k], bt[k])
@@ -490,9 +492,10 @@ def squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return d2
 
 
-def distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """(len(a), len(b)) Euclidean distances between two point arrays."""
-    d = squared_distances(a, b)
+def distances(a: np.ndarray, b: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """(len(a), len(b)) Euclidean distances between two point arrays, written
+    into out when given."""
+    d = squared_distances(a, b, out)
     return np.sqrt(d, out=d)
 
 

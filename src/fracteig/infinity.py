@@ -328,16 +328,21 @@ def higher_residual(u: GridFunction, alpha: float, lam: float,
 # ---------------------------------------------------------------------------
 
 
-def representation(dom: GridDomain, gamma1: NodeSet, alpha: float) -> GridFunction:
+def representation(dom: GridDomain, gamma1: NodeSet, alpha: float, *,
+                   delta: Optional[GridFunction] = None) -> GridFunction:
     """First eigenfunction of the limiting equation built from distances.
 
     u = delta^alpha / (delta^alpha + rho^alpha), where delta is the distance to
     the complement and rho the distance to the chosen subset gamma1 of the
     ridge, high_ridge(delta).  Equals 1 exactly on gamma1, lies in (0, 1]
-    inside, 0 outside.
+    inside, 0 outside.  A caller that already holds distance_to_complement(dom)
+    passes it as delta; it must live on the lattice of dom.
     """
     _check_alpha(alpha)
-    delta = distance_to_complement(dom)
+    if delta is None:
+        delta = distance_to_complement(dom)
+    elif delta.domain is not dom and not dom.same_lattice(delta.domain):
+        raise ValueError("distance function lives on a different lattice")
     if not np.isin(gamma1.indices, high_ridge(delta).indices).all():
         raise ValueError("gamma1 contains nodes outside the ridge tolerance")
     rho = distance_to_set(dom, gamma1)

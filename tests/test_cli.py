@@ -476,7 +476,7 @@ def test_infinity_alpha_outside_unit_interval_exits_2(tmp_path, capsys, alpha):
 
 def test_tables_larger_than_memory_exit_2_before_allocating(tmp_path):
     """(0, 2) at h = 1e-5 has 199,999 inside nodes, whose m x m tables need
-    1.3 TB.  The child's address space is capped at 4 GiB, so an attempt to
+    320 GB.  The child's address space is capped at 4 GiB, so an attempt to
     allocate them fails inside the child instead of exhausting the machine."""
     import resource
 
@@ -494,7 +494,7 @@ def test_tables_larger_than_memory_exit_2_before_allocating(tmp_path):
                           capture_output=True, text=True, env=env, timeout=120,
                           preexec_fn=cap)
     assert proc.returncode == 2, proc.stderr
-    assert "kernel tables for 199999 inside nodes need 1192.1 GiB" in proc.stderr
+    assert "kernel tables for 199999 inside nodes need 298.0 GiB" in proc.stderr
     assert not out.exists()
 
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from fracteig import geometry
 from fracteig.energy import (
     FracParams,
     QuotientTables,
@@ -15,11 +16,13 @@ from fracteig.energy import (
 )
 from fracteig.geometry import (
     GridFunction,
+    block_rows,
     build_disk,
     build_interval,
     build_mask2d,
     build_rectangle,
     distance_to_complement,
+    distances,
     high_ridge,
     nearest_node,
 )
@@ -340,6 +343,44 @@ def test_value_and_grad_equals_reference_bitwise(p):
         q_fresh, g_fresh = QuotientTables(dom, prm).value_and_grad(v)
         assert q == q_fresh
         np.testing.assert_array_equal(g, g_fresh)
+
+
+@pytest.mark.parametrize("case, p", [
+    *[(case, p) for case in ("forced", "interval399") for p in (2.0, 8.0, 64.0)],
+    # at p = 2 no alpha <= 1 puts alpha * p above n = 2
+    *[("disk", p) for p in (3.5, 8.0, 64.0)],
+])
+def test_blocked_pair_pass_matches_the_dense_reference(case, p, monkeypatch):
+    """Several row blocks, the last one ragged: each block's own maximum is
+    factored out and the blocks are recombined without changing the result
+    beyond rounding, and the holder build changes no bit."""
+    if case == "forced":  # 39 inside nodes in blocks of 10, 10, 10 and 9 rows
+        monkeypatch.setattr(geometry, "_BLOCK_ELEMENTS", 10 * 39)
+        dom = build_interval(0.125, 1.375, 1 / 32)
+    elif case == "interval399":  # past the one-block size: blocks of 328 and 71 rows
+        dom = build_interval(0.0, 2.0, 1 / 200)
+    else:
+        # 109 inside nodes in 13 blocks of 8 rows and one of 5
+        monkeypatch.setattr(geometry, "_BLOCK_ELEMENTS", 8 * 109)
+        dom = build_disk((0.25, -0.125), 0.75, 1 / 8, margin=1.0)
+    m = dom.inside_count
+    rows = block_rows(m)
+    assert 1 < rows < m and m % rows != 0
+    alpha = 0.75 if dom.dim == 2 else 0.6
+    tables = QuotientTables(dom, FracParams(alpha, p))
+
+    d = distances(dom.inside_coords, dom.inside_coords)
+    np.fill_diagonal(d, np.inf)
+    np.testing.assert_array_equal(tables.holder, d ** -alpha)
+
+    rng = np.random.default_rng(int(p) + m)
+    for v in (0.5 + rng.random(m), rng.normal(size=m)):
+        q, g = tables.value_and_grad(v)
+        q_ref, g_ref = reference_value_and_grad(tables, v)
+        assert abs(q - q_ref) <= 1e-14 * q_ref
+        assert np.abs(g - g_ref).max() <= 1e-13 * np.abs(g_ref).max()
+    assert tables._work.shape == (3, rows, m)
+    assert tables.breakdown(np.full(m, 3.0)).interior == 0.0
 
 
 def test_value_and_grad_of_a_constant():

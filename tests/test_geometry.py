@@ -253,6 +253,9 @@ def test_distances_equal_cdist_bitwise(dom):
     np.testing.assert_array_equal(distances(a, b), cdist(a, b))
     np.testing.assert_array_equal(squared_distances(a, b), cdist(a, b, "sqeuclidean"))
     np.testing.assert_array_equal(distances(b[:1], b), cdist(b[:1], b))
+    buf = np.full((len(a), len(b)), np.nan)
+    assert distances(a, b, out=buf) is buf
+    np.testing.assert_array_equal(buf, cdist(a, b))
 
 
 @_DISTANCE_DOMAINS

@@ -358,6 +358,15 @@ def test_representation_bounds_and_gamma1():
         representation(dom, off_ridge, 0.5)
 
 
+def test_representation_takes_the_callers_delta():
+    dom, delta, ridge, u = rep_on_interval(h=1 / 20)
+    np.testing.assert_array_equal(representation(dom, ridge, 0.5, delta=delta).values,
+                                  u.values)
+    other = distance_to_complement(build_interval(0.0, 2.0, 1 / 40))
+    with pytest.raises(ValueError, match="different lattice"):
+        representation(dom, ridge, 0.5, delta=other)
+
+
 def test_representation_equals_first_closed_form():
     ex = first_1d(0.5)
     dom, delta, ridge, u = rep_on_interval(h=1 / 40)
