@@ -69,6 +69,17 @@ def _float_list(value) -> list:
     return [float(v) for v in value]
 
 
+_INT64 = range(-2**63, 2**63)
+
+
+def _int_list(value) -> list:
+    # type() rather than isinstance(): a JSON true or false is not a node index
+    if not isinstance(value, list) or any(type(v) is not int or v not in _INT64
+                                          for v in value):
+        raise TypeError(f"expected a JSON list of 64-bit integers, got {value!r}")
+    return value
+
+
 @dataclass
 class RunConfig:
     """Validated run parameters (config file merged with CLI overrides)."""
@@ -114,6 +125,7 @@ class RunConfig:
             p = float(merged["p"]) if "p" in merged else None
             ps = _float_list(merged["ps"]) if "ps" in merged else None
             h_list = _float_list(merged["h_list"]) if "h_list" in merged else None
+            gamma1 = _int_list(merged["gamma1"]) if "gamma1" in merged else None
         except KeyError as exc:
             raise ConfigError(f"config missing required key {exc}") from exc
         except (TypeError, ValueError) as exc:
@@ -132,7 +144,7 @@ class RunConfig:
             p=p,
             ps=ps,
             solver=dict(merged.get("solver", {})),
-            gamma1=merged.get("gamma1"),
+            gamma1=gamma1,
             h_list=h_list,
             out=Path(merged.get("out", ".")),
             raw=merged,
@@ -198,7 +210,7 @@ def _load_mask_csv(path: Path, margin: float) -> GridDomain:
         if not np.allclose(steps, steps[0], rtol=0.0, atol=1e-9 * abs(steps[0])):
             raise ConfigError(f"mask file {path} is not a uniform lattice")
         axes.append(ax)
-    # the energy's offset kernel and cell area, and the EDT, take one spacing for every axis
+    # the energy's offset kernel and cell area take one spacing for every axis
     spacings = [float(ax[1] - ax[0]) for ax in axes]
     h = spacings[0]
     if not all(math.isclose(s, h, rel_tol=1e-9) for s in spacings):
@@ -207,8 +219,10 @@ def _load_mask_csv(path: Path, margin: float) -> GridDomain:
     if coords.shape[0] != int(np.prod(shape)):
         raise ConfigError(f"mask file {path} does not cover the full lattice")
     inside = np.zeros(shape, dtype=bool)
-    pos = [np.searchsorted(axes[j], coords[:, j]) for j in range(dim)]
-    inside[tuple(pos)] = flags
+    pos = tuple(np.searchsorted(axes[j], coords[:, j]) for j in range(dim))
+    if np.unique(np.ravel_multi_index(pos, shape)).size != coords.shape[0]:
+        raise ConfigError(f"mask file {path} lists a node more than once")
+    inside[pos] = flags
     # distances to the complement see only the lattice, so it must surround the region
     if any(np.moveaxis(inside, j, 0)[[0, -1]].any() for j in range(dim)):
         raise ConfigError(f"mask file {path} has inside nodes on the lattice edge; "

@@ -474,6 +474,17 @@ def block_rows(ncols: int) -> int:
     return max(1, _BLOCK_ELEMENTS // ncols)
 
 
+def _dilate(mask: np.ndarray) -> np.ndarray:
+    """The mask together with the axis neighbours of its nodes: a binary
+    dilation with the cross structure, nothing beyond the lattice edge."""
+    out = mask.copy()
+    for ax in range(mask.ndim):
+        src, dst = np.moveaxis(mask, ax, 0), np.moveaxis(out, ax, 0)
+        dst[1:] |= src[:-1]
+        dst[:-1] |= src[1:]
+    return out
+
+
 def squared_distances(a: np.ndarray, b: np.ndarray,
                       out: Optional[np.ndarray] = None) -> np.ndarray:
     """(len(a), len(b)) squared Euclidean distances between two point arrays.
@@ -499,21 +510,33 @@ def distances(a: np.ndarray, b: np.ndarray, out: Optional[np.ndarray] = None) ->
     return np.sqrt(d, out=d)
 
 
+def _nearest_distances(pts: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Distance from each point to the nearest target, scanned in row blocks."""
+    d = np.empty(len(pts))
+    rows = block_rows(len(targets))
+    for k0 in range(0, len(pts), rows):
+        d[k0:k0 + rows] = squared_distances(pts[k0:k0 + rows], targets).min(axis=1)
+    return np.sqrt(d, out=d)
+
+
 def distance_to_complement(dom: GridDomain) -> GridFunction:
     """Distance from each node to the complement of the region (zero outside).
 
     Canonical shapes get the exact analytic distance; free-form masks get the
     exact Euclidean distance to the nearest outside node, which approximates
-    the continuum distance to O(h).
+    the continuum distance to O(h).  That node always lies on the outside
+    ring, the outside axis neighbours of inside nodes: one lattice step from
+    it toward the inside node lands inside, or a nearer outside node would
+    exist.  So only the ring is scanned.
     """
     if dom.shape_tag is not None:
         vals = dom.shape_tag.distance(dom.node_coords)
         vals = np.where(dom.inside_flat, vals, 0.0)
         return GridFunction(dom, vals.reshape(dom.lattice_shape))
-    from scipy import ndimage  # imported here: only free-form masks pay its start-up cost
-
-    vals = ndimage.distance_transform_edt(dom.inside, sampling=dom.h)
-    return GridFunction(dom, np.asarray(vals, dtype=float))
+    ring = (_dilate(dom.inside) & ~dom.inside).ravel()
+    vals = np.zeros(dom.n_nodes)
+    vals[dom.inside_indices] = _nearest_distances(dom.inside_coords, dom.node_coords[ring])
+    return GridFunction(dom, vals.reshape(dom.lattice_shape))
 
 
 def inscribed_radius(delta: GridFunction) -> float:
@@ -547,12 +570,7 @@ def distance_to_set(dom: GridDomain, nodes: NodeSet) -> GridFunction:
     """
     if nodes.domain is not dom and not dom.same_lattice(nodes.domain):
         raise ValueError("node set lives on a different lattice")
-    pts, targets = dom.node_coords, nodes.coords()
-    d = np.empty(dom.n_nodes)
-    rows = block_rows(len(targets))
-    for k0 in range(0, dom.n_nodes, rows):
-        d[k0:k0 + rows] = squared_distances(pts[k0:k0 + rows], targets).min(axis=1)
-    np.sqrt(d, out=d)
+    d = _nearest_distances(dom.node_coords, nodes.coords())
     return GridFunction(dom, d.reshape(dom.lattice_shape), zero_extended=False)
 
 

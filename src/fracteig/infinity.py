@@ -8,14 +8,14 @@ a node x are the supremum and infimum over y of
 For a zero-extended u the sup/inf run over all of R^n, and every y outside
 the region contributes -u(x) / |y - x|^alpha.  Only two such y can be
 extreme: the nearest outside node, and the far field, where the quotient
-tends to 0.  The nearest outside node always has an inside neighbour along an
-axis (one lattice step from it toward x lands inside), so the scan covers the
-inside nodes and their outside axis neighbours, in ascending flat index, and
-then offers the far field at value 0 (witness index -1), which wins only when
-strictly better.  At a strict positive maximum l_plus is therefore exactly 0,
-whatever the box margin.  Comparison functions that are not zero-extended
-(cones) are scanned over every box node; the box is all the lattice knows of
-them.  Ties go to the lowest flat index.
+tends to 0.  The nearest outside node lies on the outside ring, the outside
+axis neighbours of inside nodes (``geometry.distance_to_complement`` gives the
+reason), so the scan covers the inside nodes and that ring, in ascending flat
+index, and then offers the far field at value 0 (witness index -1), which
+wins only when strictly better.  At a strict positive maximum l_plus is
+therefore exactly 0, whatever the box margin.  Comparison functions that are
+not zero-extended (cones) are scanned over every box node; the box is all the
+lattice knows of them.  Ties go to the lowest flat index.
 
 The first-eigenvalue equation residual at an inside node is
 
@@ -40,6 +40,7 @@ from .geometry import (
     GridFunction,
     Interval,
     NodeSet,
+    _dilate,
     block_rows,
     distance_to_complement,
     distance_to_set,
@@ -68,17 +69,6 @@ EXTERIOR_WITNESS = -1  # witness index marking the far field, where u = 0
 BRANCH_OPERATOR = "op"     # the full-operator branch l_plus + l_minus attains the max
 BRANCH_EIGEN = "eig"       # the eigen-balance branch attains it
 BRANCH_ZERO = "zero"       # node classified as u = 0 (dead band)
-
-
-def _dilate(mask: np.ndarray) -> np.ndarray:
-    """The mask together with the axis neighbours of its nodes: a binary
-    dilation with the cross structure, nothing beyond the lattice edge."""
-    out = mask.copy()
-    for ax in range(mask.ndim):
-        src, dst = np.moveaxis(mask, ax, 0), np.moveaxis(out, ax, 0)
-        dst[1:] |= src[:-1]
-        dst[:-1] |= src[1:]
-    return out
 
 
 def _extreme_quotients(u: GridFunction, alpha: float,

@@ -260,15 +260,14 @@ def p2_oracle(dom: GridDomain, alpha: float) -> EigenResult:
     """Smallest eigenpair of the p = 2 problem from a dense eigensolver.
 
     The generalized problem A v = lam h^n v is the ordinary symmetric problem
-    for A scaled by h^-n; scipy.linalg.eigh computes only its lowest
-    eigenpair.  final_grad_norm holds the residual |A v - lam h^n v|.
-    Independent of the descent code path on purpose.
+    for A scaled by h^-n; numpy.linalg.eigh computes every eigenpair in
+    ascending order and the first is kept.  final_grad_norm holds the
+    residual |A v - lam h^n v|.  Independent of the descent code path on
+    purpose.
     """
-    import scipy.linalg  # imported here: only the p = 2 oracle pays its start-up cost
-
     a = p2_matrix(dom, alpha)
     hn = dom.h ** dom.dim
-    evals, vecs = scipy.linalg.eigh(a, subset_by_index=[0, 0])
+    evals, vecs = np.linalg.eigh(a)
     lam = float(evals[0]) / hn
     v = vecs[:, 0]
     # fix sign (make the dominant node positive) and normalize sum u^2 h^n = 1

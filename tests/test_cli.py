@@ -435,11 +435,11 @@ def test_mask_file_roundtrip(tmp_path):
 # Rejected mask files: header, rows and the expected message.
 _BAD_MASKS = {
     # 12 nodes at h = 1/4, inside for x <= 1: the node x = 0 sits on the lattice
-    # edge, where an EDT over the lattice would find no complement beyond it
+    # edge, where a distance over the lattice would find no complement beyond it
     "edge": ("x,inside", [f"{0.25 * k!r},{int(0.25 * k <= 1.0)}" for k in range(12)],
              "inside nodes on the lattice edge"),
-    # x spacing 1/4, y spacing 1/2, inside on the row y = 0 for |x| <= 1: with
-    # one h taken from x, the nearest complement node would read 0.25 away, not 0.5
+    # x spacing 1/4, y spacing 1/2, inside on the row y = 0 for |x| <= 1: the
+    # energy's kernel and cell area take one h for both axes
     "unequal_spacings": ("x,y,inside",
                          [f"{0.25 * i!r},{0.5 * j!r},{int(j == 0 and abs(i) <= 4)}"
                           for i in range(-8, 9) for j in range(-2, 3)],
@@ -448,6 +448,14 @@ _BAD_MASKS = {
     "single_node_axis": ("x,y,inside", ["0.0,0.0,0", "0.25,0.0,1", "0.5,0.0,0"],
                          "at least two nodes along every axis"),
     "header_only": ("x,inside", [], "no node rows"),
+    # a 7 x 7 disk at h = 1/4 (21 inside nodes) whose centre row (0, 0, inside)
+    # is replaced by a second copy of the row (1/4, 0, inside): the row count
+    # still matches the lattice, but the centre would silently read as outside
+    "repeated_node": ("x,y,inside",
+                      [f"{0.25 * i!r},{0.25 * j!r},{int(i * i + j * j < 8)}"
+                       if (i, j) != (0, 0) else "0.25,0.0,1"
+                       for i in range(-3, 4) for j in range(-3, 4)],
+                      "lists a node more than once"),
 }
 
 
@@ -522,6 +530,12 @@ def test_threads_flag_is_a_usage_error(tmp_path, capsys):
     ("ps", "8"),
     ("h_list", "abc"),
     ("h_list", "48"),
+    ("gamma1", [40.9]),
+    ("gamma1", "40"),
+    ("gamma1", [[40]]),
+    ("gamma1", [True]),
+    ("gamma1", [1e20]),
+    ("gamma1", [10**20]),
 ])
 def test_malformed_config_value_exits_2(tmp_path, capsys, key, value):
     cfg = _eig_config(tmp_path, tmp_path / "run", **{key: value})

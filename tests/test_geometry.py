@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from scipy import ndimage
 from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
+from test_energy import annulus_mask
 
 from fracteig.geometry import (
     Disk,
@@ -21,6 +23,20 @@ from fracteig.geometry import (
     nearest_node,
     squared_distances,
 )
+
+
+def _unit_disk_mask(h):
+    pred = lambda pts: (pts ** 2).sum(axis=1) < 1.0
+    return build_mask2d(((-1.0, -1.0), (1.0, 1.0)), h, pred, anchor=(0.0, 0.0))
+
+
+def _l_shape_mask(h):
+    def in_l(pts):
+        a = (pts[:, 0] > 0) & (pts[:, 0] < 2) & (pts[:, 1] > 0) & (pts[:, 1] < 1)
+        b = (pts[:, 0] > 0) & (pts[:, 0] < 1) & (pts[:, 1] > 0) & (pts[:, 1] < 2)
+        return a | b
+
+    return build_mask2d(((0.0, 0.0), (2.0, 2.0)), h, in_l)
 
 
 def test_interval_inside_nodes():
@@ -48,8 +64,7 @@ def test_unit_square_coarse_mask():
 
 
 def test_mask2d_predicate_matches_canonical_disk():
-    pred = lambda pts: (pts ** 2).sum(axis=1) < 1.0
-    free = build_mask2d(((-1.0, -1.0), (1.0, 1.0)), 0.25, pred, anchor=(0.0, 0.0))
+    free = _unit_disk_mask(0.25)
     tagged = build_disk((0.0, 0.0), 1.0, 0.25)
     assert free.inside_count == tagged.inside_count
     np.testing.assert_allclose(free.inside_coords, tagged.inside_coords)
@@ -57,14 +72,8 @@ def test_mask2d_predicate_matches_canonical_disk():
 
 def test_mask2d_l_shape_union():
     """Union of two rectangles; count checked against a direct lattice scan."""
-
-    def in_l(pts):
-        a = (pts[:, 0] > 0) & (pts[:, 0] < 2) & (pts[:, 1] > 0) & (pts[:, 1] < 1)
-        b = (pts[:, 0] > 0) & (pts[:, 0] < 1) & (pts[:, 1] > 0) & (pts[:, 1] < 2)
-        return a | b
-
     h = 0.25
-    dom = build_mask2d(((0.0, 0.0), (2.0, 2.0)), h, in_l)
+    dom = _l_shape_mask(h)
     xs = np.arange(1, 8) * h
     count = sum(1 for x in xs for y in xs
                 if (x < 2 and y < 1) or (x < 1 and y < 2))
@@ -87,22 +96,30 @@ def test_distance_disk_analytic():
     np.testing.assert_allclose(delta.inside_values(), 1.0 - r, atol=1e-12)
 
 
-def test_edt_equals_brute_nearest_outside_node():
-    # free-form mask: distance transform against a direct O(N^2) scan
-    pred = lambda pts: (pts ** 2).sum(axis=1) < 1.0
-    dom = build_mask2d(((-1.0, -1.0), (1.0, 1.0)), 0.25, pred, anchor=(0.0, 0.0))
+@pytest.mark.parametrize("dom,rtol", [
+    (_unit_disk_mask(1 / 4), 0.0),
+    (annulus_mask(1 / 8), 0.0),
+    (_l_shape_mask(1 / 4), 0.0),
+    (_unit_disk_mask(0.1), 1e-15),
+], ids=["disk", "annulus", "l_shape", "disk_h0.1"])
+def test_edt_equals_brute_nearest_outside_node(dom, rtol):
+    """Free-form masks: the outside-ring distance equals scipy's Euclidean
+    distance transform, bitwise on dyadic spacings (coordinates are exact) and
+    to rounding at h = 0.1, and a direct O(N^2) nearest-outside-node scan."""
     delta = distance_to_complement(dom)
+    edt = ndimage.distance_transform_edt(dom.inside, sampling=dom.h)
+    np.testing.assert_allclose(delta.values, edt, rtol=rtol, atol=0.0)
     coords = dom.node_coords
     out = coords[~dom.inside_flat]
     for k in np.flatnonzero(dom.inside_flat):
         brute = np.sqrt(((out - coords[k]) ** 2).sum(axis=1)).min()
         assert delta.flat()[k] == pytest.approx(brute, abs=1e-12)
+    assert np.all(delta.flat()[~dom.inside_flat] == 0.0)
 
 
 def test_edt_close_to_analytic():
-    pred = lambda pts: (pts ** 2).sum(axis=1) < 1.0
     h = 0.125
-    dom = build_mask2d(((-1.0, -1.0), (1.0, 1.0)), h, pred, anchor=(0.0, 0.0))
+    dom = _unit_disk_mask(h)
     delta = distance_to_complement(dom).inside_values()
     exact = 1.0 - np.sqrt((dom.inside_coords ** 2).sum(axis=1))
     assert np.abs(delta - exact).max() <= h * np.sqrt(2.0)

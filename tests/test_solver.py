@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from fracteig.energy import (
     FracParams,
@@ -67,6 +68,11 @@ def test_p2_oracle_eigenvector():
     assert np.sum(np.abs(v) ** 2) * dom.h == pytest.approx(1.0, abs=1e-12)
     # dense solve leaves an absolute gradient that scales with lambda/h
     assert res.final_grad_norm < 1e-6
+    # scipy's subset eigensolver as the reference: the same pair to rounding
+    evals, vecs = scipy.linalg.eigh(p2_matrix(dom, 0.8), subset_by_index=[0, 0])
+    assert res.lam == pytest.approx(evals[0] / dom.h, rel=1e-14)
+    ref = np.abs(vecs[:, 0]) / (np.sqrt(dom.h) * np.linalg.norm(vecs[:, 0]))
+    np.testing.assert_allclose(v, ref, rtol=0.0, atol=1e-13)
 
 
 def test_p2_matrix_validity_range():

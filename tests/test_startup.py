@@ -1,9 +1,8 @@
 """Start-up cost: the command line runs on numpy alone.
 
 Each check runs in a fresh interpreter, since this test session has long since
-imported scipy.  scipy is loaded only by the two jobs that need it, the p = 2
-dense oracle (scipy.linalg) and the distance transform of a free-form mask
-(scipy.ndimage), and only when such a run asks for it.
+imported scipy.  No run loads scipy, the p = 2 dense oracle and the distance
+to the complement of a free-form mask included.
 """
 
 import json
@@ -59,13 +58,6 @@ def _run_fresh(tmp_path: Path, runs: list) -> dict:
 
 
 def test_cli_import_and_tiny_runs_load_no_scipy(tmp_path):
-    seen = _run_fresh(tmp_path, _TINY_RUNS)
-    assert list(seen) == ["import", "0:sweep", "1:eig", "2:infinity", "3:verify1d"]
-    for stage, modules in seen.items():
-        assert modules == [], stage
-
-
-def test_oracle_and_mask_distances_load_scipy_lazily(tmp_path):
     # a free-form disk on a 7x7 lattice at h = 1/4, outside nodes all round
     mask = tmp_path / "mask.csv"
     ticks = [0.25 * k for k in range(-3, 4)]
@@ -73,15 +65,15 @@ def test_oracle_and_mask_distances_load_scipy_lazily(tmp_path):
         f"{x!r},{y!r},{int(x * x + y * y < 0.5)}\n" for x in ticks for y in ticks),
         encoding="utf-8")
     runs = [
+        *_TINY_RUNS,
         ("eig", {"domain": _INTERVAL, "alpha": 0.75, "h": 0.125, "p": 2.0}),
         ("infinity", {"domain": {"shape": "mask", "path": str(mask)},
                       "alpha": 0.5, "h": 0.25}),
     ]
     seen = _run_fresh(tmp_path, runs)
-    assert seen["import"] == []
-    assert "scipy.linalg" in seen["0:eig"]
-    assert "scipy.ndimage" not in seen["0:eig"]
-    assert "scipy.ndimage" in seen["1:infinity"]
-    assert not any(m.startswith("scipy.spatial") for m in seen["1:infinity"])
-    report = json.loads((tmp_path / "run0" / "report.json").read_text(encoding="utf-8"))
+    assert list(seen) == ["import", "0:sweep", "1:eig", "2:infinity", "3:verify1d",
+                          "4:eig", "5:infinity"]
+    for stage, modules in seen.items():
+        assert modules == [], stage
+    report = json.loads((tmp_path / "run4" / "report.json").read_text(encoding="utf-8"))
     assert report["summary"]["oracle_gap"] < 1e-8 * report["summary"]["oracle_lambda"]
