@@ -340,6 +340,7 @@ def cmd_eig(cfg: RunConfig) -> RunReport:
         "final_grad_norm": res.final_grad_norm,
         "converged": res.converged,
         "inside_nodes": dom.inside_count,
+        "orbits": res.orbits,
         "flags": prm.flags(dom.dim),
     }
     if cfg.p == 2.0:
@@ -379,6 +380,7 @@ def cmd_sweep(cfg: RunConfig) -> RunReport:
         "stop_reasons": [r.stop_reason for r in result.rows],
         "iters": [r.iters for r in result.rows],
         "evals": [r.evals for r in result.rows],
+        "orbits": [r.orbits for r in result.rows],
     }
     return _finish(cfg, outputs, summary, started)
 

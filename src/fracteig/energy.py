@@ -29,7 +29,9 @@ quotient never overflows even when individual weights do.  One pair pass,
 quotient, gradient and breakdown.  It runs over blocks of rows of the pair
 matrix, with each block's largest term factored out, and combines the block
 sums in log space; a (3, B, m) workspace is all it writes, so the m x m
-`holder` is the only array that grows with m squared.
+`holder` is the only array that grows with m squared.  `OrbitTables` folds
+the tables over the orbits of a lattice symmetry group, for vectors that are
+constant on each orbit; the same pass then runs on a k x k `holder`.
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ __all__ = [
     "FracParams",
     "EnergyBreakdown",
     "QuotientTables",
+    "OrbitTables",
     "gagliardo_energy",
     "rayleigh_quotient",
     "rayleigh_gradient",
@@ -169,39 +172,46 @@ class QuotientTables:
     pass, `_interior`, is the only place the pair terms are formed; it and the
     build of `holder` both run in blocks of `block_rows(m)` rows, so the m x m
     `holder` is the only table of that size.
+
+    The methods take one value per orbit of a symmetry group of the lattice
+    (see `OrbitTables`); here every inside node is its own orbit, so they take
+    the inside values, `fold` and `expand` are the identity and `sizes` is 1.
     """
+
+    sizes = 1.0  # nodes per orbit: the weight of each value in the denominator
 
     def __init__(self, dom: GridDomain, prm: FracParams):
         prm.validate_for_dim(dom.dim)
         self.dom = dom
         self.prm = prm
-        n, h = dom.dim, dom.h
-        ap = prm.ap
+        self._build_holder()
+        self._work = None  # the pair pass's (3, block, len(holder)) workspace, made on first use
+        self._set_coefficients()
 
-        xin = dom.inside_coords
+    def _build_holder(self) -> None:
+        """The pairwise alpha-kernel |x_i - x_j|^(-alpha), built in place a
+        block of rows at a time; an infinite diagonal makes the Hoelder
+        quotient q_ij = |u_i - u_j| * kernel vanish at i == j."""
+        xin = self.dom.inside_coords
         m = xin.shape[0]
         self._block = block = min(block_rows(m), m)
-        # holder plus the pair pass's (3, block, m) workspace
-        need, have = 8 * m * (m + 3 * block), _physical_memory()
-        if have is not None and need > have:
-            raise ValueError(f"kernel tables for {m} inside nodes need {need / 2**30:.1f} GiB, "
-                             f"more than the {have / 2**30:.1f} GiB of physical memory")
-
-        # pairwise alpha-kernel |x_i - x_j|^(-alpha), built in place a block of
-        # rows at a time; an infinite diagonal makes the Hoelder quotient
-        # q_ij = |u_i - u_j| * kernel vanish at i == j
+        _check_memory(m, block, f"{m} inside nodes")
         self.holder = np.empty((m, m))
         for start in range(0, m, block):
             d = distances(xin[start:start + block], xin, out=self.holder[start:start + block])
             k = np.arange(d.shape[0])
             d[k, start + k] = np.inf
-            d **= -prm.alpha
-        self._work = None  # the pair pass's (3, block, m) workspace, built on first use
+            d **= -self.prm.alpha
 
+    def _set_coefficients(self) -> None:
+        """Per-node cross and tail coefficients, and the powers of h."""
+        dom = self.dom
+        n, h = dom.dim, dom.h
+        ap = self.prm.ap
         w_out = _cross_weights(dom, ap)
         hn = h ** n
         h2n = h ** (2 * n)
-        tail_lower, tail_upper = _tail_bracket(dom, ap, xin)
+        tail_lower, tail_upper = _tail_bracket(dom, ap, dom.inside_coords)
         # coefficients multiplying |u_i|^p in each energy piece
         self.cross_coef = 2.0 * h2n * w_out
         self.tail_lower_coef = 2.0 * hn * tail_lower
@@ -212,6 +222,19 @@ class QuotientTables:
         self.h2n = h2n
         self.log_hn = n * math.log(h)
         self.log_h2n = 2 * n * math.log(h)
+
+    @property
+    def orbits(self) -> int:
+        """Number of orbit values the methods take."""
+        return self.holder.shape[0]
+
+    def fold(self, v: np.ndarray) -> np.ndarray:
+        """Orbit values of inside values v."""
+        return v
+
+    def expand(self, v: np.ndarray) -> np.ndarray:
+        """Inside values of orbit values v."""
+        return v
 
     # -- energies -------------------------------------------------------------
 
@@ -300,11 +323,11 @@ class QuotientTables:
         a = np.abs(w)
         a_pm1 = a ** (p - 1.0)
         a_p = a_pm1 * a
-        log_den = math.log(float(a_p.sum())) + self.log_hn
+        log_den = math.log(float((self.sizes * a_p).sum())) + self.log_hn
         s_ct = float((self.ct_coef * a_p).sum())
         log_ct = math.log(s_ct) if s_ct > 0.0 else -math.inf
 
-        # dQ/dw = (dN/dw - Q dD/dw) / D, with N the numerator and D = h^n sum |w|^p;
+        # dQ/dw = (dN/dw - Q dD/dw) / D, with N the numerator and D = h^n sum sizes |w|^p;
         # the pair pass writes into one O(B*m) workspace, so no call allocates an m x m array
         log_int, rmax, rows = self._interior(w)
         if rmax > 0.0:
@@ -314,7 +337,7 @@ class QuotientTables:
             grad = np.zeros_like(w)
         quot = _exp(np.logaddexp(log_int, log_ct) - log_den)
         odd = np.copysign(a_pm1, w)
-        grad += (p / math.exp(log_den)) * odd * (self.ct_coef - quot * self.hn)
+        grad += (p / math.exp(log_den)) * odd * (self.ct_coef - quot * self.hn * self.sizes)
         return quot, grad / m
 
     def gradient(self, v: np.ndarray) -> np.ndarray:
@@ -322,16 +345,113 @@ class QuotientTables:
         return self.value_and_grad(v)[1]
 
     def norm(self, v: np.ndarray) -> float:
-        """(sum |v|^p h^n)^(1/p), computed without overflow."""
+        """(sum sizes |v|^p h^n)^(1/p), computed without overflow."""
         p = self.prm.p
-        return _exp((_log_coef_pow_sum(np.abs(v), 1.0, p) + self.log_hn) / p)
+        return _exp((_log_coef_pow_sum(np.abs(v), self.sizes, p) + self.log_hn) / p)
 
     def normalize(self, v: np.ndarray) -> np.ndarray:
-        """Scale v so that sum |v|^p h^n = 1."""
+        """Scale v so that sum sizes |v|^p h^n = 1."""
         c = self.norm(v)
         if c == 0.0:
             raise ValueError("cannot normalize the zero function")
         return v / c
+
+
+class OrbitTables(QuotientTables):
+    """Kernel tables over the orbits of a lattice symmetry group.
+
+    A group of lattice reflections that maps the box and the mask onto
+    themselves (`lattice_symmetries`) keeps every pair distance, cross weight
+    and tail coefficient up to rounding, so a vector that is constant on each
+    orbit I has the quotient of the k orbit values v_I with
+
+        W_IJ = |I| sum_{j in J} K_{rep(I), j},   c_I = sum_{i in I} c_i,
+
+    and the denominator h^n sum_I |I| |v_I|^p, where K = holder**p is the
+    pair kernel and rep(I) the smallest inside index of I.  W is symmetric
+    (both orders count the pairs between I and J).  `holder` holds W**(1/p)
+    with a zero diagonal, so `_interior` runs on it unchanged; every method
+    then takes orbit values, and `gradient` returns the orbit sums of the full
+    gradient of the expanded vector.
+
+    `smallest[i]` is the smallest inside index in the orbit of inside node i.
+    The fold runs in blocks of `block_rows(m)` representative rows against all
+    m inside nodes, so no m x m array is built.
+    """
+
+    def __init__(self, dom: GridDomain, prm: FracParams, smallest: np.ndarray):
+        self.reps, self.labels, sizes = np.unique(smallest, return_inverse=True,
+                                                  return_counts=True)
+        self.sizes = sizes.astype(float)
+        super().__init__(dom, prm)
+
+    def _build_holder(self) -> None:
+        """holder_IJ = hmax_I (|I| sum_{j in J} (holder_{rep(I), j} / hmax_I)**p)**(1/p),
+        with hmax_I the largest kernel value in the row of rep(I)."""
+        k, m = self.sizes.size, self.labels.size
+        self._block = min(block_rows(k), k)
+        _check_memory(k, self._block, f"{k} orbits of {m} inside nodes")
+        # the columns in orbit order, so each orbit's columns sum with one reduceat
+        order = np.argsort(self.labels, kind="stable")
+        starts = np.concatenate(([0], np.cumsum(self.sizes.astype(np.intp))[:-1]))
+        column = np.empty(m, dtype=np.intp)
+        column[order] = np.arange(m)
+        xin = self.dom.inside_coords
+        cols = xin[order]
+        p = self.prm.p
+        self.holder = np.empty((k, k))
+        rows = min(block_rows(m), k)
+        for start in range(0, k, rows):
+            reps = self.reps[start:start + rows]
+            d = distances(xin[reps], cols)
+            d[np.arange(reps.size), column[reps]] = np.inf
+            d **= -self.prm.alpha
+            hmax = d.max(axis=1, keepdims=True)
+            d /= hmax
+            d **= p
+            w = np.add.reduceat(d, starts, axis=1)
+            w *= self.sizes[start:start + rows, None]
+            w **= 1.0 / p
+            w *= hmax
+            self.holder[start:start + rows] = w
+        np.fill_diagonal(self.holder, 0.0)
+        # W is symmetric up to rounding; `value_and_grad` needs it exactly symmetric
+        for i in range(1, k):
+            self.holder[i, :i] = self.holder[:i, i]
+
+    def _set_coefficients(self) -> None:
+        """The per-node coefficients, summed over each orbit."""
+        super()._set_coefficients()
+        k = self.sizes.size
+
+        def orbit_sums(c):
+            return np.bincount(self.labels, weights=c, minlength=k)
+
+        self.cross_coef = orbit_sums(self.cross_coef)
+        self.tail_lower_coef = orbit_sums(self.tail_lower_coef)
+        self.tail_upper_coef = orbit_sums(self.tail_upper_coef)
+        self.ct_coef = orbit_sums(self.ct_coef)
+
+    def fold(self, v: np.ndarray) -> np.ndarray:
+        """Orbit values of inside values v: the orbit means, or, when v is
+        constant on every orbit, its values there, bit for bit."""
+        rep = v[self.reps]
+        if np.array_equal(rep[self.labels], v):
+            return rep
+        return np.bincount(self.labels, weights=v, minlength=self.orbits) / self.sizes
+
+    def expand(self, v: np.ndarray) -> np.ndarray:
+        """Inside values of orbit values v."""
+        return v[self.labels]
+
+
+def _check_memory(count: int, block: int, what: str) -> None:
+    """Raise when a count x count `holder` and the pair pass's (3, block, count)
+    workspace would not fit in physical memory."""
+    need, have = 8 * count * (count + 3 * block), _physical_memory()
+    if have is not None and need > have:
+        raise ValueError(f"kernel tables for {what} need {need / 2**30:.1f} GiB, "
+                         f"more than the {have / 2**30:.1f} GiB of physical memory")
 
 
 def _physical_memory():

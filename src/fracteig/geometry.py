@@ -36,6 +36,7 @@ __all__ = [
     "build_mask2d",
     "build_disk",
     "build_rectangle",
+    "lattice_symmetries",
     "distance_to_complement",
     "inscribed_radius",
     "high_ridge",
@@ -462,6 +463,42 @@ def build_rectangle(lo, hi, h: float, margin: float = 2.0) -> GridDomain:
     shape = Rectangle(float(lo[0]), float(lo[1]), float(hi[0]), float(hi[1]))
     blo, bhi = shape.bounding_box()
     return build_mask2d((blo, bhi), h, None, margin=margin, shape=shape, anchor=blo)
+
+
+# ---------------------------------------------------------------------------
+# symmetry
+# ---------------------------------------------------------------------------
+
+
+def lattice_symmetries(dom: GridDomain) -> list:
+    """The lattice reflections that map the mask onto itself, as permutations
+    of the inside nodes.
+
+    The candidates are the flip of each axis (node k of an axis with n nodes
+    goes to node n - 1 - k) and, on a square lattice, the swap of the two
+    axes.  The box is the span of the first and last node of each axis, so a
+    flip is the reflection about the box centre and the swap the reflection
+    about its diagonal: each maps the lattice and the box onto themselves and
+    keeps every distance.  A candidate counts when it maps the mask onto
+    itself exactly.  The result is the group the counted candidates generate,
+    identity first, one array per element: entry i is the position in
+    ``inside_indices`` of the image of inside node i.
+    """
+    pos = np.full(dom.n_nodes, -1)
+    pos[dom.inside_indices] = np.arange(dom.inside_count)
+    pos = pos.reshape(dom.lattice_shape)
+    moves = [lambda a, ax=ax: np.flip(a, ax) for ax in range(dom.dim)]
+    if dom.dim == 2 and dom.lattice_shape[0] == dom.lattice_shape[1]:
+        moves.append(np.transpose)
+    gens = [move(pos).ravel()[dom.inside_indices] for move in moves
+            if np.array_equal(move(dom.inside), dom.inside)]
+    group = [np.arange(dom.inside_count)]
+    for g in group:  # the loop also visits the elements it appends
+        for s in gens:
+            composed = g[s]
+            if not any(np.array_equal(composed, e) for e in group):
+                group.append(composed)
+    return group
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ byte-identical artifacts.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -27,6 +28,9 @@ __all__ = [
     "function_rows",
     "infinity_header",
 ]
+
+# Rows formatted per write in write_csv.
+_CHUNK_ROWS = 4096
 
 
 def fmt17(value) -> str:
@@ -52,16 +56,20 @@ def write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> No
     """Write a CSV whose cells read as ``fmt17`` would write them.
 
     Every column keeps the type it has in the first row, so one format string
-    built from that row serves them all.
+    built from that row serves them all.  Rows are formatted and written
+    `_CHUNK_ROWS` at a time, so the text of the whole file is never held in
+    memory at once.
     """
-    lines = [",".join(header)]
     rows = iter(rows)
     first = next(rows, None)
-    if first is not None:
-        fmt = _row_format(first)
-        lines.append(fmt % tuple(first))
-        lines.extend(fmt % tuple(row) for row in rows)
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\n")
+        if first is None:
+            return
+        fmt = _row_format(first) + "\n"
+        fh.write(fmt % tuple(first))
+        while chunk := [fmt % tuple(row) for row in itertools.islice(rows, _CHUNK_ROWS)]:
+            fh.write("".join(chunk))
 
 
 def canonical_json(obj) -> str:

@@ -8,6 +8,16 @@ descent direction.  Iterates are renormalized to sum |u|^p h^n = 1 after
 every accepted step (the quotient is scale-free, so renormalizing never
 changes it).  Each trial point costs one fused quotient-and-gradient pass.
 
+The descent runs over the orbits of inside nodes under the lattice
+reflections that map the mask onto itself (`lattice_symmetries`).  The first
+eigenvalue is simple and its eigenfunction unique up to scale, and each such
+reflection keeps the quotient, so the minimizer is invariant and nothing is
+lost by minimizing over invariant vectors: `OrbitTables` evaluates the
+quotient of the k orbit values, in variables sqrt(|I|) v_I whose inner
+products are those of the expanded vectors, and the result is expanded to
+every inside node.  With no such reflection every orbit is one node and the
+full `QuotientTables` run unchanged.
+
 `p2_oracle` solves the p = 2 case by an entirely different route — assembling
 the quadratic form's symmetric matrix and handing it to a dense symmetric
 eigensolver — and exists to cross-check the descent path.
@@ -22,12 +32,13 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .energy import FracParams, QuotientTables
+from .energy import FracParams, OrbitTables, QuotientTables
 from .geometry import (
     GridDomain,
     GridFunction,
     distance_to_complement,
     inscribed_radius,
+    lattice_symmetries,
 )
 
 __all__ = [
@@ -58,6 +69,11 @@ class SolverOptions:
     init_mode: "distance" starts from the distance-to-complement profile
     (positive, the right shape near the large-p limit), "random" from a seeded
     standard normal vector, "custom" from init_values on the inside nodes.
+    On a lattice with reflection symmetries minimize_first solves over the
+    orbits of inside nodes: "random" then draws one value per orbit, and the
+    distance profile and init_values enter through their orbit means (a
+    vector that is already constant on every orbit, such as a p_sweep warm
+    start, enters unchanged).
     """
 
     max_iters: int = 50_000
@@ -93,29 +109,47 @@ class EigenResult:
     tol_grad), "rel_drop" (an accepted step lowered the quotient by at most
     tol_rel_q relatively), "no_descent" (the line search found no decrease)
     or "max_iters".  converged is true for the first two.  evals counts
-    quotient-and-gradient evaluations.  The direct p = 2 solve leaves both at
-    their defaults.
+    quotient-and-gradient evaluations.  orbits is the number of unknowns
+    solved for: the orbits of inside nodes under the lattice's reflection
+    symmetries, which is the number of inside nodes on a lattice with none.
+
+    The direct p = 2 solve leaves stop_reason and evals at their defaults,
+    has no final_grad_norm (None), and reports its eigen-residual
+    |A v - lam h^n v| in residual, which minimize_first leaves None.
     """
 
     lam: float
     u: GridFunction
     iters: int
-    final_grad_norm: float
+    final_grad_norm: Optional[float]
     converged: bool
     stop_reason: Optional[str] = None
     evals: int = 0
     history: Optional[List[float]] = None
+    orbits: Optional[int] = None
+    residual: Optional[float] = None
 
 
-def _initial_vector(dom: GridDomain, opts: SolverOptions) -> np.ndarray:
-    if opts.init_mode == "distance":
-        return distance_to_complement(dom).inside_values().copy()
+def _solver_tables(dom: GridDomain, prm: FracParams) -> QuotientTables:
+    """Tables over the orbits of the lattice's reflection symmetries, or the
+    full tables when every orbit is a single inside node."""
+    smallest = np.minimum.reduce(lattice_symmetries(dom))
+    if np.array_equal(smallest, np.arange(dom.inside_count)):
+        return QuotientTables(dom, prm)
+    return OrbitTables(dom, prm, smallest)
+
+
+def _initial_vector(dom: GridDomain, opts: SolverOptions,
+                    tables: QuotientTables) -> np.ndarray:
+    """Start vector in orbit values."""
     if opts.init_mode == "random":
         rng = np.random.default_rng(opts.seed)
-        v = rng.standard_normal(dom.inside_count)
+        v = rng.standard_normal(tables.orbits)
         while not np.any(v):  # pragma: no cover - essentially impossible
-            v = rng.standard_normal(dom.inside_count)
+            v = rng.standard_normal(tables.orbits)
         return v
+    if opts.init_mode == "distance":
+        return tables.fold(distance_to_complement(dom).inside_values())
     v = np.asarray(opts.init_values, dtype=float).copy()
     if v.shape != (dom.inside_count,):
         raise ValueError(
@@ -123,6 +157,10 @@ def _initial_vector(dom: GridDomain, opts: SolverOptions) -> np.ndarray:
         )
     if not np.isfinite(v).all() or not np.any(v):
         raise ValueError("init_values must be finite and not identically zero")
+    v = tables.fold(v)
+    if not np.any(v):
+        raise ValueError("init_values average to zero on every orbit of the lattice's "
+                         "reflection symmetries, which leaves no invariant start")
     return v
 
 
@@ -158,19 +196,25 @@ def minimize_first(dom: GridDomain, prm: FracParams,
     max_iters (reported as converged=False; never an exception).
     """
     opts = opts or SolverOptions()
-    tables = QuotientTables(dom, prm)
+    tables = _solver_tables(dom, prm)
+    # the iterates are z_I = sqrt(|I|) v_I over the orbit values v_I: inner
+    # products and norms of z are those of the expanded vectors, so the
+    # directions, steps and gradient norm are the full problem's, restricted
+    # to invariant vectors (with one node per orbit, z is v)
+    root = np.sqrt(tables.sizes)
     evals = 0
 
-    def evaluate(w):
+    def evaluate(z):
         nonlocal evals
         evals += 1
-        return tables.value_and_grad(w)
+        q, g = tables.value_and_grad(z / root)
+        return q, g / root
 
-    def line_search(v, q, d, slope, step):
-        """First Armijo point v + step * d along a descent direction, or None."""
+    def line_search(z, q, d, slope, step):
+        """First Armijo point z + step * d along a descent direction, or None."""
         dnorm = max(float(np.linalg.norm(d)), 1.0)
         while step * dnorm > 1e-20:
-            w = v + step * d
+            w = z + step * d
             if np.any(w) and np.isfinite(w).all():
                 qw, gw = evaluate(w)
                 if math.isfinite(qw) and qw <= q + _ARMIJO * step * slope:
@@ -178,8 +222,8 @@ def minimize_first(dom: GridDomain, prm: FracParams,
             step *= opts.backtrack_factor
         return None
 
-    v = tables.normalize(_initial_vector(dom, opts))
-    q, g = evaluate(v)
+    z = tables.normalize(_initial_vector(dom, opts, tables)) * root
+    q, g = evaluate(z)
     history = [q] if opts.keep_history else None
     pairs = deque(maxlen=_MEMORY)
 
@@ -198,10 +242,10 @@ def minimize_first(dom: GridDomain, prm: FracParams,
             d = _lbfgs_direction(g, pairs)
             slope = float(d @ g)
             if slope < 0.0:
-                trial = line_search(v, q, d, slope, 1.0)
+                trial = line_search(z, q, d, slope, 1.0)
         if trial is None:
             pairs.clear()
-            trial = line_search(v, q, -g, -grad_norm * grad_norm, sd_step * _STEP_GROWTH)
+            trial = line_search(z, q, -g, -grad_norm * grad_norm, sd_step * _STEP_GROWTH)
             if trial is None:
                 # descent direction exhausted at this precision
                 stop = "no_descent"
@@ -210,13 +254,13 @@ def minimize_first(dom: GridDomain, prm: FracParams,
 
         _, w, qw, gw = trial
         # the quotient is 0-homogeneous: the gradient at w / c is c * grad(w)
-        c = tables.norm(w)
-        v_next, g_next = w / c, gw * c
-        s, y = v_next - v, g_next - g
+        c = tables.norm(w / root)
+        z_next, g_next = w / c, gw * c
+        s, y = z_next - z, g_next - g
         sy = float(s @ y)
         if sy > 0.0:
             pairs.append((s, y, 1.0 / sy))
-        v, g = v_next, g_next
+        z, g = z_next, g_next
         drop = q - qw
         q = qw
         if history is not None:
@@ -225,11 +269,12 @@ def minimize_first(dom: GridDomain, prm: FracParams,
             stop = "rel_drop"
             break
 
-    u = GridFunction.from_inside(dom, v)
+    u = GridFunction.from_inside(dom, tables.expand(z / root))
     return EigenResult(lam=float(q), u=u, iters=iters,
                        final_grad_norm=float(np.linalg.norm(g)),
                        converged=stop in ("grad", "rel_drop"),
-                       stop_reason=stop, evals=evals, history=history)
+                       stop_reason=stop, evals=evals, history=history,
+                       orbits=tables.orbits)
 
 
 # ---------------------------------------------------------------------------
@@ -261,9 +306,9 @@ def p2_oracle(dom: GridDomain, alpha: float) -> EigenResult:
 
     The generalized problem A v = lam h^n v is the ordinary symmetric problem
     for A scaled by h^-n; numpy.linalg.eigh computes every eigenpair in
-    ascending order and the first is kept.  final_grad_norm holds the
-    residual |A v - lam h^n v|.  Independent of the descent code path on
-    purpose.
+    ascending order and the first is kept.  residual holds |A v - lam h^n v|.
+    Independent of the descent code path on purpose: it keeps the full m x m
+    matrix on every lattice, symmetric or not.
     """
     a = p2_matrix(dom, alpha)
     hn = dom.h ** dom.dim
@@ -275,7 +320,8 @@ def p2_oracle(dom: GridDomain, alpha: float) -> EigenResult:
     v = v / (math.sqrt(hn) * np.linalg.norm(v))
     resid = float(np.linalg.norm(a @ v - lam * hn * v))
     return EigenResult(lam=lam, u=GridFunction.from_inside(dom, v), iters=0,
-                       final_grad_norm=resid, converged=True)
+                       final_grad_norm=None, converged=True,
+                       orbits=dom.inside_count, residual=resid)
 
 
 # ---------------------------------------------------------------------------
@@ -292,6 +338,7 @@ class PSweepRow:
     iters: int
     stop_reason: str
     evals: int
+    orbits: int
 
 
 @dataclass(eq=False)
@@ -328,7 +375,8 @@ def p_sweep(dom: GridDomain, alpha: float, ps: Sequence[float],
         rows.append(PSweepRow(p=p, lam=res.lam,
                               root=math.exp(math.log(res.lam) / p),
                               converged=res.converged, iters=res.iters,
-                              stop_reason=res.stop_reason, evals=res.evals))
+                              stop_reason=res.stop_reason, evals=res.evals,
+                              orbits=res.orbits))
         warm = res.u.inside_values()
         last_u = res.u
     return PSweepResult(rows=rows, target=float(target), final_u=last_u)

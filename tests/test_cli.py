@@ -15,12 +15,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from test_geometry import triangle_mask
 
 import fracteig
 from fracteig import __version__
 from fracteig.cli import main
 from fracteig.geometry import build_rectangle, distance_to_complement, high_ridge
-from fracteig.reports import canonical_json, config_digest, fmt17, write_csv
+from fracteig.reports import canonical_json, config_digest, fmt17, mask_rows, write_csv
 
 
 def _write_config(tmp_path: Path, payload: dict, name: str = "config.json") -> Path:
@@ -62,6 +63,7 @@ def test_eig_writes_artifacts_and_matches_oracle(tmp_path, capsys):
     s = rep["summary"]
     assert s["converged"] is True
     assert s["inside_nodes"] == 15
+    assert s["orbits"] == 8  # the mirror pairs of (0, 1), and the midpoint
     assert s["stop_reason"] in ("grad", "rel_drop")
     assert s["evals"] >= s["iters"] + 1
     assert s["oracle_gap"] <= 1e-8
@@ -192,6 +194,7 @@ def test_sweep_run_writes_rows_and_target(tmp_path):
     assert s["iters"] == [int(r[5]) for r in rows]
     assert len(s["evals"]) == 3
     assert all(e >= i + 1 for e, i in zip(s["evals"], s["iters"]))
+    assert s["orbits"] == [16, 16, 16]  # 31 inside nodes in mirror pairs and the midpoint
     assert len(s["gaps"]) == 3
     assert s["final_gap"] == s["gaps"][-1]
     assert s["final_gap"] == pytest.approx(abs(float(rows[-1][2]) - 1.0), rel=1e-12)
@@ -432,6 +435,18 @@ def test_mask_file_roundtrip(tmp_path):
         (out_a / "domain_mask.csv").read_bytes()
 
 
+def test_asymmetric_mask_reports_every_inside_node_as_an_orbit(tmp_path):
+    dom = triangle_mask(1 / 8)
+    mask = tmp_path / "mask.csv"
+    write_csv(mask, ["x", "y", "inside"], mask_rows(dom))
+    out = tmp_path / "run"
+    cfg = _eig_config(tmp_path, out, domain={"shape": "mask", "path": str(mask)},
+                      alpha=0.75, h=1 / 8, p=4.0)
+    assert main(["eig", "--config", str(cfg)]) == 0
+    s = _report(out)["summary"]
+    assert s["orbits"] == s["inside_nodes"] == dom.inside_count
+
+
 # Rejected mask files: header, rows and the expected message.
 _BAD_MASKS = {
     # 12 nodes at h = 1/4, inside for x <= 1: the node x = 0 sits on the lattice
@@ -483,9 +498,10 @@ def test_infinity_alpha_outside_unit_interval_exits_2(tmp_path, capsys, alpha):
 
 
 def test_tables_larger_than_memory_exit_2_before_allocating(tmp_path):
-    """(0, 2) at h = 1e-5 has 199,999 inside nodes, whose m x m tables need
-    320 GB.  The child's address space is capped at 4 GiB, so an attempt to
-    allocate them fails inside the child instead of exhausting the machine."""
+    """(0, 2) at h = 1e-5 has 199,999 inside nodes in 100,000 mirror orbits,
+    whose k x k tables need 80 GB.  The child's address space is capped at
+    4 GiB, so an attempt to allocate them fails inside the child instead of
+    exhausting the machine."""
     import resource
 
     out = tmp_path / "run"
@@ -502,7 +518,7 @@ def test_tables_larger_than_memory_exit_2_before_allocating(tmp_path):
                           capture_output=True, text=True, env=env, timeout=120,
                           preexec_fn=cap)
     assert proc.returncode == 2, proc.stderr
-    assert "kernel tables for 199999 inside nodes need 298.0 GiB" in proc.stderr
+    assert "kernel tables for 100000 orbits of 199999 inside nodes need 74.5 GiB" in proc.stderr
     assert not out.exists()
 
 

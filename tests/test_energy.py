@@ -6,6 +6,7 @@ import pytest
 from fracteig import geometry
 from fracteig.energy import (
     FracParams,
+    OrbitTables,
     QuotientTables,
     _cross_weights,
     apply_Lp,
@@ -24,6 +25,7 @@ from fracteig.geometry import (
     distance_to_complement,
     distances,
     high_ridge,
+    lattice_symmetries,
     nearest_node,
 )
 from fracteig.infinity import representation
@@ -520,3 +522,117 @@ def test_surface_measure():
     assert surface_measure(2) == pytest.approx(2.0 * np.pi)
     with pytest.raises(ValueError, match="unsupported dimension"):
         surface_measure(3)
+
+
+# ---------------------------------------------------------------------------
+# tables over the orbits of a lattice symmetry group
+# ---------------------------------------------------------------------------
+
+
+def orbit_tables(dom, prm):
+    return OrbitTables(dom, prm, np.minimum.reduce(lattice_symmetries(dom)))
+
+
+_SYMMETRIC = {
+    "interval": lambda: build_interval(0.0, 2.0, 1 / 16),
+    "disk": lambda: build_disk((0.0, 0.0), 1.0, 1 / 8),
+    "rectangle": lambda: build_rectangle((0.0, 0.0), (1.0, 0.5), 1 / 8, margin=1.0),
+    "annulus": lambda: annulus_mask(1 / 8),
+}
+
+
+def gradient_term_scale(tables, v, q):
+    """Sum of the magnitudes of the terms that make up each component of the
+    full gradient at v, with q its quotient: the scale of their rounding."""
+    p = tables.prm.p
+    c = np.abs(v).max()
+    w = v / c
+    den = tables.hn * np.sum(np.abs(w) ** p)
+    pair = (tables.holder ** p * np.abs(w[:, None] - w[None, :]) ** (p - 1.0)).sum(axis=1)
+    own = np.abs(w) ** (p - 1.0) * (tables.ct_coef + q * tables.hn)
+    return p * (2.0 * tables.h2n * pair + own) / (den * c)
+
+
+@pytest.mark.parametrize("signed", [False, True], ids=["positive", "signed"])
+@pytest.mark.parametrize("shape, p", [
+    *[("interval", p) for p in (2.0, 8.0, 64.0)],
+    # at p = 2 no alpha <= 1 puts alpha * p above n = 2
+    *[(shape, p) for shape in ("disk", "rectangle", "annulus") for p in (8.0, 64.0)],
+])
+def test_orbit_tables_equal_the_full_tables_on_invariant_vectors(shape, p, signed):
+    """The reduced quotient is the full quotient of the expanded vector, and the
+    reduced gradient the orbit sums of the full gradient.
+
+    The vectors are the distance profile and a sign-changing multiple of it.
+    Each path rounds a pair term to about eps relative before raising it to
+    the p-th power, which multiplies that rounding by p, so the tolerance is
+    1e-14 or 2 p eps, whichever is larger: 2.8e-14 at p = 64, where one ulp
+    in the dominant term moves the quotient by 1.4e-14.  Near an eigenfunction
+    the gradient is a small difference of large terms, so the gradients are
+    compared on the scale of their terms: measured against max|g| they differ
+    by up to 4e-14 at p = 64, and the full path itself by up to 1.2e-13 from
+    an 80-bit reference."""
+    dom = _SYMMETRIC[shape]()
+    prm = FracParams(0.75, p)
+    tables, full = orbit_tables(dom, prm), QuotientTables(dom, prm)
+    assert tables.orbits < dom.inside_count
+    delta = tables.fold(distance_to_complement(dom).inside_values())
+    v = delta * (delta - 0.5 * delta.max()) if signed else delta
+    q, g = tables.value_and_grad(v)
+    q_full, g_full = full.value_and_grad(tables.expand(v))
+    tol = max(1e-14, 2.0 * p * np.finfo(float).eps)
+    assert abs(q - q_full) <= tol * q_full
+    g_sum = np.bincount(tables.labels, g_full)
+    scale = np.bincount(tables.labels, gradient_term_scale(full, tables.expand(v), q_full))
+    assert np.abs(g - g_sum).max() <= tol * scale.max()
+    assert tables.quotient(v) == q
+    assert tables.breakdown(v).total / tables.norm(v) ** p == pytest.approx(q, rel=1e-13)
+
+
+def test_orbit_tables_fold_the_full_kernel():
+    """holder**p is the folded kernel sum over orbit pairs, exactly symmetric
+    with a zero diagonal, and no table grows with m squared; the coefficients
+    are orbit sums."""
+    dom = build_disk((0.0, 0.0), 1.0, 1 / 16)
+    prm = FracParams(0.75, 4.0)
+    tables, full = orbit_tables(dom, prm), QuotientTables(dom, prm)
+    k, m = tables.orbits, dom.inside_count
+    assert (k, m) == (113, 793)
+    np.testing.assert_array_equal(tables.holder, tables.holder.T)
+    assert not np.diag(tables.holder).any()
+    assert max(a.size for a in vars(tables).values() if isinstance(a, np.ndarray)) == k * k
+    # orbits are numbered by their smallest inside index, which represents them
+    np.testing.assert_array_equal(tables.labels[tables.reps], np.arange(k))
+    assert np.all(np.diff(tables.reps) > 0)
+    assert tables.sizes.sum() == m
+    one_hot = np.zeros((k, m))
+    one_hot[tables.labels, np.arange(m)] = 1.0
+    folded = one_hot @ full.holder ** prm.p @ one_hot.T
+    np.fill_diagonal(folded, 0.0)
+    np.testing.assert_allclose(tables.holder ** prm.p, folded, rtol=1e-13, atol=0.0)
+    for name in ("cross_coef", "tail_lower_coef", "tail_upper_coef", "ct_coef"):
+        np.testing.assert_allclose(getattr(tables, name), one_hot @ getattr(full, name),
+                                   rtol=1e-14, atol=0.0)
+
+
+def test_orbit_fold_in_row_blocks_changes_no_bit(monkeypatch):
+    """113 orbit rows against 793 columns: folded one block at a time, or in
+    blocks of 7 rows, the holder is the same."""
+    dom = build_disk((0.0, 0.0), 1.0, 1 / 16)
+    prm = FracParams(0.75, 8.0)
+    whole = orbit_tables(dom, prm).holder
+    monkeypatch.setattr(geometry, "_BLOCK_ELEMENTS", 7 * dom.inside_count)
+    np.testing.assert_array_equal(orbit_tables(dom, prm).holder, whole)
+
+
+def test_orbit_fold_and_expand():
+    """fold takes orbit means, and returns an invariant vector's values bit for
+    bit, where summing the 4 or 8 equal values of an orbit would round."""
+    dom = build_disk((0.0, 0.0), 1.0, 1 / 8)
+    tables = orbit_tables(dom, FracParams(0.75, 4.0))
+    assert set(tables.sizes) == {1.0, 4.0, 8.0}
+    v = np.random.default_rng(4).normal(size=tables.orbits) / 3.0
+    np.testing.assert_array_equal(tables.fold(tables.expand(v)), v)
+    x = dom.inside_coords[:, 0]  # odd under the flip of the first axis
+    u = tables.expand(v) + x
+    np.testing.assert_allclose(tables.fold(u), v, rtol=0.0, atol=1e-15)

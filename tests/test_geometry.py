@@ -18,6 +18,7 @@ from fracteig.geometry import (
     distance_to_complement,
     distance_to_set,
     distances,
+    lattice_symmetries,
     high_ridge,
     inscribed_radius,
     nearest_node,
@@ -314,3 +315,43 @@ def test_canonical_shapes():
     assert Rectangle(0.0, 0.0, 4.0, 2.0).diameter == pytest.approx(np.sqrt(20.0))
     pts = np.array([[0.5, 0.5], [3.0, 3.0]])
     np.testing.assert_allclose(Rectangle(0.0, 0.0, 1.0, 1.0).distance(pts), [0.5, 0.0])
+
+
+def triangle_mask(h):
+    """A free-form mask with no lattice reflection: x + 2y < 1.6 in the unit square."""
+    return build_mask2d(((0.0, 0.0), (1.0, 1.0)), h,
+                        lambda pts: pts[:, 0] + 2.0 * pts[:, 1] < 1.6, margin=1.0)
+
+
+def half_square(h):
+    square = build_rectangle((0.0, 0.0), (1.0, 1.0), h)
+    return square.restricted(None, shape_tag=Rectangle(0.0, 0.0, 0.5, 1.0))
+
+
+@pytest.mark.parametrize("dom, order", [
+    (build_interval(0.0, 2.0, 1 / 100), 2),
+    (build_disk((0.0, 0.0), 1.0, 1 / 16), 8),
+    (build_rectangle((0.0, 0.0), (1.0, 1.0), 1 / 12), 8),
+    (half_square(1 / 12), 2),
+    (build_rectangle((0.0, 0.0), (1.0, 0.5), 1 / 8, margin=1.0), 4),
+    (triangle_mask(1 / 8), 1),
+    (build_interval(0.0, 1.0, 0.3), 1),
+], ids=["interval", "disk", "unit_square", "half_square", "rectangle", "free_form",
+        "lopsided_interval"])
+def test_lattice_symmetries_group_orders(dom, order):
+    """Each element is a permutation of the inside nodes that maps them to inside
+    nodes at the same distances from every other image; the identity comes
+    first and the set is closed under composition."""
+    perms = lattice_symmetries(dom)
+    m = dom.inside_count
+    assert len(perms) == order
+    np.testing.assert_array_equal(perms[0], np.arange(m))
+    keys = {g.tobytes() for g in perms}
+    assert len(keys) == order
+    x = dom.inside_coords
+    d = distances(x, x)
+    for g in perms:
+        np.testing.assert_array_equal(np.sort(g), np.arange(m))
+        np.testing.assert_allclose(d[np.ix_(g, g)], d, rtol=1e-13, atol=0.0)
+        for f in perms:
+            assert g[f].tobytes() in keys

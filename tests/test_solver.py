@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from test_geometry import half_square, triangle_mask
 
 from fracteig.energy import (
     FracParams,
+    OrbitTables,
+    QuotientTables,
     rayleigh_gradient,
     rayleigh_quotient,
     surface_measure,
@@ -11,8 +14,11 @@ from fracteig.energy import (
 from fracteig.geometry import (
     GridFunction,
     Rectangle,
+    build_disk,
     build_interval,
     build_rectangle,
+    distance_to_complement,
+    lattice_symmetries,
 )
 from fracteig.solver import (
     SolverOptions,
@@ -66,8 +72,9 @@ def test_p2_oracle_eigenvector():
     v = res.u.inside_values()
     assert np.all(v > 0.0)
     assert np.sum(np.abs(v) ** 2) * dom.h == pytest.approx(1.0, abs=1e-12)
-    # dense solve leaves an absolute gradient that scales with lambda/h
-    assert res.final_grad_norm < 1e-6
+    # dense solve leaves an absolute residual that scales with lambda/h
+    assert res.residual < 1e-6
+    assert res.final_grad_norm is None
     # scipy's subset eigensolver as the reference: the same pair to rounding
     evals, vecs = scipy.linalg.eigh(p2_matrix(dom, 0.8), subset_by_index=[0, 0])
     assert res.lam == pytest.approx(evals[0] / dom.h, rel=1e-14)
@@ -258,3 +265,67 @@ def test_flipped_sign_increases_quotient():
     flipped[3] = -flipped[3]
     u2 = GridFunction.from_inside(dom, flipped)
     assert rayleigh_quotient(u2, prm) > lam
+
+
+@pytest.mark.parametrize("dom, p, orbits", [
+    (build_interval(0.0, 2.0, 1 / 16), 8.0, 16),
+    (build_disk((0.0, 0.0), 1.0, 1 / 8), 4.0, 31),
+    (half_square(1 / 12), 4.0, 30),
+], ids=["interval", "disk", "half_square"])
+def test_minimizer_is_invariant_and_its_quotient_is_the_full_one(dom, p, orbits):
+    """The solve runs over orbits, and the expanded minimizer is exactly
+    invariant under every lattice symmetry; its full quotient is lam and its
+    full gradient norm is final_grad_norm."""
+    prm = FracParams(0.75, p)
+    res = minimize_first(dom, prm)
+    assert res.converged and res.orbits == orbits
+    u = res.u.inside_values()
+    for perm in lattice_symmetries(dom):
+        np.testing.assert_array_equal(u[perm], u)
+    assert abs(res.lam - QuotientTables(dom, prm).quotient(u)) <= 1e-13 * res.lam
+    assert res.final_grad_norm == pytest.approx(
+        float(np.linalg.norm(rayleigh_gradient(res.u, prm).inside_values())), rel=1e-6)
+
+
+def test_asymmetric_mask_solves_over_every_inside_node():
+    dom = triangle_mask(1 / 8)
+    assert len(lattice_symmetries(dom)) == 1
+    res = minimize_first(dom, FracParams(0.75, 4.0))
+    assert res.converged and res.orbits == dom.inside_count
+    random = minimize_first(dom, FracParams(0.75, 4.0), SolverOptions(init_mode="random"))
+    assert random.orbits == dom.inside_count
+
+
+def test_custom_start_without_symmetry_gives_a_symmetric_minimizer():
+    """A start that no reflection fixes enters through its orbit means."""
+    dom = build_disk((0.0, 0.0), 1.0, 1 / 8)
+    prm = FracParams(0.75, 4.0)
+    base = minimize_first(dom, prm)
+    x = dom.inside_coords
+    delta = distance_to_complement(dom).inside_values()
+    start = delta * (1.0 + 0.5 * x[:, 0] + 0.25 * x[:, 1] ** 3)
+    assert not any(np.array_equal(start[perm], start) for perm in lattice_symmetries(dom)[1:])
+    res = minimize_first(dom, prm, SolverOptions(init_mode="custom", init_values=start))
+    u = res.u.inside_values()
+    for perm in lattice_symmetries(dom):
+        np.testing.assert_array_equal(u[perm], u)
+    assert abs(res.lam - base.lam) <= 1e-10 * base.lam
+
+
+def test_random_start_draws_one_value_per_orbit():
+    dom = build_disk((0.0, 0.0), 1.0, 1 / 8)
+    prm = FracParams(0.75, 4.0)
+    res = minimize_first(dom, prm, SolverOptions(init_mode="random", seed=5, tol_grad=1e30))
+    assert (res.iters, res.orbits) == (0, 31)
+    draw = np.random.default_rng(5).standard_normal(31)
+    start = OrbitTables(dom, prm, np.minimum.reduce(lattice_symmetries(dom))).expand(draw)
+    u = res.u.inside_values()
+    np.testing.assert_allclose(u / u[0], start / start[0], rtol=1e-14, atol=0.0)
+
+
+def test_custom_start_with_zero_orbit_means_is_rejected():
+    dom = build_interval(0.0, 2.0, 1 / 16)
+    odd = dom.inside_coords[:, 0] - 1.0  # odd about the centre of (0, 2)
+    with pytest.raises(ValueError, match="average to zero on every orbit"):
+        minimize_first(dom, FracParams(0.75, 4.0),
+                       SolverOptions(init_mode="custom", init_values=odd))
