@@ -322,7 +322,7 @@ def cmd_eig(cfg: RunConfig) -> RunReport:
 
     try:
         res = minimize_first(dom, prm, opts)
-    except ValueError as exc:  # kernel tables too large for this machine
+    except ValueError as exc:  # kernel tables too large for this machine, or overflowing
         raise ConfigError(str(exc)) from exc
     out = _prepare_out(cfg)
     outputs = {"mask": _write_mask(dom, out)}
@@ -434,7 +434,9 @@ def cmd_verify1d(cfg: RunConfig) -> RunReport:
         examples = [first_1d(alpha), second_1d(alpha), third_1d(alpha)]
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    hs = cfg.h_list or _DEFAULT_VERIFY1D_H
+    hs = _DEFAULT_VERIFY1D_H if cfg.h_list is None else cfg.h_list
+    if not hs:
+        raise ConfigError("verify1d requires a non-empty list 'h_list' (omit it for the default)")
     finest = min(hs)
     try:
         doms = [build_interval(0.0, 2.0, h, cfg.margin) for h in hs]

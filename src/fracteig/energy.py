@@ -28,10 +28,12 @@ quotient never overflows even when individual weights do.  One pair pass,
 `QuotientTables._interior`, computes the interior sum for every evaluation:
 quotient, gradient and breakdown.  It runs over blocks of rows of the pair
 matrix, with each block's largest term factored out, and combines the block
-sums in log space; a (3, B, m) workspace is all it writes, so the m x m
-`holder` is the only array that grows with m squared.  `OrbitTables` folds
-the tables over the orbits of a lattice symmetry group, for vectors that are
-constant on each orbit; the same pass then runs on a k x k `holder`.
+sums in log space; a (3, B, k) workspace is all it writes, so the k x k
+`holder` is the only array that grows with k squared.  The tables are folded
+over the k orbits of a group of lattice reflections, for vectors that are
+constant on each orbit: the solver folds over the lattice's symmetries, and
+with no group every orbit is one inside node (k = m), for which the fold is
+bit for bit the plain kernel.
 """
 
 from __future__ import annotations
@@ -48,7 +50,6 @@ __all__ = [
     "FracParams",
     "EnergyBreakdown",
     "QuotientTables",
-    "OrbitTables",
     "gagliardo_energy",
     "rayleigh_quotient",
     "rayleigh_gradient",
@@ -164,60 +165,126 @@ def _exp(logv: float) -> float:
 
 
 class QuotientTables:
-    """Precomputed kernel tables for one (domain, params) pair.
+    """Precomputed kernel tables for one (domain, params) pair, over orbits.
 
-    Holds the pairwise alpha-Hoelder kernel between inside nodes plus the
-    per-node cross and tail coefficients, so repeated quotient/gradient
-    evaluations (the solver's inner loop) cost one m*m elementwise pass.  That
-    pass, `_interior`, is the only place the pair terms are formed; it and the
-    build of `holder` both run in blocks of `block_rows(m)` rows, so the m x m
-    `holder` is the only table of that size.
+    Holds the pair kernel between orbits of inside nodes plus the per-orbit
+    cross and tail coefficients, so repeated quotient/gradient evaluations
+    (the solver's inner loop) cost one k*k elementwise pass.  That pass,
+    `_interior`, is the only place the pair terms are formed; it and the build
+    of `holder` both run in blocks of rows, so the k x k `holder` is the only
+    table of that size.
 
-    The methods take one value per orbit of a symmetry group of the lattice
-    (see `OrbitTables`); here every inside node is its own orbit, so they take
-    the inside values, `fold` and `expand` are the identity and `sizes` is 1.
+    `smallest[i]` is the smallest inside index in the orbit of inside node i
+    under a group of lattice reflections that maps the box and the mask onto
+    themselves (`lattice_symmetries`); None makes every inside node its own
+    orbit.  Such a group keeps every pair distance, cross weight and tail
+    coefficient up to rounding, so a vector that is constant on each orbit I
+    has the quotient of the k orbit values v_I with
+
+        W_IJ = |I| sum_{j in J} K_{rep(I), j},   c_I = sum_{i in I} c_i,
+
+    and the denominator h^n sum_I |I| |v_I|^p, where K_ij = |x_i - x_j|^(-alpha p)
+    is the pair kernel and rep(I) the smallest inside index of I.  W is
+    symmetric (both orders count the pairs between I and J).  `holder` holds
+    W**(1/p) with a zero diagonal; every method takes orbit values, and
+    `gradient` returns the orbit sums of the full gradient of the expanded
+    vector.  With one node per orbit, every step of the fold is exact, so the
+    tables are bit for bit the plain kernel |x_i - x_j|^(-alpha) and the
+    methods take the inside values.
     """
 
-    sizes = 1.0  # nodes per orbit: the weight of each value in the denominator
-
-    def __init__(self, dom: GridDomain, prm: FracParams):
+    def __init__(self, dom: GridDomain, prm: FracParams,
+                 smallest: np.ndarray | None = None):
         prm.validate_for_dim(dom.dim)
         self.dom = dom
         self.prm = prm
-        self._build_holder()
-        self._work = None  # the pair pass's (3, block, len(holder)) workspace, made on first use
+        if smallest is None:
+            smallest = np.arange(dom.inside_count)
+        self.reps, self.labels, sizes = np.unique(smallest, return_inverse=True,
+                                                  return_counts=True)
+        self.sizes = sizes.astype(float)  # nodes per orbit: each value's weight in the denominator
         self._set_coefficients()
+        self._build_holder()
+        self._work = None  # the pair pass's (3, block, k) workspace, made on first use
 
     def _build_holder(self) -> None:
-        """The pairwise alpha-kernel |x_i - x_j|^(-alpha), built in place a
-        block of rows at a time; an infinite diagonal makes the Hoelder
-        quotient q_ij = |u_i - u_j| * kernel vanish at i == j."""
+        """holder_IJ = g_IJ (|I| sum_{j in J} (holder_{rep(I), j} / g_IJ)**p)**(1/p),
+        with holder_ij = |x_i - x_j|^(-alpha) the plain kernel and g_IJ its
+        largest value over j in J.
+
+        The fold runs in blocks of representative rows against all m inside
+        nodes, as a (rows, k, largest orbit size) block whose last axis holds
+        the members of each orbit, so each (row, orbit) group reduces along
+        it; no m x m array is built.  Smaller orbits are padded with a point at
+        infinity, whose kernel value 0 changes neither the maximum nor the sum.
+        A one-node orbit J gives g_IJ (1 * 1**p)**(1/p) = g_IJ, the kernel value
+        itself.  The infinite distance of a node to itself makes its own kernel
+        value 0, and its group maximum 0 in a one-node orbit, where 1 stands in
+        for it."""
+        k, m = self.sizes.size, self.labels.size
+        self._block = min(block_rows(k), k)
+        _check_memory(k, self._block, f"{k} orbits of {m} inside nodes")
+        # members[J] lists the inside nodes of orbit J in ascending order, so
+        # its representative first, padded with index m, the point at infinity
+        order = np.argsort(self.labels, kind="stable")
+        orbit = self.labels[order]
+        members = np.full((k, int(self.sizes.max())), m)
+        members[orbit, np.arange(m) - np.searchsorted(orbit, orbit)] = order
         xin = self.dom.inside_coords
-        m = xin.shape[0]
-        self._block = block = min(block_rows(m), m)
-        _check_memory(m, block, f"{m} inside nodes")
-        self.holder = np.empty((m, m))
-        for start in range(0, m, block):
-            d = distances(xin[start:start + block], xin, out=self.holder[start:start + block])
-            k = np.arange(d.shape[0])
-            d[k, start + k] = np.inf
-            d **= -self.prm.alpha
+        cols = np.vstack([xin, np.full(xin.shape[1], np.inf)])[members.ravel()]
+        p = self.prm.p
+        self.holder = np.empty((k, k))
+        rows = min(block_rows(members.size), k)
+        for start in range(0, k, rows):
+            n = min(rows, k - start)
+            g = distances(xin[self.reps[start:start + n]], cols).reshape(n, *members.shape)
+            g[np.arange(n), np.arange(start, start + n), 0] = np.inf
+            g **= -self.prm.alpha
+            gmax = g.max(axis=2)
+            gmax[gmax == 0.0] = 1.0
+            g /= gmax[:, :, None]
+            g **= p
+            w = g.sum(axis=2, out=self.holder[start:start + n])
+            w *= self.sizes[start:start + n, None]
+            w **= 1.0 / p
+            w *= gmax
+        np.fill_diagonal(self.holder, 0.0)
+        # W is symmetric up to rounding; `value_and_grad` needs it exactly symmetric
+        for i in range(1, k):
+            self.holder[i, :i] = self.holder[:i, i]
 
     def _set_coefficients(self) -> None:
-        """Per-node cross and tail coefficients, and the powers of h."""
-        dom = self.dom
+        """Per-orbit cross and tail coefficients, and the powers of h.
+
+        Raises ValueError when a coefficient is not finite: the kernel
+        h^(-alpha p) of the nearest pairs overflows double range."""
+        dom, prm = self.dom, self.prm
         n, h = dom.dim, dom.h
-        ap = self.prm.ap
-        w_out = _cross_weights(dom, ap)
+        ap = prm.ap
+        with np.errstate(over="ignore", invalid="ignore"):
+            w_out = _cross_weights(dom, ap)
+            tail_lower, tail_upper = _tail_bracket(dom, ap, dom.inside_coords)
         hn = h ** n
         h2n = h ** (2 * n)
-        tail_lower, tail_upper = _tail_bracket(dom, ap, dom.inside_coords)
+        k = self.sizes.size
+
+        def orbit_sums(c):
+            return np.bincount(self.labels, weights=c, minlength=k)
+
         # coefficients multiplying |u_i|^p in each energy piece
-        self.cross_coef = 2.0 * h2n * w_out
-        self.tail_lower_coef = 2.0 * hn * tail_lower
-        self.tail_upper_coef = 2.0 * hn * tail_upper
+        cross = 2.0 * h2n * w_out
+        lower = 2.0 * hn * tail_lower
+        upper = 2.0 * hn * tail_upper
+        self.cross_coef = orbit_sums(cross)
+        self.tail_lower_coef = orbit_sums(lower)
+        self.tail_upper_coef = orbit_sums(upper)
         # cross + tail midpoint combined (quotient numerator and gradient)
-        self.ct_coef = self.cross_coef + 0.5 * (self.tail_lower_coef + self.tail_upper_coef)
+        self.ct_coef = orbit_sums(cross + 0.5 * (lower + upper))
+        if not all(np.isfinite(c).all() for c in (self.cross_coef, self.tail_lower_coef,
+                                                   self.tail_upper_coef, self.ct_coef)):
+            raise ValueError(f"kernel coefficients overflow double range at p = {prm.p}, "
+                             f"alpha = {prm.alpha}, h = {h}: the nearest-pair kernel "
+                             f"h^(-alpha p) = h^-{ap} is too large")
         self.hn = hn
         self.h2n = h2n
         self.log_hn = n * math.log(h)
@@ -226,15 +293,19 @@ class QuotientTables:
     @property
     def orbits(self) -> int:
         """Number of orbit values the methods take."""
-        return self.holder.shape[0]
+        return self.sizes.size
 
     def fold(self, v: np.ndarray) -> np.ndarray:
-        """Orbit values of inside values v."""
-        return v
+        """Orbit values of inside values v: the orbit means, or, when v is
+        constant on every orbit, its values there, bit for bit."""
+        rep = v[self.reps]
+        if np.array_equal(rep[self.labels], v):
+            return rep
+        return np.bincount(self.labels, weights=v, minlength=self.orbits) / self.sizes
 
     def expand(self, v: np.ndarray) -> np.ndarray:
         """Inside values of orbit values v."""
-        return v
+        return v[self.labels]
 
     # -- energies -------------------------------------------------------------
 
@@ -357,94 +428,6 @@ class QuotientTables:
         return v / c
 
 
-class OrbitTables(QuotientTables):
-    """Kernel tables over the orbits of a lattice symmetry group.
-
-    A group of lattice reflections that maps the box and the mask onto
-    themselves (`lattice_symmetries`) keeps every pair distance, cross weight
-    and tail coefficient up to rounding, so a vector that is constant on each
-    orbit I has the quotient of the k orbit values v_I with
-
-        W_IJ = |I| sum_{j in J} K_{rep(I), j},   c_I = sum_{i in I} c_i,
-
-    and the denominator h^n sum_I |I| |v_I|^p, where K = holder**p is the
-    pair kernel and rep(I) the smallest inside index of I.  W is symmetric
-    (both orders count the pairs between I and J).  `holder` holds W**(1/p)
-    with a zero diagonal, so `_interior` runs on it unchanged; every method
-    then takes orbit values, and `gradient` returns the orbit sums of the full
-    gradient of the expanded vector.
-
-    `smallest[i]` is the smallest inside index in the orbit of inside node i.
-    The fold runs in blocks of `block_rows(m)` representative rows against all
-    m inside nodes, so no m x m array is built.
-    """
-
-    def __init__(self, dom: GridDomain, prm: FracParams, smallest: np.ndarray):
-        self.reps, self.labels, sizes = np.unique(smallest, return_inverse=True,
-                                                  return_counts=True)
-        self.sizes = sizes.astype(float)
-        super().__init__(dom, prm)
-
-    def _build_holder(self) -> None:
-        """holder_IJ = hmax_I (|I| sum_{j in J} (holder_{rep(I), j} / hmax_I)**p)**(1/p),
-        with hmax_I the largest kernel value in the row of rep(I)."""
-        k, m = self.sizes.size, self.labels.size
-        self._block = min(block_rows(k), k)
-        _check_memory(k, self._block, f"{k} orbits of {m} inside nodes")
-        # the columns in orbit order, so each orbit's columns sum with one reduceat
-        order = np.argsort(self.labels, kind="stable")
-        starts = np.concatenate(([0], np.cumsum(self.sizes.astype(np.intp))[:-1]))
-        column = np.empty(m, dtype=np.intp)
-        column[order] = np.arange(m)
-        xin = self.dom.inside_coords
-        cols = xin[order]
-        p = self.prm.p
-        self.holder = np.empty((k, k))
-        rows = min(block_rows(m), k)
-        for start in range(0, k, rows):
-            reps = self.reps[start:start + rows]
-            d = distances(xin[reps], cols)
-            d[np.arange(reps.size), column[reps]] = np.inf
-            d **= -self.prm.alpha
-            hmax = d.max(axis=1, keepdims=True)
-            d /= hmax
-            d **= p
-            w = np.add.reduceat(d, starts, axis=1)
-            w *= self.sizes[start:start + rows, None]
-            w **= 1.0 / p
-            w *= hmax
-            self.holder[start:start + rows] = w
-        np.fill_diagonal(self.holder, 0.0)
-        # W is symmetric up to rounding; `value_and_grad` needs it exactly symmetric
-        for i in range(1, k):
-            self.holder[i, :i] = self.holder[:i, i]
-
-    def _set_coefficients(self) -> None:
-        """The per-node coefficients, summed over each orbit."""
-        super()._set_coefficients()
-        k = self.sizes.size
-
-        def orbit_sums(c):
-            return np.bincount(self.labels, weights=c, minlength=k)
-
-        self.cross_coef = orbit_sums(self.cross_coef)
-        self.tail_lower_coef = orbit_sums(self.tail_lower_coef)
-        self.tail_upper_coef = orbit_sums(self.tail_upper_coef)
-        self.ct_coef = orbit_sums(self.ct_coef)
-
-    def fold(self, v: np.ndarray) -> np.ndarray:
-        """Orbit values of inside values v: the orbit means, or, when v is
-        constant on every orbit, its values there, bit for bit."""
-        rep = v[self.reps]
-        if np.array_equal(rep[self.labels], v):
-            return rep
-        return np.bincount(self.labels, weights=v, minlength=self.orbits) / self.sizes
-
-    def expand(self, v: np.ndarray) -> np.ndarray:
-        """Inside values of orbit values v."""
-        return v[self.labels]
-
-
 def _check_memory(count: int, block: int, what: str) -> None:
     """Raise when a count x count `holder` and the pair pass's (3, block, count)
     workspace would not fit in physical memory."""
@@ -480,7 +463,11 @@ def _cross_weights(dom: GridDomain, ap: float) -> np.ndarray:
     b = np.arange(n, dtype=float)
     r2 = a * a + b * b
     r2[0, 0] = np.inf  # zero offset: a node is never its own outside neighbour
-    kern = dom.h ** -ap * r2 ** (-0.5 * ap)
+    try:
+        scale = dom.h ** -ap
+    except OverflowError:  # the caller finds the weights not finite and says so
+        scale = math.inf
+    kern = scale * r2 ** (-0.5 * ap)
     suffix = np.zeros((nlines, n + 1))
     suffix[:, -2::-1] = np.cumsum(kern[:, ::-1], axis=1)
     suffix = suffix.ravel()

@@ -12,11 +12,11 @@ The descent runs over the orbits of inside nodes under the lattice
 reflections that map the mask onto itself (`lattice_symmetries`).  The first
 eigenvalue is simple and its eigenfunction unique up to scale, and each such
 reflection keeps the quotient, so the minimizer is invariant and nothing is
-lost by minimizing over invariant vectors: `OrbitTables` evaluates the
-quotient of the k orbit values, in variables sqrt(|I|) v_I whose inner
-products are those of the expanded vectors, and the result is expanded to
-every inside node.  With no such reflection every orbit is one node and the
-full `QuotientTables` run unchanged.
+lost by minimizing over invariant vectors: `QuotientTables` folded over
+the orbits evaluates the quotient of the k orbit values, in variables
+sqrt(|I|) v_I whose inner products are those of the expanded vectors, and
+the result is expanded to every inside node.  With no such reflection every
+orbit is one node, and the folded tables are bit for bit the plain kernel.
 
 `p2_oracle` solves the p = 2 case by an entirely different route — assembling
 the quadratic form's symmetric matrix and handing it to a dense symmetric
@@ -32,7 +32,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .energy import FracParams, OrbitTables, QuotientTables
+from .energy import FracParams, QuotientTables
 from .geometry import (
     GridDomain,
     GridFunction,
@@ -84,9 +84,13 @@ class SolverOptions:
     init_mode: str = "distance"
     seed: int = 0
     init_values: Optional[np.ndarray] = None
-    keep_history: bool = False
 
     def __post_init__(self):
+        for name in ("max_iters", "seed"):
+            value = getattr(self, name)
+            # a bool is an int to Python, but True is no iteration count or seed
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
         if not (self.tol_rel_q > 0.0 and self.tol_grad > 0.0):
@@ -125,18 +129,8 @@ class EigenResult:
     converged: bool
     stop_reason: Optional[str] = None
     evals: int = 0
-    history: Optional[List[float]] = None
     orbits: Optional[int] = None
     residual: Optional[float] = None
-
-
-def _solver_tables(dom: GridDomain, prm: FracParams) -> QuotientTables:
-    """Tables over the orbits of the lattice's reflection symmetries, or the
-    full tables when every orbit is a single inside node."""
-    smallest = np.minimum.reduce(lattice_symmetries(dom))
-    if np.array_equal(smallest, np.arange(dom.inside_count)):
-        return QuotientTables(dom, prm)
-    return OrbitTables(dom, prm, smallest)
 
 
 def _initial_vector(dom: GridDomain, opts: SolverOptions,
@@ -196,7 +190,7 @@ def minimize_first(dom: GridDomain, prm: FracParams,
     max_iters (reported as converged=False; never an exception).
     """
     opts = opts or SolverOptions()
-    tables = _solver_tables(dom, prm)
+    tables = QuotientTables(dom, prm, np.minimum.reduce(lattice_symmetries(dom)))
     # the iterates are z_I = sqrt(|I|) v_I over the orbit values v_I: inner
     # products and norms of z are those of the expanded vectors, so the
     # directions, steps and gradient norm are the full problem's, restricted
@@ -224,7 +218,6 @@ def minimize_first(dom: GridDomain, prm: FracParams,
 
     z = tables.normalize(_initial_vector(dom, opts, tables)) * root
     q, g = evaluate(z)
-    history = [q] if opts.keep_history else None
     pairs = deque(maxlen=_MEMORY)
 
     sd_step = opts.step0
@@ -263,8 +256,6 @@ def minimize_first(dom: GridDomain, prm: FracParams,
         z, g = z_next, g_next
         drop = q - qw
         q = qw
-        if history is not None:
-            history.append(q)
         if drop <= opts.tol_rel_q * max(1.0, abs(q)):
             stop = "rel_drop"
             break
@@ -273,7 +264,7 @@ def minimize_first(dom: GridDomain, prm: FracParams,
     return EigenResult(lam=float(q), u=u, iters=iters,
                        final_grad_norm=float(np.linalg.norm(g)),
                        converged=stop in ("grad", "rel_drop"),
-                       stop_reason=stop, evals=evals, history=history,
+                       stop_reason=stop, evals=evals,
                        orbits=tables.orbits)
 
 

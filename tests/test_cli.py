@@ -404,6 +404,21 @@ def test_verify1d_coarse_h_list_entry_exits_2(tmp_path, capsys):
     assert "no inside nodes" in capsys.readouterr().err
 
 
+def test_verify1d_empty_h_list_exits_2(tmp_path, capsys):
+    """An empty list is not a missing key: it does not select the default spacings."""
+    out = tmp_path / "run"
+    cfg = _write_config(tmp_path, {
+        "domain": {"shape": "interval", "a": 0.0, "b": 2.0},
+        "alpha": 0.5,
+        "h": 1 / 50,
+        "h_list": [],
+        "out": str(out),
+    })
+    assert main(["verify1d", "--config", str(cfg)]) == 2
+    assert "non-empty list 'h_list'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_mask_file_roundtrip(tmp_path):
     base = {
         "domain": {"shape": "disk", "center": [0.0, 0.0], "radius": 0.5},
@@ -519,6 +534,33 @@ def test_tables_larger_than_memory_exit_2_before_allocating(tmp_path):
                           preexec_fn=cap)
     assert proc.returncode == 2, proc.stderr
     assert "kernel tables for 100000 orbits of 199999 inside nodes need 74.5 GiB" in proc.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["eig", "sweep"])
+def test_overflowing_kernel_exits_2(tmp_path, capsys, command):
+    """(0, 2) at h = 1/200, alpha = 1/2, p = 512: h^(-alpha p) exceeds double range."""
+    out = tmp_path / "run"
+    cfg = _eig_config(tmp_path, out, domain={"shape": "interval", "a": 0.0, "b": 2.0},
+                      alpha=0.5, h=1 / 200, p=512.0, ps=[512.0])
+    assert main([command, "--config", str(cfg)]) == 2
+    assert "p = 512.0, alpha = 0.5, h = 0.005" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("solver", [
+    '{"max_iters": 1.5}',
+    '{"max_iters": 1e400}',  # read as inf
+    '{"max_iters": true}',
+    '{"seed": 1.5, "init_mode": "random"}',
+], ids=["fraction", "overflow", "bool", "seed"])
+def test_non_integer_solver_option_exits_2(tmp_path, capsys, solver):
+    out = tmp_path / "run"
+    cfg = _eig_config(tmp_path, out)
+    text = cfg.read_text(encoding="utf-8")
+    cfg.write_text(f'{text[:-1]}, "solver": {solver}}}', encoding="utf-8")
+    assert main(["eig", "--config", str(cfg)]) == 2
+    assert "bad solver options" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -6,7 +6,6 @@ import pytest
 from fracteig import geometry
 from fracteig.energy import (
     FracParams,
-    OrbitTables,
     QuotientTables,
     _cross_weights,
     apply_Lp,
@@ -136,15 +135,28 @@ def annulus_mask(h):
     return build_mask2d((c - 1.0, c + 1.0), h, inside, margin=1.0)
 
 
-@pytest.mark.parametrize("dom", [
-    build_interval(0.0, 1.0, 1 / 16),
-    build_disk((0.0, 0.0), 1.0, 0.25, margin=1.0),
-], ids=["interval", "disk"])
-def test_kernel_tables_equal_broadcast_reference(dom):
-    """holder equals the explicit broadcast expression bitwise; the cross weights,
+_TRIANGLE = build_mask2d(((0.0, 0.0), (1.0, 1.0)), 1 / 8,  # no lattice reflection
+                         lambda pts: pts[:, 0] + 2.0 * pts[:, 1] < 1.6, margin=1.0)
+
+
+@pytest.mark.filterwarnings("error")  # no 0/0 at a one-node orbit's own column
+@pytest.mark.parametrize("dom, p", [
+    (build_interval(0.0, 1.0, 1 / 16), 4.0),
+    (build_disk((0.0, 0.0), 1.0, 0.25, margin=1.0), 4.0),
+    (build_interval(0.0, 1.0, 1 / 16), 64.0),
+    (build_disk((0.0, 0.0), 1.0, 0.25, margin=1.0), 64.0),
+    (_TRIANGLE, 4.0),
+    (_TRIANGLE, 64.0),
+], ids=["interval", "disk", "interval-p64", "disk-p64", "triangle", "triangle-p64"])
+def test_kernel_tables_equal_broadcast_reference(dom, p):
+    """With one node per orbit the fold changes no bit: holder equals the
+    explicit broadcast expression bitwise at every p, sizes are ones and the
+    orbit sums of the coefficients are the coefficients; the cross weights,
     summed over outside runs, equal the direct pair sum to 1e-13 relative."""
-    prm = FracParams(0.75, 4.0)
+    prm = FracParams(0.75, p)
     tables = QuotientTables(dom, prm)
+    assert tables.orbits == dom.inside_count
+    np.testing.assert_array_equal(tables.sizes, 1.0)
     xin = dom.inside_coords
     d2 = ((xin[:, None, :] - xin[None, :, :]) ** 2).sum(-1)
     np.fill_diagonal(d2, np.inf)
@@ -153,6 +165,24 @@ def test_kernel_tables_equal_broadcast_reference(dom):
     np.testing.assert_array_equal(tables.holder, holder)
     want = 2.0 * dom.h ** (2 * dom.dim) * direct_cross_weights(dom, prm.ap)
     np.testing.assert_allclose(tables.cross_coef, want, rtol=1e-13, atol=0.0)
+    np.testing.assert_array_equal(tables.cross_coef,
+                                  2.0 * dom.h ** (2 * dom.dim) * _cross_weights(dom, prm.ap))
+    v = np.random.default_rng(2).normal(size=dom.inside_count)
+    np.testing.assert_array_equal(tables.fold(v), v)
+    np.testing.assert_array_equal(tables.expand(v), v)
+
+
+def test_overflowing_kernel_is_a_value_error():
+    """(0, 2) at h = 1/200, alpha = 1/2, p = 512: the nearest-pair kernel
+    h^(-alpha p) = 200^256 exceeds double range, and the build says so
+    instead of raising OverflowError from deep inside."""
+    dom = build_interval(0.0, 2.0, 1 / 200)
+    prm = FracParams(0.5, 512.0)
+    with pytest.raises(ValueError, match=r"overflow .* p = 512.0, alpha = 0.5, h = 0.005"):
+        QuotientTables(dom, prm)
+    with pytest.raises(ValueError, match="overflow"):
+        rayleigh_quotient(distance_to_complement(dom), prm)
+    QuotientTables(dom, FracParams(0.5, 256.0))  # 200^128 still fits
 
 
 @pytest.mark.parametrize("ap", [1.2, 2.2, 3.0, 32.0, 48.0])
@@ -530,7 +560,7 @@ def test_surface_measure():
 
 
 def orbit_tables(dom, prm):
-    return OrbitTables(dom, prm, np.minimum.reduce(lattice_symmetries(dom)))
+    return QuotientTables(dom, prm, np.minimum.reduce(lattice_symmetries(dom)))
 
 
 _SYMMETRIC = {

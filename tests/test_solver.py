@@ -5,7 +5,6 @@ from test_geometry import half_square, triangle_mask
 
 from fracteig.energy import (
     FracParams,
-    OrbitTables,
     QuotientTables,
     rayleigh_gradient,
     rayleigh_quotient,
@@ -118,13 +117,17 @@ def test_random_seeds_agree_after_normalization():
 
 
 def test_descent_history_is_monotone():
+    """The descent does not depend on max_iters, so a run cut at k iterations
+    returns the k-th iterate: the quotient never rises along the path, and the
+    last iterate is the unrestricted run's result."""
     dom = build_interval(0.0, 1.0, 1 / 16)
-    res = minimize_first(dom, FracParams(0.7, 3.0),
-                         SolverOptions(keep_history=True))
-    hist = np.asarray(res.history)
-    assert hist.size in (res.iters, res.iters + 1)
-    assert np.all(np.diff(hist) <= 1e-12 * np.maximum(1.0, np.abs(hist[:-1])))
-    assert hist[-1] == pytest.approx(res.lam)
+    prm = FracParams(0.7, 3.0)
+    res = minimize_first(dom, prm)
+    assert res.converged and res.iters > 1
+    hist = np.array([minimize_first(dom, prm, SolverOptions(max_iters=k)).lam
+                     for k in range(1, res.iters + 1)])
+    assert np.all(np.diff(hist) <= 0.0)
+    assert hist[-1] == res.lam
 
 
 def test_result_normalization():
@@ -175,6 +178,12 @@ def test_sweep1d_p32_step_matches_the_reference():
     ({"backtrack_factor": 1.0}, "backtrack_factor must lie in"),
     ({"init_mode": "warmglow"}, "unknown init_mode"),
     ({"init_mode": "custom"}, "custom init requires init_values"),
+    ({"max_iters": 1.5}, "max_iters must be an integer"),
+    ({"max_iters": 2.0}, "max_iters must be an integer"),
+    ({"max_iters": np.inf}, "max_iters must be an integer"),
+    ({"max_iters": True}, "max_iters must be an integer"),
+    ({"seed": 1.5, "init_mode": "random"}, "seed must be an integer"),
+    ({"seed": False}, "seed must be an integer"),
 ])
 def test_options_validation(kwargs, msg):
     with pytest.raises(ValueError, match=msg):
@@ -318,7 +327,7 @@ def test_random_start_draws_one_value_per_orbit():
     res = minimize_first(dom, prm, SolverOptions(init_mode="random", seed=5, tol_grad=1e30))
     assert (res.iters, res.orbits) == (0, 31)
     draw = np.random.default_rng(5).standard_normal(31)
-    start = OrbitTables(dom, prm, np.minimum.reduce(lattice_symmetries(dom))).expand(draw)
+    start = QuotientTables(dom, prm, np.minimum.reduce(lattice_symmetries(dom))).expand(draw)
     u = res.u.inside_values()
     np.testing.assert_allclose(u / u[0], start / start[0], rtol=1e-14, atol=0.0)
 
