@@ -28,7 +28,6 @@ from .closedform1d import first_1d, sample, second_1d, third_1d
 from .energy import FracParams
 from .geometry import (
     GridDomain,
-    GridFunction,
     build_disk,
     build_interval,
     build_rectangle,
@@ -315,14 +314,13 @@ def cmd_eig(cfg: RunConfig) -> RunReport:
     dom = build_domain(cfg)
     try:
         prm = FracParams(cfg.alpha, cfg.p)
-        prm.validate_for_dim(dom.dim)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     opts = _solver_options(cfg)
 
     try:
         res = minimize_first(dom, prm, opts)
-    except ValueError as exc:  # kernel tables too large for this machine, or overflowing
+    except ValueError as exc:  # exponents out of window, tables too large, or overflowing
         raise ConfigError(str(exc)) from exc
     out = _prepare_out(cfg)
     outputs = {"mask": _write_mask(dom, out)}
@@ -356,8 +354,6 @@ def cmd_sweep(cfg: RunConfig) -> RunReport:
         raise ConfigError("sweep requires a non-empty ascending list 'ps'")
     dom = build_domain(cfg)
     try:
-        for p in cfg.ps:
-            FracParams(cfg.alpha, p).validate_for_dim(dom.dim)
         result = p_sweep(dom, cfg.alpha, cfg.ps, _solver_options(cfg))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc

@@ -18,7 +18,6 @@ mirrored argument 2 - x is exactly representable (dyadic grids).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 

@@ -30,10 +30,11 @@ quotient, gradient and breakdown.  It runs over blocks of rows of the pair
 matrix, with each block's largest term factored out, and combines the block
 sums in log space; a (3, B, k) workspace is all it writes, so the k x k
 `holder` is the only array that grows with k squared.  The tables are folded
-over the k orbits of a group of lattice reflections, for vectors that are
-constant on each orbit: the solver folds over the lattice's symmetries, and
-with no group every orbit is one inside node (k = m), for which the fold is
-bit for bit the plain kernel.
+over the k orbits of a group G of lattice reflections, for vectors that are
+constant on each orbit, the pair kernel as one sum over G: the solver passes
+the lattice's symmetries, and the trivial group, the default, makes every
+orbit one inside node (k = m), for which the fold is bit for bit the plain
+kernel.
 """
 
 from __future__ import annotations
@@ -174,121 +175,86 @@ class QuotientTables:
     of `holder` both run in blocks of rows, so the k x k `holder` is the only
     table of that size.
 
-    `smallest[i]` is the smallest inside index in the orbit of inside node i
-    under a group of lattice reflections that maps the box and the mask onto
-    themselves (`lattice_symmetries`); None makes every inside node its own
-    orbit.  Such a group keeps every pair distance, cross weight and tail
-    coefficient up to rounding, so a vector that is constant on each orbit I
-    has the quotient of the k orbit values v_I with
+    `group` is a group G of lattice reflections that map the box and the mask
+    onto themselves, as `lattice_symmetries` returns it: one permutation of
+    the inside nodes per element, identity first.  None is the trivial group.
+    Its orbits are numbered by their smallest inside index, which represents
+    them as rep(I).  Such a group keeps every pair distance, cross weight and
+    tail coefficient up to rounding, so a vector that is constant on each
+    orbit I has the quotient of the k orbit values v_I with
 
-        W_IJ = |I| sum_{j in J} K_{rep(I), j},   c_I = sum_{i in I} c_i,
+        W_IJ = |I| |J| / |G| sum_{g in G} K_{rep(I), g rep(J)},   c_I = sum_{i in I} c_i,
 
     and the denominator h^n sum_I |I| |v_I|^p, where K_ij = |x_i - x_j|^(-alpha p)
-    is the pair kernel and rep(I) the smallest inside index of I.  W is
-    symmetric (both orders count the pairs between I and J).  `holder` holds
-    W**(1/p) with a zero diagonal; every method takes orbit values, and
-    `gradient` returns the orbit sums of the full gradient of the expanded
-    vector.  With one node per orbit, every step of the fold is exact, so the
-    tables are bit for bit the plain kernel |x_i - x_j|^(-alpha) and the
-    methods take the inside values.
+    is the pair kernel: g rep(J) runs over the members of J, each |G| / |J|
+    times.  W is symmetric (both orders count the pairs between I and J).
+    `holder` holds W**(1/p) with a zero diagonal; every method takes orbit
+    values, and `gradient` returns the orbit sums of the full gradient of the
+    expanded vector.  With the trivial group, every step of the fold is
+    exact, so the tables are bit for bit the plain kernel |x_i - x_j|^(-alpha)
+    and the methods take the inside values.
     """
 
-    def __init__(self, dom: GridDomain, prm: FracParams,
-                 smallest: np.ndarray | None = None):
-        prm.validate_for_dim(dom.dim)
+    def __init__(self, dom: GridDomain, prm: FracParams, group: list | None = None):
         self.dom = dom
         self.prm = prm
-        if smallest is None:
-            smallest = np.arange(dom.inside_count)
-        self.reps, self.labels, sizes = np.unique(smallest, return_inverse=True,
+        if group is None:
+            group = [np.arange(dom.inside_count)]
+        images = np.stack(group, axis=1)  # images[i, g]: the image of inside node i under g
+        self.reps, self.labels, sizes = np.unique(images.min(axis=1), return_inverse=True,
                                                   return_counts=True)
         self.sizes = sizes.astype(float)  # nodes per orbit: each value's weight in the denominator
-        self._set_coefficients()
-        self._build_holder()
+        (self.cross_coef, self.tail_lower_coef, self.tail_upper_coef,
+         self.ct_coef) = _coefficients(dom, prm, self.labels, self.orbits)
+        n, h = dom.dim, dom.h
+        self.hn = h ** n
+        self.h2n = h ** (2 * n)
+        self.log_hn = n * math.log(h)
+        self.log_h2n = 2 * n * math.log(h)
+        self._build_holder(images[self.reps])
         self._work = None  # the pair pass's (3, block, k) workspace, made on first use
 
-    def _build_holder(self) -> None:
-        """holder_IJ = g_IJ (|I| sum_{j in J} (holder_{rep(I), j} / g_IJ)**p)**(1/p),
-        with holder_ij = |x_i - x_j|^(-alpha) the plain kernel and g_IJ its
-        largest value over j in J.
+    def _build_holder(self, members: np.ndarray) -> None:
+        """holder_IJ = g_IJ (|I| |J| / |G| sum_{g in G} (K_{rep(I), g rep(J)} / g_IJ)**p)**(1/p),
+        with K_ij = |x_i - x_j|^(-alpha) the plain kernel, g_IJ its largest
+        value over the members of J, and members[J, g] the inside index of
+        g rep(J).
 
-        The fold runs in blocks of representative rows against all m inside
-        nodes, as a (rows, k, largest orbit size) block whose last axis holds
-        the members of each orbit, so each (row, orbit) group reduces along
-        it; no m x m array is built.  Smaller orbits are padded with a point at
-        infinity, whose kernel value 0 changes neither the maximum nor the sum.
-        A one-node orbit J gives g_IJ (1 * 1**p)**(1/p) = g_IJ, the kernel value
-        itself.  The infinite distance of a node to itself makes its own kernel
-        value 0, and its group maximum 0 in a one-node orbit, where 1 stands in
-        for it."""
-        k, m = self.sizes.size, self.labels.size
+        The fold runs in blocks of representative rows against the k |G|
+        members, as a (rows, |G|, k) block, so each (row, orbit) group
+        reduces over axis 1; no m x m array is built.  Distinct lattice nodes
+        are never at distance 0, so a zero distance is a node's own entry: the
+        infinite distance put there makes its kernel value 0, and the group
+        maximum of a one-node orbit against itself 0, where 1 stands in for
+        it.  |I| |J| / |G| is a power of two, so the weight rounds nothing,
+        and with the trivial group each group sum is one term,
+        g_IJ (1 * 1**p)**(1/p) = g_IJ, the kernel value itself."""
+        k, order = members.shape
         self._block = min(block_rows(k), k)
-        _check_memory(k, self._block, f"{k} orbits of {m} inside nodes")
-        # members[J] lists the inside nodes of orbit J in ascending order, so
-        # its representative first, padded with index m, the point at infinity
-        order = np.argsort(self.labels, kind="stable")
-        orbit = self.labels[order]
-        members = np.full((k, int(self.sizes.max())), m)
-        members[orbit, np.arange(m) - np.searchsorted(orbit, orbit)] = order
+        _check_memory(k, self._block, f"{k} orbits of {self.labels.size} inside nodes")
         xin = self.dom.inside_coords
-        cols = np.vstack([xin, np.full(xin.shape[1], np.inf)])[members.ravel()]
+        cols = xin[members.T.ravel()]  # group-major: column g k + J is g rep(J)
         p = self.prm.p
+        share = self.sizes / order  # |J| / |G|: each member of J is counted |G| / |J| times
         self.holder = np.empty((k, k))
         rows = min(block_rows(members.size), k)
         for start in range(0, k, rows):
             n = min(rows, k - start)
-            g = distances(xin[self.reps[start:start + n]], cols).reshape(n, *members.shape)
-            g[np.arange(n), np.arange(start, start + n), 0] = np.inf
+            g = distances(xin[self.reps[start:start + n]], cols).reshape(n, order, k)
+            g[g == 0.0] = np.inf
             g **= -self.prm.alpha
-            gmax = g.max(axis=2)
+            gmax = g.max(axis=1)
             gmax[gmax == 0.0] = 1.0
-            g /= gmax[:, :, None]
+            g /= gmax[:, None, :]
             g **= p
-            w = g.sum(axis=2, out=self.holder[start:start + n])
-            w *= self.sizes[start:start + n, None]
+            w = g.sum(axis=1, out=self.holder[start:start + n])
+            w *= self.sizes[start:start + n, None] * share
             w **= 1.0 / p
             w *= gmax
         np.fill_diagonal(self.holder, 0.0)
         # W is symmetric up to rounding; `value_and_grad` needs it exactly symmetric
         for i in range(1, k):
             self.holder[i, :i] = self.holder[:i, i]
-
-    def _set_coefficients(self) -> None:
-        """Per-orbit cross and tail coefficients, and the powers of h.
-
-        Raises ValueError when a coefficient is not finite: the kernel
-        h^(-alpha p) of the nearest pairs overflows double range."""
-        dom, prm = self.dom, self.prm
-        n, h = dom.dim, dom.h
-        ap = prm.ap
-        with np.errstate(over="ignore", invalid="ignore"):
-            w_out = _cross_weights(dom, ap)
-            tail_lower, tail_upper = _tail_bracket(dom, ap, dom.inside_coords)
-        hn = h ** n
-        h2n = h ** (2 * n)
-        k = self.sizes.size
-
-        def orbit_sums(c):
-            return np.bincount(self.labels, weights=c, minlength=k)
-
-        # coefficients multiplying |u_i|^p in each energy piece
-        cross = 2.0 * h2n * w_out
-        lower = 2.0 * hn * tail_lower
-        upper = 2.0 * hn * tail_upper
-        self.cross_coef = orbit_sums(cross)
-        self.tail_lower_coef = orbit_sums(lower)
-        self.tail_upper_coef = orbit_sums(upper)
-        # cross + tail midpoint combined (quotient numerator and gradient)
-        self.ct_coef = orbit_sums(cross + 0.5 * (lower + upper))
-        if not all(np.isfinite(c).all() for c in (self.cross_coef, self.tail_lower_coef,
-                                                   self.tail_upper_coef, self.ct_coef)):
-            raise ValueError(f"kernel coefficients overflow double range at p = {prm.p}, "
-                             f"alpha = {prm.alpha}, h = {h}: the nearest-pair kernel "
-                             f"h^(-alpha p) = h^-{ap} is too large")
-        self.hn = hn
-        self.h2n = h2n
-        self.log_hn = n * math.log(h)
-        self.log_h2n = 2 * n * math.log(h)
 
     @property
     def orbits(self) -> int:
@@ -443,6 +409,32 @@ def _physical_memory():
         return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     except (AttributeError, ValueError, OSError):
         return None
+
+
+def _coefficients(dom: GridDomain, prm: FracParams, labels: np.ndarray, k: int):
+    """Per-orbit coefficients of |v_I|^p: cross, tail lower and upper bound, and
+    cross plus tail midpoint, each summed over the nodes of an orbit, where
+    labels[i] numbers the orbit of inside node i among k.
+
+    Raises ValueError unless n < alpha p < n + p, and when a coefficient is
+    not finite: the kernel h^(-alpha p) of the nearest pairs overflows double
+    range.  With labels 0 .. m - 1 the sums are the per-node coefficients."""
+    prm.validate_for_dim(dom.dim)
+    n, h, ap = dom.dim, dom.h, prm.ap
+    with np.errstate(over="ignore", invalid="ignore"):
+        w_out = _cross_weights(dom, ap)
+        tail_lower, tail_upper = _tail_bracket(dom, ap, dom.inside_coords)
+    # coefficients multiplying |u_i|^p in each energy piece
+    cross = 2.0 * h ** (2 * n) * w_out
+    lower = 2.0 * h ** n * tail_lower
+    upper = 2.0 * h ** n * tail_upper
+    coefs = [np.bincount(labels, weights=c, minlength=k)
+             for c in (cross, lower, upper, cross + 0.5 * (lower + upper))]
+    if not all(np.isfinite(c).all() for c in coefs):
+        raise ValueError(f"kernel coefficients overflow double range at p = {prm.p}, "
+                         f"alpha = {prm.alpha}, h = {h}: the nearest-pair kernel "
+                         f"h^(-alpha p) = h^-{ap} is too large")
+    return coefs
 
 
 def _cross_weights(dom: GridDomain, ap: float) -> np.ndarray:

@@ -29,7 +29,6 @@ inside nodes and reads the seminorm that sizes the dead band off that scan.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 

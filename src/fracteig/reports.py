@@ -16,7 +16,6 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .geometry import GridDomain, GridFunction
-from .infinity import InfinityReport
 
 __all__ = [
     "fmt17",

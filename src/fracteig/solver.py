@@ -13,10 +13,11 @@ reflections that map the mask onto itself (`lattice_symmetries`).  The first
 eigenvalue is simple and its eigenfunction unique up to scale, and each such
 reflection keeps the quotient, so the minimizer is invariant and nothing is
 lost by minimizing over invariant vectors: `QuotientTables` folded over
-the orbits evaluates the quotient of the k orbit values, in variables
+that group evaluates the quotient of the k orbit values, in variables
 sqrt(|I|) v_I whose inner products are those of the expanded vectors, and
-the result is expanded to every inside node.  With no such reflection every
-orbit is one node, and the folded tables are bit for bit the plain kernel.
+the result is expanded to every inside node.  With no such reflection the
+group is trivial, every orbit is one node, and the folded tables are bit for
+bit the plain kernel.
 
 `p2_oracle` solves the p = 2 case by an entirely different route — assembling
 the quadratic form's symmetric matrix and handing it to a dense symmetric
@@ -32,7 +33,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .energy import FracParams, QuotientTables
+from .energy import FracParams, QuotientTables, _coefficients
 from .geometry import (
     GridDomain,
     GridFunction,
@@ -190,7 +191,7 @@ def minimize_first(dom: GridDomain, prm: FracParams,
     max_iters (reported as converged=False; never an exception).
     """
     opts = opts or SolverOptions()
-    tables = QuotientTables(dom, prm, np.minimum.reduce(lattice_symmetries(dom)))
+    tables = QuotientTables(dom, prm, lattice_symmetries(dom))
     # the iterates are z_I = sqrt(|I|) v_I over the orbit values v_I: inner
     # products and norms of z are those of the expanded vectors, so the
     # directions, steps and gradient norm are the full problem's, restricted
@@ -346,13 +347,20 @@ def p_sweep(dom: GridDomain, alpha: float, ps: Sequence[float],
             opts: Optional[SolverOptions] = None) -> PSweepResult:
     """Solve the first eigenpair along an ascending list of p, warm-starting
     each solve from the previous minimizer, and report lam, lam^(1/p) and the
-    limit target 1/R^alpha."""
+    limit target 1/R^alpha.
+
+    The exponent window and the finiteness of every node's kernel
+    coefficients are checked for each p before the first solve, so a p that
+    fails them raises ValueError before any p is solved."""
     ps = [float(p) for p in ps]
     if not ps:
         raise ValueError("empty p list")
     if any(b <= a for a, b in zip(ps, ps[1:])):
         raise ValueError(f"p list must be strictly ascending, got {ps}")
     opts = opts or SolverOptions()
+    labels = np.arange(dom.inside_count)  # one orbit per node: the per-node coefficients
+    for p in ps:
+        _coefficients(dom, FracParams(alpha, p), labels, labels.size)
 
     radius = inscribed_radius(distance_to_complement(dom))
     target = radius ** (-alpha)

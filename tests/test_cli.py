@@ -18,7 +18,7 @@ import pytest
 from test_geometry import triangle_mask
 
 import fracteig
-from fracteig import __version__
+from fracteig import __version__, cli, solver
 from fracteig.cli import main
 from fracteig.geometry import build_rectangle, distance_to_complement, high_ridge
 from fracteig.reports import canonical_json, config_digest, fmt17, mask_rows, write_csv
@@ -537,15 +537,30 @@ def test_tables_larger_than_memory_exit_2_before_allocating(tmp_path):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["eig", "sweep"])
-def test_overflowing_kernel_exits_2(tmp_path, capsys, command):
-    """(0, 2) at h = 1/200, alpha = 1/2, p = 512: h^(-alpha p) exceeds double range."""
+@pytest.mark.parametrize("command, ps", [
+    ("eig", [512.0]),
+    ("sweep", [512.0]),
+    ("sweep", [8.0, 512.0]),
+], ids=["eig", "sweep", "sweep-later-p"])
+def test_overflowing_kernel_exits_2(tmp_path, capsys, monkeypatch, command, ps):
+    """(0, 2) at h = 1/200, alpha = 1/2, p = 512: h^(-alpha p) exceeds double range.
+    A sweep finds it before its first solve, also when p = 512 comes after p = 8."""
+    calls = []
+    real = solver.minimize_first
+
+    def counted(dom, prm, opts=None):
+        calls.append(prm.p)
+        return real(dom, prm, opts)
+
+    monkeypatch.setattr(solver, "minimize_first", counted)
+    monkeypatch.setattr(cli, "minimize_first", counted)
     out = tmp_path / "run"
     cfg = _eig_config(tmp_path, out, domain={"shape": "interval", "a": 0.0, "b": 2.0},
-                      alpha=0.5, h=1 / 200, p=512.0, ps=[512.0])
+                      alpha=0.5, h=1 / 200, p=512.0, ps=ps)
     assert main([command, "--config", str(cfg)]) == 2
     assert "p = 512.0, alpha = 0.5, h = 0.005" in capsys.readouterr().err
     assert not out.exists()
+    assert calls == ([512.0] if command == "eig" else [])  # eig's one solve is what raises
 
 
 @pytest.mark.parametrize("solver", [

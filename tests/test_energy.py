@@ -560,7 +560,7 @@ def test_surface_measure():
 
 
 def orbit_tables(dom, prm):
-    return QuotientTables(dom, prm, np.minimum.reduce(lattice_symmetries(dom)))
+    return QuotientTables(dom, prm, lattice_symmetries(dom))
 
 
 _SYMMETRIC = {
@@ -619,15 +619,22 @@ def test_orbit_tables_equal_the_full_tables_on_invariant_vectors(shape, p, signe
     assert tables.breakdown(v).total / tables.norm(v) ** p == pytest.approx(q, rel=1e-13)
 
 
-def test_orbit_tables_fold_the_full_kernel():
+@pytest.mark.filterwarnings("error")  # a node's own zero distance must never reach **-alpha
+@pytest.mark.parametrize("p", [4.0, 64.0])
+@pytest.mark.parametrize("shape, k, m", [
+    ("interval", 16, 31),  # 2 reflections; the midpoint is fixed by both
+    ("disk", 31, 193),  # 8 reflections; orbits of 1, 4 and 8 nodes
+    ("rectangle", 8, 21),  # 4 reflections; orbits of 1, 2 and 4 nodes
+    ("annulus", 24, 164),  # 8 reflections; orbits of 4 and 8 nodes
+])
+def test_orbit_tables_fold_the_full_kernel(shape, k, m, p):
     """holder**p is the folded kernel sum over orbit pairs, exactly symmetric
     with a zero diagonal, and no table grows with m squared; the coefficients
     are orbit sums."""
-    dom = build_disk((0.0, 0.0), 1.0, 1 / 16)
-    prm = FracParams(0.75, 4.0)
+    dom = _SYMMETRIC[shape]()
+    prm = FracParams(0.75, p)
     tables, full = orbit_tables(dom, prm), QuotientTables(dom, prm)
-    k, m = tables.orbits, dom.inside_count
-    assert (k, m) == (113, 793)
+    assert (tables.orbits, dom.inside_count) == (k, m)
     np.testing.assert_array_equal(tables.holder, tables.holder.T)
     assert not np.diag(tables.holder).any()
     assert max(a.size for a in vars(tables).values() if isinstance(a, np.ndarray)) == k * k
