@@ -45,11 +45,12 @@ from .infinity import (
 )
 from .reports import (
     config_digest,
+    coord_header,
     function_rows,
     infinity_header,
-    mask_rows,
     write_csv,
     write_json,
+    write_mask,
 )
 from .solver import SolverOptions, minimize_first, p2_oracle, p_sweep
 
@@ -276,13 +277,9 @@ def _prepare_out(cfg: RunConfig) -> Path:
     return out
 
 
-def _coord_header(dom: GridDomain) -> list:
-    return ["x"] if dom.dim == 1 else ["x", "y"]
-
-
 def _write_mask(dom: GridDomain, out: Path) -> str:
     path = out / "domain_mask.csv"
-    write_csv(path, [*_coord_header(dom), "inside"], mask_rows(dom))
+    write_mask(path, dom)
     return path.name
 
 
@@ -325,7 +322,7 @@ def cmd_eig(cfg: RunConfig) -> RunReport:
     out = _prepare_out(cfg)
     outputs = {"mask": _write_mask(dom, out)}
     path = out / "eigenfunction.csv"
-    write_csv(path, [*_coord_header(dom), "u"], function_rows(res.u))
+    write_csv(path, [*coord_header(dom), "u"], function_rows(res.u))
     outputs["eigenfunction"] = path.name
 
     summary = {
@@ -405,7 +402,7 @@ def cmd_infinity(cfg: RunConfig) -> RunReport:
 
     outputs = {"mask": _write_mask(dom, out)}
     path = out / "representation.csv"
-    write_csv(path, [*_coord_header(dom), "u"], function_rows(u))
+    write_csv(path, [*coord_header(dom), "u"], function_rows(u))
     outputs["representation"] = path.name
     path = out / "infinity_report.csv"
     write_csv(path, infinity_header(dom), report.rows())

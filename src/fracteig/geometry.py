@@ -522,14 +522,16 @@ def _dilate(mask: np.ndarray) -> np.ndarray:
     return out
 
 
-def squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def squared_distances(a: np.ndarray, b: np.ndarray,
+                      out: Optional[np.ndarray] = None) -> np.ndarray:
     """(len(a), len(b)) squared Euclidean distances between two point arrays.
 
     Summed axis by axis, (a0-b0)**2 + (a1-b1)**2, as scipy's cdist does, so
-    the values agree with it bitwise.
+    the values agree with it bitwise.  The result is written into out when
+    given.
     """
     bt = np.ascontiguousarray(b.T)  # contiguous per-axis rows keep the loops vectorized
-    d2 = np.subtract.outer(a[:, 0], bt[0])
+    d2 = np.subtract.outer(a[:, 0], bt[0], out=out)
     d2 *= d2
     for k in range(1, a.shape[1]):
         t = np.subtract.outer(a[:, k], bt[k])

@@ -46,6 +46,7 @@ from .geometry import (
     distances,
     high_ridge,
     inscribed_radius,
+    squared_distances,
 )
 
 __all__ = [
@@ -73,7 +74,13 @@ BRANCH_ZERO = "zero"       # node classified as u = 0 (dead band)
 def _extreme_quotients(u: GridFunction, alpha: float,
                        base: np.ndarray) -> Tuple[np.ndarray, ...]:
     """Max/min Hoelder quotients (and witnesses) for each base node: over R^n
-    for a zero-extended u, over the box otherwise (see the module docstring)."""
+    for a zero-extended u, over the box otherwise (see the module docstring).
+
+    The base nodes are scanned in row blocks against every candidate.  The
+    distance and quotient blocks are allocated once per call and refilled in
+    place; each extreme is its argmax or argmin, and the value is read back
+    at that column, so a value and its witness always come from one entry.
+    """
     dom = u.domain
     if u.zero_extended:
         cand = np.flatnonzero(_dilate(dom.inside))
@@ -94,22 +101,30 @@ def _extreme_quotients(u: GridFunction, alpha: float,
     l_minus = np.empty(n)
     w_minus = np.empty(n, dtype=np.int64)
 
-    rows = block_rows(cand.size)
+    rows = min(block_rows(cand.size), n)
+    dist = np.empty((rows, cand.size))
+    quot = np.empty_like(dist)
+    at = np.arange(rows)
     for k0 in range(0, n, rows):
         sl = slice(k0, min(k0 + rows, n))
+        r = sl.stop - k0
+        d, q, i = dist[:r], quot[:r], at[:r]
         self_row = np.flatnonzero(is_cand[sl])
         self_col = col[sl][self_row]
-        d = distances(bc[sl], coords)
+        squared_distances(bc[sl], coords, out=d)
+        np.sqrt(d, out=d)
         d[self_row, self_col] = np.inf
         d **= alpha  # ** rather than np.power: alpha = 0.5 takes numpy's sqrt path
-        quot = vals[None, :] - bv[sl, None]
-        quot /= d
-        quot[self_row, self_col] = -np.inf
-        l_plus[sl] = quot.max(axis=1)
-        w_plus[sl] = cand[quot.argmax(axis=1)]
-        quot[self_row, self_col] = np.inf
-        l_minus[sl] = quot.min(axis=1)
-        w_minus[sl] = cand[quot.argmin(axis=1)]
+        np.subtract(vals[None, :], bv[sl, None], out=q)
+        q /= d
+        q[self_row, self_col] = -np.inf
+        best = q.argmax(axis=1)
+        l_plus[sl] = q[i, best]
+        w_plus[sl] = cand[best]
+        q[self_row, self_col] = np.inf
+        best = q.argmin(axis=1)
+        l_minus[sl] = q[i, best]
+        w_minus[sl] = cand[best]
 
     if u.zero_extended:
         up = 0.0 > l_plus
@@ -379,21 +394,32 @@ def r2_radius(dom: GridDomain) -> float:
     Canonical intervals get the exact value (b - a) / 4; other domains get a
     grid search over inside-node pairs maximizing
     min(delta(x), delta(y), |x - y| / 2).
+
+    The search visits the inside nodes in descending delta (a stable sort)
+    and scans each row block against every node at or before it.  A pair's
+    value is at most the delta of its later node, so the search stops at the
+    first block whose largest delta does not exceed the best value so far.
+    A maximum does not depend on the order of its terms, so the result is the
+    maximum over all pairs, bit for bit.
     """
     tag = dom.shape_tag
     if isinstance(tag, Interval):
         return (tag.b - tag.a) / 4.0
     delta = distance_to_complement(dom).flat()[dom.inside_indices]
-    pts = dom.inside_coords
+    order = np.argsort(-delta, kind="stable")
+    delta = delta[order]
+    pts = dom.inside_coords[order]
     best = 0.0
-    # cap is symmetric (bitwise), so a block needs only the columns from its own
-    # first row on: the pairs before them were rows of an earlier block
+    # cap is symmetric (bitwise), so a block needs only the columns up to its
+    # last row: the pairs after them are rows of a later block
     rows = block_rows(pts.shape[0])
     for k0 in range(0, pts.shape[0], rows):
-        blk = slice(k0, k0 + rows)
-        cap = distances(pts[blk], pts[k0:])
+        if delta[k0] <= best:
+            break
+        k1 = k0 + rows
+        cap = distances(pts[k0:k1], pts[:k1])
         cap *= 0.5
-        np.minimum(cap, delta[None, k0:], out=cap)
-        np.minimum(cap, delta[blk, None], out=cap)
+        np.minimum(cap, delta[None, :k1], out=cap)
+        np.minimum(cap, delta[k0:k1, None], out=cap)
         best = max(best, float(cap.max()))
     return best

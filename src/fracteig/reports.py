@@ -2,7 +2,9 @@
 
 Floats are written with 17 significant digits (round-trip exact for doubles);
 JSON objects are emitted with sorted keys so identical inputs produce
-byte-identical artifacts.
+byte-identical artifacts.  ``write_csv`` formats rows of values;
+``write_mask`` writes the lattice mask, whose coordinates repeat along every
+axis, from each axis value formatted once, in the bytes ``write_csv`` gives.
 """
 
 from __future__ import annotations
@@ -23,7 +25,8 @@ __all__ = [
     "write_json",
     "canonical_json",
     "config_digest",
-    "mask_rows",
+    "coord_header",
+    "write_mask",
     "function_rows",
     "infinity_header",
 ]
@@ -84,9 +87,29 @@ def config_digest(obj) -> str:
     return hashlib.sha256(packed.encode("utf-8")).hexdigest()
 
 
-def mask_rows(dom: GridDomain):
-    """Full-lattice rows (coordinates..., inside flag)."""
-    return zip(*dom.node_coords.T.tolist(), dom.inside_flat.tolist())
+def coord_header(dom: GridDomain) -> list:
+    """Column names of a node's coordinates."""
+    return ["x"] if dom.dim == 1 else ["x", "y"]
+
+
+def write_mask(path: Path, dom: GridDomain) -> None:
+    """Write the lattice mask: a row (coordinates..., inside flag) per node,
+    in flat C order.
+
+    The bytes are those of ``write_csv`` on the rows of ``dom.node_coords``
+    and ``dom.inside_flat``.  A node's coordinates are its axis values, so
+    each axis value is formatted once: a line is the prefix of its
+    leading-axis value, followed by one of the two line ends (value, flag)
+    formed for each value of the last axis.
+    """
+    *lead, last = (["%.17g" % v for v in ax.tolist()] for ax in dom.axes)
+    ends = np.array([[f"{v},0\n" for v in last], [f"{v},1\n" for v in last]], dtype=object)
+    lines = ends[dom.inside.astype(np.intp), np.arange(len(last))]
+    prefixes = [v + "," for v in lead[0]] if lead else [""]
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join([*coord_header(dom), "inside"]) + "\n")
+        for prefix, row in zip(prefixes, lines.reshape(len(prefixes), -1).tolist()):
+            fh.write(prefix + prefix.join(row))
 
 
 def function_rows(u: GridFunction):
@@ -96,6 +119,5 @@ def function_rows(u: GridFunction):
 
 
 def infinity_header(dom: GridDomain) -> list:
-    coord_cols = ["x"] if dom.dim == 1 else ["x", "y"]
-    return (["node", *coord_cols, "u", "delta", "l_plus", "witness_plus",
+    return (["node", *coord_header(dom), "u", "delta", "l_plus", "witness_plus",
              "l_minus", "witness_minus", "l_minus_analytic", "branch", "residual"])

@@ -20,8 +20,14 @@ from test_geometry import triangle_mask
 import fracteig
 from fracteig import __version__, cli, solver
 from fracteig.cli import main
-from fracteig.geometry import build_rectangle, distance_to_complement, high_ridge
-from fracteig.reports import canonical_json, config_digest, fmt17, mask_rows, write_csv
+from fracteig.geometry import (
+    build_disk,
+    build_interval,
+    build_rectangle,
+    distance_to_complement,
+    high_ridge,
+)
+from fracteig.reports import canonical_json, config_digest, fmt17, write_csv, write_mask
 
 
 def _write_config(tmp_path: Path, payload: dict, name: str = "config.json") -> Path:
@@ -453,7 +459,7 @@ def test_mask_file_roundtrip(tmp_path):
 def test_asymmetric_mask_reports_every_inside_node_as_an_orbit(tmp_path):
     dom = triangle_mask(1 / 8)
     mask = tmp_path / "mask.csv"
-    write_csv(mask, ["x", "y", "inside"], mask_rows(dom))
+    write_mask(mask, dom)
     out = tmp_path / "run"
     cfg = _eig_config(tmp_path, out, domain={"shape": "mask", "path": str(mask)},
                       alpha=0.75, h=1 / 8, p=4.0)
@@ -665,6 +671,24 @@ def test_write_csv_matches_fmt17(tmp_path):
     assert path.read_text().splitlines() == ["a,b,c,d,e,f,g", *want]
     write_csv(path, ["a"], [])
     assert path.read_text() == "a\n"
+
+
+def mask_rows(dom):
+    """Reference rows of a mask file: (coordinates..., inside flag) per node."""
+    return zip(*dom.node_coords.T.tolist(), dom.inside_flat.tolist())
+
+
+@pytest.mark.parametrize("dom", [
+    build_interval(0.0, 2.0, 1 / 100),
+    build_disk((0.3, -0.7), 0.9, 0.1, margin=1.0),
+    build_rectangle((0.0, 0.0), (1.0, 0.5), 1 / 8),
+    triangle_mask(1 / 8),
+], ids=["interval", "offcentre_disk", "rectangle", "triangle"])
+def test_write_mask_equals_write_csv_of_node_rows(tmp_path, dom):
+    header = ["x", "inside"] if dom.dim == 1 else ["x", "y", "inside"]
+    write_csv(tmp_path / "want.csv", header, mask_rows(dom))
+    write_mask(tmp_path / "got.csv", dom)
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
 def test_write_csv_passes_strings_through(tmp_path):

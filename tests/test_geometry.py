@@ -271,6 +271,12 @@ def test_distances_equal_cdist_bitwise(dom):
     np.testing.assert_array_equal(distances(a, b), cdist(a, b))
     np.testing.assert_array_equal(squared_distances(a, b), cdist(a, b, "sqeuclidean"))
     np.testing.assert_array_equal(distances(b[:1], b), cdist(b[:1], b))
+    # into a row slice of a larger workspace, as a blocked scan writes it
+    work = np.full((len(a) + 3, len(b)), np.nan)
+    rows = work[1:-2]
+    assert squared_distances(a, b, out=rows) is rows
+    np.testing.assert_array_equal(rows, cdist(a, b, "sqeuclidean"))
+    assert np.isnan(work[[0, -2, -1]]).all()
 
 
 @_DISTANCE_DOMAINS

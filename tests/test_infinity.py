@@ -34,6 +34,7 @@ from fracteig.infinity import (
     representation,
 )
 from fracteig.closedform1d import first_1d, sample, second_1d, third_1d
+from test_geometry import triangle_mask
 
 
 def rep_on_interval(h=0.25, alpha=0.5):
@@ -448,23 +449,39 @@ def test_r2_radius_values():
     assert r2 <= delta.flat().max() + 1e-15
 
 
-def test_r2_radius_equals_full_pair_scan():
-    dom = build_disk((0.3, -0.7), 0.9, 0.1, margin=1.0)
-    delta = distance_to_complement(dom).flat()[dom.inside_indices]
-    cap = np.minimum(np.minimum(delta[:, None], delta[None, :]),
-                     0.5 * cdist(dom.inside_coords, dom.inside_coords))
-    assert r2_radius(dom) == cap.max()
+def test_r2_radius_equals_full_pair_scan(monkeypatch):
+    """The early-stopping search returns the maximum over all inside pairs,
+    bit for bit, whether it stops in its first block, after several, or
+    (with one-row blocks) after many."""
+    doms = [build_disk((0.3, -0.7), 0.9, 0.1, margin=1.0), triangle_mask(1 / 8),
+            build_rectangle((0.0, 0.0), (1.1, 0.7), 0.1, margin=1.0),
+            build_disk((0.0, 0.0), 1.0, 1 / 16)]
+    budgets = (1, 1000, geometry._BLOCK_ELEMENTS)
+    for dom in doms:
+        delta = distance_to_complement(dom).flat()[dom.inside_indices]
+        cap = np.minimum(np.minimum(delta[:, None], delta[None, :]),
+                         0.5 * cdist(dom.inside_coords, dom.inside_coords))
+        for budget in budgets:
+            monkeypatch.setattr(geometry, "_BLOCK_ELEMENTS", budget)
+            assert r2_radius(dom) == cap.max()
 
 
 def test_blocked_loops_do_not_depend_on_the_block_size(monkeypatch):
     """Every blocked pairwise loop gives the same bits with one-row blocks,
-    with few-row blocks and a ragged last block, and with the default."""
+    with few-row blocks and a ragged last block, and with the default.  The
+    scans cover both candidate sets: the inside nodes and their ring for a
+    zero-extended function, every box node for a cone."""
     dom = build_disk((0.3, -0.7), 0.9, 0.1, margin=1.0)
     ridge = high_ridge(distance_to_complement(dom))
     u = representation(dom, ridge, 0.5)
+    c = cone(dom, int(ridge.indices[0]), 0.5, 0.5)
+    line = build_interval(0.0, 2.0, 1 / 100)
+    v = representation(line, high_ridge(distance_to_complement(line)), 0.5)
 
     def run():
         return (*_extreme_quotients(u, 0.5, dom.inside_indices),
+                *_extreme_quotients(c, 0.5, dom.inside_indices),
+                *_extreme_quotients(v, 0.5, line.inside_indices),
                 r2_radius(dom), distance_to_set(dom, ridge).flat())
 
     want = run()
