@@ -1,13 +1,17 @@
 """Command-line entry points: eig, sweep, infinity, verify1d.
 
 Every run reads a JSON config, computes, and writes artifacts (CSV tables,
-report.json) into an output directory.  Runs are deterministic: identical
-config and package version produce byte-identical CSV files and an identical
-report.json up to the wall_time_s field.
+report.json) into an output directory.  Each `cmd_*` validates and computes
+and writes nothing; `main` writes what it returns, and creates the output
+directory only then, so a run that exits 2 leaves no directory behind.  Runs
+are deterministic: identical config and package version produce
+byte-identical CSV files and an identical report.json up to the wall_time_s
+field.
 
 Exit codes: 0 for completed runs (including honest non-convergence, which is
 reported in-band via converged flags), 2 for configuration or environment
-errors (bad paths, malformed config, invalid exponent ranges, empty p lists).
+errors (bad paths, malformed config, invalid exponent ranges, empty p lists,
+kernel tables or a p = 2 oracle too large for physical memory).
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Optional
 
@@ -170,15 +174,7 @@ class RunReport:
     summary: dict
 
     def to_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "config": self.config,
-            "config_sha256": self.config_sha256,
-            "outputs": self.outputs,
-            "summary": self.summary,
-            "version": self.version,
-            "wall_time_s": self.wall_time_s,
-        }
+        return asdict(self)
 
 
 # ---------------------------------------------------------------------------
@@ -252,8 +248,7 @@ def build_domain(cfg: RunConfig) -> GridDomain:
     raise ConfigError(f"unknown domain shape {kind!r}")
 
 
-_SOLVER_KEYS = ("max_iters", "tol_rel_q", "tol_grad", "step0", "backtrack_factor",
-                "init_mode", "seed")
+_SOLVER_KEYS = tuple(f.name for f in fields(SolverOptions) if f.name != "init_values")
 
 
 def _solver_options(cfg: RunConfig) -> SolverOptions:
@@ -268,44 +263,14 @@ def _solver_options(cfg: RunConfig) -> SolverOptions:
         raise ConfigError(f"bad solver options: {exc}") from exc
 
 
-def _prepare_out(cfg: RunConfig) -> Path:
-    out = cfg.out
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(f"cannot create output directory {out}: {exc}") from exc
-    return out
-
-
-def _write_mask(dom: GridDomain, out: Path) -> str:
-    path = out / "domain_mask.csv"
-    write_mask(path, dom)
-    return path.name
-
-
-def _finish(cfg: RunConfig, outputs: dict, summary: dict, started: float) -> RunReport:
-    out = cfg.out
-    report = RunReport(
-        config=cfg.echo(),
-        config_sha256=config_digest(cfg.echo()),
-        version=__version__,
-        command=cfg.command,
-        wall_time_s=time.perf_counter() - started,
-        outputs=outputs,
-        summary=summary,
-    )
-    write_json(out / "report.json", report.to_dict())
-    print(str(out / "report.json"))
-    return report
-
-
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each validates and computes, writes nothing, and returns
+# (lattice whose mask the run writes or None, [(output key, file name,
+# header, rows)], summary)
 # ---------------------------------------------------------------------------
 
 
-def cmd_eig(cfg: RunConfig) -> RunReport:
-    started = time.perf_counter()
+def cmd_eig(cfg: RunConfig) -> tuple:
     if cfg.p is None:
         raise ConfigError("eig requires a single exponent 'p' in the config")
     dom = build_domain(cfg)
@@ -319,12 +284,6 @@ def cmd_eig(cfg: RunConfig) -> RunReport:
         res = minimize_first(dom, prm, opts)
     except ValueError as exc:  # exponents out of window, tables too large, or overflowing
         raise ConfigError(str(exc)) from exc
-    out = _prepare_out(cfg)
-    outputs = {"mask": _write_mask(dom, out)}
-    path = out / "eigenfunction.csv"
-    write_csv(path, [*coord_header(dom), "u"], function_rows(res.u))
-    outputs["eigenfunction"] = path.name
-
     summary = {
         "alpha": cfg.alpha,
         "p": cfg.p,
@@ -339,14 +298,17 @@ def cmd_eig(cfg: RunConfig) -> RunReport:
         "flags": prm.flags(dom.dim),
     }
     if cfg.p == 2.0:
-        oracle = p2_oracle(dom, cfg.alpha)
+        try:
+            oracle = p2_oracle(dom, cfg.alpha)
+        except ValueError as exc:  # its dense arrays too large
+            raise ConfigError(str(exc)) from exc
         summary["oracle_lambda"] = oracle.lam
         summary["oracle_gap"] = abs(oracle.lam - res.lam)
-    return _finish(cfg, outputs, summary, started)
+    return dom, [("eigenfunction", "eigenfunction.csv", [*coord_header(dom), "u"],
+                  function_rows(res.u))], summary
 
 
-def cmd_sweep(cfg: RunConfig) -> RunReport:
-    started = time.perf_counter()
+def cmd_sweep(cfg: RunConfig) -> tuple:
     if not cfg.ps:
         raise ConfigError("sweep requires a non-empty ascending list 'ps'")
     dom = build_domain(cfg)
@@ -354,15 +316,8 @@ def cmd_sweep(cfg: RunConfig) -> RunReport:
         result = p_sweep(dom, cfg.alpha, cfg.ps, _solver_options(cfg))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    out = _prepare_out(cfg)
 
-    outputs = {"mask": _write_mask(dom, out)}
-    path = out / "sweep.csv"
-    write_csv(path, ["p", "lambda", "root", "target", "converged", "iters"],
-              [(r.p, r.lam, r.root, result.target, r.converged, r.iters)
-               for r in result.rows])
-    outputs["sweep"] = path.name
-
+    rows = [(r.p, r.lam, r.root, result.target, r.converged, r.iters) for r in result.rows]
     gaps = result.gaps()
     summary = {
         "alpha": cfg.alpha,
@@ -375,11 +330,11 @@ def cmd_sweep(cfg: RunConfig) -> RunReport:
         "evals": [r.evals for r in result.rows],
         "orbits": [r.orbits for r in result.rows],
     }
-    return _finish(cfg, outputs, summary, started)
+    return dom, [("sweep", "sweep.csv",
+                  ["p", "lambda", "root", "target", "converged", "iters"], rows)], summary
 
 
-def cmd_infinity(cfg: RunConfig) -> RunReport:
-    started = time.perf_counter()
+def cmd_infinity(cfg: RunConfig) -> tuple:
     dom = build_domain(cfg)
     try:
         lam = lambda_infinity(dom, cfg.alpha)
@@ -398,16 +353,11 @@ def cmd_infinity(cfg: RunConfig) -> RunReport:
     except ValueError as exc:  # gamma1 off the ridge
         raise ConfigError(str(exc)) from exc
     report = first_residual(u, cfg.alpha, lam, delta)
-    out = _prepare_out(cfg)
 
-    outputs = {"mask": _write_mask(dom, out)}
-    path = out / "representation.csv"
-    write_csv(path, [*coord_header(dom), "u"], function_rows(u))
-    outputs["representation"] = path.name
-    path = out / "infinity_report.csv"
-    write_csv(path, infinity_header(dom), report.rows())
-    outputs["report_table"] = path.name
-
+    tables = [
+        ("representation", "representation.csv", [*coord_header(dom), "u"], function_rows(u)),
+        ("report_table", "infinity_report.csv", infinity_header(dom), report.rows()),
+    ]
     summary = {
         "alpha": cfg.alpha,
         "lambda_infinity": lam,
@@ -417,11 +367,10 @@ def cmd_infinity(cfg: RunConfig) -> RunReport:
         "gamma1_nodes": len(gamma1),
         **report.summary(),
     }
-    return _finish(cfg, outputs, summary, started)
+    return dom, tables, summary
 
 
-def cmd_verify1d(cfg: RunConfig) -> RunReport:
-    started = time.perf_counter()
+def cmd_verify1d(cfg: RunConfig) -> tuple:
     alpha = cfg.alpha
     try:
         examples = [first_1d(alpha), second_1d(alpha), third_1d(alpha)]
@@ -436,10 +385,9 @@ def cmd_verify1d(cfg: RunConfig) -> RunReport:
         nodal_dom = build_interval(0.0, 1.0, finest, cfg.margin)
     except ValueError as exc:
         raise ConfigError(f"bad h_list or margin: {exc}") from exc
-    out = _prepare_out(cfg)
 
-    outputs = {}
-    table = []
+    tables = []
+    residuals = []
     for h, dom in zip(hs, doms):
         delta = distance_to_complement(dom)
         for ex in examples:
@@ -448,15 +396,12 @@ def cmd_verify1d(cfg: RunConfig) -> RunReport:
                 rep = first_residual(u, alpha, ex.lam, delta)
             else:
                 rep = higher_residual(u, alpha, ex.lam, delta)
-            table.append((ex.kind, h, rep.sup_norm(), rep.sup_norm(exclude_collar=True)))
+            residuals.append((ex.kind, h, rep.sup_norm(), rep.sup_norm(exclude_collar=True)))
             if h == finest:
-                path = out / f"{ex.kind}_profile.csv"
-                write_csv(path, ["x", "u"], function_rows(u))
-                outputs[f"{ex.kind}_profile"] = path.name
-
-    path = out / "residuals.csv"
-    write_csv(path, ["example", "h", "sup_residual", "sup_residual_interior"], table)
-    outputs["residuals"] = path.name
+                tables.append((f"{ex.kind}_profile", f"{ex.kind}_profile.csv", ["x", "u"],
+                               function_rows(u)))
+    tables.append(("residuals", "residuals.csv",
+                   ["example", "h", "sup_residual", "sup_residual_interior"], residuals))
 
     second, third = examples[1], examples[2]
     lam_nodal = lambda_infinity(nodal_dom, alpha)
@@ -476,7 +421,33 @@ def cmd_verify1d(cfg: RunConfig) -> RunReport:
         "verdicts": verdicts,
         "h_list": hs,
     }
-    return _finish(cfg, outputs, summary, started)
+    return None, tables, summary
+
+
+def _run(cfg: RunConfig) -> RunReport:
+    """Run cfg's subcommand, then write its outputs.  The output directory is
+    made only after the subcommand returns, so no ConfigError leaves one."""
+    started = time.perf_counter()
+    dom, tables, summary = _COMMANDS[cfg.command](cfg)
+    out = cfg.out
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {out}: {exc}") from exc
+    outputs = {}
+    if dom is not None:
+        write_mask(out / "domain_mask.csv", dom)
+        outputs["mask"] = "domain_mask.csv"
+    for key, name, header, rows in tables:
+        write_csv(out / name, header, rows)
+        outputs[key] = name
+    echo = cfg.echo()
+    report = RunReport(config=echo, config_sha256=config_digest(echo), version=__version__,
+                       command=cfg.command, wall_time_s=time.perf_counter() - started,
+                       outputs=outputs, summary=summary)
+    write_json(out / "report.json", report.to_dict())
+    print(out / "report.json")
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -517,8 +488,7 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        cfg = RunConfig.load(args.command, args)
-        _COMMANDS[args.command](cfg)
+        _run(RunConfig.load(args.command, args))
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -24,6 +24,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .geometry import GridDomain, GridFunction, Interval
+from .infinity import _check_alpha
 
 __all__ = ["Example1D", "first_1d", "second_1d", "third_1d", "sample"]
 
@@ -40,11 +41,6 @@ class Example1D:
 
     def __call__(self, x) -> np.ndarray:
         return self.evaluator(np.asarray(x, dtype=float))
-
-
-def _check_alpha(alpha: float) -> None:
-    if not (0.0 < alpha <= 1.0):
-        raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
 
 
 def _support_mask(x: np.ndarray) -> np.ndarray:

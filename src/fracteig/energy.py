@@ -231,7 +231,9 @@ class QuotientTables:
         g_IJ (1 * 1**p)**(1/p) = g_IJ, the kernel value itself."""
         k, order = members.shape
         self._block = min(block_rows(k), k)
-        _check_memory(k, self._block, f"{k} orbits of {self.labels.size} inside nodes")
+        # the k x k `holder` and the pair pass's (3, block, k) workspace
+        _check_memory(8 * k * (k + 3 * self._block),
+                      f"kernel tables for {k} orbits of {self.labels.size} inside nodes")
         xin = self.dom.inside_coords
         cols = xin[members.T.ravel()]  # group-major: column g k + J is g rep(J)
         p = self.prm.p
@@ -394,12 +396,12 @@ class QuotientTables:
         return v / c
 
 
-def _check_memory(count: int, block: int, what: str) -> None:
-    """Raise when a count x count `holder` and the pair pass's (3, block, count)
-    workspace would not fit in physical memory."""
-    need, have = 8 * count * (count + 3 * block), _physical_memory()
+def _check_memory(need: int, what: str) -> None:
+    """Raise when `need` bytes, the arrays `what` names, would not fit in
+    physical memory."""
+    have = _physical_memory()
     if have is not None and need > have:
-        raise ValueError(f"kernel tables for {what} need {need / 2**30:.1f} GiB, "
+        raise ValueError(f"{what} need {need / 2**30:.1f} GiB, "
                          f"more than the {have / 2**30:.1f} GiB of physical memory")
 
 

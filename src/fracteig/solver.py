@@ -33,7 +33,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .energy import FracParams, QuotientTables, _coefficients
+from .energy import FracParams, QuotientTables, _check_memory, _coefficients
 from .geometry import (
     GridDomain,
     GridFunction,
@@ -274,19 +274,19 @@ def minimize_first(dom: GridDomain, prm: FracParams,
 # ---------------------------------------------------------------------------
 
 
+# Peak memory of p2_oracle in m x m double arrays: the matrix, then eigh's
+# copy of it, its eigenvectors and its workspace.  The measured peak RSS rise
+# (1D, alpha = 0.75) was 5.38 arrays at m = 1,599 and 5.15 at m = 3,199.
+_ORACLE_ARRAYS = 5.5
+
+
 def p2_matrix(dom: GridDomain, alpha: float) -> np.ndarray:
     """Symmetric matrix A with E(v) = v^T A v for the p = 2 discrete energy.
 
     Off-diagonal entries are -2 w_xy (w = kernel weight times h^(2n)); the
     diagonal carries the pair row sums plus each node's cross/tail coefficient.
     """
-    prm = FracParams(alpha, 2.0)
-    n = dom.dim
-    if not (n < 2.0 * alpha < n + 2.0):
-        raise ValueError(
-            f"invalid exponents for p=2: alpha*p = {2.0 * alpha} not in ({n}, {n + 2})"
-        )
-    tables = QuotientTables(dom, prm)
+    tables = QuotientTables(dom, FracParams(alpha, 2.0))  # checks n < 2 alpha < n + 2
     w = tables.holder ** 2 * tables.h2n  # |x_i - x_j|^(-2 alpha) h^(2n)
     a = -2.0 * w
     np.fill_diagonal(a, 2.0 * w.sum(axis=1) + tables.ct_coef)
@@ -301,7 +301,13 @@ def p2_oracle(dom: GridDomain, alpha: float) -> EigenResult:
     ascending order and the first is kept.  residual holds |A v - lam h^n v|.
     Independent of the descent code path on purpose: it keeps the full m x m
     matrix on every lattice, symmetric or not.
+
+    Raises ValueError, before building anything, unless n < 2 alpha < n + 2
+    and unless _ORACLE_ARRAYS m x m double arrays fit in physical memory.
     """
+    FracParams(alpha, 2.0).validate_for_dim(dom.dim)
+    m = dom.inside_count
+    _check_memory(int(_ORACLE_ARRAYS * 8 * m * m), f"p = 2 oracle arrays for {m} inside nodes")
     a = p2_matrix(dom, alpha)
     hn = dom.h ** dom.dim
     evals, vecs = np.linalg.eigh(a)

@@ -18,7 +18,7 @@ import pytest
 from test_geometry import triangle_mask
 
 import fracteig
-from fracteig import __version__, cli, solver
+from fracteig import __version__, cli, energy, solver
 from fracteig.cli import main
 from fracteig.geometry import (
     build_disk,
@@ -115,10 +115,12 @@ def test_config_must_be_json_object(tmp_path, capsys):
 
 
 def test_config_missing_required_key_exits_2(tmp_path, capsys):
+    out = tmp_path / "run"
     cfg = _write_config(tmp_path, {"domain": {"shape": "interval", "a": 0, "b": 1},
-                                   "h": 0.25})
+                                   "h": 0.25, "out": str(out)})
     assert main(["eig", "--config", str(cfg)]) == 2
     assert "missing required key" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["eig", "sweep"])
@@ -132,9 +134,11 @@ def test_unknown_solver_option_exits_2(tmp_path, capsys, command):
 
 
 def test_solver_section_must_be_an_object(tmp_path, capsys):
-    cfg = _eig_config(tmp_path, tmp_path / "run", solver=[1, 2])
+    out = tmp_path / "run"
+    cfg = _eig_config(tmp_path, out, solver=[1, 2])
     assert main(["eig", "--config", str(cfg)]) == 2
     assert "'solver' must be an object" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_invalid_exponent_window_exits_2(tmp_path, capsys):
@@ -142,14 +146,16 @@ def test_invalid_exponent_window_exits_2(tmp_path, capsys):
     cfg = _eig_config(tmp_path, out, alpha=0.3)  # alpha*p = 0.6 <= dimension
     assert main(["eig", "--config", str(cfg)]) == 2
     assert capsys.readouterr().err.startswith("error:")
-    assert not (out / "report.json").exists()
+    assert not out.exists()
 
 
 def test_unknown_domain_shape_exits_2(tmp_path, capsys):
+    out = tmp_path / "run"
     cfg = _write_config(tmp_path, {"domain": {"shape": "hexagon"},
-                                   "alpha": 0.9, "h": 0.25, "p": 2.0})
+                                   "alpha": 0.9, "h": 0.25, "p": 2.0, "out": str(out)})
     assert main(["eig", "--config", str(cfg)]) == 2
     assert "unknown domain shape" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_eig_without_p_exits_2(tmp_path, capsys):
@@ -160,6 +166,7 @@ def test_eig_without_p_exits_2(tmp_path, capsys):
     cfg = _write_config(tmp_path, payload)
     assert main(["eig", "--config", str(cfg)]) == 2
     assert "requires a single exponent" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_no_subcommand_is_a_usage_error(capsys):
@@ -211,15 +218,17 @@ def test_sweep_run_writes_rows_and_target(tmp_path):
     ([4.0, 2.0], "ascending"),
 ])
 def test_sweep_rejects_bad_p_lists(tmp_path, capsys, ps, message):
+    out = tmp_path / "run"
     cfg = _write_config(tmp_path, {
         "domain": {"shape": "interval", "a": 0.0, "b": 2.0},
         "alpha": 0.75,
         "h": 0.25,
         "ps": ps,
-        "out": str(tmp_path / "run"),
+        "out": str(out),
     })
     assert main(["sweep", "--config", str(cfg)]) == 2
     assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_infinity_run_summary_and_artifacts(tmp_path):
@@ -399,15 +408,17 @@ def test_verify1d_scans_once_per_residual_report(tmp_path, monkeypatch):
 
 
 def test_verify1d_coarse_h_list_entry_exits_2(tmp_path, capsys):
+    out = tmp_path / "run"
     cfg = _write_config(tmp_path, {
         "domain": {"shape": "interval", "a": 0.0, "b": 2.0},
         "alpha": 0.5,
         "h": 1 / 50,
         "h_list": [4.0],
-        "out": str(tmp_path / "run"),
+        "out": str(out),
     })
     assert main(["verify1d", "--config", str(cfg)]) == 2
     assert "no inside nodes" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_verify1d_empty_h_list_exits_2(tmp_path, capsys):
@@ -543,6 +554,19 @@ def test_tables_larger_than_memory_exit_2_before_allocating(tmp_path):
     assert not out.exists()
 
 
+def test_oracle_larger_than_memory_exits_2(tmp_path, capsys, monkeypatch):
+    """(0, 2) at h = 1/100 has 199 inside nodes in 100 mirror orbits.  With 1 MiB
+    of physical memory the folded solve's 320 kB of tables fit, but the p = 2
+    oracle's dense arrays do not: the run exits 2 before writing anything."""
+    monkeypatch.setattr(energy, "_physical_memory", lambda: 1 << 20)
+    out = tmp_path / "run"
+    cfg = _eig_config(tmp_path, out, domain={"shape": "interval", "a": 0.0, "b": 2.0},
+                      alpha=0.75, h=1 / 100, p=2.0)
+    assert main(["eig", "--config", str(cfg)]) == 2
+    assert "p = 2 oracle arrays for 199 inside nodes need" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command, ps", [
     ("eig", [512.0]),
     ("sweep", [512.0]),
@@ -617,9 +641,11 @@ def test_threads_flag_is_a_usage_error(tmp_path, capsys):
     ("gamma1", [10**20]),
 ])
 def test_malformed_config_value_exits_2(tmp_path, capsys, key, value):
-    cfg = _eig_config(tmp_path, tmp_path / "run", **{key: value})
+    out = tmp_path / "run"
+    cfg = _eig_config(tmp_path, out, **{key: value})
     assert main(["eig", "--config", str(cfg)]) == 2
     assert "malformed config value" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_nonconvergence_stays_in_band(tmp_path):

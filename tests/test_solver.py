@@ -83,7 +83,7 @@ def test_p2_oracle_eigenvector():
 
 def test_p2_matrix_validity_range():
     dom = build_interval(0.0, 1.0, 0.25)
-    with pytest.raises(ValueError, match="invalid exponents for p=2"):
+    with pytest.raises(ValueError, match=r"invalid exponents: alpha\*p = 0.8 <= n = 1"):
         p2_matrix(dom, 0.4)
 
 
