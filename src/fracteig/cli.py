@@ -11,7 +11,8 @@ field.
 Exit codes: 0 for completed runs (including honest non-convergence, which is
 reported in-band via converged flags), 2 for configuration or environment
 errors (bad paths, malformed config, invalid exponent ranges, empty p lists,
-kernel tables or a p = 2 oracle too large for physical memory).
+a lattice that is not finite or does not fit in physical memory, kernel
+tables or a p = 2 oracle too large for physical memory).
 """
 
 from __future__ import annotations
@@ -281,8 +282,10 @@ def cmd_eig(cfg: RunConfig) -> tuple:
     opts = _solver_options(cfg)
 
     try:
+        # the oracle's size depends only on the lattice, so it is checked before the solve
+        oracle = p2_oracle(dom, cfg.alpha) if cfg.p == 2.0 else None
         res = minimize_first(dom, prm, opts)
-    except ValueError as exc:  # exponents out of window, tables too large, or overflowing
+    except ValueError as exc:  # exponents out of window, arrays too large, or overflowing
         raise ConfigError(str(exc)) from exc
     summary = {
         "alpha": cfg.alpha,
@@ -297,11 +300,7 @@ def cmd_eig(cfg: RunConfig) -> tuple:
         "orbits": res.orbits,
         "flags": prm.flags(dom.dim),
     }
-    if cfg.p == 2.0:
-        try:
-            oracle = p2_oracle(dom, cfg.alpha)
-        except ValueError as exc:  # its dense arrays too large
-            raise ConfigError(str(exc)) from exc
+    if oracle is not None:
         summary["oracle_lambda"] = oracle.lam
         summary["oracle_gap"] = abs(oracle.lam - res.lam)
     return dom, [("eigenfunction", "eigenfunction.csv", [*coord_header(dom), "u"],

@@ -23,8 +23,10 @@ integral splits into three computable pieces:
   distance of each inside node.  Quotients use the bracket midpoint.
 
 Large exponents (p up to 64 and beyond) are handled by factoring the largest
-term out of every p-th-power sum and combining sums in log space, so the
-quotient never overflows even when individual weights do.  One pair pass,
+term out of every p-th-power sum and combining sums in log space, so no p-th
+power of the values or of a pair term overflows; the per-node coefficients,
+whose nearest-pair kernel is h^(-alpha p), must be finite doubles, and the
+tables raise ValueError when one is not.  One pair pass,
 `QuotientTables._interior`, computes the interior sum for every evaluation:
 quotient, gradient and breakdown.  It runs over blocks of rows of the pair
 matrix, with each block's largest term factored out, and combines the block
@@ -40,12 +42,11 @@ kernel.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import GridDomain, GridFunction, block_rows, distances
+from .geometry import GridDomain, GridFunction, _check_memory, block_rows, distances
 
 __all__ = [
     "FracParams",
@@ -152,8 +153,6 @@ def _log_coef_pow_sum(vals: np.ndarray, coef: np.ndarray | float, p: float) -> f
 
 
 def _exp(logv: float) -> float:
-    if logv == -math.inf:
-        return 0.0
     try:
         return math.exp(logv)
     except OverflowError:
@@ -396,23 +395,6 @@ class QuotientTables:
         return v / c
 
 
-def _check_memory(need: int, what: str) -> None:
-    """Raise when `need` bytes, the arrays `what` names, would not fit in
-    physical memory."""
-    have = _physical_memory()
-    if have is not None and need > have:
-        raise ValueError(f"{what} need {need / 2**30:.1f} GiB, "
-                         f"more than the {have / 2**30:.1f} GiB of physical memory")
-
-
-def _physical_memory():
-    """Bytes of physical memory, or None where the platform does not say."""
-    try:
-        return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    except (AttributeError, ValueError, OSError):
-        return None
-
-
 def _coefficients(dom: GridDomain, prm: FracParams, labels: np.ndarray, k: int):
     """Per-orbit coefficients of |v_I|^p: cross, tail lower and upper bound, and
     cross plus tail midpoint, each summed over the nodes of an orbit, where
@@ -457,11 +439,7 @@ def _cross_weights(dom: GridDomain, ap: float) -> np.ndarray:
     b = np.arange(n, dtype=float)
     r2 = a * a + b * b
     r2[0, 0] = np.inf  # zero offset: a node is never its own outside neighbour
-    try:
-        scale = dom.h ** -ap
-    except OverflowError:  # the caller finds the weights not finite and says so
-        scale = math.inf
-    kern = scale * r2 ** (-0.5 * ap)
+    kern = np.float64(dom.h) ** -ap * r2 ** (-0.5 * ap)  # inf when h^-ap overflows
     suffix = np.zeros((nlines, n + 1))
     suffix[:, -2::-1] = np.cumsum(kern[:, ::-1], axis=1)
     suffix = suffix.ravel()

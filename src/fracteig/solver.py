@@ -33,10 +33,11 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .energy import FracParams, QuotientTables, _check_memory, _coefficients
+from .energy import FracParams, QuotientTables, _coefficients
 from .geometry import (
     GridDomain,
     GridFunction,
+    _check_memory,
     distance_to_complement,
     inscribed_radius,
     lattice_symmetries,
@@ -287,9 +288,12 @@ def p2_matrix(dom: GridDomain, alpha: float) -> np.ndarray:
     diagonal carries the pair row sums plus each node's cross/tail coefficient.
     """
     tables = QuotientTables(dom, FracParams(alpha, 2.0))  # checks n < 2 alpha < n + 2
-    w = tables.holder ** 2 * tables.h2n  # |x_i - x_j|^(-2 alpha) h^(2n)
-    a = -2.0 * w
-    np.fill_diagonal(a, 2.0 * w.sum(axis=1) + tables.ct_coef)
+    a = tables.holder  # squared and scaled in place: the tables are local
+    a **= 2
+    a *= tables.h2n  # w = |x_i - x_j|^(-2 alpha) h^(2n)
+    diag = 2.0 * a.sum(axis=1) + tables.ct_coef
+    a *= -2.0
+    np.fill_diagonal(a, diag)
     return a
 
 

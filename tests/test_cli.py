@@ -18,7 +18,7 @@ import pytest
 from test_geometry import triangle_mask
 
 import fracteig
-from fracteig import __version__, cli, energy, solver
+from fracteig import __version__, cli, geometry, solver
 from fracteig.cli import main
 from fracteig.geometry import (
     build_disk,
@@ -555,15 +555,54 @@ def test_tables_larger_than_memory_exit_2_before_allocating(tmp_path):
 
 
 def test_oracle_larger_than_memory_exits_2(tmp_path, capsys, monkeypatch):
-    """(0, 2) at h = 1/100 has 199 inside nodes in 100 mirror orbits.  With 1 MiB
-    of physical memory the folded solve's 320 kB of tables fit, but the p = 2
-    oracle's dense arrays do not: the run exits 2 before writing anything."""
-    monkeypatch.setattr(energy, "_physical_memory", lambda: 1 << 20)
+    """(0, 2) at h = 1/100 has 1,001 lattice nodes and 199 inside nodes in 100
+    mirror orbits.  With 1 MiB of physical memory the lattice and the folded
+    solve's 320 kB of tables fit, but the p = 2 oracle's dense arrays do not:
+    the run exits 2 before the solve and before writing anything."""
+    monkeypatch.setattr(geometry, "_physical_memory", lambda: 1 << 20)
+    calls = []
+    monkeypatch.setattr(cli, "minimize_first", lambda *args: calls.append(args))
     out = tmp_path / "run"
     cfg = _eig_config(tmp_path, out, domain={"shape": "interval", "a": 0.0, "b": 2.0},
                       alpha=0.75, h=1 / 100, p=2.0)
     assert main(["eig", "--config", str(cfg)]) == 2
-    assert "p = 2 oracle arrays for 199 inside nodes need" in capsys.readouterr().err
+    assert ("p = 2 oracle arrays for 199 inside nodes need 1.66 MiB, "
+            "more than the 1 MiB of physical memory") in capsys.readouterr().err
+    assert not out.exists()
+    assert not calls
+
+
+@pytest.mark.parametrize("command", ["eig", "infinity"])
+@pytest.mark.parametrize("domain", [
+    {"shape": "interval", "a": 0.0, "b": math.inf},
+    {"shape": "disk", "center": [0.0, 0.0], "radius": math.inf},
+], ids=["interval", "disk"])
+def test_non_finite_lattice_exits_2(tmp_path, capsys, command, domain):
+    """A bound of 1e400 reads as inf; the lattice around it has no finite node count."""
+    out = tmp_path / "run"
+    cfg = _eig_config(tmp_path, out, domain=domain, alpha=0.75, p=4.0)
+    cfg.write_text(cfg.read_text(encoding="utf-8").replace("Infinity", "1e400"),
+                   encoding="utf-8")
+    assert main([command, "--config", str(cfg)]) == 2
+    assert "is not finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, limit, overrides, message", [
+    ("infinity", 1 << 20,
+     {"domain": {"shape": "disk", "center": [0.0, 0.0], "radius": 1.0}, "h": 1 / 16},
+     "lattice arrays for 46225 nodes need 2.12 MiB, more than the 1 MiB of physical memory"),
+    ("verify1d", 1 << 16, {},  # its default h = 1/50 and 1/100 lattices fit, 1/200 does not
+     "lattice arrays for 2001 nodes need 93.8 KiB, more than the 64 KiB of physical memory"),
+], ids=["infinity", "verify1d"])
+def test_lattice_larger_than_memory_exits_2(tmp_path, capsys, monkeypatch, command, limit,
+                                             overrides, message):
+    """Neither command builds kernel tables, so the lattice's guard is the one that stops it."""
+    monkeypatch.setattr(geometry, "_physical_memory", lambda: limit)
+    out = tmp_path / "run"
+    cfg = _eig_config(tmp_path, out, alpha=0.5, **overrides)
+    assert main([command, "--config", str(cfg)]) == 2
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 

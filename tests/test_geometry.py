@@ -299,10 +299,25 @@ def test_nearest_node_validation():
     (1.0, 1.0, 0.1, 2.0, "degenerate interval"),
     (0.0, 1.0, -0.1, 2.0, "spacing h must be positive"),
     (0.0, 1.0, 0.1, 0.5, "margin must be >= 1"),
+    (0.0, np.inf, 0.1, 2.0, "is not finite"),
+    (0.0, 1.0, 0.1, np.inf, "is not finite"),
+    (0.0, 1.0, 1e-320, 2.0, "is not finite"),  # 5e320 nodes overflow double range
+    (0.0, 1.0, 1e-300, 2.0, "lattice arrays for [0-9]{301} nodes need .* PiB, more than"),
 ])
 def test_builder_validation(a, b, h, margin, msg):
     with pytest.raises(ValueError, match=msg):
         build_interval(a, b, h, margin)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: build_disk((0.0, 0.0), np.inf, 0.1),
+    lambda: build_rectangle((0.0, 0.0), (1.0, 1.0), 1e-200),  # 1e402 nodes in all
+    lambda: build_mask2d(((0.0, 0.0), (1.0, 1.0)), 0.1, lambda pts: pts[:, 0] < 0.5,
+                         margin=np.inf),
+], ids=["radius", "spacing", "margin"])
+def test_non_finite_2d_lattice_is_a_value_error(build):
+    with pytest.raises(ValueError, match="is not finite"):
+        build()
 
 
 def test_domain_needs_inside_nodes():
