@@ -33,6 +33,7 @@ from .closedform1d import first_1d, sample, second_1d, third_1d
 from .energy import FracParams
 from .geometry import (
     GridDomain,
+    _TooLarge,
     build_disk,
     build_interval,
     build_rectangle,
@@ -244,6 +245,8 @@ def build_domain(cfg: RunConfig) -> GridDomain:
             return _load_mask_csv(Path(spec["path"]), cfg.margin)
     except ConfigError:
         raise
+    except _TooLarge as exc:
+        raise ConfigError(str(exc)) from exc
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad domain description: {exc}") from exc
     raise ConfigError(f"unknown domain shape {kind!r}")
@@ -382,6 +385,8 @@ def cmd_verify1d(cfg: RunConfig) -> tuple:
     try:
         doms = [build_interval(0.0, 2.0, h, cfg.margin) for h in hs]
         nodal_dom = build_interval(0.0, 1.0, finest, cfg.margin)
+    except _TooLarge as exc:
+        raise ConfigError(str(exc)) from exc
     except ValueError as exc:
         raise ConfigError(f"bad h_list or margin: {exc}") from exc
 
@@ -470,7 +475,8 @@ def _parser() -> argparse.ArgumentParser:
         cmd.add_argument("--config", required=True, help="JSON config path")
         cmd.add_argument("--out", default=None, help="output directory (overrides config)")
         cmd.add_argument("--margin", type=float, default=None,
-                         help="box margin in region diameters (overrides config)")
+                         help="box margin, in diagonals of the region's bounding box "
+                              "(overrides config)")
         cmd.add_argument("--h", type=float, default=None,
                          help="lattice spacing (overrides config)")
     return parser

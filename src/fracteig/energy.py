@@ -46,7 +46,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import GridDomain, GridFunction, _check_memory, block_rows, distances
+from .geometry import (GridDomain, GridFunction, _check_memory, block_rows, distances,
+                       squared_distances)
 
 __all__ = [
     "FracParams",
@@ -227,7 +228,9 @@ class QuotientTables:
         maximum of a one-node orbit against itself 0, where 1 stands in for
         it.  |I| |J| / |G| is a power of two, so the weight rounds nothing,
         and with the trivial group each group sum is one term,
-        g_IJ (1 * 1**p)**(1/p) = g_IJ, the kernel value itself."""
+        g_IJ (1 * 1**p)**(1/p) = g_IJ, the kernel value itself: that case
+        writes the plain kernel straight into `holder`, which it leaves
+        exactly symmetric, and skips the passes that change no bit there."""
         k, order = members.shape
         self._block = min(block_rows(k), k)
         # the k x k `holder` and the pair pass's (3, block, k) workspace
@@ -239,6 +242,14 @@ class QuotientTables:
         share = self.sizes / order  # |J| / |G|: each member of J is counted |G| / |J| times
         self.holder = np.empty((k, k))
         rows = min(block_rows(members.size), k)
+        if order == 1:  # each group sum is one term: holder is the plain kernel
+            for start in range(0, k, rows):
+                w = self.holder[start:start + rows]
+                np.sqrt(squared_distances(xin[start:start + rows], xin, out=w), out=w)
+                diag = np.arange(w.shape[0])
+                w[diag, start + diag] = np.inf  # a node's own entry: kernel 0
+                w **= -self.prm.alpha
+            return
         for start in range(0, k, rows):
             n = min(rows, k - start)
             g = distances(xin[self.reps[start:start + n]], cols).reshape(n, order, k)

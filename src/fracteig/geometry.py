@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -63,12 +63,17 @@ _BOUNDARY_GUARD = 1e-9
 _LATTICE_BYTES = 48
 
 
+class _TooLarge(ValueError):
+    """Arrays that would not fit in physical memory: a ValueError, but not a
+    sign of bad input."""
+
+
 def _check_memory(need: int, what: str) -> None:
-    """Raise when `need` bytes, the arrays `what` names, would not fit in
-    physical memory."""
+    """Raise _TooLarge when `need` bytes, the arrays `what` names, would not
+    fit in physical memory."""
     have = _physical_memory()
     if have is not None and need > have:
-        raise ValueError(f"{what} need {_size(need)}, "
+        raise _TooLarge(f"{what} need {_size(need)}, "
                          f"more than the {_size(have)} of physical memory")
 
 
@@ -207,8 +212,8 @@ class GridDomain:
     inside : boolean array over the lattice, True at strictly interior nodes.
     shape_tag : canonical shape when the mask came from one (enables exact
         distances); None for free-form masks.
-    margin : the box extends at least ``margin * diameter`` beyond the region
-        on every side.
+    margin : the box extends at least ``margin`` times the diagonal of the
+        region's bounding box beyond that bounding box on every side.
 
     Instances are treated as immutable; do not mutate ``inside`` in place.
     """
@@ -502,34 +507,86 @@ def build_rectangle(lo, hi, h: float, margin: float = 2.0) -> GridDomain:
 # ---------------------------------------------------------------------------
 
 
-def lattice_symmetries(dom: GridDomain) -> list:
-    """The lattice reflections that map the mask onto itself, as permutations
-    of the inside nodes.
+def _mirrors_exactly(ax: np.ndarray) -> bool:
+    """True when ax[k] + ax[n-1-k] is one constant for every k with no
+    rounding (its TwoSum error is 0), so that the flip negates every
+    coordinate difference bit for bit."""
+    rev = ax[::-1]
+    s = ax + rev
+    back = s - ax
+    err = (ax - (s - back)) + (rev - back)
+    return bool(np.all(s == s[0]) and not err.any())
+
+
+def _reflections(dom: GridDomain, exact: bool = False) -> list:
+    """The group of lattice reflections that map the mask onto itself, as
+    permutations of the box nodes.
 
     The candidates are the flip of each axis (node k of an axis with n nodes
     goes to node n - 1 - k) and, on a square lattice, the swap of the two
     axes.  The box is the span of the first and last node of each axis, so a
     flip is the reflection about the box centre and the swap the reflection
     about its diagonal: each maps the lattice and the box onto themselves and
-    keeps every distance.  A candidate counts when it maps the mask onto
-    itself exactly.  The result is the group the counted candidates generate,
-    identity first, one array per element: entry i is the position in
-    ``inside_indices`` of the image of inside node i.
+    keeps every distance up to rounding.  A candidate counts when it maps the
+    mask onto itself exactly and, with `exact`, when it also keeps every
+    coordinate difference bitwise: a flip whose axis mirrors exactly
+    (`_mirrors_exactly`), the swap of two bitwise equal axes.  The result is
+    the group the counted candidates generate, identity first, one function
+    per element that maps an array of flat node indices to the flat indices
+    of their images.
+
+    An element is held as the sparse index grids of the lattice
+    (``np.indices(shape, sparse=True)``) moved by it: moving the grids
+    composes the element with the move, and the image of a node reads its
+    index along axis k off grid k there.  So no array of the lattice's size
+    is made.
+    """
+    moves = [lambda a, ax=ax: np.flip(a, ax) for ax in range(dom.dim)
+             if not exact or _mirrors_exactly(dom.axes[ax])]
+    if dom.dim == 2 and dom.lattice_shape[0] == dom.lattice_shape[1] and (
+            not exact or dom.axes[0].tobytes() == dom.axes[1].tobytes()):
+        moves.append(np.transpose)
+    gens = [move for move in moves if np.array_equal(move(dom.inside), dom.inside)]
+    group = [tuple(np.indices(dom.lattice_shape, sparse=True))]
+    seen = {_grid_key(group[0])}
+    for g in group:  # the loop also visits the elements it appends
+        for move in gens:
+            composed = tuple(move(grid) for grid in g)  # (g s)(x) = g(s(x)) for the move s
+            key = _grid_key(composed)
+            if key not in seen:
+                seen.add(key)
+                group.append(composed)
+    return [partial(_image, g, dom.lattice_shape) for g in group]
+
+
+def _grid_key(grids: tuple) -> tuple:
+    """What names a reflection held as moved index grids: their shapes and values."""
+    return tuple((grid.shape, grid.tobytes()) for grid in grids)
+
+
+def _image(grids: tuple, shape: tuple, nodes: np.ndarray) -> np.ndarray:
+    """Flat indices of the images of flat node indices under the reflection
+    held as the moved index grids."""
+    at = np.unravel_index(nodes, shape)
+    return np.ravel_multi_index(tuple(np.broadcast_to(grid, shape)[at] for grid in grids),
+                                shape)
+
+
+def lattice_symmetries(dom: GridDomain) -> list:
+    """The lattice reflections that map the mask onto itself (`_reflections`),
+    as permutations of the inside nodes: entry i of an element is the
+    position in ``inside_indices`` of the image of inside node i.  The group
+    is listed identity first, each element once.
     """
     pos = np.full(dom.n_nodes, -1)
     pos[dom.inside_indices] = np.arange(dom.inside_count)
-    pos = pos.reshape(dom.lattice_shape)
-    moves = [lambda a, ax=ax: np.flip(a, ax) for ax in range(dom.dim)]
-    if dom.dim == 2 and dom.lattice_shape[0] == dom.lattice_shape[1]:
-        moves.append(np.transpose)
-    gens = [move(pos).ravel()[dom.inside_indices] for move in moves
-            if np.array_equal(move(dom.inside), dom.inside)]
-    group = [np.arange(dom.inside_count)]
-    for g in group:  # the loop also visits the elements it appends
-        for s in gens:
-            composed = g[s]
-            if not any(np.array_equal(composed, e) for e in group):
-                group.append(composed)
+    group, seen = [], set()
+    for g in _reflections(dom):
+        restricted = pos[g(dom.inside_indices)]
+        key = restricted.tobytes()
+        if key not in seen:  # two reflections may agree on every inside node
+            seen.add(key)
+            group.append(restricted)
     return group
 
 

@@ -17,6 +17,19 @@ therefore exactly 0, whatever the box margin.  Comparison functions that are
 not zero-extended (cones) are scanned over every box node; the box is all the
 lattice knows of them.  Ties go to the lowest flat index.
 
+The scan is folded over the lattice reflections that keep every quotient bit
+for bit.  Those are generated by exact moves only (`geometry._reflections`
+with exact=True): an axis flip whose node coordinates sum with their mirror
+images to one constant with no rounding, and the swap of two bitwise equal
+axes; each keeps every coordinate difference bitwise, so every distance.  Of
+these, the scan keeps the elements g that map the scanned nodes onto
+themselves and keep u bitwise (compared as int64, so -0.0 differs from 0.0).
+Then q(g x, g y) = q(x, y) bitwise for every pair, one row per orbit is
+scanned, and a member g x takes that row's value and the lowest flat index
+in g(T), T the columns tied at the extreme: exactly what a scan of its own
+row would give.  An antisymmetric u (u o g = -u) is not folded: a pair with
+u(y) = u(x) gives +0.0 directly but -0.0 through the flip.
+
 The first-eigenvalue equation residual at an inside node is
 
     max( l_plus + l_minus ,  l_minus + lam * u )
@@ -40,6 +53,7 @@ from .geometry import (
     Interval,
     NodeSet,
     _dilate,
+    _reflections,
     block_rows,
     distance_to_complement,
     distance_to_set,
@@ -71,15 +85,45 @@ BRANCH_EIGEN = "eig"       # the eigen-balance branch attains it
 BRANCH_ZERO = "zero"       # node classified as u = 0 (dead band)
 
 
+def _invariance(u: GridFunction, cand: np.ndarray, base: np.ndarray) -> list:
+    """The exact lattice reflections (`geometry._reflections(dom, exact=True)`)
+    that map the ascending base nodes onto themselves and keep u bitwise (as
+    int64, so -0.0 differs from 0.0) at every base node and candidate,
+    identity first, as functions of flat node indices.  They keep the
+    candidates, since they keep the mask."""
+    flat = u.flat().view(np.int64)
+    keep = []
+    for g in _reflections(u.domain, exact=True):
+        gb = g(base)
+        within = base[np.minimum(np.searchsorted(base, gb), base.size - 1)] == gb
+        if (within.all()  # so g(base) is base: g is one to one
+                and np.array_equal(flat[gb], flat[base])
+                and np.array_equal(flat[g(cand)], flat[cand])):
+            keep.append(g)
+    return keep
+
+
 def _extreme_quotients(u: GridFunction, alpha: float,
                        base: np.ndarray) -> Tuple[np.ndarray, ...]:
-    """Max/min Hoelder quotients (and witnesses) for each base node: over R^n
-    for a zero-extended u, over the box otherwise (see the module docstring).
+    """Max/min Hoelder quotients (and witnesses) for each base node, given as
+    ascending flat indices: over R^n for a zero-extended u, over the box
+    otherwise (see the module docstring).
 
-    The base nodes are scanned in row blocks against every candidate.  The
-    distance and quotient blocks are allocated once per call and refilled in
-    place; each extreme is its argmax or argmin, and the value is read back
-    at that column, so a value and its witness always come from one entry.
+    One base node per orbit of the invariance group (`_invariance`) is
+    scanned, its smallest, in row blocks against every candidate.  The
+    distance, quotient and tie blocks are allocated once per call and
+    refilled in place; each extreme is its argmax or argmin, and the value is
+    read back at that column, so a value and its witness always come from
+    one entry.  A member g x of an orbit takes the value of x and the witness
+    min g(T), where T holds the columns of row x equal to the extreme: T is
+    listed only on rows with a tie (`_ties`), and otherwise g maps the argmax
+    or argmin (`_expand`).
+
+    The fold adds little resident memory.  It sorts nothing (the first sort
+    of a process maps about 0.4 MB of numpy's sort kernels), keeps no table
+    per group element, and makes the results before the blocks, so the
+    blocks are the last allocation, as in an unfolded scan, and freeing them
+    can return their memory.
     """
     dom = u.domain
     if u.zero_extended:
@@ -89,21 +133,36 @@ def _extreme_quotients(u: GridFunction, alpha: float,
     coords = dom.node_coords[cand]
     vals = u.flat()[cand]
     base = np.asarray(base, dtype=np.int64)
-    bc = dom.node_coords[base]
-    bv = u.flat()[base]
-    # column of each base node among the candidates, where it is one (y = x is excluded)
-    col = np.minimum(np.searchsorted(cand, base), cand.size - 1)
-    is_cand = cand[col] == base
+    group = _invariance(u, cand, base)
+    # position in base of the smallest node of each base node's orbit
+    first = np.arange(base.size)
+    for g in group[1:]:
+        np.minimum(first, np.searchsorted(base, g(base)), out=first)
+    own = np.flatnonzero(first == np.arange(base.size))
+    reps = base[own]  # the scanned nodes, one per orbit
+    orbit = np.searchsorted(own, first)  # the row each base node reads
+    elem = np.zeros(base.size, dtype=np.int64)  # an element mapping that row's node to it
+    for k, g in enumerate(group[1:], 1):
+        elem[np.searchsorted(base, g(reps))] = k
+    bc = dom.node_coords[reps]
+    bv = u.flat()[reps]
+    # column of each scanned node among the candidates, where it is one (y = x is excluded)
+    col = np.minimum(np.searchsorted(cand, reps), cand.size - 1)
+    is_cand = cand[col] == reps
 
-    n = base.size
+    n = reps.size
+    result = (np.empty(base.size), np.empty(base.size, dtype=np.int64),
+              np.empty(base.size), np.empty(base.size, dtype=np.int64))
     l_plus = np.empty(n)
     w_plus = np.empty(n, dtype=np.int64)
     l_minus = np.empty(n)
     w_minus = np.empty(n, dtype=np.int64)
+    ties_plus, ties_minus = [], []  # (row, tied columns, their quotients)
 
     rows = min(block_rows(cand.size), n)
     dist = np.empty((rows, cand.size))
     quot = np.empty_like(dist)
+    tied = np.empty(dist.shape, dtype=bool) if len(group) > 1 else None
     at = np.arange(rows)
     for k0 in range(0, n, rows):
         sl = slice(k0, min(k0 + rows, n))
@@ -118,14 +177,23 @@ def _extreme_quotients(u: GridFunction, alpha: float,
         np.subtract(vals[None, :], bv[sl, None], out=q)
         q /= d
         q[self_row, self_col] = -np.inf
-        best = q.argmax(axis=1)
+        best = w_plus[sl] = q.argmax(axis=1)
         l_plus[sl] = q[i, best]
-        w_plus[sl] = cand[best]
+        if tied is not None:
+            _ties(q, best, l_plus[sl], tied[:r], k0, ties_plus)
         q[self_row, self_col] = np.inf
-        best = q.argmin(axis=1)
+        best = w_minus[sl] = q.argmin(axis=1)
         l_minus[sl] = q[i, best]
-        w_minus[sl] = cand[best]
+        if tied is not None:
+            _ties(q, best, l_minus[sl], tied[:r], k0, ties_minus)
+    # freed before _expand allocates, whose arrays could otherwise sit above the
+    # blocks and keep the heap from shrinking (disk_infinity peak RSS +0.9 MB)
+    del dist, quot, tied
 
+    l_plus, w_plus = _expand(l_plus, cand[w_plus], ties_plus, orbit, elem, group, cand,
+                             result[:2])
+    l_minus, w_minus = _expand(l_minus, cand[w_minus], ties_minus, orbit, elem, group, cand,
+                               result[2:])
     if u.zero_extended:
         up = 0.0 > l_plus
         l_plus[up] = 0.0
@@ -135,6 +203,46 @@ def _extreme_quotients(u: GridFunction, alpha: float,
         w_minus[dn] = EXTERIOR_WITNESS
 
     return l_plus, w_plus, l_minus, w_minus
+
+
+def _ties(q: np.ndarray, best: np.ndarray, extreme: np.ndarray, eq: np.ndarray,
+          k0: int, out: list) -> None:
+    """Append (row, columns, quotients) for each row of the block q whose
+    extreme is attained at more than one column; best is the argmax or
+    argmin of each row, and eq a bool workspace of q's shape, the only
+    array of that shape made for ties."""
+    np.equal(q, extreme[:, None], out=eq)
+    eq[np.arange(best.size), best] = False
+    for row in np.flatnonzero(eq.any(axis=1)):
+        eq[row, best[row]] = True
+        cols = np.flatnonzero(eq[row])
+        out.append((k0 + row, cols, q[row, cols]))
+
+
+def _expand(value: np.ndarray, witness: np.ndarray, ties: list, orbit: np.ndarray,
+            elem: np.ndarray, group: list, cand: np.ndarray, out: tuple) -> tuple:
+    """Values and witnesses of every base node, written into out, from those
+    of the scanned rows: base node i takes row orbit[i] through the element
+    group[elem[i]].  A tied row's members take the smallest image of its
+    tied columns, and the quotient there (equal to the row's, but it may be
+    the other zero)."""
+    value = np.take(value, orbit, out=out[0])
+    witness = np.take(witness, orbit, out=out[1])
+    for k, g in enumerate(group[1:], 1):
+        i = np.flatnonzero(elem == k)
+        witness[i] = g(witness[i])
+    if ties:
+        tied = cand[np.concatenate([cols for _, cols, _ in ties])]
+        images = np.stack([g(tied) for g in group])  # images[k, j]: image of tied node j under k
+        start = 0
+        for row, cols, quot in ties:
+            i = np.flatnonzero(orbit == row)
+            img = images[elem[i], start:start + cols.size]
+            k = img.argmin(axis=1)
+            witness[i] = img[np.arange(i.size), k]
+            value[i] = quot[k]
+            start += cols.size
+    return value, witness
 
 
 def linf_plus(u: GridFunction, alpha: float, x: int) -> Tuple[float, int]:

@@ -597,12 +597,16 @@ def test_non_finite_lattice_exits_2(tmp_path, capsys, command, domain):
 ], ids=["infinity", "verify1d"])
 def test_lattice_larger_than_memory_exits_2(tmp_path, capsys, monkeypatch, command, limit,
                                              overrides, message):
-    """Neither command builds kernel tables, so the lattice's guard is the one that stops it."""
+    """Neither command builds kernel tables, so the lattice's guard is the one
+    that stops it.  A lattice too large for memory is not bad input, so its
+    message carries no bad-input prefix."""
     monkeypatch.setattr(geometry, "_physical_memory", lambda: limit)
     out = tmp_path / "run"
     cfg = _eig_config(tmp_path, out, alpha=0.5, **overrides)
     assert main([command, "--config", str(cfg)]) == 2
-    assert message in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert message in err
+    assert "bad domain description" not in err and "bad h_list or margin" not in err
     assert not out.exists()
 
 

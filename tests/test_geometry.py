@@ -11,6 +11,7 @@ from fracteig.geometry import (
     Interval,
     NodeSet,
     Rectangle,
+    _reflections,
     build_disk,
     build_interval,
     build_mask2d,
@@ -373,3 +374,37 @@ def test_lattice_symmetries_group_orders(dom, order):
         np.testing.assert_allclose(d[np.ix_(g, g)], d, rtol=1e-13, atol=0.0)
         for f in perms:
             assert g[f].tobytes() in keys
+
+
+@pytest.mark.parametrize("dom, order, exact_order", [
+    (build_interval(0.0, 2.0, 1 / 128), 2, 2),
+    (build_interval(0.0, 2.0, 1 / 100), 2, 1),
+    (build_disk((0.0, 0.0), 1.0, 1 / 16, 1.0), 8, 8),
+    (build_disk((0.3, -0.7), 1.0, 0.05), 8, 1),
+    (build_rectangle((0.0, 0.0), (1.0, 1.0), 1 / 12), 8, 2),
+    (build_rectangle((0.0, 0.0), (1.0, 0.5), 1 / 32), 4, 4),
+    (triangle_mask(1 / 8), 1, 1),
+], ids=["dyadic_interval", "interval_h001", "disk", "offcentre_disk", "square_h12",
+        "rectangle", "free_form"])
+def test_exact_reflections_keep_every_distance_bitwise(dom, order, exact_order):
+    """The box reflections restricted to the inside nodes are the
+    symmetries; the exact ones are those whose axis flips mirror every
+    coordinate without rounding (h = 1/12 keeps only the swap of the two
+    equal axes), and they keep every squared distance bit for bit."""
+    nodes = np.arange(dom.n_nodes)
+    full = [g(nodes) for g in _reflections(dom)]
+    exact = [g(nodes) for g in _reflections(dom, exact=True)]
+    assert (len(full), len(exact)) == (order, exact_order)
+    np.testing.assert_array_equal(full[0], nodes)
+    pos = np.full(dom.n_nodes, -1)
+    pos[dom.inside_indices] = np.arange(dom.inside_count)
+    for g, perm in zip(full, lattice_symmetries(dom)):
+        np.testing.assert_array_equal(pos[g[dom.inside_indices]], perm)
+    x = dom.inside_coords
+    d2 = squared_distances(x, x)
+    keys = {e.tobytes() for e in exact}
+    for g in exact:
+        assert all(g[f].tobytes() in keys for f in exact)
+        np.testing.assert_array_equal(np.sort(g), nodes)
+        y = dom.node_coords[g[dom.inside_indices]]
+        np.testing.assert_array_equal(squared_distances(y, y).view(np.int64), d2.view(np.int64))

@@ -3,7 +3,7 @@ import pytest
 from scipy import ndimage
 from scipy.spatial.distance import cdist
 
-from fracteig import geometry
+from fracteig import geometry, infinity
 from fracteig.geometry import (
     GridFunction,
     NodeSet,
@@ -519,3 +519,190 @@ def test_distance_supersolution_alpha1():
             assert slack == 0.0
         else:
             assert slack < 0.0
+
+
+# ---------------------------------------------------------------------------
+# the scan's fold over the reflections that keep u
+# ---------------------------------------------------------------------------
+
+
+def _scanned_rows(monkeypatch):
+    """Count the rows the scan computes, through its squared_distances calls."""
+    rows = []
+    real = infinity.squared_distances
+
+    def counted(a, b, out=None):
+        rows.append(a.shape[0])
+        return real(a, b, out=out)
+
+    monkeypatch.setattr(infinity, "squared_distances", counted)
+    return rows
+
+
+def _unfolded(monkeypatch, u, alpha, base):
+    """The scan with the group forced to the identity alone."""
+    with monkeypatch.context() as m:
+        m.setattr(infinity, "_reflections", lambda dom, exact=False:
+                  geometry._reflections(dom, exact)[:1])
+        return _extreme_quotients(u, alpha, base)
+
+
+def _assert_bitwise(got, want):
+    for a, b in zip(got, want):
+        if a.dtype == np.float64:
+            a, b = a.view(np.int64), b.view(np.int64)
+        np.testing.assert_array_equal(a, b)
+
+
+def _symmetric(dom, values):
+    """values made constant on the orbits of the exact reflections, by
+    taking the orbit maximum."""
+    nodes = np.arange(dom.n_nodes)
+    images = [g(nodes) for g in geometry._reflections(dom, exact=True)]
+    return np.max([values[g] for g in images], axis=0)
+
+
+def _rep(dom, alpha):
+    return representation(dom, high_ridge(distance_to_complement(dom)), alpha)
+
+
+def _profile(kind):
+    h = 1 / 256
+    ex = {"first": first_1d, "third": third_1d}[kind](0.5)
+    return sample(ex, build_interval(0.0, 2.0, h))
+
+
+def _ties_integer(dom):
+    """An integer-valued function, symmetric, zero outside: many tied quotients."""
+    vals = _symmetric(dom, np.random.default_rng(5).integers(-2, 3, dom.n_nodes).astype(float))
+    vals[~dom.inside_flat] = 0.0
+    return GridFunction(dom, vals.reshape(dom.lattice_shape))
+
+
+def _ties_signed_zeros(dom):
+    """Values in {-1, -0.0, +0.0}, symmetric, -1 outside, as a box function;
+    +0.0 on the orbit of the first inside node z0 and -0.0 on that of the
+    second, z1.  At a zero node the sup is a tie of +0.0 and -0.0 quotients,
+    and the column an unfolded scan picks sets the sign: -0.0 (from z1) at
+    z0, +0.0 (from z0) at the other members of its orbit."""
+    z0, z1 = dom.inside_indices[:2]
+    pick = np.random.default_rng(1).integers(0, 3, dom.n_nodes)
+    pick[z0] = 2
+    pick = _symmetric(dom, pick)
+    pick[[g(z1) for g in geometry._reflections(dom, exact=True)]] = 1
+    vals = np.choose(pick, [-1.0, -0.0, 0.0])
+    vals[~dom.inside_flat] = -1.0
+    return GridFunction(dom, vals.reshape(dom.lattice_shape), zero_extended=False)
+
+
+@pytest.mark.parametrize("make, alpha, order", [
+    (lambda: _rep(build_disk((0.0, 0.0), 1.0, 1 / 32, 1.0), 0.5), 0.5, 8),
+    (lambda: _rep(build_rectangle((0.0, 0.0), (1.0, 1.0), 1 / 32), 0.9), 0.9, 8),
+    (lambda: _rep(build_rectangle((0.0, 0.0), (1.0, 0.5), 1 / 32), 0.5), 0.5, 4),
+    (lambda: _profile("first"), 0.5, 2),
+    (lambda: _profile("third"), 0.5, 2),
+    (lambda: _ties_integer(build_disk((0.0, 0.0), 1.0, 1 / 8, 1.0)), 1.0, 8),
+    (lambda: _ties_integer(build_rectangle((0.0, 0.0), (1.0, 0.5), 1 / 16, 1.0)), 0.5, 4),
+    (lambda: _ties_signed_zeros(build_rectangle((0.0, 0.0), (1.0, 0.5), 1 / 16, 1.0)),
+     1.0, 4),
+], ids=["disk_infinity", "unit_square", "rectangle", "first", "third", "ties_disk",
+        "ties_rectangle", "signed_zeros"])
+def test_folded_scan_equals_the_unfolded_scan(monkeypatch, make, alpha, order):
+    """Scanning one row per orbit changes no bit: values as int64, witnesses
+    exactly, on the inside nodes and on the nonzero nodes."""
+    u = make()
+    dom = u.domain
+    for base in (dom.inside_indices, np.flatnonzero(u.flat())):
+        group = infinity._invariance(u, np.arange(dom.n_nodes), base)
+        assert len(group) == order
+        _assert_bitwise(_extreme_quotients(u, alpha, base),
+                        _unfolded(monkeypatch, u, alpha, base))
+
+
+def test_signed_zero_ties_reach_l_plus():
+    """The signed-zero case above is not vacuous: the sup is -0.0 at z0 and
+    +0.0 at the other members of its orbit, whose row is z0's."""
+    u = _ties_signed_zeros(build_rectangle((0.0, 0.0), (1.0, 0.5), 1 / 16, 1.0))
+    dom = u.domain
+    z0 = dom.inside_indices[0]
+    members = [g(z0) for g in geometry._reflections(dom, exact=True)]
+    lp = _extreme_quotients(u, 1.0, np.array(sorted(members)))[0]
+    assert np.array_equal(lp, np.zeros(4))
+    assert np.signbit(lp).tolist() == [True, False, False, False]
+
+
+def test_the_fold_scans_one_row_per_orbit(monkeypatch):
+    """On the disk the scan computes one row per orbit of its eight
+    reflections, not one per inside node."""
+    dom = build_disk((0.0, 0.0), 1.0, 1 / 32, 1.0)
+    u = _rep(dom, 0.5)
+    orbits = np.unique(np.stack(geometry.lattice_symmetries(dom)).min(axis=0)).size
+    rows = _scanned_rows(monkeypatch)
+    first_residual(u, 0.5, lambda_infinity(dom, 0.5), distance_to_complement(dom))
+    assert sum(rows) == orbits == 428
+    assert dom.inside_count == 3205
+
+
+@pytest.mark.parametrize("make", [
+    lambda: _rep(build_interval(0.0, 2.0, 0.01), 0.5),
+    lambda: _rep(build_disk((0.3, -0.7), 1.0, 0.05), 0.5),
+    lambda: sample(second_1d(0.5), build_interval(0.0, 2.0, 1 / 256)),
+], ids=["interval_h001", "offcentre_disk", "antisymmetric"])
+def test_scan_falls_back_to_every_row(monkeypatch, make):
+    """Axes that do not mirror exactly (h = 0.01; a disk centred off the
+    dyadic grid) or a u that no reflection keeps (the odd second profile)
+    leave the identity alone: every inside node is a scanned row."""
+    u = make()
+    dom = u.domain
+    assert len(geometry.lattice_symmetries(dom)) > 1  # the solver would fold these
+    assert len(infinity._invariance(u, np.arange(dom.n_nodes), dom.inside_indices)) == 1
+    rows = _scanned_rows(monkeypatch)
+    _extreme_quotients(u, 0.5, dom.inside_indices)
+    assert sum(rows) == dom.inside_count
+
+
+def test_symmetry_breaking_gamma1_keeps_only_the_reflections_of_u(monkeypatch):
+    """A single node at one end of the rectangle's ridge keeps the flip
+    across the ridge and breaks the flip along it: the scan folds over the
+    two reflections left, bit for bit."""
+    dom = build_rectangle((0.0, 0.0), (1.0, 0.5), 1 / 32)
+    delta = distance_to_complement(dom)
+    end = NodeSet(dom, high_ridge(delta).indices[:1])
+    u = representation(dom, end, 0.5, delta=delta)
+    group = infinity._invariance(u, np.arange(dom.n_nodes), dom.inside_indices)
+    assert len(group) == 2 and len(geometry.lattice_symmetries(dom)) == 4
+    rows = _scanned_rows(monkeypatch)
+    got = _extreme_quotients(u, 0.5, dom.inside_indices)
+    assert dom.inside_count / 2 <= sum(rows) < dom.inside_count
+    _assert_bitwise(got, _unfolded(monkeypatch, u, 0.5, dom.inside_indices))
+
+
+def test_reflections_are_kept_only_where_u_is_bitwise_invariant(monkeypatch):
+    """-0.0 at z0 alone (its mirror images keep +0.0) leaves u invariant in
+    value but not in bits: the reflections that move z0 are dropped, and the
+    scan, which folds no row then, equals the unfolded one bitwise."""
+    u = _ties_signed_zeros(build_rectangle((0.0, 0.0), (1.0, 0.5), 1 / 16, 1.0))
+    dom = u.domain
+    z0 = dom.inside_indices[0]
+    vals = u.flat().copy()
+    vals[z0] = -0.0
+    v = GridFunction(dom, vals.reshape(dom.lattice_shape), zero_extended=False)
+    base = dom.inside_indices
+    assert len(infinity._invariance(v, np.arange(dom.n_nodes), base)) == 1
+    _assert_bitwise(_extreme_quotients(v, 1.0, base), _unfolded(monkeypatch, v, 1.0, base))
+
+
+def test_inexact_axes_are_not_folded_even_for_a_symmetric_u(monkeypatch):
+    """On the disk centred at (0.3, -0.7) the mask is symmetric and u is
+    made bitwise symmetric too, but the axes do not mirror exactly, so the
+    distances are not: the scan keeps every row."""
+    dom = build_disk((0.3, -0.7), 1.0, 0.05)
+    nodes = np.arange(dom.n_nodes)
+    flips = [g(nodes) for g in geometry._reflections(dom)]
+    assert len(flips) == 8
+    vals = np.max([_rep(dom, 0.5).flat()[g] for g in flips], axis=0)
+    u = GridFunction(dom, vals.reshape(dom.lattice_shape))
+    assert all(np.array_equal(vals[g], vals) for g in flips)
+    rows = _scanned_rows(monkeypatch)
+    _extreme_quotients(u, 0.5, dom.inside_indices)
+    assert sum(rows) == dom.inside_count
