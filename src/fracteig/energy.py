@@ -46,8 +46,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import (GridDomain, GridFunction, _check_memory, block_rows, distances,
-                       squared_distances)
+from .geometry import (GridDomain, GridFunction, _check_memory, _orbits, block_rows,
+                       distances, squared_distances)
 
 __all__ = [
     "FracParams",
@@ -70,6 +70,12 @@ def surface_measure(n: int) -> float:
     raise ValueError(f"unsupported dimension {n}")
 
 
+def _check_alpha(alpha: float) -> None:
+    """Raise unless the Hoelder exponent alpha lies in (0, 1]."""
+    if not (0.0 < alpha <= 1.0):
+        raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
+
+
 @dataclass(frozen=True)
 class FracParams:
     """Exponents of the fractional p-energy kernel |y-x|^(-alpha*p).
@@ -85,8 +91,7 @@ class FracParams:
     p: float
 
     def __post_init__(self):
-        if not (0.0 < self.alpha <= 1.0):
-            raise ValueError(f"alpha must lie in (0, 1], got {self.alpha}")
+        _check_alpha(self.alpha)
         if not (self.p >= 2.0) or not math.isfinite(self.p):
             raise ValueError(f"p must be finite and >= 2, got {self.p}")
 
@@ -178,10 +183,12 @@ class QuotientTables:
     `group` is a group G of lattice reflections that map the box and the mask
     onto themselves, as `lattice_symmetries` returns it: one permutation of
     the inside nodes per element, identity first.  None is the trivial group.
-    Its orbits are numbered by their smallest inside index, which represents
-    them as rep(I).  Such a group keeps every pair distance, cross weight and
-    tail coefficient up to rounding, so a vector that is constant on each
-    orbit I has the quotient of the k orbit values v_I with
+    `geometry._orbits` numbers its orbits by their smallest inside index,
+    which represents them as rep(I), and sorts nothing; the members of orbit
+    J are the images g rep(J), one column per element.  Such a group keeps
+    every pair distance, cross weight and tail coefficient up to rounding,
+    so a vector that is constant on each orbit I has the quotient of the k
+    orbit values v_I with
 
         W_IJ = |I| |J| / |G| sum_{g in G} K_{rep(I), g rep(J)},   c_I = sum_{i in I} c_i,
 
@@ -200,10 +207,9 @@ class QuotientTables:
         self.prm = prm
         if group is None:
             group = [np.arange(dom.inside_count)]
-        images = np.stack(group, axis=1)  # images[i, g]: the image of inside node i under g
-        self.reps, self.labels, sizes = np.unique(images.min(axis=1), return_inverse=True,
-                                                  return_counts=True)
-        self.sizes = sizes.astype(float)  # nodes per orbit: each value's weight in the denominator
+        self.reps, self.labels, _ = _orbits(group)
+        # nodes per orbit: each value's weight in the denominator
+        self.sizes = np.bincount(self.labels).astype(float)
         (self.cross_coef, self.tail_lower_coef, self.tail_upper_coef,
          self.ct_coef) = _coefficients(dom, prm, self.labels, self.orbits)
         n, h = dom.dim, dom.h
@@ -211,7 +217,7 @@ class QuotientTables:
         self.h2n = h ** (2 * n)
         self.log_hn = n * math.log(h)
         self.log_h2n = 2 * n * math.log(h)
-        self._build_holder(images[self.reps])
+        self._build_holder(np.stack([g[self.reps] for g in group], axis=1))
         self._work = None  # the pair pass's (3, block, k) workspace, made on first use
 
     def _build_holder(self, members: np.ndarray) -> None:

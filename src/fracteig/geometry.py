@@ -13,7 +13,10 @@ Conventions used throughout:
 * a node "inside" means strictly interior to the region (boundary nodes are
   outside); nodes within ``1e-9 * h`` of a canonical boundary are treated as
   outside so analytic distances stay strictly positive on the inside set;
-* distances are Euclidean and in physical units (not multiples of ``h``).
+* distances are Euclidean and in physical units (not multiples of ``h``);
+* a lattice reflection is a permutation of the positions in an ascending
+  array of flat node indices that it maps onto itself (`_reflections`), and
+  `_orbits` numbers the orbits of a group of them, for every fold.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -518,9 +521,11 @@ def _mirrors_exactly(ax: np.ndarray) -> bool:
     return bool(np.all(s == s[0]) and not err.any())
 
 
-def _reflections(dom: GridDomain, exact: bool = False) -> list:
+def _reflections(dom: GridDomain, nodes: np.ndarray, exact: bool = False) -> list:
     """The group of lattice reflections that map the mask onto itself, as
-    permutations of the box nodes.
+    permutations of the positions in `nodes`, an ascending array of flat
+    node indices that every such reflection maps onto itself: entry i of an
+    element is the position in `nodes` of the image of ``nodes[i]``.
 
     The candidates are the flip of each axis (node k of an axis with n nodes
     goes to node n - 1 - k) and, on a square lattice, the swap of the two
@@ -531,45 +536,47 @@ def _reflections(dom: GridDomain, exact: bool = False) -> list:
     mask onto itself exactly and, with `exact`, when it also keeps every
     coordinate difference bitwise: a flip whose axis mirrors exactly
     (`_mirrors_exactly`), the swap of two bitwise equal axes.  The result is
-    the group the counted candidates generate, identity first, one function
-    per element that maps an array of flat node indices to the flat indices
-    of their images.
-
-    An element is held as the sparse index grids of the lattice
-    (``np.indices(shape, sparse=True)``) moved by it: moving the grids
-    composes the element with the move, and the image of a node reads its
-    index along axis k off grid k there.  So no array of the lattice's size
-    is made.
+    the group the counted candidates generate, identity first, then the
+    products in breadth-first order.  Reflections that agree on every node
+    of `nodes` are one element.
     """
-    moves = [lambda a, ax=ax: np.flip(a, ax) for ax in range(dom.dim)
-             if not exact or _mirrors_exactly(dom.axes[ax])]
-    if dom.dim == 2 and dom.lattice_shape[0] == dom.lattice_shape[1] and (
+    shape = dom.lattice_shape
+    at = np.unravel_index(nodes, shape)
+    moves = []  # (the mask moved, the lattice indices of the nodes' images)
+    for ax in range(dom.dim):
+        if not exact or _mirrors_exactly(dom.axes[ax]):
+            moves.append((np.flip(dom.inside, ax),
+                          at[:ax] + (shape[ax] - 1 - at[ax],) + at[ax + 1:]))
+    if dom.dim == 2 and shape[0] == shape[1] and (
             not exact or dom.axes[0].tobytes() == dom.axes[1].tobytes()):
-        moves.append(np.transpose)
-    gens = [move for move in moves if np.array_equal(move(dom.inside), dom.inside)]
-    group = [tuple(np.indices(dom.lattice_shape, sparse=True))]
-    seen = {_grid_key(group[0])}
+        moves.append((dom.inside.T, at[::-1]))
+    gens = [np.searchsorted(nodes, np.ravel_multi_index(image, shape))
+            for mask, image in moves if np.array_equal(mask, dom.inside)]
+    group = [np.arange(nodes.size)]
+    seen = {group[0].tobytes()}
     for g in group:  # the loop also visits the elements it appends
-        for move in gens:
-            composed = tuple(move(grid) for grid in g)  # (g s)(x) = g(s(x)) for the move s
-            key = _grid_key(composed)
+        for s in gens:
+            composed = g[s]  # (g s)(x) = g(s(x))
+            key = composed.tobytes()
             if key not in seen:
                 seen.add(key)
                 group.append(composed)
-    return [partial(_image, g, dom.lattice_shape) for g in group]
+    return group
 
 
-def _grid_key(grids: tuple) -> tuple:
-    """What names a reflection held as moved index grids: their shapes and values."""
-    return tuple((grid.shape, grid.tobytes()) for grid in grids)
-
-
-def _image(grids: tuple, shape: tuple, nodes: np.ndarray) -> np.ndarray:
-    """Flat indices of the images of flat node indices under the reflection
-    held as the moved index grids."""
-    at = np.unravel_index(nodes, shape)
-    return np.ravel_multi_index(tuple(np.broadcast_to(grid, shape)[at] for grid in grids),
-                                shape)
+def _orbits(group: list) -> tuple:
+    """Orbits of a group of permutations of positions 0 .. m - 1 (identity
+    first), each numbered by its smallest position: ``(reps, labels, elem)``
+    with reps the ascending smallest positions, labels[i] the orbit of
+    position i, and group[elem[i]] an element mapping reps[labels[i]] to i.
+    Sorts nothing."""
+    first = np.minimum.reduce(group)  # the smallest position of each position's orbit
+    reps = np.flatnonzero(first == np.arange(first.size))
+    labels = np.searchsorted(reps, first)
+    elem = np.zeros(first.size, dtype=np.int64)
+    for k, g in enumerate(group):
+        elem[g[reps]] = k
+    return reps, labels, elem
 
 
 def lattice_symmetries(dom: GridDomain) -> list:
@@ -578,16 +585,7 @@ def lattice_symmetries(dom: GridDomain) -> list:
     position in ``inside_indices`` of the image of inside node i.  The group
     is listed identity first, each element once.
     """
-    pos = np.full(dom.n_nodes, -1)
-    pos[dom.inside_indices] = np.arange(dom.inside_count)
-    group, seen = [], set()
-    for g in _reflections(dom):
-        restricted = pos[g(dom.inside_indices)]
-        key = restricted.tobytes()
-        if key not in seen:  # two reflections may agree on every inside node
-            seen.add(key)
-            group.append(restricted)
-    return group
+    return _reflections(dom, dom.inside_indices)
 
 
 # ---------------------------------------------------------------------------

@@ -21,13 +21,15 @@ The scan is folded over the lattice reflections that keep every quotient bit
 for bit.  Those are generated by exact moves only (`geometry._reflections`
 with exact=True): an axis flip whose node coordinates sum with their mirror
 images to one constant with no rounding, and the swap of two bitwise equal
-axes; each keeps every coordinate difference bitwise, so every distance.  Of
-these, the scan keeps the elements g that map the scanned nodes onto
+axes; each keeps every coordinate difference bitwise, so every distance.  They
+are held in geometry's one form, as permutations of the candidate columns.
+Of these, the scan keeps the elements g that map the scanned nodes onto
 themselves and keep u bitwise (compared as int64, so -0.0 differs from 0.0).
 Then q(g x, g y) = q(x, y) bitwise for every pair, one row per orbit is
-scanned, and a member g x takes that row's value and the lowest flat index
-in g(T), T the columns tied at the extreme: exactly what a scan of its own
-row would give.  An antisymmetric u (u o g = -u) is not folded: a pair with
+scanned (`geometry._orbits` numbers the orbits, as for the solver's tables),
+and a member g x takes that row's value and the lowest flat index in g(T),
+T the columns tied at the extreme: exactly what a scan of its own row would
+give.  An antisymmetric u (u o g = -u) is not folded: a pair with
 u(y) = u(x) gives +0.0 directly but -0.0 through the flip.
 
 The first-eigenvalue equation residual at an inside node is
@@ -47,12 +49,14 @@ from typing import Optional, Tuple
 
 import numpy as np
 
+from .energy import _check_alpha
 from .geometry import (
     GridDomain,
     GridFunction,
     Interval,
     NodeSet,
     _dilate,
+    _orbits,
     _reflections,
     block_rows,
     distance_to_complement,
@@ -86,21 +90,20 @@ BRANCH_ZERO = "zero"       # node classified as u = 0 (dead band)
 
 
 def _invariance(u: GridFunction, cand: np.ndarray, base: np.ndarray) -> list:
-    """The exact lattice reflections (`geometry._reflections(dom, exact=True)`)
-    that map the ascending base nodes onto themselves and keep u bitwise (as
-    int64, so -0.0 differs from 0.0) at every base node and candidate,
-    identity first, as functions of flat node indices.  They keep the
-    candidates, since they keep the mask."""
-    flat = u.flat().view(np.int64)
-    keep = []
-    for g in _reflections(u.domain, exact=True):
-        gb = g(base)
-        within = base[np.minimum(np.searchsorted(base, gb), base.size - 1)] == gb
-        if (within.all()  # so g(base) is base: g is one to one
-                and np.array_equal(flat[gb], flat[base])
-                and np.array_equal(flat[g(cand)], flat[cand])):
-            keep.append(g)
-    return keep
+    """The exact lattice reflections (`geometry._reflections` with exact=True)
+    as permutations of the ascending candidate nodes, which every mask
+    reflection maps onto themselves: those that map the ascending base nodes
+    onto themselves and keep u bitwise (as int64, so -0.0 differs from 0.0)
+    at every candidate, identity first.  When a base node is not a
+    candidate, the identity alone."""
+    at = np.minimum(np.searchsorted(cand, base), cand.size - 1)
+    if not np.array_equal(cand[at], base):
+        return [np.arange(cand.size)]
+    in_base = np.zeros(cand.size, dtype=bool)
+    in_base[at] = True
+    flat = u.flat()[cand].view(np.int64)
+    return [g for g in _reflections(u.domain, cand, exact=True)
+            if in_base[g[at]].all() and np.array_equal(flat[g], flat)]
 
 
 def _extreme_quotients(u: GridFunction, alpha: float,
@@ -110,20 +113,20 @@ def _extreme_quotients(u: GridFunction, alpha: float,
     otherwise (see the module docstring).
 
     One base node per orbit of the invariance group (`_invariance`) is
-    scanned, its smallest, in row blocks against every candidate.  The
-    distance, quotient and tie blocks are allocated once per call and
-    refilled in place; each extreme is its argmax or argmin, and the value is
-    read back at that column, so a value and its witness always come from
-    one entry.  A member g x of an orbit takes the value of x and the witness
-    min g(T), where T holds the columns of row x equal to the extreme: T is
-    listed only on rows with a tie (`_ties`), and otherwise g maps the argmax
-    or argmin (`_expand`).
+    scanned, its smallest (`geometry._orbits` over positions in base), in
+    row blocks against every candidate.  The distance, quotient and tie
+    blocks are allocated once per call and refilled in place; each extreme
+    is its argmax or argmin, and the value is read back at that column, so a
+    value and its witness always come from one entry.  A member g x of an
+    orbit takes the value of x and the witness min g(T), where T holds the
+    columns of row x equal to the extreme: T is listed only on rows with a
+    tie (`_ties`), and otherwise g maps the argmax or argmin (`_expand`).
 
     The fold adds little resident memory.  It sorts nothing (the first sort
-    of a process maps about 0.4 MB of numpy's sort kernels), keeps no table
-    per group element, and makes the results before the blocks, so the
-    blocks are the last allocation, as in an unfolded scan, and freeing them
-    can return their memory.
+    of a process maps about 0.4 MB of numpy's sort kernels), keeps one
+    permutation of the candidates per group element, and makes the results
+    before the blocks, so the blocks are the last allocation, as in an
+    unfolded scan, and freeing them can return their memory.
     """
     dom = u.domain
     if u.zero_extended:
@@ -134,21 +137,15 @@ def _extreme_quotients(u: GridFunction, alpha: float,
     vals = u.flat()[cand]
     base = np.asarray(base, dtype=np.int64)
     group = _invariance(u, cand, base)
-    # position in base of the smallest node of each base node's orbit
-    first = np.arange(base.size)
-    for g in group[1:]:
-        np.minimum(first, np.searchsorted(base, g(base)), out=first)
-    own = np.flatnonzero(first == np.arange(base.size))
-    reps = base[own]  # the scanned nodes, one per orbit
-    orbit = np.searchsorted(own, first)  # the row each base node reads
-    elem = np.zeros(base.size, dtype=np.int64)  # an element mapping that row's node to it
-    for k, g in enumerate(group[1:], 1):
-        elem[np.searchsorted(base, g(reps))] = k
-    bc = dom.node_coords[reps]
-    bv = u.flat()[reps]
-    # column of each scanned node among the candidates, where it is one (y = x is excluded)
-    col = np.minimum(np.searchsorted(cand, reps), cand.size - 1)
-    is_cand = cand[col] == reps
+    # column of each base node among the candidates, where it is one (y = x is excluded)
+    col = np.minimum(np.searchsorted(cand, base), cand.size - 1)
+    is_cand = cand[col] == base
+    # the group as permutations of positions in base, which its elements map onto itself
+    reps, orbit, elem = _orbits([np.arange(base.size)]
+                                + [np.searchsorted(col, g[col]) for g in group[1:]])
+    col, is_cand = col[reps], is_cand[reps]  # the scanned rows, one per orbit
+    bc = dom.node_coords[base[reps]]
+    bv = u.flat()[base[reps]]
 
     n = reps.size
     result = (np.empty(base.size), np.empty(base.size, dtype=np.int64),
@@ -190,9 +187,8 @@ def _extreme_quotients(u: GridFunction, alpha: float,
     # blocks and keep the heap from shrinking (disk_infinity peak RSS +0.9 MB)
     del dist, quot, tied
 
-    l_plus, w_plus = _expand(l_plus, cand[w_plus], ties_plus, orbit, elem, group, cand,
-                             result[:2])
-    l_minus, w_minus = _expand(l_minus, cand[w_minus], ties_minus, orbit, elem, group, cand,
+    l_plus, w_plus = _expand(l_plus, w_plus, ties_plus, orbit, elem, group, cand, result[:2])
+    l_minus, w_minus = _expand(l_minus, w_minus, ties_minus, orbit, elem, group, cand,
                                result[2:])
     if u.zero_extended:
         up = 0.0 > l_plus
@@ -222,18 +218,19 @@ def _ties(q: np.ndarray, best: np.ndarray, extreme: np.ndarray, eq: np.ndarray,
 def _expand(value: np.ndarray, witness: np.ndarray, ties: list, orbit: np.ndarray,
             elem: np.ndarray, group: list, cand: np.ndarray, out: tuple) -> tuple:
     """Values and witnesses of every base node, written into out, from those
-    of the scanned rows: base node i takes row orbit[i] through the element
-    group[elem[i]].  A tied row's members take the smallest image of its
-    tied columns, and the quotient there (equal to the row's, but it may be
-    the other zero)."""
+    of the scanned rows, whose witnesses are candidate columns: base node i
+    takes row orbit[i] through the element group[elem[i]].  A tied row's
+    members take the smallest image of its tied columns, and the quotient
+    there (equal to the row's, but it may be the other zero).  The columns
+    become flat node indices at the end."""
     value = np.take(value, orbit, out=out[0])
     witness = np.take(witness, orbit, out=out[1])
     for k, g in enumerate(group[1:], 1):
         i = np.flatnonzero(elem == k)
-        witness[i] = g(witness[i])
+        witness[i] = g[witness[i]]
     if ties:
-        tied = cand[np.concatenate([cols for _, cols, _ in ties])]
-        images = np.stack([g(tied) for g in group])  # images[k, j]: image of tied node j under k
+        tied = np.concatenate([cols for _, cols, _ in ties])
+        images = np.stack([g[tied] for g in group])  # images[k, j]: image of tied column j under k
         start = 0
         for row, cols, quot in ties:
             i = np.flatnonzero(orbit == row)
@@ -242,7 +239,7 @@ def _expand(value: np.ndarray, witness: np.ndarray, ties: list, orbit: np.ndarra
             witness[i] = img[np.arange(i.size), k]
             value[i] = quot[k]
             start += cols.size
-    return value, witness
+    return value, cand.take(witness, out=witness)
 
 
 def linf_plus(u: GridFunction, alpha: float, x: int) -> Tuple[float, int]:
@@ -275,11 +272,6 @@ def linf_minus_analytic(u: GridFunction, delta: GridFunction, alpha: float,
     if not (dx > 0.0):
         raise RuntimeError(f"distance vanishes at node {x}; not an inside node?")
     return float(-u.flat()[x] / dx ** alpha)
-
-
-def _check_alpha(alpha: float) -> None:
-    if not (0.0 < alpha <= 1.0):
-        raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
 
 
 def _node(dom: GridDomain, x) -> int:
@@ -475,7 +467,7 @@ def cone(dom: GridDomain, x0: int, radius: float, alpha: float,
     _check_alpha(alpha)
     if not (radius > 0.0):
         raise ValueError(f"radius must be positive, got {radius}")
-    x0 = int(x0)
+    x0 = _node(dom, x0)
     coords = dom.node_coords
     r = distances(coords[x0:x0 + 1], coords)[0]
     if alpha < 1.0:

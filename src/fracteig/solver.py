@@ -97,8 +97,9 @@ class SolverOptions:
             raise ValueError("max_iters must be >= 1")
         if not (self.tol_rel_q > 0.0 and self.tol_grad > 0.0):
             raise ValueError("tolerances must be positive")
-        if not (self.step0 > 0.0):
-            raise ValueError("step0 must be positive")
+        # an infinite step stays infinite under backtracking: the line search would never end
+        if not (0.0 < self.step0 < math.inf):
+            raise ValueError("step0 must be positive and finite")
         if not (0.0 < self.backtrack_factor < 1.0):
             raise ValueError("backtrack_factor must lie in (0, 1)")
         if self.init_mode not in ("distance", "random", "custom"):

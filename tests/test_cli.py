@@ -641,8 +641,11 @@ def test_overflowing_kernel_exits_2(tmp_path, capsys, monkeypatch, command, ps):
     '{"max_iters": 1e400}',  # read as inf
     '{"max_iters": true}',
     '{"seed": 1.5, "init_mode": "random"}',
-], ids=["fraction", "overflow", "bool", "seed"])
+    '{"step0": 1e400}',  # read as inf, which backtracking never shrinks
+], ids=["fraction", "overflow", "bool", "seed", "infinite_step0"])
 def test_non_integer_solver_option_exits_2(tmp_path, capsys, solver):
+    """A solver option that JSON reads but the solver cannot take exits 2
+    before any output is made."""
     out = tmp_path / "run"
     cfg = _eig_config(tmp_path, out)
     text = cfg.read_text(encoding="utf-8")

@@ -11,6 +11,7 @@ from fracteig.geometry import (
     Interval,
     NodeSet,
     Rectangle,
+    _orbits,
     _reflections,
     build_disk,
     build_interval,
@@ -347,7 +348,7 @@ def half_square(h):
     return square.restricted(None, shape_tag=Rectangle(0.0, 0.0, 0.5, 1.0))
 
 
-@pytest.mark.parametrize("dom, order", [
+GROUP_ORDERS = pytest.mark.parametrize("dom, order", [
     (build_interval(0.0, 2.0, 1 / 100), 2),
     (build_disk((0.0, 0.0), 1.0, 1 / 16), 8),
     (build_rectangle((0.0, 0.0), (1.0, 1.0), 1 / 12), 8),
@@ -357,6 +358,9 @@ def half_square(h):
     (build_interval(0.0, 1.0, 0.3), 1),
 ], ids=["interval", "disk", "unit_square", "half_square", "rectangle", "free_form",
         "lopsided_interval"])
+
+
+@GROUP_ORDERS
 def test_lattice_symmetries_group_orders(dom, order):
     """Each element is a permutation of the inside nodes that maps them to inside
     nodes at the same distances from every other image; the identity comes
@@ -376,6 +380,42 @@ def test_lattice_symmetries_group_orders(dom, order):
             assert g[f].tobytes() in keys
 
 
+def test_lattice_symmetries_list_the_disk_group_in_breadth_first_order():
+    """The order of the elements sets the order of the group sum in the
+    solver's tables, so their bits: identity, flip of axis 0, flip of axis 1,
+    swap, then the products g s of the listed g with the generators s, in
+    breadth-first order.  Built here from flat index arithmetic on the
+    square lattice of the disk."""
+    dom = build_disk((0.0, 0.0), 1.0, 1 / 16)
+    n = dom.lattice_shape[0]
+    assert dom.lattice_shape == (n, n)
+    inside = dom.inside_indices
+    i, j = np.divmod(inside, n)
+    images = [(i, j), (n - 1 - i, j), (i, n - 1 - j), (j, i),
+              (n - 1 - i, n - 1 - j), (n - 1 - j, i), (j, n - 1 - i), (n - 1 - j, n - 1 - i)]
+    want = [np.searchsorted(inside, a * n + b) for a, b in images]
+    got = lattice_symmetries(dom)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        np.testing.assert_array_equal(g, w)
+
+
+@GROUP_ORDERS
+def test_orbits_equal_the_sorted_reference(dom, order):
+    """`_orbits` numbers the orbits as np.unique of the orbit minima does,
+    and each position i is the image of its orbit's smallest position under
+    the element it names."""
+    group = lattice_symmetries(dom)
+    reps, labels, elem = _orbits(group)
+    want_reps, want_labels, want_sizes = np.unique(np.minimum.reduce(group),
+                                                   return_inverse=True, return_counts=True)
+    np.testing.assert_array_equal(reps, want_reps)
+    np.testing.assert_array_equal(labels, want_labels)
+    np.testing.assert_array_equal(np.bincount(labels), want_sizes)
+    m = dom.inside_count
+    np.testing.assert_array_equal(np.stack(group)[elem, reps[labels]], np.arange(m))
+
+
 @pytest.mark.parametrize("dom, order, exact_order", [
     (build_interval(0.0, 2.0, 1 / 128), 2, 2),
     (build_interval(0.0, 2.0, 1 / 100), 2, 1),
@@ -392,8 +432,8 @@ def test_exact_reflections_keep_every_distance_bitwise(dom, order, exact_order):
     coordinate without rounding (h = 1/12 keeps only the swap of the two
     equal axes), and they keep every squared distance bit for bit."""
     nodes = np.arange(dom.n_nodes)
-    full = [g(nodes) for g in _reflections(dom)]
-    exact = [g(nodes) for g in _reflections(dom, exact=True)]
+    full = _reflections(dom, nodes)
+    exact = _reflections(dom, nodes, exact=True)
     assert (len(full), len(exact)) == (order, exact_order)
     np.testing.assert_array_equal(full[0], nodes)
     pos = np.full(dom.n_nodes, -1)

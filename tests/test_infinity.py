@@ -429,6 +429,10 @@ def test_cone_radius_validation():
     dom = build_disk((0.0, 0.0), 1.0, 0.25)
     with pytest.raises(ValueError, match="radius must be positive"):
         cone(dom, 0, -1.0, 0.5)
+    line = build_interval(0.0, 1.0, 0.25)
+    for x0 in (-2, -1, line.n_nodes):  # numpy would wrap -2 to a node near the far end
+        with pytest.raises(ValueError, match=f"node index {x0} out of range"):
+            cone(line, x0, 0.5, 0.5)
 
 
 def test_lambda_infinity_values():
@@ -542,8 +546,8 @@ def _scanned_rows(monkeypatch):
 def _unfolded(monkeypatch, u, alpha, base):
     """The scan with the group forced to the identity alone."""
     with monkeypatch.context() as m:
-        m.setattr(infinity, "_reflections", lambda dom, exact=False:
-                  geometry._reflections(dom, exact)[:1])
+        m.setattr(infinity, "_reflections", lambda dom, nodes, exact=False:
+                  geometry._reflections(dom, nodes, exact)[:1])
         return _extreme_quotients(u, alpha, base)
 
 
@@ -557,8 +561,7 @@ def _assert_bitwise(got, want):
 def _symmetric(dom, values):
     """values made constant on the orbits of the exact reflections, by
     taking the orbit maximum."""
-    nodes = np.arange(dom.n_nodes)
-    images = [g(nodes) for g in geometry._reflections(dom, exact=True)]
+    images = geometry._reflections(dom, np.arange(dom.n_nodes), exact=True)
     return np.max([values[g] for g in images], axis=0)
 
 
@@ -589,7 +592,7 @@ def _ties_signed_zeros(dom):
     pick = np.random.default_rng(1).integers(0, 3, dom.n_nodes)
     pick[z0] = 2
     pick = _symmetric(dom, pick)
-    pick[[g(z1) for g in geometry._reflections(dom, exact=True)]] = 1
+    pick[[g[z1] for g in geometry._reflections(dom, np.arange(dom.n_nodes), exact=True)]] = 1
     vals = np.choose(pick, [-1.0, -0.0, 0.0])
     vals[~dom.inside_flat] = -1.0
     return GridFunction(dom, vals.reshape(dom.lattice_shape), zero_extended=False)
@@ -625,7 +628,7 @@ def test_signed_zero_ties_reach_l_plus():
     u = _ties_signed_zeros(build_rectangle((0.0, 0.0), (1.0, 0.5), 1 / 16, 1.0))
     dom = u.domain
     z0 = dom.inside_indices[0]
-    members = [g(z0) for g in geometry._reflections(dom, exact=True)]
+    members = [g[z0] for g in geometry._reflections(dom, np.arange(dom.n_nodes), exact=True)]
     lp = _extreme_quotients(u, 1.0, np.array(sorted(members)))[0]
     assert np.array_equal(lp, np.zeros(4))
     assert np.signbit(lp).tolist() == [True, False, False, False]
@@ -697,8 +700,7 @@ def test_inexact_axes_are_not_folded_even_for_a_symmetric_u(monkeypatch):
     made bitwise symmetric too, but the axes do not mirror exactly, so the
     distances are not: the scan keeps every row."""
     dom = build_disk((0.3, -0.7), 1.0, 0.05)
-    nodes = np.arange(dom.n_nodes)
-    flips = [g(nodes) for g in geometry._reflections(dom)]
+    flips = geometry._reflections(dom, np.arange(dom.n_nodes))
     assert len(flips) == 8
     vals = np.max([_rep(dom, 0.5).flat()[g] for g in flips], axis=0)
     u = GridFunction(dom, vals.reshape(dom.lattice_shape))

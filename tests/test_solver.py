@@ -184,6 +184,7 @@ def test_sweep1d_p32_step_matches_the_reference():
     ({"max_iters": True}, "max_iters must be an integer"),
     ({"seed": 1.5, "init_mode": "random"}, "seed must be an integer"),
     ({"seed": False}, "seed must be an integer"),
+    ({"step0": np.inf}, "step0 must be positive and finite"),
 ])
 def test_options_validation(kwargs, msg):
     with pytest.raises(ValueError, match=msg):
