@@ -296,6 +296,7 @@ def cmd_eig(cfg: RunConfig) -> tuple:
         "lambda": res.lam,
         "iters": res.iters,
         "evals": res.evals,
+        "hess_products": res.hess_products,
         "stop_reason": res.stop_reason,
         "final_grad_norm": res.final_grad_norm,
         "converged": res.converged,
@@ -330,6 +331,7 @@ def cmd_sweep(cfg: RunConfig) -> tuple:
         "stop_reasons": [r.stop_reason for r in result.rows],
         "iters": [r.iters for r in result.rows],
         "evals": [r.evals for r in result.rows],
+        "hess_products": [r.hess_products for r in result.rows],
         "orbits": [r.orbits for r in result.rows],
     }
     return dom, [("sweep", "sweep.csv",

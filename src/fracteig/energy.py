@@ -28,10 +28,11 @@ power of the values or of a pair term overflows; the per-node coefficients,
 whose nearest-pair kernel is h^(-alpha p), must be finite doubles, and the
 tables raise ValueError when one is not.  One pair pass,
 `QuotientTables._interior`, computes the interior sum for every evaluation:
-quotient, gradient and breakdown.  It runs over blocks of rows of the pair
-matrix, with each block's largest term factored out, and combines the block
-sums in log space; a (3, B, k) workspace is all it writes, so the k x k
-`holder` is the only array that grows with k squared.  The tables are folded
+quotient, gradient, breakdown, and the Hessian's diagonal and products.  It
+runs over blocks of rows of the pair matrix, with each block's largest term
+factored out, and combines the block sums in log space; a (3, B, k)
+workspace is all it writes, so the k x k `holder` is the only array that
+grows with k squared.  The tables are folded
 over the k orbits of a group G of lattice reflections, for vectors that are
 constant on each orbit, the pair kernel as one sum over G: the solver passes
 the lattice's symmetries, and the trivial group, the default, makes every
@@ -46,8 +47,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import (GridDomain, GridFunction, _check_memory, _orbits, block_rows,
-                       distances, squared_distances)
+from .geometry import (GridDomain, GridFunction, _check_memory, _node_index, _orbits,
+                       block_rows, distances, squared_distances)
 
 __all__ = [
     "FracParams",
@@ -293,25 +294,41 @@ class QuotientTables:
 
     # -- energies -------------------------------------------------------------
 
-    def _interior(self, w: np.ndarray):
-        """The one pair pass: log interior energy of w, rmax and the row sums.
+    def _interior(self, w: np.ndarray, d: np.ndarray | None = None, curvature: bool = False):
+        """The one pair pass: log interior energy of w, rmax and the row sums,
+        or, with `curvature`, the pair part of the Hessian at w.
 
         Runs over blocks of B = min(`block_rows(m)`, m) rows.  Block b fills
-        the workspace with diff = w_i - w_j, r = (r_ij / bmax)**p and
-        rp1 = sign(diff) * holder_ij * (r_ij / bmax)**(p-1), where
+        the workspace with diff = w_i - w_j, r = r_ij / bmax, where
         r_ij = |diff| * holder_ij and bmax is the block's largest r_ij, and
-        keeps S_b = sum r.  With rmax = max bmax, it returns
-        log(h^2n * sum r_ij**p) = log(sum (bmax/rmax)**p * S_b) + p log rmax
-        + log h^2n, rmax, and rows_i = sum_j sign(diff) * holder_ij *
-        (r_ij / rmax)**(p-1).  With one block (m <= 362) both block factors
-        are exactly 1.  A constant w has no pair term and gives
-        (-inf, 0.0, zeros).
+        the third slab with the block's powers of r.
+
+        Without `curvature` the third slab is rp1 = sign(diff) * holder_ij *
+        (r_ij / bmax)**(p-1), and the pass keeps S_b = sum (r_ij / bmax)**p.
+        With rmax = max bmax, it returns log(h^2n * sum r_ij**p) =
+        log(sum (bmax/rmax)**p * S_b) + p log rmax + log h^2n, rmax, and
+        rows_i = sum_j sign(diff) * holder_ij * (r_ij / rmax)**(p-1).
+
+        With `curvature` the third slab holds the Hessian's pair weights
+        a_ij = holder_ij**2 (r_ij / bmax)**(p-2), and the pass returns rmax
+        and rows_i = sum_j a_ij (or, given a direction d,
+        sum_j a_ij (d_i - d_j)), each block scaled by (bmax/rmax)**(p-2).
+        Since W_ij |w_i - w_j|**(p-2) = holder_ij**2 r_ij**(p-2) with
+        W = holder**p, the Hessian of the interior energy is 2 p (p-1) h^2n
+        rmax**(p-2) times the Laplacian of those weights: the first rows are
+        its diagonal, the second its product with d.
+
+        With one block (m <= 362) the block factors are exactly 1.  A
+        constant w has no pair term and gives (-inf, 0.0, zeros); with
+        `curvature` its pair weights are holder**2 at p = 2 and 0 above, at
+        rmax = 1.
         """
         holder, block = self.holder, self._block
         m = holder.shape[0]
         if self._work is None:
             self._work = np.empty((3, block, m))
         p = self.prm.p
+        power = p - 2.0 if curvature else p - 1.0
         rows = np.zeros(m)
         blocks = []  # (slice, bmax, S_b) of every block with a pair term
         for start in range(0, m, block):
@@ -322,9 +339,20 @@ class QuotientTables:
             r *= holder[sl]
             bmax = float(r.max())
             if bmax == 0.0:
-                continue
+                if not curvature:
+                    continue
+                bmax = 1.0  # every block is constant: r stays 0, and 0**0 = 1 at p = 2
             r /= bmax
-            np.power(r, p - 1.0, out=rp1)
+            np.power(r, power, out=rp1)
+            if curvature:
+                rp1 *= holder[sl]
+                rp1 *= holder[sl]
+                if d is not None:  # the Laplacian of the weights applied to d
+                    np.subtract.outer(d[sl], d, out=diff)
+                    rp1 *= diff
+                rp1.sum(axis=1, out=rows[sl])
+                blocks.append((sl, bmax, 0.0))
+                continue
             r *= rp1
             # numpy's pairwise sum, not a BLAS dot: OpenBLAS splits long dots
             # across threads, which would tie the result to the thread count
@@ -339,7 +367,9 @@ class QuotientTables:
         for sl, bmax, s in blocks:
             ratio = bmax / rmax
             total += ratio ** p * s
-            rows[sl] *= ratio ** (p - 1.0)
+            rows[sl] *= ratio ** power
+        if curvature:
+            return rmax, rows
         return p * math.log(rmax) + math.log(total) + self.log_h2n, rmax, rows
 
     def breakdown(self, v: np.ndarray) -> EnergyBreakdown:
@@ -394,6 +424,52 @@ class QuotientTables:
         odd = np.copysign(a_pm1, w)
         grad += (p / math.exp(log_den)) * odd * (self.ct_coef - quot * self.hn * self.sizes)
         return quot, grad / m
+
+    def hessian(self, v: np.ndarray, q: float, grad: np.ndarray):
+        """The quotient's Hessian H at v: (its diagonal, the diagonal of
+        hess N / D, a function d -> H d).
+
+        With Q = N / D, N the numerator and D = h^n sum sizes |v|^p,
+
+            H = (hess N - Q hess D - grad Q grad D^T - grad D grad Q^T) / D:
+
+        the pair part of hess N comes from `_interior`, the cross and tail
+        part of hess N and hess D are diagonal, p (p-1) |v|^(p-2) times
+        ct_coef and h^n sizes, and the last two terms have rank two.  N is
+        convex, so the diagonal of hess N / D is positive, while H's own
+        diagonal can lose most of it to the Q hess D term.  q and grad are
+        `value_and_grad(v)`, which the caller has already computed.  Forming
+        the diagonals is one pair pass and every product one more, each on
+        v / max|v| with the largest pair term factored out in log space, as
+        in `value_and_grad`: the Hessian at v is the one at v / max|v|
+        divided by max|v|**2, since the quotient is 0-homogeneous.  The same
+        homogeneity gives H v = -grad Q(v).  No k x k array is formed: each
+        pass writes the same (3, B, k) workspace.
+        """
+        m = float(np.abs(v).max())
+        w = v / m
+        p = self.prm.p
+        a_pm2 = np.abs(w) ** (p - 2.0)
+        odd = np.copysign(a_pm2 * np.abs(w), w)
+        den = float((self.sizes * odd * w).sum())
+        # grad D / D and grad Q at w; the pair part's scale h^2n rmax^(p-2) / D
+        dlog_den = (p / den) * self.sizes * odd
+        dq = grad * m
+        rmax, pair_diag = self._interior(w, curvature=True)
+        pair = 2.0 * p * (p - 1.0) * _exp(
+            self.log_h2n + (p - 2.0) * math.log(rmax) - math.log(den) - self.log_hn)
+        own = (p * (p - 1.0) / (den * self.hn)) * a_pm2
+        convex = pair * pair_diag + own * self.ct_coef
+        local = own * (self.ct_coef - q * self.hn * self.sizes)
+        diag = pair * pair_diag + local - 2.0 * dq * dlog_den
+
+        def product(d: np.ndarray) -> np.ndarray:
+            hd = pair * self._interior(w, d, curvature=True)[1] + local * d
+            # numpy's pairwise sums, not BLAS dots, as in the pass
+            hd -= dq * float((dlog_den * d).sum()) + dlog_den * float((dq * d).sum())
+            return hd / (m * m)
+
+        return diag / (m * m), convex / (m * m), product
 
     def gradient(self, v: np.ndarray) -> np.ndarray:
         """Exact gradient of the quotient with respect to inside values."""
@@ -527,9 +603,7 @@ def apply_Lp(u: GridFunction, prm: FracParams, x: int) -> float:
     _check_input(u)
     dom = u.domain
     prm.validate_for_dim(dom.dim)
-    x = int(x)
-    if not (0 <= x < dom.n_nodes):
-        raise ValueError(f"node index {x} out of range")
+    x = _node_index(dom, x)
     coords = dom.node_coords
     if np.any((coords[x] == dom.box_lo) | (coords[x] == dom.box_hi)):
         raise ValueError(f"node {x} lies on the box boundary, where the tail diverges")

@@ -697,6 +697,22 @@ def distance_to_set(dom: GridDomain, nodes: NodeSet) -> GridFunction:
     return GridFunction(dom, d.reshape(dom.lattice_shape), zero_extended=False)
 
 
+def _check_integer(name: str, value) -> None:
+    """Raise unless value is a Python or numpy integer: a float is not
+    truncated, and a bool, an int to Python, is no count, seed or index."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def _node_index(dom: GridDomain, x) -> int:
+    """x as a flat node index of dom; numpy would silently wrap a negative one."""
+    _check_integer("node index", x)
+    x = int(x)
+    if not (0 <= x < dom.n_nodes):
+        raise ValueError(f"node index {x} out of range")
+    return x
+
+
 def nearest_node(dom: GridDomain, point) -> int:
     """Flat index of the lattice node closest to a point."""
     p = np.atleast_1d(np.asarray(point, dtype=float))

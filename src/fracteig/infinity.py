@@ -56,6 +56,7 @@ from .geometry import (
     Interval,
     NodeSet,
     _dilate,
+    _node_index,
     _orbits,
     _reflections,
     block_rows,
@@ -248,7 +249,7 @@ def linf_plus(u: GridFunction, alpha: float, x: int) -> Tuple[float, int]:
     Witness -1 means the far field won: every other quotient is negative.
     """
     _check_alpha(alpha)
-    lp, wp, _, _ = _extreme_quotients(u, alpha, np.array([_node(u.domain, x)]))
+    lp, wp, _, _ = _extreme_quotients(u, alpha, np.array([_node_index(u.domain, x)]))
     return float(lp[0]), int(wp[0])
 
 
@@ -258,7 +259,7 @@ def linf_minus(u: GridFunction, alpha: float, x: int) -> Tuple[float, int]:
     Witness -1 means the far field won: every other quotient is positive.
     """
     _check_alpha(alpha)
-    _, _, lm, wm = _extreme_quotients(u, alpha, np.array([_node(u.domain, x)]))
+    _, _, lm, wm = _extreme_quotients(u, alpha, np.array([_node_index(u.domain, x)]))
     return float(lm[0]), int(wm[0])
 
 
@@ -267,19 +268,11 @@ def linf_minus_analytic(u: GridFunction, delta: GridFunction, alpha: float,
     """-u(x) / delta(x)^alpha: the infimum a nonnegative zero-extended function
     attains in the complement of the region."""
     _check_alpha(alpha)
-    x = _node(u.domain, x)
+    x = _node_index(u.domain, x)
     dx = delta.flat()[x]
     if not (dx > 0.0):
         raise RuntimeError(f"distance vanishes at node {x}; not an inside node?")
     return float(-u.flat()[x] / dx ** alpha)
-
-
-def _node(dom: GridDomain, x) -> int:
-    """x as a flat node index; numpy would silently wrap a negative one."""
-    x = int(x)
-    if not (0 <= x < dom.n_nodes):
-        raise ValueError(f"node index {x} out of range")
-    return x
 
 
 def holder_seminorm(u: GridFunction, alpha: float) -> float:
@@ -467,7 +460,7 @@ def cone(dom: GridDomain, x0: int, radius: float, alpha: float,
     _check_alpha(alpha)
     if not (radius > 0.0):
         raise ValueError(f"radius must be positive, got {radius}")
-    x0 = _node(dom, x0)
+    x0 = _node_index(dom, x0)
     coords = dom.node_coords
     r = distances(coords[x0:x0 + 1], coords)[0]
     if alpha < 1.0:

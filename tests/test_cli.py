@@ -72,6 +72,7 @@ def test_eig_writes_artifacts_and_matches_oracle(tmp_path, capsys):
     assert s["orbits"] == 8  # the mirror pairs of (0, 1), and the midpoint
     assert s["stop_reason"] in ("grad", "rel_drop")
     assert s["evals"] >= s["iters"] + 1
+    assert s["hess_products"] >= s["iters"]  # each Newton step takes at least one product
     assert s["oracle_gap"] <= 1e-8
     assert abs(s["lambda"] - s["oracle_lambda"]) == s["oracle_gap"]
 
@@ -207,6 +208,7 @@ def test_sweep_run_writes_rows_and_target(tmp_path):
     assert s["iters"] == [int(r[5]) for r in rows]
     assert len(s["evals"]) == 3
     assert all(e >= i + 1 for e, i in zip(s["evals"], s["iters"]))
+    assert all(n >= i for n, i in zip(s["hess_products"], s["iters"]))
     assert s["orbits"] == [16, 16, 16]  # 31 inside nodes in mirror pairs and the midpoint
     assert len(s["gaps"]) == 3
     assert s["final_gap"] == s["gaps"][-1]
@@ -552,6 +554,29 @@ def test_tables_larger_than_memory_exit_2_before_allocating(tmp_path):
     assert proc.returncode == 2, proc.stderr
     assert "kernel tables for 100000 orbits of 199999 inside nodes need 74.5 GiB" in proc.stderr
     assert not out.exists()
+
+
+def test_sweep_csv_does_not_depend_on_the_blas_thread_count(tmp_path):
+    """The solver's inner products and the pair pass's sums are numpy's
+    pairwise sums, not BLAS dots, so the CSVs of a sweep are the same bytes
+    whether OpenBLAS runs one thread or two.  Each run is a fresh process,
+    since OpenBLAS reads the variable when it loads."""
+    src = str(Path(fracteig.__file__).resolve().parents[1])
+    written = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        cfg = _write_config(tmp_path, {
+            "domain": {"shape": "interval", "a": 0.0, "b": 2.0},
+            "alpha": 0.5, "h": 0.05, "ps": [8.0, 16.0], "out": str(out),
+        }, name=f"threads{threads}.json")
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+        proc = subprocess.run([sys.executable, "-m", "fracteig.cli", "sweep", "--config",
+                               str(cfg)], capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        written.append({p.name: p.read_bytes() for p in sorted(out.glob("*.csv"))})
+    assert sorted(written[0]) == ["domain_mask.csv", "sweep.csv"]
+    assert written[0] == written[1]
 
 
 def test_oracle_larger_than_memory_exits_2(tmp_path, capsys, monkeypatch):

@@ -473,6 +473,21 @@ def test_apply_Lp_zero_and_range():
         apply_Lp(u, prm, dom.n_nodes - 1)
 
 
+@pytest.mark.parametrize("x", [0.5, 9.9, True, np.float64(3.0)])
+def test_apply_Lp_rejects_a_node_index_that_is_no_integer(x):
+    dom = build_interval(0.0, 1.0, 0.25)
+    u = random_function(dom, 1)
+    with pytest.raises(ValueError, match="node index must be an integer"):
+        apply_Lp(u, FracParams(0.75, 2.0), x)
+
+
+def test_apply_Lp_accepts_a_numpy_integer_node_index():
+    dom = build_interval(0.0, 1.0, 0.25)
+    u = random_function(dom, 1)
+    prm = FracParams(0.75, 3.0)
+    assert apply_Lp(u, prm, np.int64(3)) == apply_Lp(u, prm, 3)
+
+
 def test_apply_L2_odd_symmetry():
     # odd function about the midpoint of a symmetric lattice: both half-sums cancel
     dom = build_interval(0.0, 2.0, 0.25)
@@ -673,3 +688,107 @@ def test_orbit_fold_and_expand():
     x = dom.inside_coords[:, 0]  # odd under the flip of the first axis
     u = tables.expand(v) + x
     np.testing.assert_allclose(tables.fold(u), v, rtol=0.0, atol=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# the quotient's Hessian
+# ---------------------------------------------------------------------------
+
+
+_HESSIAN_DOMAINS = {
+    "interval": (lambda: build_interval(0.0, 2.0, 1 / 16), 0.6),
+    "disk": (lambda: build_disk((0.0, 0.0), 1.0, 1 / 8), 0.75),
+    # x + 2y < 1.6 in the unit square: no lattice reflection
+    "triangle": (lambda: build_mask2d(((0.0, 0.0), (1.0, 1.0)), 1 / 8,
+                                      lambda x: x[:, 0] + 2.0 * x[:, 1] < 1.6, margin=1.0),
+                 0.75),
+}
+
+HESSIAN_CASES = pytest.mark.parametrize("group", ["trivial", "folded"])
+HESSIAN_SHAPES = pytest.mark.parametrize("shape, p", [
+    *[("interval", p) for p in (2.0, 4.0, 8.0, 64.0)],
+    # at p = 2 no alpha <= 1 puts alpha * p above n = 2
+    *[(shape, p) for shape in ("disk", "triangle") for p in (4.0, 8.0, 64.0)],
+])
+
+
+def hessian_tables(shape, p, group):
+    build, alpha = _HESSIAN_DOMAINS[shape]
+    dom = build()
+    return QuotientTables(dom, FracParams(alpha, p),
+                          lattice_symmetries(dom) if group == "folded" else None)
+
+
+@HESSIAN_CASES
+@HESSIAN_SHAPES
+def test_hessian_product_matches_central_differences_of_the_gradient(shape, p, group):
+    """H d against (grad(v + eps d) - grad(v - eps d)) / (2 eps) at eps = 1e-6
+    on values in [0.5, 1.5]: the two differ by at most 1e-8 of max|H d|
+    (measured up to 1e-8 at p = 64, where the third derivative is largest)."""
+    tables = hessian_tables(shape, p, group)
+    rng = np.random.default_rng(int(p) + tables.orbits)
+    v = 0.5 + rng.random(tables.orbits)
+    q, g = tables.value_and_grad(v)
+    _, _, product = tables.hessian(v, q, g)
+    eps = 1e-6
+    for _ in range(3):
+        d = rng.normal(size=v.size)
+        d /= np.linalg.norm(d)
+        fd = (tables.gradient(v + eps * d) - tables.gradient(v - eps * d)) / (2.0 * eps)
+        hd = product(d)
+        assert np.abs(fd - hd).max() <= 1e-7 * np.abs(hd).max()
+
+
+@HESSIAN_CASES
+@HESSIAN_SHAPES
+def test_hessian_is_symmetric_with_its_diagonal_and_sends_v_to_minus_the_gradient(
+        shape, p, group):
+    """The products with the unit vectors assemble an exactly symmetric matrix
+    whose diagonal is the returned one.  The quotient is 0-homogeneous, so
+    H(v) v = -grad Q(v), here to 1e-14 of the size of the terms, max |H| |v|
+    (measured up to 3e-15), and H(c v) = H(v) / c**2."""
+    tables = hessian_tables(shape, p, group)
+    v = 0.5 + np.random.default_rng(int(p)).random(tables.orbits)
+    q, g = tables.value_and_grad(v)
+    diag, _, product = tables.hessian(v, q, g)
+    h = np.column_stack([product(e) for e in np.eye(tables.orbits)])
+    np.testing.assert_array_equal(h, h.T)
+    np.testing.assert_array_equal(np.diag(h), diag)
+    assert np.abs(h @ v + g).max() <= 1e-14 * (np.abs(h) @ np.abs(v)).max()
+    scaled = tables.hessian(1e100 * v, *tables.value_and_grad(1e100 * v))[0] * 1e200
+    assert np.abs(scaled - diag).max() <= 1e-13 * np.abs(diag).max()
+
+
+def test_hessian_of_a_constant_at_p2_keeps_its_pair_weights():
+    """At p = 2 the pair weights are the constant holder**2, also where all
+    values are equal and no pair term is left to factor out."""
+    dom = build_interval(0.0, 1.0, 1 / 8)
+    tables = QuotientTables(dom, FracParams(0.75, 2.0))
+    v = np.ones(dom.inside_count)
+    diag, convex, product = tables.hessian(v, *tables.value_and_grad(v))
+    rng = np.random.default_rng(3)
+    d = rng.normal(size=v.size)
+    eps = 1e-6
+    fd = (tables.gradient(v + eps * d) - tables.gradient(v - eps * d)) / (2.0 * eps)
+    assert np.abs(fd - product(d)).max() <= 1e-7 * np.abs(fd).max()
+    assert np.all(np.isfinite(diag)) and np.all(convex > 0.0)
+
+
+@pytest.mark.parametrize("shape, p", [("interval", 4.0), ("interval", 8.0), ("disk", 4.0),
+                                      ("triangle", 8.0)])
+def test_hessian_convex_diagonal_is_the_numerator_curvature_over_the_denominator(shape, p):
+    """The second entry is the diagonal of hess N / D, from second differences
+    of the energy N = breakdown(v).total at D = norm(v)**p: positive, and at
+    least H's own diagonal plus its Q hess D / D term."""
+    tables = hessian_tables(shape, p, "folded")
+    v = 0.5 + np.random.default_rng(int(p)).random(tables.orbits)
+    diag, convex, _ = tables.hessian(v, *tables.value_and_grad(v))
+    den = tables.norm(v) ** p
+    eps = 1e-4
+    for i in range(0, tables.orbits, max(1, tables.orbits // 5)):
+        e = np.zeros(tables.orbits)
+        e[i] = eps
+        n = [tables.breakdown(v + s * e).total for s in (-1.0, 0.0, 1.0)]
+        second = (n[0] - 2.0 * n[1] + n[2]) / (eps * eps * den)
+        assert convex[i] == pytest.approx(second, rel=1e-4)  # truncation about 1e-5 at p = 8
+    assert np.all(convex > 0.0)

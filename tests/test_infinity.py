@@ -131,6 +131,28 @@ def test_l_minus_analytic_values():
         linf_minus_analytic(u, delta, 0.5, nearest_node(dom, -1.0))
 
 
+@pytest.mark.parametrize("x", [0.5, 9.9, True, np.float64(3.0)])
+def test_node_index_that_is_no_integer_is_rejected(x):
+    """A fractional index is not truncated to a node, and a bool is no index."""
+    dom, delta, ridge, u = rep_on_interval()
+    calls = [lambda: linf_plus(u, 0.5, x), lambda: linf_minus(u, 0.5, x),
+             lambda: linf_minus_analytic(u, delta, 0.5, x), lambda: cone(dom, x, 0.5, 0.5)]
+    for call in calls:
+        with pytest.raises(ValueError, match="node index must be an integer"):
+            call()
+
+
+def test_numpy_integer_node_index_is_accepted():
+    dom, delta, ridge, u = rep_on_interval()
+    x = np.int64(3)
+    assert linf_plus(u, 0.5, x) == linf_plus(u, 0.5, 3)
+    assert linf_minus(u, 0.5, x) == linf_minus(u, 0.5, 3)
+    np.testing.assert_array_equal(cone(dom, x, 0.5, 0.5).flat(), cone(dom, 3, 0.5, 0.5).flat())
+    top = int(ridge.indices[0])
+    assert (linf_minus_analytic(u, delta, 0.5, np.int64(top))
+            == linf_minus_analytic(u, delta, 0.5, top))
+
+
 def test_node_index_out_of_range_is_rejected():
     # numpy would wrap x = -1 to the last box node instead of failing
     dom, delta, ridge, u = rep_on_interval()

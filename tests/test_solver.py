@@ -170,6 +170,43 @@ def test_sweep1d_p32_step_matches_the_reference():
     assert abs(row.root - 0.9626388856283133) <= 0.5e-5
 
 
+# lambda of the (0, 2), h = 1/100, alpha = 1/2 sweep under the limited-memory
+# BFGS descent that the truncated Newton descent replaced
+SWEEP1D_LBFGS_LAMBDA = {8.0: 1.765813532829455, 16.0: 0.675164486027245,
+                        32.0: 0.2956843881114733, 64.0: 0.15036769917367798}
+
+
+def test_sweep1d_eigenvalues_only_fall_and_take_few_iterations():
+    """Against the descent it replaced, which took 28/48/208/466 iterations,
+    no eigenvalue of the sweep rises beyond rounding, no step takes more than
+    50 Newton iterations, and the eigenfunction stays positive."""
+    dom = build_interval(0.0, 2.0, 1 / 100)
+    out = p_sweep(dom, 0.5, list(SWEEP1D_LBFGS_LAMBDA))
+    for row in out.rows:
+        assert row.converged
+        assert row.lam <= SWEEP1D_LBFGS_LAMBDA[row.p] * (1.0 + 1e-12)
+        assert row.iters <= 50
+        assert row.hess_products >= row.iters  # each Newton step takes at least one
+    assert out.final_u.inside_values().min() > 0.0
+
+
+def test_random_starts_at_p32_reach_the_positive_minimizer():
+    """From sign-changing starts at p = 32 the Newton steps are often too
+    damped to count; steepest descent then competes with each of them, so
+    the run does not stop on a negligible step far above the minimum (seeds
+    5 and 6 stopped near 1e30 without that rule) and every start ends at the
+    eigenpair of the distance start."""
+    dom = build_interval(0.0, 2.0, 1 / 100)
+    prm = FracParams(0.5, 32.0)
+    base = minimize_first(dom, prm)
+    for seed in (4, 5, 6):
+        res = minimize_first(dom, prm, SolverOptions(init_mode="random", seed=seed))
+        assert res.converged
+        assert abs(res.lam - base.lam) <= 1e-10 * base.lam
+        assert np.abs(res.u.inside_values() - base.u.inside_values()).max() <= 1e-6
+        assert res.u.inside_values().min() > 0.0
+
+
 @pytest.mark.parametrize("kwargs,msg", [
     ({"max_iters": 0}, "max_iters must be >= 1"),
     ({"tol_rel_q": 0.0}, "tolerances must be positive"),
@@ -331,6 +368,17 @@ def test_random_start_draws_one_value_per_orbit():
     start = QuotientTables(dom, prm, lattice_symmetries(dom)).expand(draw)
     u = res.u.inside_values()
     np.testing.assert_allclose(u / u[0], start / start[0], rtol=1e-14, atol=0.0)
+
+
+def test_a_negative_start_ends_at_the_positive_eigenfunction():
+    """The quotient is even: the result's largest value is made positive."""
+    dom = build_interval(0.0, 1.0, 1 / 16)
+    prm = FracParams(0.75, 4.0)
+    base = minimize_first(dom, prm)
+    start = -distance_to_complement(dom).inside_values()
+    res = minimize_first(dom, prm, SolverOptions(init_mode="custom", init_values=start))
+    assert res.lam == base.lam
+    np.testing.assert_array_equal(res.u.inside_values(), base.u.inside_values())
 
 
 def test_custom_start_with_zero_orbit_means_is_rejected():
