@@ -184,7 +184,7 @@ class RunReport:
 # ---------------------------------------------------------------------------
 
 
-def _load_mask_csv(path: Path, margin: float) -> GridDomain:
+def _load_mask_csv(path: Path, h: float, margin: float) -> GridDomain:
     try:
         text = Path(path).read_text(encoding="utf-8").strip().splitlines()
     except OSError as exc:
@@ -210,9 +210,10 @@ def _load_mask_csv(path: Path, margin: float) -> GridDomain:
         axes.append(ax)
     # the energy's offset kernel and cell area take one spacing for every axis
     spacings = [float(ax[1] - ax[0]) for ax in axes]
-    h = spacings[0]
-    if not all(math.isclose(s, h, rel_tol=1e-9) for s in spacings):
+    if not all(math.isclose(s, spacings[0], rel_tol=1e-9) for s in spacings):
         raise ConfigError(f"mask file {path} has unequal axis spacings {spacings}")
+    if not math.isclose(spacings[0], h, rel_tol=1e-9):
+        raise ConfigError(f"mask file {path} has spacing {spacings[0]!r}, not h = {h!r}")
     shape = tuple(len(ax) for ax in axes)
     if coords.shape[0] != int(np.prod(shape)):
         raise ConfigError(f"mask file {path} does not cover the full lattice")
@@ -225,7 +226,7 @@ def _load_mask_csv(path: Path, margin: float) -> GridDomain:
     if any(np.moveaxis(inside, j, 0)[[0, -1]].any() for j in range(dim)):
         raise ConfigError(f"mask file {path} has inside nodes on the lattice edge; "
                           "pad the lattice with outside nodes")
-    return GridDomain(dim=dim, h=h, axes=tuple(axes), inside=inside,
+    return GridDomain(dim=dim, h=spacings[0], axes=tuple(axes), inside=inside,
                       shape_tag=None, margin=margin)
 
 
@@ -242,7 +243,7 @@ def build_domain(cfg: RunConfig) -> GridDomain:
             return build_rectangle([float(c) for c in spec["lo"]],
                                    [float(c) for c in spec["hi"]], cfg.h, cfg.margin)
         if kind == "mask":
-            return _load_mask_csv(Path(spec["path"]), cfg.margin)
+            return _load_mask_csv(Path(spec["path"]), cfg.h, cfg.margin)
     except ConfigError:
         raise
     except _TooLarge as exc:

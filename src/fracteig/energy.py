@@ -7,7 +7,8 @@ The continuum objects are the double integral
 and the quotient E(u) / int |u|^p.  For zero-extended grid functions the double
 integral splits into three computable pieces:
 
-* interior: midpoint-rule sum over ordered pairs of distinct inside nodes;
+* interior: midpoint-rule sum over ordered pairs of distinct inside nodes,
+  with the kernel read by the pair's offset (`geometry._offset_distances`);
 * cross: twice the sum over (inside, outside-but-in-box) pairs, where u
   vanishes at the outside node.  The kernel depends only on the integer
   lattice offset, and the outside nodes of each lattice line form runs, so
@@ -47,8 +48,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import (GridDomain, GridFunction, _check_memory, _node_index, _orbits,
-                       block_rows, distances, squared_distances)
+from .geometry import (GridDomain, GridFunction, _check_memory, _node_index,
+                       _offset_distances, _orbits, block_rows)
 
 __all__ = [
     "FracParams",
@@ -187,9 +188,9 @@ class QuotientTables:
     `geometry._orbits` numbers its orbits by their smallest inside index,
     which represents them as rep(I), and sorts nothing; the members of orbit
     J are the images g rep(J), one column per element.  Such a group keeps
-    every pair distance, cross weight and tail coefficient up to rounding,
-    so a vector that is constant on each orbit I has the quotient of the k
-    orbit values v_I with
+    every pair distance bit for bit (it permutes index offsets), and every
+    cross weight and tail coefficient up to rounding, so a vector that is
+    constant on each orbit I has the quotient of the k orbit values v_I with
 
         W_IJ = |I| |J| / |G| sum_{g in G} K_{rep(I), g rep(J)},   c_I = sum_{i in I} c_i,
 
@@ -227,24 +228,27 @@ class QuotientTables:
         value over the members of J, and members[J, g] the inside index of
         g rep(J).
 
+        K is gathered, block by block, from the table of `_offset_distances`
+        raised to -alpha once, with 0 at the zero offset (a node's own entry),
+        into the block of its keys: take reads key j before it writes entry j.
         The fold runs in blocks of representative rows against the k |G|
         members, as a (rows, |G|, k) block, so each (row, orbit) group
-        reduces over axis 1; no m x m array is built.  Distinct lattice nodes
-        are never at distance 0, so a zero distance is a node's own entry: the
-        infinite distance put there makes its kernel value 0, and the group
-        maximum of a one-node orbit against itself 0, where 1 stands in for
-        it.  |I| |J| / |G| is a power of two, so the weight rounds nothing,
-        and with the trivial group each group sum is one term,
-        g_IJ (1 * 1**p)**(1/p) = g_IJ, the kernel value itself: that case
-        writes the plain kernel straight into `holder`, which it leaves
+        reduces over axis 1; no m x m array is built.  The group maximum of
+        a one-node orbit against itself is 0, where 1 stands in for it.
+        |I| |J| / |G| is a power of two, so the weight rounds nothing; with
+        the trivial group each group sum is one term, g_IJ (1 * 1**p)**(1/p)
+        = g_IJ, so that case gathers the plain kernel straight into `holder`,
         exactly symmetric, and skips the passes that change no bit there."""
         k, order = members.shape
         self._block = min(block_rows(k), k)
         # the k x k `holder` and the pair pass's (3, block, k) workspace
         _check_memory(8 * k * (k + 3 * self._block),
                       f"kernel tables for {k} orbits of {self.labels.size} inside nodes")
-        xin = self.dom.inside_coords
-        cols = xin[members.T.ravel()]  # group-major: column g k + J is g rep(J)
+        inside = self.dom.inside_indices  # columns group-major: column g k + J is g rep(J)
+        kern, row_keys, col_keys = _offset_distances(self.dom, inside[self.reps],
+                                                     inside[members.T.ravel()])
+        kern[kern.size // 2] = np.inf  # the zero offset: kernel 0
+        kern **= -self.prm.alpha
         p = self.prm.p
         share = self.sizes / order  # |J| / |G|: each member of J is counted |G| / |J| times
         self.holder = np.empty((k, k))
@@ -252,16 +256,13 @@ class QuotientTables:
         if order == 1:  # each group sum is one term: holder is the plain kernel
             for start in range(0, k, rows):
                 w = self.holder[start:start + rows]
-                np.sqrt(squared_distances(xin[start:start + rows], xin, out=w), out=w)
-                diag = np.arange(w.shape[0])
-                w[diag, start + diag] = np.inf  # a node's own entry: kernel 0
-                w **= -self.prm.alpha
+                kern.take(np.subtract.outer(row_keys[start:start + rows], col_keys,
+                                            out=w.view(np.int64)), out=w, mode="clip")
             return
         for start in range(0, k, rows):
             n = min(rows, k - start)
-            g = distances(xin[self.reps[start:start + n]], cols).reshape(n, order, k)
-            g[g == 0.0] = np.inf
-            g **= -self.prm.alpha
+            keys = np.subtract.outer(row_keys[start:start + n], col_keys)
+            g = kern.take(keys, out=keys.view(float), mode="clip").reshape(n, order, k)
             gmax = g.max(axis=1)
             gmax[gmax == 0.0] = 1.0
             g /= gmax[:, None, :]
@@ -609,12 +610,10 @@ def apply_Lp(u: GridFunction, prm: FracParams, x: int) -> float:
         raise ValueError(f"node {x} lies on the box boundary, where the tail diverges")
     vals = u.flat()
     ux = vals[x]
-    d = distances(coords[x:x + 1], coords)[0]
-    d[x] = np.inf
+    dist, row_keys, col_keys = _offset_distances(dom, np.array([x]), np.arange(dom.n_nodes))
+    dist[dist.size // 2] = np.inf  # y = x: kernel 0
     diff = vals - ux
-    with np.errstate(invalid="ignore"):
-        core = np.abs(diff) ** (prm.p - 2.0) * diff * d ** (-prm.ap)
-    core[x] = 0.0
+    core = np.abs(diff) ** (prm.p - 2.0) * diff * dist[row_keys[0] - col_keys] ** (-prm.ap)
     lower, upper = _tail_bracket(dom, prm.ap, coords[x:x + 1])
     tail = 0.5 * (lower[0] + upper[0])
     return float(2.0 * (core.sum() * dom.h ** dom.dim

@@ -14,6 +14,7 @@ Conventions used throughout:
   outside); nodes within ``1e-9 * h`` of a canonical boundary are treated as
   outside so analytic distances stay strictly positive on the inside set;
 * distances are Euclidean and in physical units (not multiples of ``h``);
+  pair kernels and quotients read them by index offset (`_offset_distances`);
 * a lattice reflection is a permutation of the positions in an ascending
   array of flat node indices that it maps onto itself (`_reflections`), and
   `_orbits` numbers the orbits of a group of them, for every fold.
@@ -510,18 +511,7 @@ def build_rectangle(lo, hi, h: float, margin: float = 2.0) -> GridDomain:
 # ---------------------------------------------------------------------------
 
 
-def _mirrors_exactly(ax: np.ndarray) -> bool:
-    """True when ax[k] + ax[n-1-k] is one constant for every k with no
-    rounding (its TwoSum error is 0), so that the flip negates every
-    coordinate difference bit for bit."""
-    rev = ax[::-1]
-    s = ax + rev
-    back = s - ax
-    err = (ax - (s - back)) + (rev - back)
-    return bool(np.all(s == s[0]) and not err.any())
-
-
-def _reflections(dom: GridDomain, nodes: np.ndarray, exact: bool = False) -> list:
+def _reflections(dom: GridDomain, nodes: np.ndarray) -> list:
     """The group of lattice reflections that map the mask onto itself, as
     permutations of the positions in `nodes`, an ascending array of flat
     node indices that every such reflection maps onto itself: entry i of an
@@ -529,26 +519,19 @@ def _reflections(dom: GridDomain, nodes: np.ndarray, exact: bool = False) -> lis
 
     The candidates are the flip of each axis (node k of an axis with n nodes
     goes to node n - 1 - k) and, on a square lattice, the swap of the two
-    axes.  The box is the span of the first and last node of each axis, so a
-    flip is the reflection about the box centre and the swap the reflection
-    about its diagonal: each maps the lattice and the box onto themselves and
-    keeps every distance up to rounding.  A candidate counts when it maps the
-    mask onto itself exactly and, with `exact`, when it also keeps every
-    coordinate difference bitwise: a flip whose axis mirrors exactly
-    (`_mirrors_exactly`), the swap of two bitwise equal axes.  The result is
-    the group the counted candidates generate, identity first, then the
-    products in breadth-first order.  Reflections that agree on every node
-    of `nodes` are one element.
+    axes: the reflections about the box centre and its diagonal, which map
+    the lattice and the box onto themselves and permute index offsets, so
+    keep every `_offset_distances` value bitwise.  A candidate counts when
+    it maps the mask onto itself.  The result is the group the counted
+    candidates generate, identity first, then the products in breadth-first
+    order.  Reflections that agree on every node of `nodes` are one element.
     """
     shape = dom.lattice_shape
     at = np.unravel_index(nodes, shape)
-    moves = []  # (the mask moved, the lattice indices of the nodes' images)
-    for ax in range(dom.dim):
-        if not exact or _mirrors_exactly(dom.axes[ax]):
-            moves.append((np.flip(dom.inside, ax),
-                          at[:ax] + (shape[ax] - 1 - at[ax],) + at[ax + 1:]))
-    if dom.dim == 2 and shape[0] == shape[1] and (
-            not exact or dom.axes[0].tobytes() == dom.axes[1].tobytes()):
+    # (the mask moved, the lattice indices of the nodes' images)
+    moves = [(np.flip(dom.inside, ax), at[:ax] + (shape[ax] - 1 - at[ax],) + at[ax + 1:])
+             for ax in range(dom.dim)]
+    if dom.dim == 2 and shape[0] == shape[1]:
         moves.append((dom.inside.T, at[::-1]))
     gens = [np.searchsorted(nodes, np.ravel_multi_index(image, shape))
             for mask, image in moves if np.array_equal(mask, dom.inside)]
@@ -631,6 +614,23 @@ def distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """(len(a), len(b)) Euclidean distances between two point arrays."""
     d = squared_distances(a, b)
     return np.sqrt(d, out=d)
+
+
+def _offset_distances(dom: GridDomain, rows: np.ndarray, cols: np.ndarray) -> tuple:
+    """Distances between lattice nodes by their integer index offset a:
+    ``(table, row_keys, col_keys)`` with table[row_keys[i] - col_keys[j]] =
+    h * sqrt(sum_k a_k**2), a the offset of node rows[i] from node cols[j]
+    (flat indices, any order).  The table spans a_k = -e_k .. e_k, e_k the
+    extent of the nodes' bounding box, under 2**dim entries per box node,
+    with the zero offset at ``table[table.size // 2]``.  A reflection
+    permutes offsets, so it keeps every distance bitwise; for h a power of
+    two and nodes at multiples of h these are the coordinate `distances`."""
+    at = [a - a.min() for a in np.unravel_index(np.concatenate([rows, cols]), dom.lattice_shape)]
+    ext = [a.max() for a in at]
+    offsets = np.ix_(*[np.arange(-e, e + 1, dtype=float) for e in ext])
+    table = np.sqrt(sum(a * a for a in offsets)).ravel() * dom.h
+    keys = np.ravel_multi_index(at, [2 * e + 1 for e in ext])
+    return table, keys[:len(rows)] + table.size // 2, keys[len(rows):]
 
 
 def _nearest_distances(pts: np.ndarray, targets: np.ndarray) -> np.ndarray:

@@ -17,20 +17,20 @@ therefore exactly 0, whatever the box margin.  Comparison functions that are
 not zero-extended (cones) are scanned over every box node; the box is all the
 lattice knows of them.  Ties go to the lowest flat index.
 
-The scan is folded over the lattice reflections that keep every quotient bit
-for bit.  Those are generated by exact moves only (`geometry._reflections`
-with exact=True): an axis flip whose node coordinates sum with their mirror
-images to one constant with no rounding, and the swap of two bitwise equal
-axes; each keeps every coordinate difference bitwise, so every distance.  They
-are held in geometry's one form, as permutations of the candidate columns.
-Of these, the scan keeps the elements g that map the scanned nodes onto
-themselves and keep u bitwise (compared as int64, so -0.0 differs from 0.0).
-Then q(g x, g y) = q(x, y) bitwise for every pair, one row per orbit is
-scanned (`geometry._orbits` numbers the orbits, as for the solver's tables),
-and a member g x takes that row's value and the lowest flat index in g(T),
-T the columns tied at the extreme: exactly what a scan of its own row would
-give.  An antisymmetric u (u o g = -u) is not folded: a pair with
-u(y) = u(x) gives +0.0 directly but -0.0 through the flip.
+The distance |y - x| is read by the nodes' integer index offset from one
+table per scan (`geometry._offset_distances`), raised to alpha once.  Every
+lattice reflection permutes index offsets, so it keeps every distance bit
+for bit, and the scan is folded over the mask's reflections
+(`geometry._reflections`, the solver's group), held in geometry's one form,
+as permutations of the candidate columns.  Of these, the scan keeps the
+elements g that map the scanned nodes onto themselves and keep u bitwise
+(compared as int64, so -0.0 differs from 0.0).  Then q(g x, g y) = q(x, y)
+bitwise for every pair, one row per orbit is scanned (`geometry._orbits`
+numbers the orbits, as for the solver's tables), and a member g x takes that
+row's value and the lowest flat index in g(T), T the columns tied at the
+extreme: exactly what a scan of its own row would give.  An antisymmetric u
+(u o g = -u) is not folded: a pair with u(y) = u(x) gives +0.0 directly but
+-0.0 through the flip.  A scan from one node has nothing to fold.
 
 The first-eigenvalue equation residual at an inside node is
 
@@ -57,6 +57,7 @@ from .geometry import (
     NodeSet,
     _dilate,
     _node_index,
+    _offset_distances,
     _orbits,
     _reflections,
     block_rows,
@@ -65,7 +66,6 @@ from .geometry import (
     distances,
     high_ridge,
     inscribed_radius,
-    squared_distances,
 )
 
 __all__ = [
@@ -90,20 +90,18 @@ BRANCH_EIGEN = "eig"       # the eigen-balance branch attains it
 BRANCH_ZERO = "zero"       # node classified as u = 0 (dead band)
 
 
-def _invariance(u: GridFunction, cand: np.ndarray, base: np.ndarray) -> list:
-    """The exact lattice reflections (`geometry._reflections` with exact=True)
-    as permutations of the ascending candidate nodes, which every mask
-    reflection maps onto themselves: those that map the ascending base nodes
-    onto themselves and keep u bitwise (as int64, so -0.0 differs from 0.0)
-    at every candidate, identity first.  When a base node is not a
-    candidate, the identity alone."""
-    at = np.minimum(np.searchsorted(cand, base), cand.size - 1)
-    if not np.array_equal(cand[at], base):
+def _invariance(u: GridFunction, cand: np.ndarray, at: Optional[np.ndarray]) -> list:
+    """The mask reflections (`geometry._reflections`) as permutations of the
+    ascending candidate nodes that map the base nodes, at the ascending
+    positions `at` among them, onto themselves and keep u bitwise at every
+    candidate (as int64, so -0.0 differs from 0.0), identity first; the
+    identity alone for one base node or when one is not a candidate (None)."""
+    if at is None or at.size == 1:
         return [np.arange(cand.size)]
     in_base = np.zeros(cand.size, dtype=bool)
     in_base[at] = True
     flat = u.flat()[cand].view(np.int64)
-    return [g for g in _reflections(u.domain, cand, exact=True)
+    return [g for g in _reflections(u.domain, cand)
             if in_base[g[at]].all() and np.array_equal(flat[g], flat)]
 
 
@@ -115,13 +113,15 @@ def _extreme_quotients(u: GridFunction, alpha: float,
 
     One base node per orbit of the invariance group (`_invariance`) is
     scanned, its smallest (`geometry._orbits` over positions in base), in
-    row blocks against every candidate.  The distance, quotient and tie
-    blocks are allocated once per call and refilled in place; each extreme
-    is its argmax or argmin, and the value is read back at that column, so a
-    value and its witness always come from one entry.  A member g x of an
-    orbit takes the value of x and the witness min g(T), where T holds the
-    columns of row x equal to the extreme: T is listed only on rows with a
-    tie (`_ties`), and otherwise g maps the argmax or argmin (`_expand`).
+    row blocks against every candidate, gathering each block's |y - x|^alpha
+    from the offset distances (`geometry._offset_distances`) raised to alpha
+    once.  The distance, quotient and tie blocks are allocated once per call
+    and refilled in place; each extreme is its argmax or argmin, and the
+    value is read back at that column, so a value and its witness always
+    come from one entry.  A member g x of an orbit takes the value of x and
+    the witness min g(T), where T holds the columns of row x equal to the
+    extreme: T is listed only on rows with a tie (`_ties`), and otherwise g
+    maps the argmax or argmin (`_expand`).
 
     The fold adds little resident memory.  It sorts nothing (the first sort
     of a process maps about 0.4 MB of numpy's sort kernels), keeps one
@@ -134,19 +134,20 @@ def _extreme_quotients(u: GridFunction, alpha: float,
         cand = np.flatnonzero(_dilate(dom.inside))
     else:
         cand = np.arange(dom.n_nodes)
-    coords = dom.node_coords[cand]
     vals = u.flat()[cand]
     base = np.asarray(base, dtype=np.int64)
-    group = _invariance(u, cand, base)
     # column of each base node among the candidates, where it is one (y = x is excluded)
     col = np.minimum(np.searchsorted(cand, base), cand.size - 1)
     is_cand = cand[col] == base
+    group = _invariance(u, cand, col if is_cand.all() else None)
     # the group as permutations of positions in base, which its elements map onto itself
     reps, orbit, elem = _orbits([np.arange(base.size)]
                                 + [np.searchsorted(col, g[col]) for g in group[1:]])
     col, is_cand = col[reps], is_cand[reps]  # the scanned rows, one per orbit
-    bc = dom.node_coords[base[reps]]
     bv = u.flat()[base[reps]]
+    dist_a, row_keys, col_keys = _offset_distances(dom, base[reps], cand)
+    dist_a[dist_a.size // 2] = np.inf  # y = x, set apart below
+    dist_a **= alpha  # ** rather than np.power: alpha = 0.5 takes numpy's sqrt path
 
     n = reps.size
     result = (np.empty(base.size), np.empty(base.size, dtype=np.int64),
@@ -168,10 +169,9 @@ def _extreme_quotients(u: GridFunction, alpha: float,
         d, q, i = dist[:r], quot[:r], at[:r]
         self_row = np.flatnonzero(is_cand[sl])
         self_col = col[sl][self_row]
-        squared_distances(bc[sl], coords, out=d)
-        np.sqrt(d, out=d)
-        d[self_row, self_col] = np.inf
-        d **= alpha  # ** rather than np.power: alpha = 0.5 takes numpy's sqrt path
+        # keys in range by construction (clip skips the bounds check), in the quotient block
+        keys = np.subtract.outer(row_keys[sl], col_keys, out=q.view(np.int64))
+        dist_a.take(keys, out=d, mode="clip")
         np.subtract(vals[None, :], bv[sl, None], out=q)
         q /= d
         q[self_row, self_col] = -np.inf
@@ -455,14 +455,14 @@ def cone(dom: GridDomain, x0: int, radius: float, alpha: float,
 
     alpha < 1: C = min(|x-x0|^alpha, radius^alpha).
     alpha = 1: C = min(|x-x0| - eps|x-x0|^2, radius - eps*radius^2) with
-    eps*radius < 1 (default eps = 1/(4*radius)).
+    eps*radius < 1 (default eps = 1/(4*radius)); |x-x0| is the offset distance.
     """
     _check_alpha(alpha)
     if not (radius > 0.0):
         raise ValueError(f"radius must be positive, got {radius}")
     x0 = _node_index(dom, x0)
-    coords = dom.node_coords
-    r = distances(coords[x0:x0 + 1], coords)[0]
+    dist, row_keys, col_keys = _offset_distances(dom, np.array([x0]), np.arange(dom.n_nodes))
+    r = dist[row_keys[0] - col_keys]
     if alpha < 1.0:
         vals = np.minimum(r ** alpha, radius ** alpha)
     else:

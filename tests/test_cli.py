@@ -497,6 +497,12 @@ _BAD_MASKS = {
     "single_node_axis": ("x,y,inside", ["0.0,0.0,0", "0.25,0.0,1", "0.5,0.0,0"],
                          "at least two nodes along every axis"),
     "header_only": ("x,inside", [], "no node rows"),
+    # a disk mask at h = 1/8 run with h = 1/4: the run would take the file's
+    # 1/8 and echo 1/4
+    "spacing_differs_from_h": ("x,y,inside",
+                               [f"{0.125 * i!r},{0.125 * j!r},{int(i * i + j * j < 8)}"
+                                for i in range(-4, 5) for j in range(-4, 5)],
+                               "has spacing 0.125, not h = 0.25"),
     # a 7 x 7 disk at h = 1/4 (21 inside nodes) whose centre row (0, 0, inside)
     # is replaced by a second copy of the row (1/4, 0, inside): the row count
     # still matches the lattice, but the centre would silently read as outside

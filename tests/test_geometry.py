@@ -3,7 +3,7 @@ import pytest
 from scipy import ndimage
 from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
-from test_energy import annulus_mask
+from test_energy import annulus_mask, offset_distances
 
 from fracteig.geometry import (
     Disk,
@@ -11,6 +11,7 @@ from fracteig.geometry import (
     Interval,
     NodeSet,
     Rectangle,
+    _offset_distances,
     _orbits,
     _reflections,
     build_disk,
@@ -416,35 +417,74 @@ def test_orbits_equal_the_sorted_reference(dom, order):
     np.testing.assert_array_equal(np.stack(group)[elem, reps[labels]], np.arange(m))
 
 
-@pytest.mark.parametrize("dom, order, exact_order", [
-    (build_interval(0.0, 2.0, 1 / 128), 2, 2),
-    (build_interval(0.0, 2.0, 1 / 100), 2, 1),
-    (build_disk((0.0, 0.0), 1.0, 1 / 16, 1.0), 8, 8),
-    (build_disk((0.3, -0.7), 1.0, 0.05), 8, 1),
-    (build_rectangle((0.0, 0.0), (1.0, 1.0), 1 / 12), 8, 2),
-    (build_rectangle((0.0, 0.0), (1.0, 0.5), 1 / 32), 4, 4),
-    (triangle_mask(1 / 8), 1, 1),
+_REFLECTION_LATTICES = pytest.mark.parametrize("dom, order", [
+    (build_interval(0.0, 2.0, 1 / 128), 2),
+    (build_interval(0.0, 2.0, 1 / 100), 2),
+    (build_disk((0.0, 0.0), 1.0, 1 / 16, 1.0), 8),
+    (build_disk((0.3, -0.7), 1.0, 0.05), 8),
+    (build_rectangle((0.0, 0.0), (1.0, 1.0), 1 / 12), 8),
+    (build_rectangle((0.0, 0.0), (1.0, 0.5), 1 / 32), 4),
+    (triangle_mask(1 / 8), 1),
 ], ids=["dyadic_interval", "interval_h001", "disk", "offcentre_disk", "square_h12",
         "rectangle", "free_form"])
-def test_exact_reflections_keep_every_distance_bitwise(dom, order, exact_order):
+
+
+@_REFLECTION_LATTICES
+def test_reflections_keep_every_offset_distance_bitwise(dom, order):
     """The box reflections restricted to the inside nodes are the
-    symmetries; the exact ones are those whose axis flips mirror every
-    coordinate without rounding (h = 1/12 keeps only the swap of the two
-    equal axes), and they keep every squared distance bit for bit."""
+    symmetries, and every one of them keeps every offset distance between
+    inside nodes bit for bit, whether or not the node coordinates mirror
+    exactly (h = 1/100 and 1/12 and the disk centred at (0.3, -0.7) do not)."""
     nodes = np.arange(dom.n_nodes)
-    full = _reflections(dom, nodes)
-    exact = _reflections(dom, nodes, exact=True)
-    assert (len(full), len(exact)) == (order, exact_order)
-    np.testing.assert_array_equal(full[0], nodes)
+    group = _reflections(dom, nodes)
+    assert len(group) == order
+    np.testing.assert_array_equal(group[0], nodes)
     pos = np.full(dom.n_nodes, -1)
     pos[dom.inside_indices] = np.arange(dom.inside_count)
-    for g, perm in zip(full, lattice_symmetries(dom)):
+    for g, perm in zip(group, lattice_symmetries(dom)):
         np.testing.assert_array_equal(pos[g[dom.inside_indices]], perm)
-    x = dom.inside_coords
-    d2 = squared_distances(x, x)
-    keys = {e.tobytes() for e in exact}
-    for g in exact:
-        assert all(g[f].tobytes() in keys for f in exact)
+    keys = {e.tobytes() for e in group}
+    inside = dom.inside_indices
+    table, rows, cols = _offset_distances(dom, inside, inside)
+    d = table[np.subtract.outer(rows, cols)]
+    for g in group:
+        assert all(g[f].tobytes() in keys for f in group)
         np.testing.assert_array_equal(np.sort(g), nodes)
-        y = dom.node_coords[g[dom.inside_indices]]
-        np.testing.assert_array_equal(squared_distances(y, y).view(np.int64), d2.view(np.int64))
+        table, rows, cols = _offset_distances(dom, g[inside], g[inside])
+        np.testing.assert_array_equal(table[np.subtract.outer(rows, cols)].view(np.int64),
+                                      d.view(np.int64))
+
+
+@pytest.mark.parametrize("dom, dyadic", [
+    (build_interval(0.0, 2.0, 1 / 128), True),
+    (build_interval(0.0, 2.0, 1 / 100), False),
+    (build_disk((0.0, 0.0), 1.0, 1 / 8, 1.0), True),
+    (build_disk((0.3, -0.7), 1.0, 0.1, 1.0), False),
+    (build_rectangle((0.0, 0.0), (1.1, 0.7), 0.1, margin=1.0), False),
+    (triangle_mask(1 / 8), True),
+], ids=["dyadic_interval", "interval_h001", "disk", "offcentre_disk", "rectangle",
+        "free_form"])
+def test_offset_distances_are_the_coordinate_distances_up_to_rounding(dom, dyadic):
+    """The table read at row key minus column key is h sqrt(sum a_k^2) for
+    the index offset a, bit for bit, on two node sets in no order (the
+    inside nodes reversed against every box node).  On dyadic lattices whose
+    nodes are exact multiples of h it is the coordinate distance bit for
+    bit.  Elsewhere the coordinates are rounded, and the two differ by at
+    most 2 eps times the largest coordinate magnitude X (measured: 0.67,
+    1.74 and 0.80 eps X on the interval, the disk and the rectangle; up to
+    96 eps relative, at the interval's nearest pairs).  The table has
+    fewer than 2^dim entries per node of the sets' bounding box, and its
+    middle entry is the zero offset."""
+    rows_at, cols_at = dom.inside_indices[::-1], np.arange(dom.n_nodes)
+    table, rows, cols = _offset_distances(dom, rows_at, cols_at)
+    got = table[np.subtract.outer(rows, cols)]
+    np.testing.assert_array_equal(got, offset_distances(dom, rows_at, cols_at))
+    assert table[table.size // 2] == 0.0
+    assert table.size < 2 ** dom.dim * dom.n_nodes
+    want = distances(dom.node_coords[rows_at], dom.node_coords[cols_at])
+    if dyadic:
+        np.testing.assert_array_equal(got, want)
+    else:
+        assert not np.array_equal(got, want)
+        scale = np.abs(dom.node_coords).max()
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=2 * np.finfo(float).eps * scale)

@@ -34,6 +34,7 @@ from fracteig.infinity import (
     representation,
 )
 from fracteig.closedform1d import first_1d, sample, second_1d, third_1d
+from test_energy import offset_distances
 from test_geometry import triangle_mask
 
 
@@ -76,13 +77,12 @@ def test_l_plus_at_the_maximum_is_the_far_field(margin):
     assert linf_plus(u, 0.5, int(ridge.indices[0])) == (0.0, EXTERIOR_WITNESS)
 
 
-def _brute_extremes(u, alpha, x):
+def _brute_extremes(u, alpha, x, d):
     """(value, witness, unique) for the sup and the inf at node x, scanning
-    every box node y != x and then the far field, value 0, which wins only
-    when strictly better."""
-    coords = u.domain.node_coords
+    every box node y != x at the distances d from x, and then the far field,
+    value 0, which wins only when strictly better."""
     vals = u.flat()
-    d = np.sqrt(((coords - coords[x]) ** 2).sum(axis=1))
+    d = d.copy()
     d[x] = np.inf
     q = (vals - vals[x]) / d ** alpha
     out = []
@@ -97,30 +97,59 @@ def _brute_extremes(u, alpha, x):
     return out
 
 
-@pytest.mark.parametrize("dom", [build_interval(0.0, 2.0, 1 / 8, 1.0),
-                                 build_disk((0.1, 0.0), 1.0, 1 / 4, 1.0)],
-                         ids=["interval", "disk"])
-def test_extremes_match_full_box_scan_plus_far_field(dom):
-    # positive on most of the region, negative on a slab at its left end, so
-    # near either end the nearest outside node sets one of the two extremes
+def _slab_function(dom):
+    """Positive on most of the region, negative on a slab at its left end, so
+    near either end the nearest outside node sets one of the two extremes;
+    exact zeros at every fifth inside node."""
     rng = np.random.default_rng(3)
     x0 = dom.node_coords[:, 0]
     sign = np.where(x0 < x0[dom.inside_flat].min() + 0.5, -1.0, 1.0)
     vals = (0.1 + rng.uniform(size=dom.n_nodes)) * sign
     vals[~dom.inside_flat] = 0.0
     vals[dom.inside_indices[::5]] = 0.0
-    u = GridFunction(dom, vals.reshape(dom.lattice_shape))
+    return GridFunction(dom, vals.reshape(dom.lattice_shape))
+
+
+_FULL_SCAN_DOMAINS = pytest.mark.parametrize(
+    "dom", [build_interval(0.0, 2.0, 1 / 8, 1.0), build_disk((0.1, 0.0), 1.0, 1 / 4, 1.0)],
+    ids=["interval", "disk"])
+
+
+@_FULL_SCAN_DOMAINS
+def test_extremes_match_full_box_scan_plus_far_field(dom):
+    """Bitwise equal to a scan over every box node at the offset distances,
+    h sqrt(sum a_k^2) from the integer index offset a, plus the far field;
+    the same witness wherever the extreme is unique."""
+    u = _slab_function(dom)
     alpha = 0.6
+    nodes = np.arange(dom.n_nodes)
     unique = 0
     for x in range(dom.n_nodes):
         got = (linf_plus(u, alpha, x), linf_minus(u, alpha, x))
         for (value, witness), (want, want_witness, is_unique) in zip(
-                got, _brute_extremes(u, alpha, x)):
+                got, _brute_extremes(u, alpha, x, offset_distances(dom, [x], nodes)[0])):
             assert np.float64(value).tobytes() == np.float64(want).tobytes()
             if is_unique:
                 assert witness == want_witness
                 unique += 1
     assert unique > dom.n_nodes  # most extremes are unique
+
+
+@_FULL_SCAN_DOMAINS
+def test_extremes_stay_within_rounding_of_coordinate_distances(dom):
+    """Against the same scan at the distances of the rounded node
+    coordinates, every extreme agrees to 2 eps relative (measured: equal on
+    the interval at h = 1/8, whose coordinates are exact; 1.2 eps on the disk
+    centred at (0.1, 0)), and a far-field 0 stays exactly 0."""
+    u = _slab_function(dom)
+    coords = dom.node_coords
+    lp, _, lm, _ = _extreme_quotients(u, 0.6, np.arange(dom.n_nodes))
+    tol = 2.0 * np.finfo(float).eps
+    for x in range(dom.n_nodes):
+        d = np.sqrt(((coords - coords[x]) ** 2).sum(axis=1))
+        (want_p, _, _), (want_m, _, _) = _brute_extremes(u, 0.6, x, d)
+        assert abs(lp[x] - want_p) <= tol * abs(want_p)
+        assert abs(lm[x] - want_m) <= tol * abs(want_m)
 
 
 def test_l_minus_analytic_values():
@@ -427,13 +456,17 @@ def test_triangle_inequality_for_distances():
 
 
 def test_cone_values_and_truncation():
+    """min(|x - x0|^alpha, R^alpha) at the offset distances, bit for bit,
+    with the apex at the centre of the box and off it."""
     dom = build_disk((0.0, 0.0), 1.0, 0.125)
-    x0 = nearest_node(dom, (0.0, 0.0))
-    C = cone(dom, x0, 0.5, 0.5)
-    assert C.flat()[x0] == 0.0
-    assert not C.zero_extended
-    far = np.sqrt((dom.node_coords ** 2).sum(axis=1)) >= 0.5
-    np.testing.assert_array_equal(C.flat()[far], 0.5 ** 0.5)
+    for x0 in (nearest_node(dom, (0.0, 0.0)), nearest_node(dom, (0.375, -0.25))):
+        C = cone(dom, x0, 0.5, 0.5)
+        assert C.flat()[x0] == 0.0
+        assert not C.zero_extended
+        r = offset_distances(dom, [x0], np.arange(dom.n_nodes))[0]
+        np.testing.assert_array_equal(C.flat(), np.minimum(r ** 0.5, 0.5 ** 0.5))
+        far = np.sqrt(((dom.node_coords - dom.node_coords[x0]) ** 2).sum(axis=1)) >= 0.5
+        np.testing.assert_array_equal(C.flat()[far], 0.5 ** 0.5)
 
 
 def test_cone_alpha1_eps_validation():
@@ -553,23 +586,24 @@ def test_distance_supersolution_alpha1():
 
 
 def _scanned_rows(monkeypatch):
-    """Count the rows the scan computes, through its squared_distances calls."""
+    """Count the rows the scan computes, through the rows it asks
+    `_offset_distances` for."""
     rows = []
-    real = infinity.squared_distances
+    real = infinity._offset_distances
 
-    def counted(a, b, out=None):
-        rows.append(a.shape[0])
-        return real(a, b, out=out)
+    def counted(dom, row_nodes, cols):
+        rows.append(len(row_nodes))
+        return real(dom, row_nodes, cols)
 
-    monkeypatch.setattr(infinity, "squared_distances", counted)
+    monkeypatch.setattr(infinity, "_offset_distances", counted)
     return rows
 
 
 def _unfolded(monkeypatch, u, alpha, base):
     """The scan with the group forced to the identity alone."""
     with monkeypatch.context() as m:
-        m.setattr(infinity, "_reflections", lambda dom, nodes, exact=False:
-                  geometry._reflections(dom, nodes, exact)[:1])
+        m.setattr(infinity, "_reflections",
+                  lambda dom, nodes: geometry._reflections(dom, nodes)[:1])
         return _extreme_quotients(u, alpha, base)
 
 
@@ -581,9 +615,9 @@ def _assert_bitwise(got, want):
 
 
 def _symmetric(dom, values):
-    """values made constant on the orbits of the exact reflections, by
+    """values made constant on the orbits of the mask reflections, by
     taking the orbit maximum."""
-    images = geometry._reflections(dom, np.arange(dom.n_nodes), exact=True)
+    images = geometry._reflections(dom, np.arange(dom.n_nodes))
     return np.max([values[g] for g in images], axis=0)
 
 
@@ -614,7 +648,7 @@ def _ties_signed_zeros(dom):
     pick = np.random.default_rng(1).integers(0, 3, dom.n_nodes)
     pick[z0] = 2
     pick = _symmetric(dom, pick)
-    pick[[g[z1] for g in geometry._reflections(dom, np.arange(dom.n_nodes), exact=True)]] = 1
+    pick[[g[z1] for g in geometry._reflections(dom, np.arange(dom.n_nodes))]] = 1
     vals = np.choose(pick, [-1.0, -0.0, 0.0])
     vals[~dom.inside_flat] = -1.0
     return GridFunction(dom, vals.reshape(dom.lattice_shape), zero_extended=False)
@@ -650,7 +684,7 @@ def test_signed_zero_ties_reach_l_plus():
     u = _ties_signed_zeros(build_rectangle((0.0, 0.0), (1.0, 0.5), 1 / 16, 1.0))
     dom = u.domain
     z0 = dom.inside_indices[0]
-    members = [g[z0] for g in geometry._reflections(dom, np.arange(dom.n_nodes), exact=True)]
+    members = [g[z0] for g in geometry._reflections(dom, np.arange(dom.n_nodes))]
     lp = _extreme_quotients(u, 1.0, np.array(sorted(members)))[0]
     assert np.array_equal(lp, np.zeros(4))
     assert np.signbit(lp).tolist() == [True, False, False, False]
@@ -658,7 +692,8 @@ def test_signed_zero_ties_reach_l_plus():
 
 def test_the_fold_scans_one_row_per_orbit(monkeypatch):
     """On the disk the scan computes one row per orbit of its eight
-    reflections, not one per inside node."""
+    reflections, not one per inside node.  A scan from one node, even the
+    centre that all eight fix, has no row to fold and builds no group."""
     dom = build_disk((0.0, 0.0), 1.0, 1 / 32, 1.0)
     u = _rep(dom, 0.5)
     orbits = np.unique(np.stack(geometry.lattice_symmetries(dom)).min(axis=0)).size
@@ -666,6 +701,8 @@ def test_the_fold_scans_one_row_per_orbit(monkeypatch):
     first_residual(u, 0.5, lambda_infinity(dom, 0.5), distance_to_complement(dom))
     assert sum(rows) == orbits == 428
     assert dom.inside_count == 3205
+    centre = np.array([nearest_node(dom, (0.0, 0.0))])
+    assert len(infinity._invariance(u, np.arange(dom.n_nodes), centre)) == 1
 
 
 @pytest.mark.parametrize("make", [
@@ -674,9 +711,10 @@ def test_the_fold_scans_one_row_per_orbit(monkeypatch):
     lambda: sample(second_1d(0.5), build_interval(0.0, 2.0, 1 / 256)),
 ], ids=["interval_h001", "offcentre_disk", "antisymmetric"])
 def test_scan_falls_back_to_every_row(monkeypatch, make):
-    """Axes that do not mirror exactly (h = 0.01; a disk centred off the
-    dyadic grid) or a u that no reflection keeps (the odd second profile)
-    leave the identity alone: every inside node is a scanned row."""
+    """A u that no reflection keeps bitwise leaves the identity alone, and
+    every inside node is a scanned row: the representation built from the
+    coordinate distances of axes that do not mirror exactly (h = 0.01; a
+    disk centred off the dyadic grid), and the odd second profile."""
     u = make()
     dom = u.domain
     assert len(geometry.lattice_symmetries(dom)) > 1  # the solver would fold these
@@ -717,16 +755,21 @@ def test_reflections_are_kept_only_where_u_is_bitwise_invariant(monkeypatch):
     _assert_bitwise(_extreme_quotients(v, 1.0, base), _unfolded(monkeypatch, v, 1.0, base))
 
 
-def test_inexact_axes_are_not_folded_even_for_a_symmetric_u(monkeypatch):
-    """On the disk centred at (0.3, -0.7) the mask is symmetric and u is
-    made bitwise symmetric too, but the axes do not mirror exactly, so the
-    distances are not: the scan keeps every row."""
-    dom = build_disk((0.3, -0.7), 1.0, 0.05)
-    flips = geometry._reflections(dom, np.arange(dom.n_nodes))
-    assert len(flips) == 8
-    vals = np.max([_rep(dom, 0.5).flat()[g] for g in flips], axis=0)
-    u = GridFunction(dom, vals.reshape(dom.lattice_shape))
-    assert all(np.array_equal(vals[g], vals) for g in flips)
+@pytest.mark.parametrize("dom, order", [
+    (build_disk((0.3, -0.7), 1.0, 0.05), 8),
+    (build_interval(0.0, 2.0, 0.01), 2),
+], ids=["offcentre_disk", "interval_h001"])
+def test_inexact_axes_fold_a_symmetric_u_bit_for_bit(monkeypatch, dom, order):
+    """Node coordinates that do not mirror exactly (a disk centred at
+    (0.3, -0.7), h = 0.05; h = 0.01) do not matter to the scan, which reads
+    distances by index offset: for u made bitwise symmetric, every mask
+    reflection is kept, one row per orbit is scanned, and the result equals
+    the unfolded scan bitwise."""
+    u = GridFunction(dom, _symmetric(dom, _rep(dom, 0.5).flat()).reshape(dom.lattice_shape))
+    base = dom.inside_indices
+    assert len(infinity._invariance(u, np.arange(dom.n_nodes), base)) == order
     rows = _scanned_rows(monkeypatch)
-    _extreme_quotients(u, 0.5, dom.inside_indices)
-    assert sum(rows) == dom.inside_count
+    got = _extreme_quotients(u, 0.5, base)
+    orbits = np.unique(np.stack(geometry.lattice_symmetries(dom)).min(axis=0)).size
+    assert sum(rows) == orbits < dom.inside_count
+    _assert_bitwise(got, _unfolded(monkeypatch, u, 0.5, base))

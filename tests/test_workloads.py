@@ -1,0 +1,46 @@
+"""The benchmark's workloads give correct, rerun-identical outputs.
+
+`perfbench/workloads.py` holds each workload's full config, its reference
+results and the check that every benchmark run must pass.  This runs each
+full config in process, applies that check, and runs it again to compare
+every CSV byte for byte, so a change that moves an output past its tolerance
+fails here before it fails a benchmark run.  The module is loaded by path,
+as `test_tracer.py` loads the tracer.
+"""
+
+import importlib.util
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from fracteig.cli import main
+
+_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+
+
+def _load_workloads():
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", _PATH)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+workloads = _load_workloads()
+
+
+@pytest.mark.parametrize("name", list(workloads.WORKLOADS))
+def test_full_workload_passes_its_check_and_reruns_byte_identically(tmp_path, name):
+    wl = workloads.WORKLOADS[name]
+    hashes = []
+    for run in ("first", "second"):
+        out = tmp_path / run
+        cfg = tmp_path / f"{run}.json"
+        cfg.write_text(json.dumps({**wl.full.config, "out": str(out)}), encoding="utf-8")
+        code = main([wl.command, "--config", str(cfg)])
+        problems, csv_hashes = workloads.check_output(wl, "full", out, code)
+        assert problems == []
+        hashes.append(csv_hashes)
+    assert hashes[0] and hashes[0] == hashes[1]
