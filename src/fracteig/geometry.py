@@ -625,12 +625,19 @@ def _offset_distances(dom: GridDomain, rows: np.ndarray, cols: np.ndarray) -> tu
     with the zero offset at ``table[table.size // 2]``.  A reflection
     permutes offsets, so it keeps every distance bitwise; for h a power of
     two and nodes at multiples of h these are the coordinate `distances`."""
-    at = [a - a.min() for a in np.unravel_index(np.concatenate([rows, cols]), dom.lattice_shape)]
-    ext = [a.max() for a in at]
+    at, ext = _offset_box(dom, np.concatenate([rows, cols]))
     offsets = np.ix_(*[np.arange(-e, e + 1, dtype=float) for e in ext])
     table = np.sqrt(sum(a * a for a in offsets)).ravel() * dom.h
     keys = np.ravel_multi_index(at, [2 * e + 1 for e in ext])
     return table, keys[:len(rows)] + table.size // 2, keys[len(rows):]
+
+
+def _offset_box(dom: GridDomain, nodes: np.ndarray) -> tuple:
+    """``(at, ext)``: the index of each node (flat indices) along every axis,
+    counted from the low corner of the nodes' bounding box, and the box's
+    extent along every axis: the layout of the `_offset_distances` table."""
+    at = [a - a.min() for a in np.unravel_index(nodes, dom.lattice_shape)]
+    return at, [int(a.max()) for a in at]
 
 
 def _nearest_distances(pts: np.ndarray, targets: np.ndarray) -> np.ndarray:

@@ -32,6 +32,24 @@ extreme: exactly what a scan of its own row would give.  An antisymmetric u
 (u o g = -u) is not folded: a pair with u(y) = u(x) gives +0.0 directly but
 -0.0 through the flip.  A scan from one node has nothing to fold.
 
+A scan of more than one row block is bounded (`_patch_bound`): it forms only
+the quotients that can reach a row's extreme.  Each block first forms its
+quotients against every 16th candidate, the self pair left out; being actual
+quotients, their max bp and min bm satisfy bp <= sup and bm >= inf on every
+row.  The candidates fall into lattice patches (32 nodes in 1-D, 4 x 4 in
+2-D).  Every quotient of a row x against a patch P is at most
+U = (max_P u - u(x)) / D, with D the least |y - x|^alpha over the patch when
+the numerator is >= 0 and the greatest when it is < 0, and at least the
+matching L.  Rounding is monotone in each operand of - and /, and D is read
+from envelopes of the scan's own alpha-powered offset table, never a new
+power, so U and L bound the rounded quotients bit for bit.  The block forms
+the columns of the patches with U >= bp or L <= bm on some row, in ascending
+order, and no others: a dropped column is strictly below the sup and above
+the inf of every row, so argmax, argmin and the tied set T are those of the
+full rows.  The bound only drops columns of the scanned rows, so it composes
+with the fold.  A scan that fits in one block (one node, a coarse lattice)
+forms every quotient and sets up no bound.
+
 The first-eigenvalue equation residual at an inside node is
 
     max( l_plus + l_minus ,  l_minus + lam * u )
@@ -44,6 +62,7 @@ inside nodes and reads the seminorm that sizes the dead band off that scan.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -57,6 +76,7 @@ from .geometry import (
     NodeSet,
     _dilate,
     _node_index,
+    _offset_box,
     _offset_distances,
     _orbits,
     _reflections,
@@ -89,6 +109,11 @@ BRANCH_OPERATOR = "op"     # the full-operator branch l_plus + l_minus attains t
 BRANCH_EIGEN = "eig"       # the eigen-balance branch attains it
 BRANCH_ZERO = "zero"       # node classified as u = 0 (dead band)
 
+# The bounded scan: candidate patches are lattice tiles of this many nodes per
+# axis (32 in 1-D, 4 x 4 in 2-D), and its first pass reads every 16th column.
+_PATCH_SIDE = {1: 32, 2: 4}
+_SAMPLE_STRIDE = 16
+
 
 def _invariance(u: GridFunction, cand: np.ndarray, at: Optional[np.ndarray]) -> list:
     """The mask reflections (`geometry._reflections`) as permutations of the
@@ -113,21 +138,31 @@ def _extreme_quotients(u: GridFunction, alpha: float,
 
     One base node per orbit of the invariance group (`_invariance`) is
     scanned, its smallest (`geometry._orbits` over positions in base), in
-    row blocks against every candidate, gathering each block's |y - x|^alpha
+    row blocks of `block_rows` rows, gathering each block's |y - x|^alpha
     from the offset distances (`geometry._offset_distances`) raised to alpha
-    once.  The distance, quotient and tie blocks are allocated once per call
-    and refilled in place; each extreme is its argmax or argmin, and the
-    value is read back at that column, so a value and its witness always
-    come from one entry.  A member g x of an orbit takes the value of x and
-    the witness min g(T), where T holds the columns of row x equal to the
-    extreme: T is listed only on rows with a tie (`_ties`), and otherwise g
-    maps the argmax or argmin (`_expand`).
+    once.  Each extreme is its argmax or argmin, and the value is read back
+    at that column, so a value and its witness always come from one entry.
+    A member g x of an orbit takes the value of x and the witness min g(T),
+    where T holds the columns of row x equal to the extreme: T is listed
+    only on rows with a tie (`_ties`), and otherwise g maps the argmax or
+    argmin (`_expand`).
 
-    The fold adds little resident memory.  It sorts nothing (the first sort
-    of a process maps about 0.4 MB of numpy's sort kernels), keeps one
-    permutation of the candidates per group element, and makes the results
-    before the blocks, so the blocks are the last allocation, as in an
-    unfolded scan, and freeing them can return their memory.
+    A scan of more than one block is bounded (`_patch_bound`; the module
+    docstring gives the bound and why it is exact): a block forms its
+    first-pass quotients, then those of the kept patches only, in ascending
+    column order, so argmax, argmin and T are those of the full rows, bit for
+    bit.  The bound only drops columns of the scanned rows, so the fold and
+    the bound compose.  A scan that fits in one block (one node, a coarse
+    lattice) forms every quotient and sets up no bound.
+
+    The distance, quotient and tie blocks are allocated once per call, for
+    every column, and each block writes the leading rows x columns entries
+    of them, so pages the bounded blocks never reach stay unmapped.  The
+    fold sorts nothing (the first sort of a process maps about 0.4 MB of
+    numpy's sort kernels), keeps one permutation of the candidates per
+    group element, and makes the results before the blocks, so the blocks
+    are the last allocation, as in an unfolded scan, and freeing them can
+    return their memory.
     """
     dom = u.domain
     if u.zero_extended:
@@ -146,7 +181,7 @@ def _extreme_quotients(u: GridFunction, alpha: float,
     col, is_cand = col[reps], is_cand[reps]  # the scanned rows, one per orbit
     bv = u.flat()[base[reps]]
     dist_a, row_keys, col_keys = _offset_distances(dom, base[reps], cand)
-    dist_a[dist_a.size // 2] = np.inf  # y = x, set apart below
+    dist_a[dist_a.size // 2] = np.nan  # y = x, set apart below
     dist_a **= alpha  # ** rather than np.power: alpha = 0.5 takes numpy's sqrt path
 
     n = reps.size
@@ -159,31 +194,37 @@ def _extreme_quotients(u: GridFunction, alpha: float,
     ties_plus, ties_minus = [], []  # (row, tied columns, their quotients)
 
     rows = min(block_rows(cand.size), n)
-    dist = np.empty((rows, cand.size))
+    every = np.arange(cand.size)
+    select = (_patch_bound(dom, base[reps], bv, cand, vals, dist_a, row_keys, col_keys)
+              if rows < n else None)
+    dist = np.empty(rows * cand.size)
     quot = np.empty_like(dist)
     tied = np.empty(dist.shape, dtype=bool) if len(group) > 1 else None
     at = np.arange(rows)
     for k0 in range(0, n, rows):
         sl = slice(k0, min(k0 + rows, n))
-        r = sl.stop - k0
-        d, q, i = dist[:r], quot[:r], at[:r]
+        i = at[:sl.stop - k0]
         self_row = np.flatnonzero(is_cand[sl])
         self_col = col[sl][self_row]
-        # keys in range by construction (clip skips the bounds check), in the quotient block
-        keys = np.subtract.outer(row_keys[sl], col_keys, out=q.view(np.int64))
-        dist_a.take(keys, out=d, mode="clip")
-        np.subtract(vals[None, :], bv[sl, None], out=q)
-        q /= d
-        q[self_row, self_col] = -np.inf
-        best = w_plus[sl] = q.argmax(axis=1)
+        sel = every if select is None else select(sl, dist, quot)
+        q = _quotients(vals[sel], bv[sl], row_keys[sl], col_keys[sel], dist_a, dist, quot)
+        # the self pair, where its column was kept
+        pos = np.minimum(np.searchsorted(sel, self_col), sel.size - 1)
+        kept = sel[pos] == self_col
+        self_at = (self_row[kept], pos[kept])
+        eq = None if tied is None else tied[:q.size].reshape(q.shape)
+        q[self_at] = -np.inf
+        best = q.argmax(axis=1)
         l_plus[sl] = q[i, best]
-        if tied is not None:
-            _ties(q, best, l_plus[sl], tied[:r], k0, ties_plus)
-        q[self_row, self_col] = np.inf
-        best = w_minus[sl] = q.argmin(axis=1)
+        w_plus[sl] = sel[best]
+        if eq is not None:
+            _ties(q, best, l_plus[sl], eq, k0, sel, ties_plus)
+        q[self_at] = np.inf
+        best = q.argmin(axis=1)
         l_minus[sl] = q[i, best]
-        if tied is not None:
-            _ties(q, best, l_minus[sl], tied[:r], k0, ties_minus)
+        w_minus[sl] = sel[best]
+        if eq is not None:
+            _ties(q, best, l_minus[sl], eq, k0, sel, ties_minus)
     # freed before _expand allocates, whose arrays could otherwise sit above the
     # blocks and keep the heap from shrinking (disk_infinity peak RSS +0.9 MB)
     del dist, quot, tied
@@ -202,18 +243,126 @@ def _extreme_quotients(u: GridFunction, alpha: float,
     return l_plus, w_plus, l_minus, w_minus
 
 
+def _quotients(vals: np.ndarray, bv: np.ndarray, row_keys: np.ndarray,
+               col_keys: np.ndarray, dist_a: np.ndarray, dist: np.ndarray,
+               quot: np.ndarray) -> np.ndarray:
+    """The block q[i, j] = (vals[j] - bv[i]) / dist_a[row_keys[i] - col_keys[j]],
+    written into the leading entries of the workspace quot; the keys pass
+    through q (in range by construction, so clip skips the bounds check),
+    the distances through dist."""
+    shape = (row_keys.size, col_keys.size)
+    d = dist[:shape[0] * shape[1]].reshape(shape)
+    q = quot[:d.size].reshape(shape)
+    keys = np.subtract.outer(row_keys, col_keys, out=q.view(np.int64))
+    dist_a.take(keys, out=d, mode="clip")
+    np.subtract(vals[None, :], bv[:, None], out=q)
+    q /= d
+    return q
+
+
+def _patch_bound(dom: GridDomain, nodes: np.ndarray, bv: np.ndarray, cand: np.ndarray,
+                 vals: np.ndarray, dist_a: np.ndarray, row_keys: np.ndarray,
+                 col_keys: np.ndarray):
+    """The column selection of a bounded scan (`_extreme_quotients`): rows
+    at the flat indices nodes, with values bv, against the candidates cand,
+    with values vals; dist_a, row_keys and col_keys are the scan's
+    alpha-powered `geometry._offset_distances` table, NaN at the zero
+    offset, and its keys.  Returns select(rows, dist, quot): the ascending
+    candidate columns kept for the block of rows (a slice of the scanned
+    rows), using the workspaces dist and quot of `_quotients`.
+
+    The block first forms its quotients against every `_SAMPLE_STRIDE`-th
+    candidate.  The self pair's is NaN, which fmax and fmin pass over, so
+    the row maxima bp and minima bm are actual quotients: bp <= max and
+    bm >= min on every row (or NaN, when a row sampled only itself).
+
+    A patch P is a lattice tile of `_PATCH_SIDE` nodes per axis.  Every
+    quotient of row x against P is at most U = (max_P u - u(x)) / D and at
+    least L = (min_P u - u(x)) / D', each a rounded operation: D is the
+    smallest distance^alpha from x to the tile when the numerator is >= 0
+    and the largest when it is < 0, and D' the other way round.  Rounding is
+    monotone in each operand, so the bound holds for the rounded quotients,
+    bit for bit.  The distances are envelopes of dist_a itself, never a new
+    power, over its quarter a >= 0, which a reflection of offsets keeps
+    bitwise ((-a)**2 == a**2): the smallest entry over offsets with
+    |a_k| >= n_k on every axis (the zero offset's NaN passed over) and the
+    largest over offsets with 0 < |a|, |a_k| <= f_k, where n_k and f_k are
+    the least and greatest |a_k| from x to the tile.  A patch is dropped only
+    where U < bp and L > bm on every row of the block, so a NaN keeps it."""
+    side = _PATCH_SIDE[dom.dim]
+    half = side // 2
+    at, ext = _offset_box(dom, np.concatenate([nodes, cand]))
+    quarter = dist_a.reshape([2 * e + 1 for e in ext])[tuple(slice(e, None) for e in ext)]
+    low = quarter.copy()
+    high = quarter.copy()
+    high.flat[0] = 0.0  # the zero offset's NaN, left out of the maxima
+    for ax in range(dom.dim):
+        back = tuple(slice(None, None, -1) if k == ax else slice(None) for k in range(dom.dim))
+        low[back] = np.fmin.accumulate(low[back], axis=ax)
+        np.maximum.accumulate(high, axis=ax, out=high)
+
+    # the tile of each candidate, max u and min u over each tile's candidates,
+    # and the patches: the occupied tiles, numbered in flat order
+    tiles = [e // side + 1 for e in ext]
+    tile_of = np.ravel_multi_index(
+        [np.repeat(np.arange(t), side)[a[nodes.size:]] for t, a in zip(tiles, at)], tiles)
+    top = np.full(math.prod(tiles), -np.inf)
+    np.maximum.at(top, tile_of, vals)
+    bottom = np.full(top.size, np.inf)
+    np.minimum.at(bottom, tile_of, vals)
+    occupied = np.flatnonzero(top > -np.inf)
+    top, bottom = top[occupied], bottom[occupied]
+    number = np.empty(math.prod(tiles), dtype=np.int64)
+    number[occupied] = np.arange(occupied.size)
+    patch = number[tile_of]
+
+    # Along an axis, the nodes of a tile [c_k - side/2, c_k + side/2) lie
+    # max(g + 1 - side/2, 0) to g + side/2 steps from a row x_k, where
+    # g = max(d, -1 - d) and d = x_k - c_k.  So both distances are tabulated
+    # by d, and one subtraction of keys gives every (row, patch) index.
+    centre = [t * side + half for t in np.unravel_index(occupied, tiles)]
+    row_at = [a[:nodes.size] for a in at]
+    span = [np.arange(int(r.min()) - int(c.max()), int(r.max()) - int(c.min()) + 1)
+            for r, c in zip(row_at, centre)]
+    gap = [np.maximum(d, -1 - d) for d in span]
+    near = low[np.ix_(*[np.maximum(n + 1 - half, 0) for n in gap])].ravel()
+    far = high[np.ix_(*[np.minimum(n + half, e) for n, e in zip(gap, ext)])].ravel()
+    stride = [math.prod(d.size for d in span[k + 1:]) for k in range(dom.dim)]
+    row_key = sum((r - d[0]) * st for r, d, st in zip(row_at, span, stride))
+    patch_key = sum(c * st for c, st in zip(centre, stride))
+    # near and far stacked: the upper bound divides by the first where its
+    # numerator is >= 0, the lower bound by the second, reversed otherwise
+    near_far = np.stack([near, far])
+    ends = np.stack([top, bottom])[:, None, :]
+    sample = slice(None, None, _SAMPLE_STRIDE)
+    sample_vals, sample_keys = vals[sample], col_keys[sample]
+
+    def select(rows: slice, dist: np.ndarray, quot: np.ndarray) -> np.ndarray:
+        q = _quotients(sample_vals, bv[rows], row_keys[rows], sample_keys, dist_a, dist, quot)
+        bp = np.fmax.reduce(q, axis=1)[:, None]
+        bm = np.fmin.reduce(q, axis=1)[:, None]
+        d = near_far.take(np.subtract.outer(row_key[rows], patch_key), axis=1, mode="clip")
+        bound = ends - bv[None, rows, None]
+        bound /= np.where(bound >= 0.0, d, d[::-1])
+        drop = ((bound[0] < bp) & (bound[1] > bm)).all(axis=0)
+        return np.flatnonzero(~drop[patch])
+
+    return select
+
+
 def _ties(q: np.ndarray, best: np.ndarray, extreme: np.ndarray, eq: np.ndarray,
-          k0: int, out: list) -> None:
-    """Append (row, columns, quotients) for each row of the block q whose
-    extreme is attained at more than one column; best is the argmax or
-    argmin of each row, and eq a bool workspace of q's shape, the only
-    array of that shape made for ties."""
+          k0: int, sel: np.ndarray, out: list) -> None:
+    """Append (row, candidate columns, quotients) for each row of the block
+    q whose extreme is attained at more than one column.  The columns of q
+    are the candidates sel, best is the argmax or argmin of each row, and eq
+    a bool workspace of q's shape, the only array of that shape made for
+    ties."""
     np.equal(q, extreme[:, None], out=eq)
     eq[np.arange(best.size), best] = False
     for row in np.flatnonzero(eq.any(axis=1)):
         eq[row, best[row]] = True
         cols = np.flatnonzero(eq[row])
-        out.append((k0 + row, cols, q[row, cols]))
+        out.append((k0 + row, sel[cols], q[row, cols]))
 
 
 def _expand(value: np.ndarray, witness: np.ndarray, ties: list, orbit: np.ndarray,

@@ -9,7 +9,6 @@ axis, from each axis value formatted once, in the bytes ``write_csv`` gives.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import json
 from pathlib import Path
@@ -18,6 +17,16 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .geometry import GridDomain, GridFunction
+
+# CPython's built-in SHA-256: importing hashlib would map OpenSSL's libcrypto
+# (about 3.5 MB resident) into every process for this one digest.
+try:
+    from _sha2 import sha256 as _sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256 as _sha256  # Python 3.11
+    except ImportError:
+        from hashlib import sha256 as _sha256
 
 __all__ = [
     "fmt17",
@@ -84,7 +93,7 @@ def write_json(path: Path, obj) -> None:
 
 def config_digest(obj) -> str:
     packed = json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
-    return hashlib.sha256(packed.encode("utf-8")).hexdigest()
+    return _sha256(packed.encode("utf-8")).hexdigest()
 
 
 def coord_header(dom: GridDomain) -> list:

@@ -761,6 +761,20 @@ def test_config_digest_is_order_independent():
     assert config_digest({"a": 1, "b": [1, 3]}) != one
 
 
+@pytest.mark.parametrize("cfg", [
+    {},
+    {"a": 1, "b": [1, 2]},
+    {"domain": {"shape": "disk", "center": [0.0, 0.0], "radius": 1.0},
+     "alpha": 0.5, "h": 0.03125, "margin": 1.0, "note": "Hölder ∞"},
+])
+def test_config_digest_is_the_sha256_of_the_packed_config(cfg):
+    """The built-in SHA-256 the digest uses gives hashlib's hex digest."""
+    import hashlib
+
+    packed = json.dumps(cfg, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+    assert config_digest(cfg) == hashlib.sha256(packed.encode("utf-8")).hexdigest()
+
+
 def test_write_csv_matches_fmt17(tmp_path):
     rows = [
         (-0.0, np.float64(1 / 3), 7, np.int64(-3), True, np.bool_(False), "op"),

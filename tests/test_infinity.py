@@ -1,5 +1,9 @@
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 from scipy import ndimage
 from scipy.spatial.distance import cdist
 
@@ -773,3 +777,194 @@ def test_inexact_axes_fold_a_symmetric_u_bit_for_bit(monkeypatch, dom, order):
     orbits = np.unique(np.stack(geometry.lattice_symmetries(dom)).min(axis=0)).size
     assert sum(rows) == orbits < dom.inside_count
     _assert_bitwise(got, _unfolded(monkeypatch, u, 0.5, base))
+
+
+# ---------------------------------------------------------------------------
+# the bounded scan: only the candidate patches that can reach an extreme
+# ---------------------------------------------------------------------------
+
+
+def _unpruned(u, alpha, base):
+    """Reference for `_extreme_quotients`: every quotient of each base node
+    against every candidate (the inside nodes and their ring for a
+    zero-extended u, the box otherwise), at the offset distances raised to
+    alpha as one table, the self pair set apart.  Ties go to the lowest
+    column; then the far field of a zero-extended u wins where strictly
+    better."""
+    dom = u.domain
+    cand = np.flatnonzero(_dilate(dom.inside)) if u.zero_extended else np.arange(dom.n_nodes)
+    table, row_keys, col_keys = geometry._offset_distances(dom, base, cand)
+    table **= alpha
+    with np.errstate(invalid="ignore"):
+        q = (u.flat()[cand] - u.flat()[base][:, None]) / table[np.subtract.outer(row_keys, col_keys)]
+    own = cand == base[:, None]
+    rows = np.arange(base.size)
+    out = []
+    for pick, worst, better in ((np.argmax, -np.inf, np.greater), (np.argmin, np.inf, np.less)):
+        q[own] = worst
+        k = pick(q, axis=1)
+        value, witness = q[rows, k], cand[k]
+        if u.zero_extended:
+            far = better(0.0, value)
+            value[far], witness[far] = 0.0, EXTERIOR_WITNESS
+        out += [value, witness]
+    return out
+
+
+def _formed(monkeypatch):
+    """Count the quotient entries the scan forms, through the blocks it asks
+    `_quotients` for: the first pass and the kept columns of a bounded
+    scan, every column of a one-block scan."""
+    entries = []
+    real = infinity._quotients
+
+    def counted(vals, bv, row_keys, col_keys, *rest):
+        entries.append(row_keys.size * col_keys.size)
+        return real(vals, bv, row_keys, col_keys, *rest)
+
+    monkeypatch.setattr(infinity, "_quotients", counted)
+    return entries
+
+
+@functools.lru_cache(maxsize=None)
+def _lattice(name):
+    return {
+        "dyadic": lambda: build_interval(0.0, 2.0, 1 / 64),
+        "h001": lambda: build_interval(0.0, 2.0, 0.01, 1.0),
+        "disk": lambda: build_disk((0.0, 0.0), 1.0, 1 / 8, 1.0),
+        "offcentre_disk": lambda: build_disk((0.3, -0.7), 1.0, 0.15, 1.0),
+        "rectangle": lambda: build_rectangle((0.0, 0.0), (1.0, 0.5), 1 / 16, 1.0),
+        "mask": lambda: triangle_mask(1 / 16),
+    }[name]()
+
+
+def _test_function(dom, kind, alpha, rng):
+    """A grid function of the given kind on dom; rng draws its values."""
+    inside = dom.inside_flat
+    if kind == "cone":
+        x0 = int(rng.choice(dom.inside_indices))
+        return cone(dom, x0, float(rng.uniform(0.2, 1.5)), alpha)
+    if kind in ("smooth", "signed"):
+        vals = _rep(dom, alpha).flat().copy()
+        if kind == "signed":  # changes sign across a line through the region
+            vals *= np.cos(3.0 * dom.node_coords[:, 0] + 1.0)
+    elif kind == "noise":
+        vals = np.where(inside, rng.normal(size=dom.n_nodes), 0.0)
+    elif kind == "plateaus":  # few values: exact ties at equal distances
+        vals = np.where(inside, rng.integers(0, 3, dom.n_nodes).astype(float), 0.0)
+    else:  # "signed_zeros": -1, -0.0, +0.0 and 1 inside, either zero outside
+        vals = np.choose(rng.integers(0, 4, dom.n_nodes), [-1.0, -0.0, 0.0, 1.0])
+        vals[~inside] = np.choose(rng.integers(0, 2, dom.n_nodes), [-0.0, 0.0])[~inside]
+    return GridFunction(dom, vals.reshape(dom.lattice_shape))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(lattice=st.sampled_from(["dyadic", "h001", "disk", "offcentre_disk", "rectangle",
+                                "mask"]),
+       kind=st.sampled_from(["smooth", "signed", "noise", "plateaus", "signed_zeros", "cone"]),
+       alpha=st.sampled_from([0.25, 0.5, 0.75, 1.0]),
+       base_kind=st.sampled_from(["inside", "nonzero", "one"]),
+       rows=st.one_of(st.none(), st.integers(1, 40)),
+       seed=st.integers(0, 2**32 - 1))
+# a truncated cone: rows whose quotients are all <= 0, bounded by the largest distance
+@example(lattice="rectangle", kind="cone", alpha=0.25, base_kind="inside", rows=None, seed=0)
+def test_bounded_scan_equals_the_unpruned_scan(lattice, kind, alpha, base_kind, rows, seed):
+    """The bounded scan gives the unpruned scan's values (as int64) and
+    witnesses exactly: on dyadic and inexact intervals, centred and
+    off-centre disks, a rectangle and a free-form mask; for nonnegative and
+    sign-changing zero-extended functions, plateaus with exact ties, signed
+    zeros and cones; from the inside nodes, the nonzero nodes (the base of
+    `holder_seminorm`; not for cones, nonzero on the whole box) and one
+    node; at the default block size and at blocks of 1 to 40 rows."""
+    assume(not (kind == "cone" and base_kind == "nonzero"))
+    dom = _lattice(lattice)
+    rng = np.random.default_rng(seed)
+    u = _test_function(dom, kind, alpha, rng)
+    base = {"inside": dom.inside_indices,
+            "nonzero": np.flatnonzero(u.flat()),
+            "one": np.array([rng.integers(dom.n_nodes)])}[base_kind]
+    assume(base.size > 0)
+    with pytest.MonkeyPatch.context() as m:
+        if rows is not None:
+            ncols = dom.n_nodes if kind == "cone" else np.count_nonzero(_dilate(dom.inside))
+            m.setattr(geometry, "_BLOCK_ELEMENTS", rows * ncols)
+        got = _extreme_quotients(u, alpha, base)
+    _assert_bitwise(got, _unpruned(u, alpha, base))
+
+
+def test_a_patch_whose_bound_is_the_extreme_is_kept(monkeypatch):
+    """A spike at the first node of a tile, a column the first pass reads,
+    is the sup for every row left of the tile.  For those rows the tile's
+    bound U, read at the tile's nearest node, is that very quotient, and so
+    is bp: the scan keeps the tile, as it drops only where U < bp."""
+    dom = build_interval(0.0, 2.0, 1 / 128, 1.0)  # a box of 513 nodes: three row blocks
+    side = infinity._PATCH_SIDE[1]
+    spike = 10 * side
+    assert spike % infinity._SAMPLE_STRIDE == 0  # the box is the candidate set
+    vals = 1e-3 * np.cos(dom.node_coords[:, 0])
+    vals[spike] = 10.0
+    u = GridFunction(dom, vals.reshape(dom.lattice_shape), zero_extended=False)
+    base = np.arange(dom.n_nodes)
+    formed = _formed(monkeypatch)
+    got = _extreme_quotients(u, 0.5, base)
+    want = _unpruned(u, 0.5, base)
+    _assert_bitwise(got, want)
+    assert sum(formed) < base.size * dom.n_nodes / 2  # the scan was bounded
+
+    table, _, _ = geometry._offset_distances(dom, base, base)
+    table **= 0.5
+    half = table[table.size // 2:]  # offset 0, 1, ...: the smallest over offsets >= j
+    smallest = np.minimum.accumulate(np.concatenate([half[1:], [np.inf]])[::-1])[::-1]
+    left = np.arange(spike)
+    assert (want[1][left] == spike).all()
+    bound = (vals[spike] - vals[left]) / smallest[spike - left - 1]
+    assert bound.tobytes() == want[0][left].tobytes()
+
+
+def test_verify1d_finest_scans_form_under_a_fifth_of_the_pairs(monkeypatch):
+    """verify1d's three profiles at h = 1/1024 form under a fifth of the
+    quotients a full scan of the same rows forms, the first pass included
+    (about 12-14 % measured)."""
+    dom = build_interval(0.0, 2.0, 1 / 1024)
+    delta = distance_to_complement(dom)
+    ncols = np.count_nonzero(_dilate(dom.inside))
+    rows = _scanned_rows(monkeypatch)
+    formed = _formed(monkeypatch)
+    shares = {}
+    for ex in (first_1d(0.5), second_1d(0.5), third_1d(0.5)):
+        rows.clear()
+        formed.clear()
+        u = sample(ex, dom)
+        if ex.kind == "first":
+            first_residual(u, 0.5, ex.lam, delta)
+        else:
+            higher_residual(u, 0.5, ex.lam, delta)
+        shares[ex.kind] = sum(formed) / (sum(rows) * ncols)
+    print("shares of the full scan's pairs formed at h = 1/1024:",
+          {kind: round(share, 3) for kind, share in shares.items()})
+    assert max(shares.values()) < 0.2, shares
+
+
+def test_one_block_scans_compute_no_bound(monkeypatch):
+    """A scan that fits in one block forms every quotient and sets up no
+    bound: one node on a fine box, every node of a coarse lattice.  A scan
+    of several blocks sets up one."""
+    calls = []
+    real = infinity._patch_bound
+
+    def counted(*args):
+        calls.append(args[1].size)
+        return real(*args)
+
+    monkeypatch.setattr(infinity, "_patch_bound", counted)
+    dom = build_disk((0.0, 0.0), 1.0, 1 / 32, 1.0)
+    u = _rep(dom, 0.5)
+    c = cone(dom, nearest_node(dom, (0.0, 0.0)), 0.5, 0.5)
+    for x in dom.inside_indices[::400]:
+        linf_plus(u, 0.5, x)
+        linf_minus(c, 0.5, x)
+    coarse = build_disk((0.0, 0.0), 1.0, 1 / 4, 1.0)
+    first_residual(_rep(coarse, 0.5), 0.5, 1.0, distance_to_complement(coarse))
+    assert calls == []
+    first_residual(u, 0.5, 1.0, distance_to_complement(dom))
+    assert len(calls) == 1

@@ -2,7 +2,10 @@
 
 Each check runs in a fresh interpreter, since this test session has long since
 imported scipy.  No run loads scipy, the p = 2 dense oracle and the distance
-to the complement of a free-form mask included.
+to the complement of a free-form mask included.  No default run loads
+OpenSSL either (`_hashlib`, which maps libcrypto): the config digest uses
+CPython's built-in SHA-256.  A solve with ``init_mode: "random"`` still loads
+it, through numpy.random, which imports secrets and with it hmac.
 """
 
 import json
@@ -25,25 +28,26 @@ _TINY_RUNS = [
                   "h_list": [0.0625, 0.03125]}),
 ]
 
-# Runs the CLI in process, one config after another, and prints the scipy
-# modules loaded after the import and after each run.
+# Runs the CLI in process, one config after another, and prints the scipy and
+# OpenSSL modules loaded after the import and after each run.
 _SCRIPT = """
 import json, sys
 from pathlib import Path
 from fracteig.cli import main
 
-def scipy_modules():
-    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+def heavy_modules():
+    return sorted(m for m in sys.modules
+                  if m in ("scipy", "_hashlib") or m.startswith("scipy."))
 
 tmp = Path(sys.argv[1])
-seen = {"import": scipy_modules()}
+seen = {"import": heavy_modules()}
 for k, (command, cfg) in enumerate(json.loads(sys.argv[2])):
     out = tmp / f"run{k}"
     cfg = dict(cfg, out=str(out))
     path = tmp / f"config{k}.json"
     path.write_text(json.dumps(cfg), encoding="utf-8")
     assert main([command, "--config", str(path)]) == 0, (command, cfg)
-    seen[f"{k}:{command}"] = scipy_modules()
+    seen[f"{k}:{command}"] = heavy_modules()
 print(json.dumps(seen))
 """
 
