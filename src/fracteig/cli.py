@@ -34,6 +34,7 @@ from .energy import FracParams
 from .geometry import (
     GridDomain,
     _TooLarge,
+    _unique,
     build_disk,
     build_interval,
     build_rectangle,
@@ -201,7 +202,7 @@ def _load_mask_csv(path: Path, h: float, margin: float) -> GridDomain:
     coords, flags = data[:, :dim], data[:, dim] != 0.0
     axes = []
     for j in range(dim):
-        ax = np.unique(coords[:, j])
+        ax = _unique(coords[:, j])
         if ax.size < 2:
             raise ConfigError(f"mask file {path} needs at least two nodes along every axis")
         steps = np.diff(ax)
@@ -219,7 +220,7 @@ def _load_mask_csv(path: Path, h: float, margin: float) -> GridDomain:
         raise ConfigError(f"mask file {path} does not cover the full lattice")
     inside = np.zeros(shape, dtype=bool)
     pos = tuple(np.searchsorted(axes[j], coords[:, j]) for j in range(dim))
-    if np.unique(np.ravel_multi_index(pos, shape)).size != coords.shape[0]:
+    if _unique(np.ravel_multi_index(pos, shape)).size != coords.shape[0]:
         raise ConfigError(f"mask file {path} lists a node more than once")
     inside[pos] = flags
     # distances to the complement see only the lattice, so it must surround the region

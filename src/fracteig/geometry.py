@@ -14,7 +14,8 @@ Conventions used throughout:
   outside); nodes within ``1e-9 * h`` of a canonical boundary are treated as
   outside so analytic distances stay strictly positive on the inside set;
 * distances are Euclidean and in physical units (not multiples of ``h``);
-  pair kernels and quotients read them by index offset (`_offset_distances`);
+  every distance between two lattice nodes is read by their index offset
+  (`_offset_distances`); only analytic distances and `nearest_node` use coordinates;
 * a lattice reflection is a permutation of the positions in an ascending
   array of flat node indices that it maps onto itself (`_reflections`), and
   `_orbits` numbers the orbits of a group of them, for every fold.
@@ -48,8 +49,6 @@ __all__ = [
     "distance_to_set",
     "nearest_node",
     "block_rows",
-    "squared_distances",
-    "distances",
 ]
 
 # Elements in one block temporary of the pairwise-distance loops (here and in
@@ -87,6 +86,16 @@ def _physical_memory():
         return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     except (AttributeError, ValueError, OSError):
         return None
+
+
+def _unique(a: np.ndarray) -> np.ndarray:
+    """The distinct values of a, ascending, as np.unique gives them (NaNs
+    aside, which it merges): a sort and a neighbour-inequality mask.  The
+    first np.unique of a process imports numpy.ma, 13-17 ms and 1.7 MB."""
+    a = np.sort(a, axis=None)
+    keep = np.ones(a.size, dtype=bool)
+    keep[1:] = a[1:] != a[:-1]
+    return a[keep]
 
 
 def _size(n: float) -> str:
@@ -381,7 +390,7 @@ class NodeSet:
     indices: np.ndarray
 
     def __post_init__(self):
-        idx = np.unique(np.asarray(self.indices, dtype=np.int64))
+        idx = _unique(np.asarray(self.indices, dtype=np.int64))
         if idx.size == 0:
             raise ValueError("node set is empty")
         if idx[0] < 0 or idx[-1] >= self.domain.n_nodes:
@@ -592,30 +601,6 @@ def _dilate(mask: np.ndarray) -> np.ndarray:
     return out
 
 
-def squared_distances(a: np.ndarray, b: np.ndarray,
-                      out: Optional[np.ndarray] = None) -> np.ndarray:
-    """(len(a), len(b)) squared Euclidean distances between two point arrays.
-
-    Summed axis by axis, (a0-b0)**2 + (a1-b1)**2, as scipy's cdist does, so
-    the values agree with it bitwise.  The result is written into out when
-    given.
-    """
-    bt = np.ascontiguousarray(b.T)  # contiguous per-axis rows keep the loops vectorized
-    d2 = np.subtract.outer(a[:, 0], bt[0], out=out)
-    d2 *= d2
-    for k in range(1, a.shape[1]):
-        t = np.subtract.outer(a[:, k], bt[k])
-        t *= t
-        d2 += t
-    return d2
-
-
-def distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """(len(a), len(b)) Euclidean distances between two point arrays."""
-    d = squared_distances(a, b)
-    return np.sqrt(d, out=d)
-
-
 def _offset_distances(dom: GridDomain, rows: np.ndarray, cols: np.ndarray) -> tuple:
     """Distances between lattice nodes by their integer index offset a:
     ``(table, row_keys, col_keys)`` with table[row_keys[i] - col_keys[j]] =
@@ -624,10 +609,11 @@ def _offset_distances(dom: GridDomain, rows: np.ndarray, cols: np.ndarray) -> tu
     extent of the nodes' bounding box, under 2**dim entries per box node,
     with the zero offset at ``table[table.size // 2]``.  A reflection
     permutes offsets, so it keeps every distance bitwise; for h a power of
-    two and nodes at multiples of h these are the coordinate `distances`."""
+    two and nodes at multiples of h these are the coordinate distances."""
     at, ext = _offset_box(dom, np.concatenate([rows, cols]))
     offsets = np.ix_(*[np.arange(-e, e + 1, dtype=float) for e in ext])
-    table = np.sqrt(sum(a * a for a in offsets)).ravel() * dom.h
+    table = sum(a * a for a in offsets).ravel()  # a new array, so sqrt and scale in place
+    table = np.multiply(np.sqrt(table, out=table), dom.h, out=table)
     keys = np.ravel_multi_index(at, [2 * e + 1 for e in ext])
     return table, keys[:len(rows)] + table.size // 2, keys[len(rows):]
 
@@ -640,32 +626,35 @@ def _offset_box(dom: GridDomain, nodes: np.ndarray) -> tuple:
     return at, [int(a.max()) for a in at]
 
 
-def _nearest_distances(pts: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """Distance from each point to the nearest target, scanned in row blocks."""
-    d = np.empty(len(pts))
-    rows = block_rows(len(targets))
-    for k0 in range(0, len(pts), rows):
-        d[k0:k0 + rows] = squared_distances(pts[k0:k0 + rows], targets).min(axis=1)
-    return np.sqrt(d, out=d)
+def _nearest_distances(dom: GridDomain, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Distance from each node of rows to the nearest node of cols (flat
+    indices), a minimum over the `_offset_distances` table in row blocks."""
+    table, row_keys, col_keys = _offset_distances(dom, rows, cols)
+    d = np.empty(len(rows))
+    step = block_rows(len(cols))
+    for k0 in range(0, len(rows), step):
+        d[k0:k0 + step] = table[np.subtract.outer(row_keys[k0:k0 + step], col_keys)].min(axis=1)
+    return d
 
 
 def distance_to_complement(dom: GridDomain) -> GridFunction:
     """Distance from each node to the complement of the region (zero outside).
 
     Canonical shapes get the exact analytic distance; free-form masks get the
-    exact Euclidean distance to the nearest outside node, which approximates
-    the continuum distance to O(h).  That node always lies on the outside
-    ring, the outside axis neighbours of inside nodes: one lattice step from
-    it toward the inside node lands inside, or a nearer outside node would
-    exist.  So only the ring is scanned.
+    distance to the nearest outside node, read by index offset
+    (`_offset_distances`), which approximates the continuum distance to
+    O(h).  That node always lies on the outside ring, the outside axis
+    neighbours of inside nodes: one lattice step from it toward the inside
+    node lands inside, or a nearer outside node would exist.  So only the
+    ring is scanned.
     """
     if dom.shape_tag is not None:
         vals = dom.shape_tag.distance(dom.node_coords)
         vals = np.where(dom.inside_flat, vals, 0.0)
         return GridFunction(dom, vals.reshape(dom.lattice_shape))
-    ring = (_dilate(dom.inside) & ~dom.inside).ravel()
+    ring = np.flatnonzero(_dilate(dom.inside) & ~dom.inside)
     vals = np.zeros(dom.n_nodes)
-    vals[dom.inside_indices] = _nearest_distances(dom.inside_coords, dom.node_coords[ring])
+    vals[dom.inside_indices] = _nearest_distances(dom, dom.inside_indices, ring)
     return GridFunction(dom, vals.reshape(dom.lattice_shape))
 
 
@@ -694,13 +683,19 @@ def high_ridge(delta: GridFunction, tol: Optional[float] = None) -> NodeSet:
 def distance_to_set(dom: GridDomain, nodes: NodeSet) -> GridFunction:
     """Euclidean distance from every lattice node to the nearest node of the set.
 
-    The result is exact (the set is finite), vanishes exactly on the set, and
-    is 1-Lipschitz.  It is not zero-extended: the distance is meaningful on the
-    whole lattice.
+    Read by index offset (`_offset_distances`), it is exact (the set is
+    finite), vanishes exactly on the set, and is 1-Lipschitz.  It is not
+    zero-extended: the distance is meaningful on the whole lattice.  Its table
+    spans the whole box, so it passes `_check_memory` first.
     """
     if nodes.domain is not dom and not dom.same_lattice(nodes.domain):
         raise ValueError("node set lives on a different lattice")
-    d = _nearest_distances(dom.node_coords, nodes.coords())
+    # measured peak: 8 bytes x (table + 5.0-5.4 per box node) on disks of 0.18
+    # and 0.73 million nodes, 6.0 on an interval; keys also grow with the set
+    table = math.prod(2 * n - 1 for n in dom.lattice_shape)
+    _check_memory(8 * (table + 7 * (dom.n_nodes + len(nodes))),
+                  f"distance_to_set arrays for {dom.n_nodes} box nodes")
+    d = _nearest_distances(dom, np.arange(dom.n_nodes), nodes.indices)
     return GridFunction(dom, d.reshape(dom.lattice_shape), zero_extended=False)
 
 
@@ -725,4 +720,4 @@ def nearest_node(dom: GridDomain, point) -> int:
     p = np.atleast_1d(np.asarray(point, dtype=float))
     if p.shape != (dom.dim,):
         raise ValueError(f"point must have {dom.dim} coordinates")
-    return int(np.argmin(squared_distances(p[None, :], dom.node_coords)))
+    return int(np.argmin(((dom.node_coords - p) ** 2).sum(axis=1)))

@@ -75,6 +75,7 @@ from .geometry import (
     Interval,
     NodeSet,
     _dilate,
+    _nearest_distances,
     _node_index,
     _offset_box,
     _offset_distances,
@@ -82,8 +83,6 @@ from .geometry import (
     _reflections,
     block_rows,
     distance_to_complement,
-    distance_to_set,
-    distances,
     high_ridge,
     inscribed_radius,
 )
@@ -143,9 +142,9 @@ def _extreme_quotients(u: GridFunction, alpha: float,
     once.  Each extreme is its argmax or argmin, and the value is read back
     at that column, so a value and its witness always come from one entry.
     A member g x of an orbit takes the value of x and the witness min g(T),
-    where T holds the columns of row x equal to the extreme: T is listed
-    only on rows with a tie (`_ties`), and otherwise g maps the argmax or
-    argmin (`_expand`).
+    where T holds the columns of row x equal to the extreme: on rows with a
+    tie, min g(T) is kept for every element g (`_ties`), and otherwise g
+    maps the argmax or argmin (`_expand`).
 
     A scan of more than one block is bounded (`_patch_bound`; the module
     docstring gives the bound and why it is exact): a block forms its
@@ -191,7 +190,7 @@ def _extreme_quotients(u: GridFunction, alpha: float,
     w_plus = np.empty(n, dtype=np.int64)
     l_minus = np.empty(n)
     w_minus = np.empty(n, dtype=np.int64)
-    ties_plus, ties_minus = [], []  # (row, tied columns, their quotients)
+    ties_plus, ties_minus = [], []  # (row, least image per element, its quotient)
 
     rows = min(block_rows(cand.size), n)
     every = np.arange(cand.size)
@@ -218,13 +217,13 @@ def _extreme_quotients(u: GridFunction, alpha: float,
         l_plus[sl] = q[i, best]
         w_plus[sl] = sel[best]
         if eq is not None:
-            _ties(q, best, l_plus[sl], eq, k0, sel, ties_plus)
+            _ties(q, best, l_plus[sl], eq, k0, sel, group, ties_plus)
         q[self_at] = np.inf
         best = q.argmin(axis=1)
         l_minus[sl] = q[i, best]
         w_minus[sl] = sel[best]
         if eq is not None:
-            _ties(q, best, l_minus[sl], eq, k0, sel, ties_minus)
+            _ties(q, best, l_minus[sl], eq, k0, sel, group, ties_minus)
     # freed before _expand allocates, whose arrays could otherwise sit above the
     # blocks and keep the heap from shrinking (disk_infinity peak RSS +0.9 MB)
     del dist, quot, tied
@@ -351,18 +350,22 @@ def _patch_bound(dom: GridDomain, nodes: np.ndarray, bv: np.ndarray, cand: np.nd
 
 
 def _ties(q: np.ndarray, best: np.ndarray, extreme: np.ndarray, eq: np.ndarray,
-          k0: int, sel: np.ndarray, out: list) -> None:
-    """Append (row, candidate columns, quotients) for each row of the block
-    q whose extreme is attained at more than one column.  The columns of q
-    are the candidates sel, best is the argmax or argmin of each row, and eq
-    a bool workspace of q's shape, the only array of that shape made for
-    ties."""
+          k0: int, sel: np.ndarray, group: list, out: list) -> None:
+    """Append (row, images, quotients) for each row of the block q whose
+    extreme is attained at more than one column: per element of group, the
+    least image of the tied columns and the quotient at that column, so
+    |group| pairs however many columns tie.  The columns of q are the
+    candidates sel, best is the argmax or argmin of each row, and eq a bool
+    workspace of q's shape, the only array of that shape made for ties."""
     np.equal(q, extreme[:, None], out=eq)
     eq[np.arange(best.size), best] = False
     for row in np.flatnonzero(eq.any(axis=1)):
         eq[row, best[row]] = True
         cols = np.flatnonzero(eq[row])
-        out.append((k0 + row, sel[cols], q[row, cols]))
+        tied = sel[cols]
+        images = np.stack([g[tied] for g in group])
+        k = images.argmin(axis=1)
+        out.append((k0 + row, images[np.arange(len(group)), k], q[row, cols[k]]))
 
 
 def _expand(value: np.ndarray, witness: np.ndarray, ties: list, orbit: np.ndarray,
@@ -370,25 +373,18 @@ def _expand(value: np.ndarray, witness: np.ndarray, ties: list, orbit: np.ndarra
     """Values and witnesses of every base node, written into out, from those
     of the scanned rows, whose witnesses are candidate columns: base node i
     takes row orbit[i] through the element group[elem[i]].  A tied row's
-    members take the smallest image of its tied columns, and the quotient
-    there (equal to the row's, but it may be the other zero).  The columns
-    become flat node indices at the end."""
+    members take what `_ties` kept for their element: the smallest image of
+    its tied columns, and the quotient there (equal to the row's, but it may
+    be the other zero).  The columns become flat node indices at the end."""
     value = np.take(value, orbit, out=out[0])
     witness = np.take(witness, orbit, out=out[1])
     for k, g in enumerate(group[1:], 1):
         i = np.flatnonzero(elem == k)
         witness[i] = g[witness[i]]
-    if ties:
-        tied = np.concatenate([cols for _, cols, _ in ties])
-        images = np.stack([g[tied] for g in group])  # images[k, j]: image of tied column j under k
-        start = 0
-        for row, cols, quot in ties:
-            i = np.flatnonzero(orbit == row)
-            img = images[elem[i], start:start + cols.size]
-            k = img.argmin(axis=1)
-            witness[i] = img[np.arange(i.size), k]
-            value[i] = quot[k]
-            start += cols.size
+    for row, images, quot in ties:
+        i = np.flatnonzero(orbit == row)
+        witness[i] = images[elem[i]]
+        value[i] = quot[elem[i]]
     return value, cand.take(witness, out=witness)
 
 
@@ -581,8 +577,9 @@ def representation(dom: GridDomain, gamma1: NodeSet, alpha: float, *,
     u = delta^alpha / (delta^alpha + rho^alpha), where delta is the distance to
     the complement and rho the distance to the chosen subset gamma1 of the
     ridge, high_ridge(delta).  Equals 1 exactly on gamma1, lies in (0, 1]
-    inside, 0 outside.  A caller that already holds distance_to_complement(dom)
-    passes it as delta; it must live on the lattice of dom.
+    inside, 0 outside, so rho is read (by index offset) at inside nodes only.
+    A caller that already holds distance_to_complement(dom) passes it as
+    delta; it must live on the lattice of dom.
     """
     _check_alpha(alpha)
     if delta is None:
@@ -591,10 +588,11 @@ def representation(dom: GridDomain, gamma1: NodeSet, alpha: float, *,
         raise ValueError("distance function lives on a different lattice")
     if not np.isin(gamma1.indices, high_ridge(delta).indices).all():
         raise ValueError("gamma1 contains nodes outside the ridge tolerance")
-    rho = distance_to_set(dom, gamma1)
-    da = delta.flat() ** alpha
-    ra = rho.flat() ** alpha
-    vals = np.where(dom.inside_flat, da / (da + ra), 0.0)
+    inside = dom.inside_indices
+    da = delta.flat()[inside] ** alpha
+    ra = _nearest_distances(dom, inside, gamma1.indices) ** alpha
+    vals = np.zeros(dom.n_nodes)
+    vals[inside] = da / (da + ra)
     return GridFunction(dom, vals.reshape(dom.lattice_shape))
 
 
@@ -638,8 +636,9 @@ def r2_radius(dom: GridDomain) -> float:
     min(delta(x), delta(y), |x - y| / 2).
 
     The search visits the inside nodes in descending delta (a stable sort)
-    and scans each row block against every node at or before it.  A pair's
-    value is at most the delta of its later node, so the search stops at the
+    and scans each row block against every node at or before it, reading
+    |x - y| by index offset (`geometry._offset_distances`).  A pair's value
+    is at most the delta of its later node, so the search stops at the
     first block whose largest delta does not exceed the best value so far.
     A maximum does not depend on the order of its terms, so the result is the
     maximum over all pairs, bit for bit.
@@ -650,16 +649,17 @@ def r2_radius(dom: GridDomain) -> float:
     delta = distance_to_complement(dom).flat()[dom.inside_indices]
     order = np.argsort(-delta, kind="stable")
     delta = delta[order]
-    pts = dom.inside_coords[order]
+    nodes = dom.inside_indices[order]
+    table, row_keys, col_keys = _offset_distances(dom, nodes, nodes)
     best = 0.0
     # cap is symmetric (bitwise), so a block needs only the columns up to its
     # last row: the pairs after them are rows of a later block
-    rows = block_rows(pts.shape[0])
-    for k0 in range(0, pts.shape[0], rows):
+    rows = block_rows(nodes.size)
+    for k0 in range(0, nodes.size, rows):
         if delta[k0] <= best:
             break
         k1 = k0 + rows
-        cap = distances(pts[k0:k1], pts[:k1])
+        cap = table[np.subtract.outer(row_keys[k0:k1], col_keys[:k1])]
         cap *= 0.5
         np.minimum(cap, delta[None, :k1], out=cap)
         np.minimum(cap, delta[k0:k1, None], out=cap)

@@ -5,6 +5,7 @@ from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 from test_energy import annulus_mask, offset_distances
 
+from fracteig import geometry
 from fracteig.geometry import (
     Disk,
     GridFunction,
@@ -20,13 +21,12 @@ from fracteig.geometry import (
     build_rectangle,
     distance_to_complement,
     distance_to_set,
-    distances,
     lattice_symmetries,
     high_ridge,
     inscribed_radius,
     nearest_node,
-    squared_distances,
 )
+from fracteig.infinity import representation
 
 
 def _unit_disk_mask(h):
@@ -107,17 +107,17 @@ def test_distance_disk_analytic():
     (_unit_disk_mask(0.1), 1e-15),
 ], ids=["disk", "annulus", "l_shape", "disk_h0.1"])
 def test_edt_equals_brute_nearest_outside_node(dom, rtol):
-    """Free-form masks: the outside-ring distance equals scipy's Euclidean
-    distance transform, bitwise on dyadic spacings (coordinates are exact) and
-    to rounding at h = 0.1, and a direct O(N^2) nearest-outside-node scan."""
+    """Free-form masks: the outside-ring distance is the least offset
+    distance h sqrt(sum a_k^2) to any outside node, bit for bit, found by a
+    direct scan of every outside node, on dyadic spacings and at h = 0.1;
+    and it equals scipy's Euclidean distance transform, bitwise on dyadic
+    spacings (coordinates are exact) and to rounding at h = 0.1."""
     delta = distance_to_complement(dom)
     edt = ndimage.distance_transform_edt(dom.inside, sampling=dom.h)
     np.testing.assert_allclose(delta.values, edt, rtol=rtol, atol=0.0)
-    coords = dom.node_coords
-    out = coords[~dom.inside_flat]
-    for k in np.flatnonzero(dom.inside_flat):
-        brute = np.sqrt(((out - coords[k]) ** 2).sum(axis=1)).min()
-        assert delta.flat()[k] == pytest.approx(brute, abs=1e-12)
+    outside = np.flatnonzero(~dom.inside_flat)
+    for k in dom.inside_indices:
+        assert delta.flat()[k] == offset_distances(dom, [k], outside).min()
     assert np.all(delta.flat()[~dom.inside_flat] == 0.0)
 
 
@@ -269,27 +269,35 @@ _DISTANCE_DOMAINS = pytest.mark.parametrize("dom", [
 
 
 @_DISTANCE_DOMAINS
-def test_distances_equal_cdist_bitwise(dom):
-    a, b = dom.inside_coords, dom.node_coords
-    np.testing.assert_array_equal(distances(a, b), cdist(a, b))
-    np.testing.assert_array_equal(squared_distances(a, b), cdist(a, b, "sqeuclidean"))
-    np.testing.assert_array_equal(distances(b[:1], b), cdist(b[:1], b))
-    # into a row slice of a larger workspace, as a blocked scan writes it
-    work = np.full((len(a) + 3, len(b)), np.nan)
-    rows = work[1:-2]
-    assert squared_distances(a, b, out=rows) is rows
-    np.testing.assert_array_equal(rows, cdist(a, b, "sqeuclidean"))
-    assert np.isnan(work[[0, -2, -1]]).all()
-
-
-@_DISTANCE_DOMAINS
-def test_distance_to_set_equals_kdtree_query(dom):
+def test_distance_to_set_equals_the_offset_reference(dom):
+    """The distance to a node set is the least offset distance h sqrt(sum
+    a_k^2) to its nodes, bit for bit, on lattices whose coordinates round;
+    a KD-tree over the rounded coordinates agrees to 2 eps times the largest
+    coordinate magnitude."""
     ridge = high_ridge(distance_to_complement(dom))
     if isinstance(dom.shape_tag, Rectangle):  # the ridge is a segment of nodes
         assert len(ridge) == 5
+    scale = np.abs(dom.node_coords).max()
     for nodes in (NodeSet(dom, ridge.indices[:1]), ridge):
-        want, _ = cKDTree(nodes.coords()).query(dom.node_coords)
-        np.testing.assert_array_equal(distance_to_set(dom, nodes).flat(), want)
+        got = distance_to_set(dom, nodes).flat()
+        want = offset_distances(dom, np.arange(dom.n_nodes), nodes.indices).min(axis=1)
+        np.testing.assert_array_equal(got, want)
+        near, _ = cKDTree(nodes.coords()).query(dom.node_coords)
+        np.testing.assert_allclose(got, near, rtol=0.0, atol=2 * np.finfo(float).eps * scale)
+
+
+def test_distance_to_set_larger_than_memory_is_a_value_error(monkeypatch):
+    """Its offset table spans the whole box, so it passes the memory check
+    first; the representation reads rho at the inside nodes alone, and
+    builds no such table."""
+    dom = build_disk((0.0, 0.0), 1.0, 1 / 8)
+    delta = distance_to_complement(dom)
+    ridge = high_ridge(delta)
+    monkeypatch.setattr(geometry, "_physical_memory", lambda: 1 << 18)
+    with pytest.raises(ValueError, match=f"distance_to_set arrays for {dom.n_nodes} box "
+                                         "nodes need .* MiB, more than the 256 KiB"):
+        distance_to_set(dom, ridge)
+    assert representation(dom, ridge, 0.5, delta=delta).flat()[ridge.indices[0]] == 1.0
 
 
 def test_nearest_node_validation():
@@ -373,7 +381,7 @@ def test_lattice_symmetries_group_orders(dom, order):
     keys = {g.tobytes() for g in perms}
     assert len(keys) == order
     x = dom.inside_coords
-    d = distances(x, x)
+    d = cdist(x, x)
     for g in perms:
         np.testing.assert_array_equal(np.sort(g), np.arange(m))
         np.testing.assert_allclose(d[np.ix_(g, g)], d, rtol=1e-13, atol=0.0)
@@ -481,7 +489,7 @@ def test_offset_distances_are_the_coordinate_distances_up_to_rounding(dom, dyadi
     np.testing.assert_array_equal(got, offset_distances(dom, rows_at, cols_at))
     assert table[table.size // 2] == 0.0
     assert table.size < 2 ** dom.dim * dom.n_nodes
-    want = distances(dom.node_coords[rows_at], dom.node_coords[cols_at])
+    want = cdist(dom.node_coords[rows_at], dom.node_coords[cols_at])
     if dyadic:
         np.testing.assert_array_equal(got, want)
     else:

@@ -1,4 +1,8 @@
 import functools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -40,6 +44,8 @@ from fracteig.infinity import (
 from fracteig.closedform1d import first_1d, sample, second_1d, third_1d
 from test_energy import offset_distances
 from test_geometry import triangle_mask
+
+SRC = str(Path(infinity.__file__).resolve().parents[1])
 
 
 def rep_on_interval(h=0.25, alpha=0.5):
@@ -513,20 +519,25 @@ def test_r2_radius_values():
 
 
 def test_r2_radius_equals_full_pair_scan(monkeypatch):
-    """The early-stopping search returns the maximum over all inside pairs,
-    bit for bit, whether it stops in its first block, after several, or
-    (with one-row blocks) after many."""
+    """The early-stopping search returns the maximum over all inside pairs
+    at the offset distances h sqrt(sum a_k^2), bit for bit, whether it stops
+    in its first block, after several, or (with one-row blocks) after many;
+    the same scan at the distances of the rounded coordinates agrees to
+    2 eps times the largest coordinate magnitude."""
     doms = [build_disk((0.3, -0.7), 0.9, 0.1, margin=1.0), triangle_mask(1 / 8),
             build_rectangle((0.0, 0.0), (1.1, 0.7), 0.1, margin=1.0),
             build_disk((0.0, 0.0), 1.0, 1 / 16)]
     budgets = (1, 1000, geometry._BLOCK_ELEMENTS)
     for dom in doms:
-        delta = distance_to_complement(dom).flat()[dom.inside_indices]
-        cap = np.minimum(np.minimum(delta[:, None], delta[None, :]),
-                         0.5 * cdist(dom.inside_coords, dom.inside_coords))
+        inside = dom.inside_indices
+        delta = distance_to_complement(dom).flat()[inside]
+        near = np.minimum(delta[:, None], delta[None, :])
+        cap = np.minimum(near, 0.5 * offset_distances(dom, inside, inside)).max()
+        coord_cap = np.minimum(near, 0.5 * cdist(dom.inside_coords, dom.inside_coords)).max()
+        assert abs(cap - coord_cap) <= 2 * np.finfo(float).eps * np.abs(dom.node_coords).max()
         for budget in budgets:
             monkeypatch.setattr(geometry, "_BLOCK_ELEMENTS", budget)
-            assert r2_radius(dom) == cap.max()
+            assert r2_radius(dom) == cap
 
 
 def test_blocked_loops_do_not_depend_on_the_block_size(monkeypatch):
@@ -658,6 +669,12 @@ def _ties_signed_zeros(dom):
     return GridFunction(dom, vals.reshape(dom.lattice_shape), zero_extended=False)
 
 
+def _centre_cone(dom):
+    """A truncated cone (radius 0.5, alpha 1/2) at the box-centre node, which
+    every reflection fixes: a plateau that ties many columns of each row."""
+    return cone(dom, nearest_node(dom, (0.3, -0.7)), 0.5, 0.5)
+
+
 @pytest.mark.parametrize("make, alpha, order", [
     (lambda: _rep(build_disk((0.0, 0.0), 1.0, 1 / 32, 1.0), 0.5), 0.5, 8),
     (lambda: _rep(build_rectangle((0.0, 0.0), (1.0, 1.0), 1 / 32), 0.9), 0.9, 8),
@@ -668,8 +685,9 @@ def _ties_signed_zeros(dom):
     (lambda: _ties_integer(build_rectangle((0.0, 0.0), (1.0, 0.5), 1 / 16, 1.0)), 0.5, 4),
     (lambda: _ties_signed_zeros(build_rectangle((0.0, 0.0), (1.0, 0.5), 1 / 16, 1.0)),
      1.0, 4),
+    (lambda: _centre_cone(build_disk((0.3, -0.7), 0.9, 0.1, 1.0)), 0.5, 8),
 ], ids=["disk_infinity", "unit_square", "rectangle", "first", "third", "ties_disk",
-        "ties_rectangle", "signed_zeros"])
+        "ties_rectangle", "signed_zeros", "plateau_cone"])
 def test_folded_scan_equals_the_unfolded_scan(monkeypatch, make, alpha, order):
     """Scanning one row per orbit changes no bit: values as int64, witnesses
     exactly, on the inside nodes and on the nonzero nodes."""
@@ -680,6 +698,32 @@ def test_folded_scan_equals_the_unfolded_scan(monkeypatch, make, alpha, order):
         assert len(group) == order
         _assert_bitwise(_extreme_quotients(u, alpha, base),
                         _unfolded(monkeypatch, u, alpha, base))
+
+
+def test_a_wide_plateau_folds_in_bounded_memory():
+    """The plateau cone above on the lattice of margin 2 (121 x 121 nodes),
+    scanned from its nonzero nodes, ties 27,364,346 columns over its folded
+    rows.  A tied row keeps one image and quotient per group element, so the
+    scan finishes in a process whose address space is capped at 3000 MiB;
+    listing every tied column's 8 images took 1.63 GiB more."""
+    script = """
+import resource
+resource.setrlimit(resource.RLIMIT_AS, (3000 << 20, 3000 << 20))
+import numpy as np
+from fracteig.geometry import build_disk, nearest_node
+from fracteig.infinity import _extreme_quotients, _invariance, cone
+dom = build_disk((0.3, -0.7), 0.9, 0.1)
+c = cone(dom, nearest_node(dom, (0.3, -0.7)), 0.5, 0.5)
+base = np.flatnonzero(c.flat())
+lp = _extreme_quotients(c, 0.5, base)[0]
+print(dom.lattice_shape, len(_invariance(c, np.arange(dom.n_nodes), base)), lp.size)
+"""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [SRC, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["(121,", "121)", "8", str(121 * 121 - 1)]
 
 
 def test_signed_zero_ties_reach_l_plus():
@@ -716,9 +760,10 @@ def test_the_fold_scans_one_row_per_orbit(monkeypatch):
 ], ids=["interval_h001", "offcentre_disk", "antisymmetric"])
 def test_scan_falls_back_to_every_row(monkeypatch, make):
     """A u that no reflection keeps bitwise leaves the identity alone, and
-    every inside node is a scanned row: the representation built from the
-    coordinate distances of axes that do not mirror exactly (h = 0.01; a
-    disk centred off the dyadic grid), and the odd second profile."""
+    every inside node is a scanned row: the representation on axes that do
+    not mirror exactly (h = 0.01; a disk centred off the dyadic grid), whose
+    analytic delta is evaluated at the rounded node coordinates (rho is read
+    by index offset), and the odd second profile."""
     u = make()
     dom = u.domain
     assert len(geometry.lattice_symmetries(dom)) > 1  # the solver would fold these
