@@ -2,17 +2,16 @@
 
 Every run reads a JSON config, computes, and writes artifacts (CSV tables,
 report.json) into an output directory.  Each `cmd_*` validates and computes
-and writes nothing; `main` writes what it returns, and creates the output
-directory only then, so a run that exits 2 leaves no directory behind.  Runs
-are deterministic: identical config and package version produce
-byte-identical CSV files and an identical report.json up to the wall_time_s
-field.
+and writes nothing; `_run` writes what it returns, and creates the output
+directory only then.  Runs are deterministic: identical config and package
+version produce byte-identical CSV files and an identical report.json up to
+the wall_time_s field.
 
 Exit codes: 0 for completed runs (including honest non-convergence, which is
-reported in-band via converged flags), 2 for configuration or environment
-errors (bad paths, malformed config, invalid exponent ranges, empty p lists,
-a lattice that is not finite or does not fit in physical memory, kernel
-tables or a p = 2 oracle too large for physical memory).
+reported in-band via converged flags), 2 for a bad config or environment.
+The library raises ValueError for input it rejects, and any such error from
+a subcommand exits 2 with its message and leaves no output directory; so do
+the CLI's own ConfigErrors (unreadable or malformed config, bad mask file).
 """
 
 from __future__ import annotations
@@ -245,10 +244,8 @@ def build_domain(cfg: RunConfig) -> GridDomain:
                                    [float(c) for c in spec["hi"]], cfg.h, cfg.margin)
         if kind == "mask":
             return _load_mask_csv(Path(spec["path"]), cfg.h, cfg.margin)
-    except ConfigError:
+    except _TooLarge:  # too large for memory is not bad input: no prefix
         raise
-    except _TooLarge as exc:
-        raise ConfigError(str(exc)) from exc
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad domain description: {exc}") from exc
     raise ConfigError(f"unknown domain shape {kind!r}")
@@ -272,26 +269,21 @@ def _solver_options(cfg: RunConfig) -> SolverOptions:
 # ---------------------------------------------------------------------------
 # subcommands: each validates and computes, writes nothing, and returns
 # (lattice whose mask the run writes or None, [(output key, file name,
-# header, rows)], summary)
+# header, rows)], summary).  A ValueError raised inside one reaches _run,
+# which turns it into exit 2; a handler here only adds context to a message.
 # ---------------------------------------------------------------------------
 
 
 def cmd_eig(cfg: RunConfig) -> tuple:
+    """first eigenpair at a single exponent p"""
     if cfg.p is None:
         raise ConfigError("eig requires a single exponent 'p' in the config")
     dom = build_domain(cfg)
-    try:
-        prm = FracParams(cfg.alpha, cfg.p)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    prm = FracParams(cfg.alpha, cfg.p)
     opts = _solver_options(cfg)
-
-    try:
-        # the oracle's size depends only on the lattice, so it is checked before the solve
-        oracle = p2_oracle(dom, cfg.alpha) if cfg.p == 2.0 else None
-        res = minimize_first(dom, prm, opts)
-    except ValueError as exc:  # exponents out of window, arrays too large, or overflowing
-        raise ConfigError(str(exc)) from exc
+    # the oracle's size depends only on the lattice, so it is checked before the solve
+    oracle = p2_oracle(dom, cfg.alpha) if cfg.p == 2.0 else None
+    res = minimize_first(dom, prm, opts)
     summary = {
         "alpha": cfg.alpha,
         "p": cfg.p,
@@ -314,13 +306,11 @@ def cmd_eig(cfg: RunConfig) -> tuple:
 
 
 def cmd_sweep(cfg: RunConfig) -> tuple:
+    """warm-started eigenvalue sweep over ascending p"""
     if not cfg.ps:
         raise ConfigError("sweep requires a non-empty ascending list 'ps'")
     dom = build_domain(cfg)
-    try:
-        result = p_sweep(dom, cfg.alpha, cfg.ps, _solver_options(cfg))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    result = p_sweep(dom, cfg.alpha, cfg.ps, _solver_options(cfg))
 
     rows = [(r.p, r.lam, r.root, result.target, r.converged, r.iters) for r in result.rows]
     gaps = result.gaps()
@@ -341,11 +331,9 @@ def cmd_sweep(cfg: RunConfig) -> tuple:
 
 
 def cmd_infinity(cfg: RunConfig) -> tuple:
+    """limiting-equation report for a representation eigenfunction"""
     dom = build_domain(cfg)
-    try:
-        lam = lambda_infinity(dom, cfg.alpha)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    lam = lambda_infinity(dom, cfg.alpha)
     delta = distance_to_complement(dom)
     ridge = high_ridge(delta)
     gamma1 = ridge
@@ -354,10 +342,7 @@ def cmd_infinity(cfg: RunConfig) -> tuple:
             gamma1 = NodeSet(dom, np.asarray(cfg.gamma1, dtype=np.int64))
         except ValueError as exc:
             raise ConfigError(f"bad gamma1 node list: {exc}") from exc
-    try:
-        u = representation(dom, gamma1, cfg.alpha, delta=delta)
-    except ValueError as exc:  # gamma1 off the ridge
-        raise ConfigError(str(exc)) from exc
+    u = representation(dom, gamma1, cfg.alpha, delta=delta)
     report = first_residual(u, cfg.alpha, lam, delta)
 
     tables = [
@@ -377,11 +362,9 @@ def cmd_infinity(cfg: RunConfig) -> tuple:
 
 
 def cmd_verify1d(cfg: RunConfig) -> tuple:
+    """closed-form 1D profiles: constants, residual refinement, verdicts"""
     alpha = cfg.alpha
-    try:
-        examples = [first_1d(alpha), second_1d(alpha), third_1d(alpha)]
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    examples = [first_1d(alpha), second_1d(alpha), third_1d(alpha)]
     hs = _DEFAULT_VERIFY1D_H if cfg.h_list is None else cfg.h_list
     if not hs:
         raise ConfigError("verify1d requires a non-empty list 'h_list' (omit it for the default)")
@@ -389,8 +372,8 @@ def cmd_verify1d(cfg: RunConfig) -> tuple:
     try:
         doms = [build_interval(0.0, 2.0, h, cfg.margin) for h in hs]
         nodal_dom = build_interval(0.0, 1.0, finest, cfg.margin)
-    except _TooLarge as exc:
-        raise ConfigError(str(exc)) from exc
+    except _TooLarge:  # too large for memory is not bad input: no prefix
+        raise
     except ValueError as exc:
         raise ConfigError(f"bad h_list or margin: {exc}") from exc
 
@@ -432,11 +415,25 @@ def cmd_verify1d(cfg: RunConfig) -> tuple:
     return None, tables, summary
 
 
+# name -> subcommand; each one's docstring is its help text
+_COMMANDS = {
+    "eig": cmd_eig,
+    "sweep": cmd_sweep,
+    "infinity": cmd_infinity,
+    "verify1d": cmd_verify1d,
+}
+
+
 def _run(cfg: RunConfig) -> RunReport:
-    """Run cfg's subcommand, then write its outputs.  The output directory is
-    made only after the subcommand returns, so no ConfigError leaves one."""
+    """Run cfg's subcommand, then write its outputs.  A ValueError from the
+    subcommand is rejected input and becomes a ConfigError; the output
+    directory is made only after the subcommand returns, so no ConfigError
+    leaves one."""
     started = time.perf_counter()
-    dom, tables, summary = _COMMANDS[cfg.command](cfg)
+    try:
+        dom, tables, summary = _COMMANDS[cfg.command](cfg)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     out = cfg.out
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -469,13 +466,8 @@ def _parser() -> argparse.ArgumentParser:
         description="Grid laboratory for nonlocal fractional p-eigenvalue problems",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in [
-        ("eig", "first eigenpair at a single exponent p"),
-        ("sweep", "warm-started eigenvalue sweep over ascending p"),
-        ("infinity", "limiting-equation report for a representation eigenfunction"),
-        ("verify1d", "closed-form 1D profiles: constants, residual refinement, verdicts"),
-    ]:
-        cmd = sub.add_parser(name, help=help_text)
+    for name, fn in _COMMANDS.items():
+        cmd = sub.add_parser(name, help=fn.__doc__)
         cmd.add_argument("--config", required=True, help="JSON config path")
         cmd.add_argument("--out", default=None, help="output directory (overrides config)")
         cmd.add_argument("--margin", type=float, default=None,
@@ -484,14 +476,6 @@ def _parser() -> argparse.ArgumentParser:
         cmd.add_argument("--h", type=float, default=None,
                          help="lattice spacing (overrides config)")
     return parser
-
-
-_COMMANDS = {
-    "eig": cmd_eig,
-    "sweep": cmd_sweep,
-    "infinity": cmd_infinity,
-    "verify1d": cmd_verify1d,
-}
 
 
 def main(argv=None) -> int:

@@ -18,7 +18,7 @@ mirrored argument 2 - x is exactly representable (dyadic grids).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -47,29 +47,14 @@ def _support_mask(x: np.ndarray) -> np.ndarray:
     return (x > 0.0) & (x < 2.0)
 
 
-def first_1d(alpha: float) -> Example1D:
-    """Positive profile with eigenvalue 1 on (0, 2)."""
-    _check_alpha(alpha)
-
-    def evaluator(x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        sup = _support_mask(x)
-        xs = x[sup]
-        m = np.minimum(xs, 2.0 - xs) ** alpha
-        out = np.zeros_like(x)
-        out[sup] = m / (m + np.abs(xs - 1.0) ** alpha)
-        return out
-
-    return Example1D(kind="first", alpha=alpha, a=None, lam=1.0, evaluator=evaluator)
-
-
 def _sign_changing(kind: str, alpha: float, a: float, lam: float, c: float,
                    mirror: float) -> Example1D:
-    """Sign-changing profile on (0, 2) built from its values on (0, 1].
+    """Profile on (0, 2) built from its values on (0, 1].
 
     There it rises on (0, a] to its maximum 1 at the break point a, then
     follows ((c - x)^alpha - (x - a)^alpha) / ((c - x)^alpha + (x - a)^alpha),
     which vanishes at (a + c) / 2.  The right half is mirror * left(2 - x).
+    With a = 1 and mirror = +1 it is the positive first profile.
     """
 
     def left(xs: np.ndarray) -> np.ndarray:
@@ -95,6 +80,14 @@ def _sign_changing(kind: str, alpha: float, a: float, lam: float, c: float,
         return out
 
     return Example1D(kind=kind, alpha=alpha, a=a, lam=lam, evaluator=evaluator)
+
+
+def first_1d(alpha: float) -> Example1D:
+    """Positive profile with eigenvalue 1 on (0, 2)."""
+    _check_alpha(alpha)
+    # no break point inside (0, 1): the rise to 1 takes the whole left half
+    return replace(_sign_changing("first", alpha, a=1.0, lam=1.0, c=1.0, mirror=1.0),
+                   a=None)
 
 
 def second_1d(alpha: float) -> Example1D:

@@ -641,6 +641,29 @@ def test_lattice_larger_than_memory_exits_2(tmp_path, capsys, monkeypatch, comma
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, library_call, overrides", [
+    ("eig", "minimize_first", {}),
+    ("sweep", "p_sweep", {"ps": [4.0, 8.0]}),
+    ("infinity", "first_residual", {}),
+    ("verify1d", "higher_residual", {"h_list": [1 / 16]}),
+], ids=["eig", "sweep", "infinity", "verify1d"])
+def test_a_library_value_error_exits_2_in_every_subcommand(tmp_path, capsys, monkeypatch,
+                                                           command, library_call, overrides):
+    """The library raises ValueError for input it rejects; wherever a
+    subcommand meets one, the run exits 2 with its message and makes no
+    output directory."""
+    def reject(*args, **kwargs):
+        raise ValueError(f"{library_call} rejects this input")
+
+    monkeypatch.setattr(cli, library_call, reject)
+    out = tmp_path / "run"
+    cfg = _eig_config(tmp_path, out, domain={"shape": "interval", "a": 0.0, "b": 2.0},
+                      alpha=0.5, h=1 / 16, p=4.0, **overrides)
+    assert main([command, "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == f"error: {library_call} rejects this input\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command, ps", [
     ("eig", [512.0]),
     ("sweep", [512.0]),

@@ -39,6 +39,32 @@ def test_first_values():
     assert ex1(np.array([0.25]))[0] == pytest.approx(0.25)
 
 
+def _first_by_min(alpha, x):
+    """The first profile's former stand-alone formula, m / (m + |x - 1|^alpha)
+    with m = min(x, 2 - x)^alpha, on the support (0, 2)."""
+    sup = (x > 0.0) & (x < 2.0)
+    xs = x[sup]
+    m = np.minimum(xs, 2.0 - xs) ** alpha
+    out = np.zeros_like(x)
+    out[sup] = m / (m + np.abs(xs - 1.0) ** alpha)
+    return out
+
+
+@pytest.mark.parametrize("alpha", [0.1, 0.25, 0.5, 2.0 / 3.0, 0.9, 1.0])
+def test_first_mirrored_build_equals_the_min_formula_bitwise(alpha):
+    """For x in (1, 2) both 2 - x and x - 1 are exact, so reflecting the left
+    half gives the former formula's bits on dyadic and non-dyadic lattices and
+    at arbitrary points."""
+    ex = first_1d(alpha)
+    assert ex.a is None
+    rng = np.random.default_rng(3)
+    points = [build_interval(0.0, 2.0, h).axes[0]
+              for h in (1 / 16, 1 / 128, 1 / 1024, 0.01, 0.03, 1 / 3)]
+    points.append(rng.uniform(-0.1, 2.1, 20_000))
+    for x in points:
+        assert np.array_equal(ex(x), _first_by_min(alpha, x))
+
+
 def test_second_break_values():
     ex = second_1d(0.5)
     np.testing.assert_allclose(ex(np.array([ex.a, 1.0])), [1.0, 0.0], atol=1e-15)
