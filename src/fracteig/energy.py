@@ -48,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import (GridDomain, GridFunction, _check_memory, _node_index,
+from .geometry import (GridDomain, GridFunction, _check_memory, _coords, _node_index,
                        _offset_distances, _orbits, block_rows)
 
 __all__ = [
@@ -605,8 +605,8 @@ def apply_Lp(u: GridFunction, prm: FracParams, x: int) -> float:
     dom = u.domain
     prm.validate_for_dim(dom.dim)
     x = _node_index(dom, x)
-    coords = dom.node_coords
-    if np.any((coords[x] == dom.box_lo) | (coords[x] == dom.box_hi)):
+    point = _coords(dom, np.array([x]))
+    if np.any((point == dom.box_lo) | (point == dom.box_hi)):
         raise ValueError(f"node {x} lies on the box boundary, where the tail diverges")
     vals = u.flat()
     ux = vals[x]
@@ -614,7 +614,7 @@ def apply_Lp(u: GridFunction, prm: FracParams, x: int) -> float:
     dist[dist.size // 2] = np.inf  # y = x: kernel 0
     diff = vals - ux
     core = np.abs(diff) ** (prm.p - 2.0) * diff * dist[row_keys[0] - col_keys] ** (-prm.ap)
-    lower, upper = _tail_bracket(dom, prm.ap, coords[x:x + 1])
+    lower, upper = _tail_bracket(dom, prm.ap, point)
     tail = 0.5 * (lower[0] + upper[0])
     return float(2.0 * (core.sum() * dom.h ** dom.dim
                         - np.abs(ux) ** (prm.p - 2.0) * ux * tail))

@@ -60,10 +60,14 @@ _BLOCK_ELEMENTS = 2**17
 # count as outside, so inside nodes always carry a strictly positive distance.
 _BOUNDARY_GUARD = 1e-9
 
-# Peak bytes per node of a lattice build.  Its measured peak RSS rise was 40.1
-# and 40.0 for a disk at 1.8 and 7.1 million nodes (coordinates and the
-# distance test), 18.3 and 18.1 for an interval at 1 and 4 million.
-_LATTICE_BYTES = 48
+# Peak bytes per box node of a lattice build, by how it tests membership.  The
+# measured peak RSS rise of a canonical shape's test on sparse axes was 9.0
+# for a disk at 1.8 and 7.1 million nodes, 15.9 and 16.0 for an interval at 1
+# and 4 million (its axis and the axis's temporaries), and 2.0 for a rectangle
+# at 1.7 and 6.8 million; that of a predicate mask, the unit disk's, was 40.0
+# at 1.8 and 7.1 million (coordinates, the predicate and the tight-box test),
+# charged 48 for predicates that make more temporaries than that one.
+_LATTICE_BYTES = {"shape": 16, "predicate": 48}
 
 
 class _TooLarge(ValueError):
@@ -108,6 +112,11 @@ def _size(n: float) -> str:
 
 # ---------------------------------------------------------------------------
 # canonical shapes (exact membership and exact distance to the complement)
+#
+# Each shape's membership test is written once, as `_inside`, on coordinate
+# columns that broadcast against each other: the columns of a point array
+# (`contains`) or the sparse axes of a lattice (`_lattice`), which give the
+# same booleans without an array of every node's coordinates.
 # ---------------------------------------------------------------------------
 
 
@@ -130,7 +139,9 @@ class Interval:
         return np.array([self.a]), np.array([self.b])
 
     def contains(self, pts: np.ndarray, guard: float) -> np.ndarray:
-        x = pts[:, 0]
+        return self._inside(*pts.T, guard=guard)
+
+    def _inside(self, x, guard):
         return (x > self.a + guard) & (x < self.b - guard)
 
     def distance(self, pts: np.ndarray) -> np.ndarray:
@@ -159,8 +170,10 @@ class Disk:
         return c - self.r, c + self.r
 
     def contains(self, pts: np.ndarray, guard: float) -> np.ndarray:
-        d = np.hypot(pts[:, 0] - self.cx, pts[:, 1] - self.cy)
-        return d < self.r - guard
+        return self._inside(*pts.T, guard=guard)
+
+    def _inside(self, x, y, guard):
+        return np.hypot(x - self.cx, y - self.cy) < self.r - guard
 
     def distance(self, pts: np.ndarray) -> np.ndarray:
         d = np.hypot(pts[:, 0] - self.cx, pts[:, 1] - self.cy)
@@ -188,7 +201,9 @@ class Rectangle:
         return np.array([self.lox, self.loy]), np.array([self.hix, self.hiy])
 
     def contains(self, pts: np.ndarray, guard: float) -> np.ndarray:
-        x, y = pts[:, 0], pts[:, 1]
+        return self._inside(*pts.T, guard=guard)
+
+    def _inside(self, x, y, guard):
         return (
             (x > self.lox + guard)
             & (x < self.hix - guard)
@@ -287,7 +302,8 @@ class GridDomain:
 
     @cached_property
     def node_coords(self) -> np.ndarray:
-        """(n_nodes, dim) coordinates in flat C order."""
+        """(n_nodes, dim) coordinates in flat C order.  Kept for the life of
+        the domain; `_coords` gives the rows of a node set alone."""
         return _node_coords(self.axes)
 
     @cached_property
@@ -300,7 +316,7 @@ class GridDomain:
 
     @cached_property
     def inside_coords(self) -> np.ndarray:
-        return self.node_coords[self.inside_indices]
+        return _coords(self, self.inside_indices)
 
     @property
     def inside_count(self) -> int:
@@ -401,7 +417,7 @@ class NodeSet:
         return int(self.indices.size)
 
     def coords(self) -> np.ndarray:
-        return self.domain.node_coords[self.indices]
+        return _coords(self.domain, self.indices)
 
 
 # ---------------------------------------------------------------------------
@@ -420,6 +436,14 @@ def _node_coords(axes) -> np.ndarray:
     for k, grid in enumerate(np.meshgrid(*axes, indexing="ij", sparse=True, copy=False)):
         coords[..., k] = grid
     return coords.reshape(-1, len(axes))
+
+
+def _coords(dom: GridDomain, nodes: np.ndarray) -> np.ndarray:
+    """(len(nodes), dim) coordinates of the nodes (flat indices): each axis
+    value gathered by the node's index along that axis, so the rows of
+    ``dom.node_coords[nodes]``, bit for bit, without that array."""
+    at = np.unravel_index(nodes, dom.lattice_shape)
+    return np.stack([ax[i] for ax, i in zip(dom.axes, at)], axis=1)
 
 
 def _members(pts: np.ndarray, h: float, shape: Optional[CanonicalShape],
@@ -454,12 +478,16 @@ def _lattice(lo: np.ndarray, hi: np.ndarray, h: float, margin: float, anchor: np
     if not np.isfinite(nodes):
         raise ValueError(f"the lattice at h = {h} on the box {lo.tolist()} .. {hi.tolist()} "
                          f"widened by margin {margin} is not finite")
-    _check_memory(_LATTICE_BYTES * int(nodes), f"lattice arrays for {int(nodes)} nodes")
+    per_node = _LATTICE_BYTES["predicate" if shape is None else "shape"]
+    _check_memory(per_node * int(nodes), f"lattice arrays for {int(nodes)} nodes")
     axes = tuple(_axis(c, -int(down), int(up), h) for c, down, up in zip(anchor, below, above))
-    pts = _node_coords(axes)
-    inside = _members(pts, h, shape, inside_of)
-    if shape is None:  # the predicate counts only inside the tight box
-        guard = _BOUNDARY_GUARD * h
+    guard = _BOUNDARY_GUARD * h
+    if shape is not None:
+        inside = shape._inside(*np.meshgrid(*axes, indexing="ij", sparse=True, copy=False),
+                               guard=guard)
+    else:  # the predicate counts only inside the tight box
+        pts = _node_coords(axes)
+        inside = _members(pts, h, None, inside_of)
         inside = inside & np.all((pts > lo + guard) & (pts < hi - guard), axis=1)
     return GridDomain(dim=len(axes), h=float(h), axes=axes,
                       inside=inside.reshape(tuple(map(len, axes))),
@@ -640,21 +668,20 @@ def _nearest_distances(dom: GridDomain, rows: np.ndarray, cols: np.ndarray) -> n
 def distance_to_complement(dom: GridDomain) -> GridFunction:
     """Distance from each node to the complement of the region (zero outside).
 
-    Canonical shapes get the exact analytic distance; free-form masks get the
-    distance to the nearest outside node, read by index offset
-    (`_offset_distances`), which approximates the continuum distance to
-    O(h).  That node always lies on the outside ring, the outside axis
-    neighbours of inside nodes: one lattice step from it toward the inside
-    node lands inside, or a nearer outside node would exist.  So only the
-    ring is scanned.
+    Canonical shapes get the exact analytic distance, evaluated at the inside
+    nodes only; free-form masks get the distance to the nearest outside node,
+    read by index offset (`_offset_distances`), which approximates the
+    continuum distance to O(h).  That node always lies on the outside ring,
+    the outside axis neighbours of inside nodes: one lattice step from it
+    toward the inside node lands inside, or a nearer outside node would
+    exist.  So only the ring is scanned.
     """
-    if dom.shape_tag is not None:
-        vals = dom.shape_tag.distance(dom.node_coords)
-        vals = np.where(dom.inside_flat, vals, 0.0)
-        return GridFunction(dom, vals.reshape(dom.lattice_shape))
-    ring = np.flatnonzero(_dilate(dom.inside) & ~dom.inside)
     vals = np.zeros(dom.n_nodes)
-    vals[dom.inside_indices] = _nearest_distances(dom, dom.inside_indices, ring)
+    if dom.shape_tag is not None:
+        vals[dom.inside_indices] = dom.shape_tag.distance(dom.inside_coords)
+    else:
+        ring = np.flatnonzero(_dilate(dom.inside) & ~dom.inside)
+        vals[dom.inside_indices] = _nearest_distances(dom, dom.inside_indices, ring)
     return GridFunction(dom, vals.reshape(dom.lattice_shape))
 
 

@@ -74,6 +74,7 @@ from .geometry import (
     GridFunction,
     Interval,
     NodeSet,
+    _coords,
     _dilate,
     _nearest_distances,
     _node_index,
@@ -86,6 +87,7 @@ from .geometry import (
     high_ridge,
     inscribed_radius,
 )
+from .reports import _stream_rows
 
 __all__ = [
     "InfinityReport",
@@ -489,13 +491,12 @@ class InfinityReport:
         }
 
     def rows(self):
-        """Per-node tuples for CSV export (coords, values, witnesses, branch)."""
-        coords = self.domain.node_coords[self.nodes]
-        return zip(self.nodes.tolist(), *coords.T.tolist(), self.u.tolist(),
-                   self.delta.tolist(), self.l_plus.tolist(),
-                   self.witness_plus.tolist(), self.l_minus.tolist(),
-                   self.witness_minus.tolist(), self.l_minus_analytic.tolist(),
-                   self.branch.tolist(), self.residual.tolist())
+        """Per-node tuples for CSV export (coords, values, witnesses, branch),
+        converted to Python values a chunk of rows at a time."""
+        coords = _coords(self.domain, self.nodes)
+        return _stream_rows(self.nodes, *coords.T, self.u, self.delta, self.l_plus,
+                            self.witness_plus, self.l_minus, self.witness_minus,
+                            self.l_minus_analytic, self.branch, self.residual)
 
 
 def _residual_report(u: GridFunction, alpha: float, lam: float, delta: GridFunction,
@@ -570,6 +571,16 @@ def higher_residual(u: GridFunction, alpha: float, lam: float,
 # ---------------------------------------------------------------------------
 
 
+def _complement_distance(dom: GridDomain, delta: Optional[GridFunction]) -> GridFunction:
+    """delta, checked to live on the lattice of dom, or distance_to_complement(dom)
+    when it is None."""
+    if delta is None:
+        return distance_to_complement(dom)
+    if delta.domain is not dom and not dom.same_lattice(delta.domain):
+        raise ValueError("distance function lives on a different lattice")
+    return delta
+
+
 def representation(dom: GridDomain, gamma1: NodeSet, alpha: float, *,
                    delta: Optional[GridFunction] = None) -> GridFunction:
     """First eigenfunction of the limiting equation built from distances.
@@ -582,10 +593,7 @@ def representation(dom: GridDomain, gamma1: NodeSet, alpha: float, *,
     delta; it must live on the lattice of dom.
     """
     _check_alpha(alpha)
-    if delta is None:
-        delta = distance_to_complement(dom)
-    elif delta.domain is not dom and not dom.same_lattice(delta.domain):
-        raise ValueError("distance function lives on a different lattice")
+    delta = _complement_distance(dom, delta)
     if not np.isin(gamma1.indices, high_ridge(delta).indices).all():
         raise ValueError("gamma1 contains nodes outside the ridge tolerance")
     inside = dom.inside_indices
@@ -621,14 +629,16 @@ def cone(dom: GridDomain, x0: int, radius: float, alpha: float,
     return GridFunction(dom, vals.reshape(dom.lattice_shape), zero_extended=False)
 
 
-def lambda_infinity(dom: GridDomain, alpha: float) -> float:
-    """Limiting first eigenvalue: (inscribed radius)^(-alpha)."""
+def lambda_infinity(dom: GridDomain, alpha: float, *,
+                    delta: Optional[GridFunction] = None) -> float:
+    """Limiting first eigenvalue: (inscribed radius)^(-alpha).  A caller that
+    already holds distance_to_complement(dom) passes it as delta."""
     _check_alpha(alpha)
-    r = inscribed_radius(distance_to_complement(dom))
+    r = inscribed_radius(_complement_distance(dom, delta))
     return float(r ** (-alpha))
 
 
-def r2_radius(dom: GridDomain) -> float:
+def r2_radius(dom: GridDomain, *, delta: Optional[GridFunction] = None) -> float:
     """Largest radius such that two disjoint balls of that radius fit inside.
 
     Canonical intervals get the exact value (b - a) / 4; other domains get a
@@ -641,12 +651,13 @@ def r2_radius(dom: GridDomain) -> float:
     is at most the delta of its later node, so the search stops at the
     first block whose largest delta does not exceed the best value so far.
     A maximum does not depend on the order of its terms, so the result is the
-    maximum over all pairs, bit for bit.
+    maximum over all pairs, bit for bit.  A caller that already holds
+    distance_to_complement(dom) passes it as delta.
     """
     tag = dom.shape_tag
     if isinstance(tag, Interval):
         return (tag.b - tag.a) / 4.0
-    delta = distance_to_complement(dom).flat()[dom.inside_indices]
+    delta = _complement_distance(dom, delta).flat()[dom.inside_indices]
     order = np.argsort(-delta, kind="stable")
     delta = delta[order]
     nodes = dom.inside_indices[order]

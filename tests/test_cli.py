@@ -18,7 +18,7 @@ import pytest
 from test_geometry import triangle_mask
 
 import fracteig
-from fracteig import __version__, cli, geometry, solver
+from fracteig import __version__, cli, geometry, reports, solver
 from fracteig.cli import main
 from fracteig.geometry import (
     build_disk,
@@ -27,7 +27,15 @@ from fracteig.geometry import (
     distance_to_complement,
     high_ridge,
 )
-from fracteig.reports import canonical_json, config_digest, fmt17, write_csv, write_mask
+from fracteig.infinity import first_residual, lambda_infinity, representation
+from fracteig.reports import (
+    canonical_json,
+    config_digest,
+    fmt17,
+    function_rows,
+    write_csv,
+    write_mask,
+)
 
 
 def _write_config(tmp_path: Path, payload: dict, name: str = "config.json") -> Path:
@@ -620,11 +628,11 @@ def test_non_finite_lattice_exits_2(tmp_path, capsys, command, domain):
 
 
 @pytest.mark.parametrize("command, limit, overrides, message", [
-    ("infinity", 1 << 20,
+    ("infinity", 1 << 19,
      {"domain": {"shape": "disk", "center": [0.0, 0.0], "radius": 1.0}, "h": 1 / 16},
-     "lattice arrays for 46225 nodes need 2.12 MiB, more than the 1 MiB of physical memory"),
-    ("verify1d", 1 << 16, {},  # its default h = 1/50 and 1/100 lattices fit, 1/200 does not
-     "lattice arrays for 2001 nodes need 93.8 KiB, more than the 64 KiB of physical memory"),
+     "lattice arrays for 46225 nodes need 722 KiB, more than the 512 KiB of physical memory"),
+    ("verify1d", 1 << 15, {},  # its default h = 1/50 to 1/200 lattices fit, 1/400 does not
+     "lattice arrays for 4001 nodes need 62.5 KiB, more than the 32 KiB of physical memory"),
 ], ids=["infinity", "verify1d"])
 def test_lattice_larger_than_memory_exits_2(tmp_path, capsys, monkeypatch, command, limit,
                                              overrides, message):
@@ -811,6 +819,41 @@ def test_write_csv_matches_fmt17(tmp_path):
     assert path.read_text().splitlines() == ["a,b,c,d,e,f,g", *want]
     write_csv(path, ["a"], [])
     assert path.read_text() == "a\n"
+
+
+@pytest.mark.parametrize("n", [0, 1, reports._CHUNK_ROWS - 1, reports._CHUNK_ROWS,
+                               reports._CHUNK_ROWS + 1, 3 * reports._CHUNK_ROWS + 2])
+def test_write_csv_matches_a_fmt17_join_across_chunk_edges(tmp_path, n):
+    """write_csv writes its first row alone and then `_CHUNK_ROWS` rows per
+    write; the bytes are one fmt17 join whatever the count."""
+    rng = np.random.default_rng(n)
+    vals = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+    rows = [(k, float(v), int(v > 0), "op" if k % 3 else "eig") for k, v in enumerate(vals)]
+    path = tmp_path / "t.csv"
+    write_csv(path, ["k", "v", "b", "s"], iter(rows))
+    want = "".join(f"{k},{fmt17(v)},{b},{s}\n" for k, v, b, s in rows)
+    assert path.read_bytes() == ("k,v,b,s\n" + want).encode("utf-8")
+
+
+def test_streamed_rows_equal_the_materialized_rows():
+    """The report's rows and function_rows convert a chunk of rows at a time
+    and gather coordinates by index; they give the values, the types and the
+    signed zeros of whole-column lists of node_coords rows.  The disk at
+    h = 1/16, margin 1 has 793 inside nodes, several chunks."""
+    dom = build_disk((0.0, 0.0), 1.0, 1 / 16, margin=1.0)
+    assert dom.inside_count > 2 * reports._CHUNK_ROWS
+    delta = distance_to_complement(dom)
+    u = representation(dom, high_ridge(delta), 0.5, delta=delta)
+    rep = first_residual(u, 0.5, lambda_infinity(dom, 0.5, delta=delta), delta)
+    coords = dom.node_coords[rep.nodes]
+    want = list(zip(rep.nodes.tolist(), *coords.T.tolist(), rep.u.tolist(),
+                    rep.delta.tolist(), rep.l_plus.tolist(), rep.witness_plus.tolist(),
+                    rep.l_minus.tolist(), rep.witness_minus.tolist(),
+                    rep.l_minus_analytic.tolist(), rep.branch.tolist(),
+                    rep.residual.tolist()))
+    assert repr(list(rep.rows())) == repr(want)
+    want = list(zip(*coords.T.tolist(), u.flat()[rep.nodes].tolist()))
+    assert repr(list(function_rows(u))) == repr(want)
 
 
 def mask_rows(dom):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import ndimage
 from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
@@ -12,6 +14,7 @@ from fracteig.geometry import (
     Interval,
     NodeSet,
     Rectangle,
+    _coords,
     _offset_distances,
     _orbits,
     _reflections,
@@ -496,3 +499,64 @@ def test_offset_distances_are_the_coordinate_distances_up_to_rounding(dom, dyadi
         assert not np.array_equal(got, want)
         scale = np.abs(dom.node_coords).max()
         np.testing.assert_allclose(got, want, rtol=0.0, atol=2 * np.finfo(float).eps * scale)
+
+
+# canonical lattices whose nodes are rounded off the dyadic grid, at spacing h
+_CANONICAL = {
+    "interval": lambda h: build_interval(0.1, 2.3, h, margin=1.0),
+    "offcentre_disk": lambda h: build_disk((0.3, -0.7), 0.9, h, margin=1.0),
+    "rectangle": lambda h: build_rectangle((0.1, -0.2), (1.3, 0.5), h, margin=1.0),
+}
+
+
+def assert_bitwise_equal(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def check_inside_node_geometry(dom):
+    """What a canonical lattice computes without its whole-box coordinates
+    equals what those coordinates give, bit for bit: the mask (tested on
+    sparse axes) equals the shape's test of every node, coordinates gathered
+    by index equal the rows of node_coords, and the complement distance,
+    evaluated at the inside nodes alone, equals the shape's distance of
+    every node, masked."""
+    shape, coords = dom.shape_tag, dom.node_coords
+    np.testing.assert_array_equal(
+        dom.inside_flat, shape.contains(coords, geometry._BOUNDARY_GUARD * dom.h))
+    for idx in (dom.inside_indices, np.arange(dom.n_nodes)[::-1], np.array([0])):
+        assert_bitwise_equal(_coords(dom, idx), coords[idx])
+    assert_bitwise_equal(dom.inside_coords, coords[dom.inside_indices])
+    ridge = high_ridge(distance_to_complement(dom))
+    assert_bitwise_equal(ridge.coords(), coords[ridge.indices])
+    assert_bitwise_equal(distance_to_complement(dom).flat(),
+                         np.where(dom.inside_flat, shape.distance(coords), 0.0))
+
+
+@pytest.mark.parametrize("name, h", [
+    ("interval", 0.01), ("offcentre_disk", 0.05), ("rectangle", 0.1),
+])
+def test_inside_node_geometry_equals_the_whole_box_coordinates(name, h):
+    check_inside_node_geometry(_CANONICAL[name](h))
+
+
+def test_inside_node_geometry_on_a_dyadic_disk():
+    check_inside_node_geometry(build_disk((0.0, 0.0), 1.0, 1 / 16, margin=1.0))
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(name=st.sampled_from(sorted(_CANONICAL)), h=st.floats(0.04, 0.5))
+def test_inside_node_geometry_over_h(name, h):
+    check_inside_node_geometry(_CANONICAL[name](h))
+
+
+def test_lattice_check_charges_a_canonical_build_less_than_a_predicate_mask(monkeypatch):
+    """A canonical shape tests membership on sparse axes, so its build is
+    charged 16 bytes per box node; a predicate sees every node's
+    coordinates, and is charged 48.  The unit disk and its predicate mask
+    share one lattice."""
+    nodes = build_disk((0.0, 0.0), 1.0, 1 / 8).n_nodes
+    monkeypatch.setattr(geometry, "_physical_memory", lambda: 32 * nodes)
+    assert build_disk((0.0, 0.0), 1.0, 1 / 8).n_nodes == nodes
+    with pytest.raises(ValueError, match=f"lattice arrays for {nodes} nodes need"):
+        _unit_disk_mask(1 / 8)

@@ -429,6 +429,21 @@ def test_representation_takes_the_callers_delta():
         representation(dom, ridge, 0.5, delta=other)
 
 
+def test_lambda_infinity_and_r2_radius_take_the_callers_delta():
+    """A caller that holds the complement distance passes it on; the results
+    are those each function gets from its own, bit for bit, and a distance
+    on another lattice is rejected."""
+    for dom in (build_disk((0.3, -0.7), 0.9, 0.1, margin=1.0), triangle_mask(1 / 8)):
+        delta = distance_to_complement(dom)
+        assert lambda_infinity(dom, 0.5, delta=delta) == lambda_infinity(dom, 0.5)
+        assert r2_radius(dom, delta=delta) == r2_radius(dom)
+    other = distance_to_complement(triangle_mask(1 / 16))
+    with pytest.raises(ValueError, match="different lattice"):
+        lambda_infinity(dom, 0.5, delta=other)
+    with pytest.raises(ValueError, match="different lattice"):
+        r2_radius(dom, delta=other)
+
+
 def test_representation_equals_first_closed_form():
     ex = first_1d(0.5)
     dom, delta, ridge, u = rep_on_interval(h=1 / 40)

@@ -7,6 +7,10 @@ OpenSSL either (`_hashlib`, which maps libcrypto): the config digest uses
 CPython's built-in SHA-256.  A solve with ``init_mode: "random"`` still loads
 it, through numpy.random, which imports secrets and with it hmac.  No run loads
 numpy.ma, which the first np.unique of a process imports (13-17 ms, 1.7 MB).
+
+No run builds the whole box's coordinate array (`geometry._node_coords`, 16
+bytes per box node in 2-D): lattices test membership on sparse axes, and
+coordinates, distances and CSV rows are formed at the inside nodes alone.
 """
 
 import json
@@ -30,30 +34,42 @@ _TINY_RUNS = [
 ]
 
 # Runs the CLI in process, one config after another, and prints the scipy,
-# OpenSSL and numpy.ma modules loaded after the import and after each run.
+# OpenSSL and numpy.ma modules loaded after the import and after each run,
+# and the number of calls each run made to geometry._node_coords.
 _SCRIPT = """
 import json, sys
 from pathlib import Path
+from fracteig import geometry
 from fracteig.cli import main
 
 def heavy_modules():
     return sorted(m for m in sys.modules
                   if m in ("scipy", "_hashlib", "numpy.ma") or m.startswith("scipy."))
 
+calls = []
+whole_box = geometry._node_coords
+def counted(axes):
+    calls.append(len(axes))
+    return whole_box(axes)
+geometry._node_coords = counted
+
 tmp = Path(sys.argv[1])
 seen = {"import": heavy_modules()}
+coords = {}
 for k, (command, cfg) in enumerate(json.loads(sys.argv[2])):
     out = tmp / f"run{k}"
     cfg = dict(cfg, out=str(out))
     path = tmp / f"config{k}.json"
     path.write_text(json.dumps(cfg), encoding="utf-8")
+    del calls[:]
     assert main([command, "--config", str(path)]) == 0, (command, cfg)
     seen[f"{k}:{command}"] = heavy_modules()
-print(json.dumps(seen))
+    coords[f"{k}:{command}"] = len(calls)
+print(json.dumps([seen, coords]))
 """
 
 
-def _run_fresh(tmp_path: Path, runs: list) -> dict:
+def _run_fresh(tmp_path: Path, runs: list) -> list:
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [SRC, *filter(None, [os.environ.get("PYTHONPATH")])])}
     proc = subprocess.run([sys.executable, "-c", _SCRIPT, str(tmp_path), json.dumps(runs)],
@@ -75,10 +91,12 @@ def test_cli_import_and_tiny_runs_load_no_scipy(tmp_path):
         ("infinity", {"domain": {"shape": "mask", "path": str(mask)},
                       "alpha": 0.5, "h": 0.25}),
     ]
-    seen = _run_fresh(tmp_path, runs)
+    seen, coords = _run_fresh(tmp_path, runs)
     assert list(seen) == ["import", "0:sweep", "1:eig", "2:infinity", "3:verify1d",
                           "4:eig", "5:infinity"]
     for stage, modules in seen.items():
         assert modules == [], stage
+    # the canonical runs, the mask run and the p = 2 oracle alike
+    assert coords == {stage: 0 for stage in list(seen)[1:]}
     report = json.loads((tmp_path / "run4" / "report.json").read_text(encoding="utf-8"))
     assert report["summary"]["oracle_gap"] < 1e-8 * report["summary"]["oracle_lambda"]
