@@ -334,7 +334,7 @@ def cmd_infinity(cfg: RunConfig) -> tuple:
     """limiting-equation report for a representation eigenfunction"""
     dom = build_domain(cfg)
     delta = distance_to_complement(dom)
-    lam = lambda_infinity(dom, cfg.alpha, delta=delta)
+    lam = lambda_infinity(dom, cfg.alpha)
     ridge = high_ridge(delta)
     gamma1 = ridge
     if cfg.gamma1 is not None:
@@ -353,7 +353,7 @@ def cmd_infinity(cfg: RunConfig) -> tuple:
         "alpha": cfg.alpha,
         "lambda_infinity": lam,
         "inscribed_radius": inscribed_radius(delta),
-        "r2_radius": r2_radius(dom, delta=delta),
+        "r2_radius": r2_radius(dom),
         "ridge_nodes": len(ridge),
         "gamma1_nodes": len(gamma1),
         **report.summary(),

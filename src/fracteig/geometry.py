@@ -62,9 +62,9 @@ _BOUNDARY_GUARD = 1e-9
 
 # Peak bytes per box node of a lattice build, by how it tests membership.  The
 # measured peak RSS rise of a canonical shape's test on sparse axes was 9.0
-# for a disk at 1.8 and 7.1 million nodes, 15.9 and 16.0 for an interval at 1
-# and 4 million (its axis and the axis's temporaries), and 2.0 for a rectangle
-# at 1.7 and 6.8 million; that of a predicate mask, the unit disk's, was 40.0
+# for a disk at 1.8 and 7.1 million nodes, 10.6 and 10.1 for an interval at 1
+# and 4 million (its axis and the mask), and 2.0 for a rectangle at 1.7 and 6.8
+# million, each charged 16; that of a predicate mask, the unit disk's, was 40.0
 # at 1.8 and 7.1 million (coordinates, the predicate and the tight-box test),
 # charged 48 for predicates that make more temporaries than that one.
 _LATTICE_BYTES = {"shape": 16, "predicate": 48}
@@ -244,6 +244,8 @@ class GridDomain:
         region's bounding box beyond that bounding box on every side.
 
     Instances are treated as immutable; do not mutate ``inside`` in place.
+    The inside nodes' indices, coordinates and distance to the complement
+    (`inside_distance`) are cached: each is computed once per domain.
     """
 
     dim: int
@@ -317,6 +319,24 @@ class GridDomain:
     @cached_property
     def inside_coords(self) -> np.ndarray:
         return _coords(self, self.inside_indices)
+
+    @cached_property
+    def inside_distance(self) -> np.ndarray:
+        """Distance to the complement at the inside nodes, in their order:
+        computed once per domain and kept read-only.  Canonical shapes get
+        the exact analytic distance; free-form masks get the distance to the
+        nearest outside node, read by index offset (`_offset_distances`),
+        which approximates the continuum distance to O(h).  That node always
+        lies on the outside ring, the outside axis neighbours of inside
+        nodes: one lattice step from it toward the inside node lands inside,
+        or a nearer outside node would exist.  So only the ring is scanned."""
+        if self.shape_tag is not None:
+            d = self.shape_tag.distance(self.inside_coords)
+        else:
+            ring = np.flatnonzero(_dilate(self.inside) & ~self.inside)
+            d = _nearest_distances(self, self.inside_indices, ring)
+        d.flags.writeable = False
+        return d
 
     @property
     def inside_count(self) -> int:
@@ -426,8 +446,12 @@ class NodeSet:
 
 
 def _axis(anchor: float, k0: int, k1: int, h: float) -> np.ndarray:
-    """Lattice axis of spacing h through `anchor`: the nodes k0 .. k1 steps from it."""
-    return anchor + h * np.arange(k0, k1 + 1)
+    """Lattice axis of spacing h through `anchor`: the nodes k0 .. k1 steps from it,
+    scaled and shifted in place (``anchor + h * arange(k0, k1 + 1)``, bit for bit)."""
+    axis = np.arange(k0, k1 + 1, dtype=float)
+    axis *= h
+    axis += anchor
+    return axis
 
 
 def _node_coords(axes) -> np.ndarray:
@@ -666,22 +690,11 @@ def _nearest_distances(dom: GridDomain, rows: np.ndarray, cols: np.ndarray) -> n
 
 
 def distance_to_complement(dom: GridDomain) -> GridFunction:
-    """Distance from each node to the complement of the region (zero outside).
-
-    Canonical shapes get the exact analytic distance, evaluated at the inside
-    nodes only; free-form masks get the distance to the nearest outside node,
-    read by index offset (`_offset_distances`), which approximates the
-    continuum distance to O(h).  That node always lies on the outside ring,
-    the outside axis neighbours of inside nodes: one lattice step from it
-    toward the inside node lands inside, or a nearer outside node would
-    exist.  So only the ring is scanned.
-    """
+    """Distance from each node to the complement of the region (zero outside),
+    as a fresh function on the whole lattice.  Its inside values are the
+    domain's `GridDomain.inside_distance`, computed once per domain."""
     vals = np.zeros(dom.n_nodes)
-    if dom.shape_tag is not None:
-        vals[dom.inside_indices] = dom.shape_tag.distance(dom.inside_coords)
-    else:
-        ring = np.flatnonzero(_dilate(dom.inside) & ~dom.inside)
-        vals[dom.inside_indices] = _nearest_distances(dom, dom.inside_indices, ring)
+    vals[dom.inside_indices] = dom.inside_distance
     return GridFunction(dom, vals.reshape(dom.lattice_shape))
 
 

@@ -85,7 +85,6 @@ from .geometry import (
     block_rows,
     distance_to_complement,
     high_ridge,
-    inscribed_radius,
 )
 from .reports import _stream_rows
 
@@ -571,16 +570,6 @@ def higher_residual(u: GridFunction, alpha: float, lam: float,
 # ---------------------------------------------------------------------------
 
 
-def _complement_distance(dom: GridDomain, delta: Optional[GridFunction]) -> GridFunction:
-    """delta, checked to live on the lattice of dom, or distance_to_complement(dom)
-    when it is None."""
-    if delta is None:
-        return distance_to_complement(dom)
-    if delta.domain is not dom and not dom.same_lattice(delta.domain):
-        raise ValueError("distance function lives on a different lattice")
-    return delta
-
-
 def representation(dom: GridDomain, gamma1: NodeSet, alpha: float, *,
                    delta: Optional[GridFunction] = None) -> GridFunction:
     """First eigenfunction of the limiting equation built from distances.
@@ -593,7 +582,10 @@ def representation(dom: GridDomain, gamma1: NodeSet, alpha: float, *,
     delta; it must live on the lattice of dom.
     """
     _check_alpha(alpha)
-    delta = _complement_distance(dom, delta)
+    if delta is None:
+        delta = distance_to_complement(dom)
+    elif delta.domain is not dom and not dom.same_lattice(delta.domain):
+        raise ValueError("distance function lives on a different lattice")
     if not np.isin(gamma1.indices, high_ridge(delta).indices).all():
         raise ValueError("gamma1 contains nodes outside the ridge tolerance")
     inside = dom.inside_indices
@@ -629,21 +621,21 @@ def cone(dom: GridDomain, x0: int, radius: float, alpha: float,
     return GridFunction(dom, vals.reshape(dom.lattice_shape), zero_extended=False)
 
 
-def lambda_infinity(dom: GridDomain, alpha: float, *,
-                    delta: Optional[GridFunction] = None) -> float:
-    """Limiting first eigenvalue: (inscribed radius)^(-alpha).  A caller that
-    already holds distance_to_complement(dom) passes it as delta."""
+def lambda_infinity(dom: GridDomain, alpha: float) -> float:
+    """Limiting first eigenvalue: R^(-alpha), with R the inscribed radius, the
+    largest of the domain's `inside_distance` (computed once per domain)."""
     _check_alpha(alpha)
-    r = inscribed_radius(_complement_distance(dom, delta))
+    r = float(dom.inside_distance.max())
     return float(r ** (-alpha))
 
 
-def r2_radius(dom: GridDomain, *, delta: Optional[GridFunction] = None) -> float:
+def r2_radius(dom: GridDomain) -> float:
     """Largest radius such that two disjoint balls of that radius fit inside.
 
     Canonical intervals get the exact value (b - a) / 4; other domains get a
     grid search over inside-node pairs maximizing
-    min(delta(x), delta(y), |x - y| / 2).
+    min(delta(x), delta(y), |x - y| / 2), with delta the domain's
+    `inside_distance`, computed once per domain.
 
     The search visits the inside nodes in descending delta (a stable sort)
     and scans each row block against every node at or before it, reading
@@ -651,13 +643,12 @@ def r2_radius(dom: GridDomain, *, delta: Optional[GridFunction] = None) -> float
     is at most the delta of its later node, so the search stops at the
     first block whose largest delta does not exceed the best value so far.
     A maximum does not depend on the order of its terms, so the result is the
-    maximum over all pairs, bit for bit.  A caller that already holds
-    distance_to_complement(dom) passes it as delta.
+    maximum over all pairs, bit for bit.
     """
     tag = dom.shape_tag
     if isinstance(tag, Interval):
         return (tag.b - tag.a) / 4.0
-    delta = _complement_distance(dom, delta).flat()[dom.inside_indices]
+    delta = dom.inside_distance
     order = np.argsort(-delta, kind="stable")
     delta = delta[order]
     nodes = dom.inside_indices[order]

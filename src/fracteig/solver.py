@@ -39,16 +39,9 @@ from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
-from .energy import FracParams, QuotientTables, _coefficients
-from .geometry import (
-    GridDomain,
-    GridFunction,
-    _check_integer,
-    _check_memory,
-    distance_to_complement,
-    inscribed_radius,
-    lattice_symmetries,
-)
+from .energy import FracParams, QuotientTables
+from .geometry import GridDomain, GridFunction, _check_integer, _check_memory, lattice_symmetries
+from .infinity import lambda_infinity
 
 __all__ = [
     "SolverOptions",
@@ -155,13 +148,9 @@ def _initial_vector(dom: GridDomain, opts: SolverOptions,
                     tables: QuotientTables) -> np.ndarray:
     """Start vector in orbit values."""
     if opts.init_mode == "random":
-        rng = np.random.default_rng(opts.seed)
-        v = rng.standard_normal(tables.orbits)
-        while not np.any(v):  # pragma: no cover - essentially impossible
-            v = rng.standard_normal(tables.orbits)
-        return v
+        return np.random.default_rng(opts.seed).standard_normal(tables.orbits)
     if opts.init_mode == "distance":
-        return tables.fold(distance_to_complement(dom).inside_values())
+        return tables.fold(dom.inside_distance)
     v = np.asarray(opts.init_values, dtype=float).copy()
     if v.shape != (dom.inside_count,):
         raise ValueError(
@@ -426,30 +415,30 @@ def p_sweep(dom: GridDomain, alpha: float, ps: Sequence[float],
             opts: Optional[SolverOptions] = None) -> PSweepResult:
     """Solve the first eigenpair along an ascending list of p, warm-starting
     each solve from the previous minimizer, and report lam, lam^(1/p) and the
-    limit target 1/R^alpha.
+    limit target 1/R^alpha, `lambda_infinity`.
 
-    The exponent window and the finiteness of every node's kernel
-    coefficients are checked for each p before the first solve, so a p that
-    fails them raises ValueError before any p is solved."""
+    Before the first solve, every p must be ascending, make valid
+    `FracParams` and lie in the exponent window n < alpha p < n + p, or
+    ValueError is raised.  The finiteness of the kernel coefficients is
+    checked where each p's tables are built, at its solve: a p whose
+    nearest-pair kernel h^(-alpha p) overflows raises ValueError there,
+    after the smaller p have been solved."""
     ps = [float(p) for p in ps]
     if not ps:
         raise ValueError("empty p list")
     if any(b <= a for a, b in zip(ps, ps[1:])):
         raise ValueError(f"p list must be strictly ascending, got {ps}")
+    params = [FracParams(alpha, p) for p in ps]
+    for prm in params:
+        prm.validate_for_dim(dom.dim)
     opts = opts or SolverOptions()
-    labels = np.arange(dom.inside_count)  # one orbit per node: the per-node coefficients
-    for p in ps:
-        _coefficients(dom, FracParams(alpha, p), labels, labels.size)
-
-    radius = inscribed_radius(distance_to_complement(dom))
-    target = radius ** (-alpha)
 
     rows: List[PSweepRow] = []
     warm: Optional[np.ndarray] = None
-    for p in ps:
+    for p, prm in zip(ps, params):
         run_opts = opts if warm is None else replace(
             opts, init_mode="custom", init_values=warm)
-        res = minimize_first(dom, FracParams(alpha, p), run_opts)
+        res = minimize_first(dom, prm, run_opts)
         rows.append(PSweepRow(p=p, lam=res.lam,
                               root=math.exp(math.log(res.lam) / p),
                               converged=res.converged, iters=res.iters,
@@ -457,7 +446,7 @@ def p_sweep(dom: GridDomain, alpha: float, ps: Sequence[float],
                               hess_products=res.hess_products, orbits=res.orbits))
         warm = res.u.inside_values()
         last_u = res.u
-    return PSweepResult(rows=rows, target=float(target), final_u=last_u)
+    return PSweepResult(rows=rows, target=lambda_infinity(dom, alpha), final_u=last_u)
 
 
 def monotonicity_check(dom_omega: GridDomain, dom_upsilon: GridDomain,

@@ -679,7 +679,8 @@ def test_a_library_value_error_exits_2_in_every_subcommand(tmp_path, capsys, mon
 ], ids=["eig", "sweep", "sweep-later-p"])
 def test_overflowing_kernel_exits_2(tmp_path, capsys, monkeypatch, command, ps):
     """(0, 2) at h = 1/200, alpha = 1/2, p = 512: h^(-alpha p) exceeds double range.
-    A sweep finds it before its first solve, also when p = 512 comes after p = 8."""
+    The tables of the p = 512 solve find it: a sweep solves every smaller p
+    first, and still exits 2 with the message and no output directory."""
     calls = []
     real = solver.minimize_first
 
@@ -695,7 +696,7 @@ def test_overflowing_kernel_exits_2(tmp_path, capsys, monkeypatch, command, ps):
     assert main([command, "--config", str(cfg)]) == 2
     assert "p = 512.0, alpha = 0.5, h = 0.005" in capsys.readouterr().err
     assert not out.exists()
-    assert calls == ([512.0] if command == "eig" else [])  # eig's one solve is what raises
+    assert calls == ps  # the p = 512 solve is what raises
 
 
 @pytest.mark.parametrize("solver", [
@@ -844,7 +845,7 @@ def test_streamed_rows_equal_the_materialized_rows():
     assert dom.inside_count > 2 * reports._CHUNK_ROWS
     delta = distance_to_complement(dom)
     u = representation(dom, high_ridge(delta), 0.5, delta=delta)
-    rep = first_residual(u, 0.5, lambda_infinity(dom, 0.5, delta=delta), delta)
+    rep = first_residual(u, 0.5, lambda_infinity(dom, 0.5), delta)
     coords = dom.node_coords[rep.nodes]
     want = list(zip(rep.nodes.tolist(), *coords.T.tolist(), rep.u.tolist(),
                     rep.delta.tolist(), rep.l_plus.tolist(), rep.witness_plus.tolist(),

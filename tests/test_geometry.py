@@ -550,6 +550,16 @@ def test_inside_node_geometry_over_h(name, h):
     check_inside_node_geometry(_CANONICAL[name](h))
 
 
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(anchor=st.floats(-1e3, 1e3), h=st.floats(1e-6, 10.0),
+       k0=st.integers(-10**6, 0), count=st.integers(1, 300))
+def test_axis_built_in_place_equals_the_product_of_an_int_arange(anchor, h, k0, count):
+    """The axis scaled and shifted in place is the float product of an int64
+    arange plus the anchor, bit for bit."""
+    k1 = k0 + count - 1
+    assert_bitwise_equal(geometry._axis(anchor, k0, k1, h), anchor + h * np.arange(k0, k1 + 1))
+
+
 def test_lattice_check_charges_a_canonical_build_less_than_a_predicate_mask(monkeypatch):
     """A canonical shape tests membership on sparse axes, so its build is
     charged 16 bytes per box node; a predicate sees every node's

@@ -21,6 +21,7 @@ from fracteig.geometry import (
     distance_to_complement,
     distance_to_set,
     high_ridge,
+    inscribed_radius,
     nearest_node,
 )
 from fracteig.infinity import (
@@ -429,19 +430,19 @@ def test_representation_takes_the_callers_delta():
         representation(dom, ridge, 0.5, delta=other)
 
 
-def test_lambda_infinity_and_r2_radius_take_the_callers_delta():
-    """A caller that holds the complement distance passes it on; the results
-    are those each function gets from its own, bit for bit, and a distance
-    on another lattice is rejected."""
+def test_lambda_infinity_and_r2_radius_read_the_domains_distance():
+    """lambda_infinity and r2_radius read the complement distance the domain
+    computes once: their results are those of an explicit
+    distance_to_complement, bit for bit, and the cached array is read-only."""
     for dom in (build_disk((0.3, -0.7), 0.9, 0.1, margin=1.0), triangle_mask(1 / 8)):
         delta = distance_to_complement(dom)
-        assert lambda_infinity(dom, 0.5, delta=delta) == lambda_infinity(dom, 0.5)
-        assert r2_radius(dom, delta=delta) == r2_radius(dom)
-    other = distance_to_complement(triangle_mask(1 / 16))
-    with pytest.raises(ValueError, match="different lattice"):
-        lambda_infinity(dom, 0.5, delta=other)
-    with pytest.raises(ValueError, match="different lattice"):
-        r2_radius(dom, delta=other)
+        assert lambda_infinity(dom, 0.5) == inscribed_radius(delta) ** -0.5
+        inside = dom.inside_indices
+        near = np.minimum.outer(delta.flat()[inside], delta.flat()[inside])
+        assert r2_radius(dom) == np.minimum(near, 0.5 * offset_distances(dom, inside, inside)).max()
+        assert dom.inside_distance is dom.inside_distance
+        with pytest.raises(ValueError, match="read-only"):
+            dom.inside_distance[0] = 0.0
 
 
 def test_representation_equals_first_closed_form():

@@ -11,6 +11,10 @@ numpy.ma, which the first np.unique of a process imports (13-17 ms, 1.7 MB).
 No run builds the whole box's coordinate array (`geometry._node_coords`, 16
 bytes per box node in 2-D): lattices test membership on sparse axes, and
 coordinates, distances and CSV rows are formed at the inside nodes alone.
+
+Every run computes the distance to the complement once per lattice it
+builds, however many of its steps read it (a sweep's start and target, the
+infinity report's lambda, ridge and two-ball radius).
 """
 
 import json
@@ -35,7 +39,10 @@ _TINY_RUNS = [
 
 # Runs the CLI in process, one config after another, and prints the scipy,
 # OpenSSL and numpy.ma modules loaded after the import and after each run,
-# and the number of calls each run made to geometry._node_coords.
+# and per run the number of calls to geometry._node_coords, of lattices built
+# (GridDomain instances) and of complement distances computed at the inside
+# nodes: a canonical shape's `distance`, or for a mask geometry's own call of
+# `_nearest_distances` (which distance_to_set also makes; no run here calls it).
 _SCRIPT = """
 import json, sys
 from pathlib import Path
@@ -46,26 +53,34 @@ def heavy_modules():
     return sorted(m for m in sys.modules
                   if m in ("scipy", "_hashlib", "numpy.ma") or m.startswith("scipy."))
 
-calls = []
-whole_box = geometry._node_coords
-def counted(axes):
-    calls.append(len(axes))
-    return whole_box(axes)
-geometry._node_coords = counted
+def counting(owner, name, tally):
+    real = getattr(owner, name)
+    def wrapper(*args, **kwargs):
+        tally.append(name)
+        return real(*args, **kwargs)
+    setattr(owner, name, wrapper)
+
+calls, lattices, deltas = [], [], []
+counting(geometry, "_node_coords", calls)
+counting(geometry.GridDomain, "__post_init__", lattices)
+for shape in (geometry.Interval, geometry.Disk, geometry.Rectangle):
+    counting(shape, "distance", deltas)
+counting(geometry, "_nearest_distances", deltas)
 
 tmp = Path(sys.argv[1])
 seen = {"import": heavy_modules()}
-coords = {}
+coords, per_lattice = {}, {}
 for k, (command, cfg) in enumerate(json.loads(sys.argv[2])):
     out = tmp / f"run{k}"
     cfg = dict(cfg, out=str(out))
     path = tmp / f"config{k}.json"
     path.write_text(json.dumps(cfg), encoding="utf-8")
-    del calls[:]
+    del calls[:], lattices[:], deltas[:]
     assert main([command, "--config", str(path)]) == 0, (command, cfg)
     seen[f"{k}:{command}"] = heavy_modules()
     coords[f"{k}:{command}"] = len(calls)
-print(json.dumps([seen, coords]))
+    per_lattice[f"{k}:{command}"] = [len(lattices), len(deltas)]
+print(json.dumps([seen, coords, per_lattice]))
 """
 
 
@@ -91,12 +106,15 @@ def test_cli_import_and_tiny_runs_load_no_scipy(tmp_path):
         ("infinity", {"domain": {"shape": "mask", "path": str(mask)},
                       "alpha": 0.5, "h": 0.25}),
     ]
-    seen, coords = _run_fresh(tmp_path, runs)
+    seen, coords, per_lattice = _run_fresh(tmp_path, runs)
     assert list(seen) == ["import", "0:sweep", "1:eig", "2:infinity", "3:verify1d",
                           "4:eig", "5:infinity"]
     for stage, modules in seen.items():
         assert modules == [], stage
     # the canonical runs, the mask run and the p = 2 oracle alike
     assert coords == {stage: 0 for stage in list(seen)[1:]}
+    # one complement distance per lattice: verify1d builds three, the rest one
+    assert per_lattice == {stage: [3, 3] if stage.endswith("verify1d") else [1, 1]
+                           for stage in list(seen)[1:]}
     report = json.loads((tmp_path / "run4" / "report.json").read_text(encoding="utf-8"))
     assert report["summary"]["oracle_gap"] < 1e-8 * report["summary"]["oracle_lambda"]
