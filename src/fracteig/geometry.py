@@ -120,8 +120,15 @@ def _size(n: float) -> str:
 # ---------------------------------------------------------------------------
 
 
+class _Shape:
+    """Point membership of a canonical shape, from its `_inside`."""
+
+    def contains(self, pts: np.ndarray, guard: float) -> np.ndarray:
+        return self._inside(*pts.T, guard=guard)
+
+
 @dataclass(frozen=True)
-class Interval:
+class Interval(_Shape):
     """Open interval (a, b) on the line."""
 
     a: float
@@ -138,9 +145,6 @@ class Interval:
     def bounding_box(self):
         return np.array([self.a]), np.array([self.b])
 
-    def contains(self, pts: np.ndarray, guard: float) -> np.ndarray:
-        return self._inside(*pts.T, guard=guard)
-
     def _inside(self, x, guard):
         return (x > self.a + guard) & (x < self.b - guard)
 
@@ -150,7 +154,7 @@ class Interval:
 
 
 @dataclass(frozen=True)
-class Disk:
+class Disk(_Shape):
     """Open disk of radius r centered at (cx, cy)."""
 
     cx: float
@@ -169,9 +173,6 @@ class Disk:
         c = np.array([self.cx, self.cy])
         return c - self.r, c + self.r
 
-    def contains(self, pts: np.ndarray, guard: float) -> np.ndarray:
-        return self._inside(*pts.T, guard=guard)
-
     def _inside(self, x, y, guard):
         return np.hypot(x - self.cx, y - self.cy) < self.r - guard
 
@@ -181,7 +182,7 @@ class Disk:
 
 
 @dataclass(frozen=True)
-class Rectangle:
+class Rectangle(_Shape):
     """Open axis-aligned rectangle (lox, hix) x (loy, hiy)."""
 
     lox: float
@@ -199,9 +200,6 @@ class Rectangle:
 
     def bounding_box(self):
         return np.array([self.lox, self.loy]), np.array([self.hix, self.hiy])
-
-    def contains(self, pts: np.ndarray, guard: float) -> np.ndarray:
-        return self._inside(*pts.T, guard=guard)
 
     def _inside(self, x, y, guard):
         return (

@@ -9,10 +9,10 @@ For a zero-extended u the sup/inf run over all of R^n, and every y outside
 the region contributes -u(x) / |y - x|^alpha.  Only two such y can be
 extreme: the nearest outside node, and the far field, where the quotient
 tends to 0.  The nearest outside node lies on the outside ring, the outside
-axis neighbours of inside nodes (``geometry.distance_to_complement`` gives the
-reason), so the scan covers the inside nodes and that ring, in ascending flat
-index, and then offers the far field at value 0 (witness index -1), which
-wins only when strictly better.  At a strict positive maximum l_plus is
+axis neighbours of inside nodes (``geometry.GridDomain.inside_distance`` gives
+the reason), so the scan covers the inside nodes and that ring, in ascending
+flat index, and then offers the far field at value 0 (witness index -1),
+which wins only when strictly better.  At a strict positive maximum l_plus is
 therefore exactly 0, whatever the box margin.  Comparison functions that are
 not zero-extended (cones) are scanned over every box node; the box is all the
 lattice knows of them.  Ties go to the lowest flat index.
@@ -140,7 +140,9 @@ def _extreme_quotients(u: GridFunction, alpha: float,
     scanned, its smallest (`geometry._orbits` over positions in base), in
     row blocks of `block_rows` rows, gathering each block's |y - x|^alpha
     from the offset distances (`geometry._offset_distances`) raised to alpha
-    once.  Each extreme is its argmax or argmin, and the value is read back
+    once.  The sup and the inf are one rule with the direction flipped, so
+    both run through one loop, in each block and in the expansion after the
+    blocks.  Each extreme is its argmax or argmin, and the value is read back
     at that column, so a value and its witness always come from one entry.
     A member g x of an orbit takes the value of x and the witness min g(T),
     where T holds the columns of row x equal to the extreme: on rows with a
@@ -187,11 +189,11 @@ def _extreme_quotients(u: GridFunction, alpha: float,
     n = reps.size
     result = (np.empty(base.size), np.empty(base.size, dtype=np.int64),
               np.empty(base.size), np.empty(base.size, dtype=np.int64))
-    l_plus = np.empty(n)
-    w_plus = np.empty(n, dtype=np.int64)
-    l_minus = np.empty(n)
-    w_minus = np.empty(n, dtype=np.int64)
-    ties_plus, ties_minus = [], []  # (row, least image per element, its quotient)
+    # the sup, then the inf: the self pair's value, which the pick passes
+    # over, the pick, the scanned rows' values and witnesses, and the tied
+    # rows as (row, least image per element, its quotient)
+    extremes = [(self_value, pick, np.empty(n), np.empty(n, dtype=np.int64), [])
+                for self_value, pick in ((-np.inf, np.argmax), (np.inf, np.argmin))]
 
     rows = min(block_rows(cand.size), n)
     every = np.arange(cand.size)
@@ -213,34 +215,26 @@ def _extreme_quotients(u: GridFunction, alpha: float,
         kept = sel[pos] == self_col
         self_at = (self_row[kept], pos[kept])
         eq = None if tied is None else tied[:q.size].reshape(q.shape)
-        q[self_at] = -np.inf
-        best = q.argmax(axis=1)
-        l_plus[sl] = q[i, best]
-        w_plus[sl] = sel[best]
-        if eq is not None:
-            _ties(q, best, l_plus[sl], eq, k0, sel, group, ties_plus)
-        q[self_at] = np.inf
-        best = q.argmin(axis=1)
-        l_minus[sl] = q[i, best]
-        w_minus[sl] = sel[best]
-        if eq is not None:
-            _ties(q, best, l_minus[sl], eq, k0, sel, group, ties_minus)
+        for self_value, pick, value, witness, ties in extremes:
+            q[self_at] = self_value
+            best = pick(q, axis=1)
+            value[sl] = q[i, best]
+            witness[sl] = sel[best]
+            if eq is not None:
+                _ties(q, best, value[sl], eq, k0, sel, group, ties)
     # freed before _expand allocates, whose arrays could otherwise sit above the
     # blocks and keep the heap from shrinking (disk_infinity peak RSS +0.9 MB)
     del dist, quot, tied
 
-    l_plus, w_plus = _expand(l_plus, w_plus, ties_plus, orbit, elem, group, cand, result[:2])
-    l_minus, w_minus = _expand(l_minus, w_minus, ties_minus, orbit, elem, group, cand,
-                               result[2:])
-    if u.zero_extended:
-        up = 0.0 > l_plus
-        l_plus[up] = 0.0
-        w_plus[up] = EXTERIOR_WITNESS
-        dn = 0.0 < l_minus
-        l_minus[dn] = 0.0
-        w_minus[dn] = EXTERIOR_WITNESS
-
-    return l_plus, w_plus, l_minus, w_minus
+    for (self_value, _, value, witness, ties), out in zip(extremes, (result[:2], result[2:])):
+        value, witness = _expand(value, witness, ties, orbit, elem, group, cand, out)
+        if u.zero_extended:
+            # the far field, at 0, wins where strictly better: where the
+            # value lies on the self pair's side of 0
+            far = np.sign(value) == np.sign(self_value)
+            value[far] = 0.0
+            witness[far] = EXTERIOR_WITNESS
+    return result
 
 
 def _quotients(vals: np.ndarray, bv: np.ndarray, row_keys: np.ndarray,
@@ -524,20 +518,14 @@ def _residual_report(u: GridFunction, alpha: float, lam: float, delta: GridFunct
     band = (-np.inf if band_scale is None
             else band_scale * dom.h ** alpha * max(lp.max(), -lm.min(), 0.0))
     zero = np.abs(uin) <= band
-    neg = (uin < 0.0) & ~zero
-    pos = ~(zero | neg)
-
-    op = lp + lm
-    pos_eig = lm + lam * uin
-    neg_eig = lp + lam * uin
-    residual = np.empty_like(uin)
-    branch = np.empty(uin.shape, dtype="U8")
-    residual[zero] = op[zero]
-    branch[zero] = BRANCH_ZERO
-    residual[pos] = np.maximum(op[pos], pos_eig[pos])
-    branch[pos] = np.where(op[pos] >= pos_eig[pos], BRANCH_OPERATOR, BRANCH_EIGEN)
-    residual[neg] = np.minimum(op[neg], neg_eig[neg])
-    branch[neg] = np.where(op[neg] <= neg_eig[neg], BRANCH_OPERATOR, BRANCH_EIGEN)
+    # where u < 0 the equation mirrors u > 0: the other extreme in the eigen
+    # term, and min for max, which is max after an exact flip of sign, bit
+    # for bit (ties of the two zeros included)
+    sign = np.where((uin < 0.0) & ~zero, -1.0, 1.0)
+    op = sign * (lp + lm)
+    eig = sign * (np.where(sign < 0.0, lp, lm) + lam * uin)
+    residual = np.where(zero, op, sign * np.maximum(op, eig))
+    branch = np.where(zero, BRANCH_ZERO, np.where(op >= eig, BRANCH_OPERATOR, BRANCH_EIGEN))
 
     return InfinityReport(domain=dom, alpha=alpha, lam=lam, nodes=nodes,
                           u=uin, delta=din, l_plus=lp, witness_plus=wp,

@@ -841,6 +841,63 @@ def test_inexact_axes_fold_a_symmetric_u_bit_for_bit(monkeypatch, dom, order):
 
 
 # ---------------------------------------------------------------------------
+# the sup and the inf mirror each other: the scan and the residual are odd in u
+# ---------------------------------------------------------------------------
+
+
+_ODD_LATTICES = {
+    "disk": lambda: build_disk((0.0, 0.0), 1.0, 1 / 16, 1.0),
+    "offcentre_disk": lambda: build_disk((0.3, -0.7), 0.9, 0.1, 1.0),
+    "rectangle": lambda: build_rectangle((0.0, 0.0), (1.0, 0.5), 1 / 16, 1.0),
+    "interval": lambda: build_interval(0.0, 2.0, 1 / 128, 1.0),
+}
+
+
+def _odd_case(lattice, kind):
+    """A smooth sign-changing u, or a random u with about 30% of its values
+    zero, on one of the lattices above; or the second closed-form profile."""
+    if kind == "second":
+        return sample(second_1d(0.5), build_interval(0.0, 2.0, 1 / 256))
+    dom = _ODD_LATTICES[lattice]()
+    if kind == "smooth":
+        v = dom.inside_distance * np.sin(3.0 * dom.inside_coords.sum(axis=1) + 0.5)
+    else:
+        rng = np.random.default_rng(3)
+        v = rng.standard_normal(dom.inside_count)
+        v[rng.random(v.size) < 0.3] = 0.0
+    return GridFunction.from_inside(dom, v)
+
+
+@pytest.mark.parametrize("lattice, kind", [
+    *[(lattice, kind) for lattice in _ODD_LATTICES for kind in ("smooth", "random")],
+    ("interval_h256", "second"),
+])
+def test_scan_and_higher_residual_are_odd_in_u(lattice, kind):
+    """-u (zero outside as +0.0) swaps the extremes with their signs flipped,
+    witnesses kept, and flips the sign-switching residual, branch labels
+    kept.  Values compare with ==, so the two zeros count as equal."""
+    u = _odd_case(lattice, kind)
+    dom = u.domain
+    neg = GridFunction.from_inside(dom, -u.inside_values())
+    assert (u.flat() < 0.0).any() and (u.flat() > 0.0).any()
+    for base in (dom.inside_indices, np.flatnonzero(u.flat())):
+        lp, wp, lm, wm = _extreme_quotients(u, 0.5, base)
+        neg_lp, neg_wp, neg_lm, neg_wm = _extreme_quotients(neg, 0.5, base)
+        assert np.array_equal(neg_lp, -lm) and np.array_equal(neg_lm, -lp)
+        np.testing.assert_array_equal(neg_wp, wm)
+        np.testing.assert_array_equal(neg_wm, wp)
+    delta = distance_to_complement(dom)
+    lam = lambda_infinity(dom, 0.5)
+    signed = set()
+    for band_scale in (1.0, 0.0):
+        rep, mirror = (higher_residual(f, 0.5, lam, delta, band_scale) for f in (u, neg))
+        assert np.array_equal(mirror.residual, -rep.residual)
+        np.testing.assert_array_equal(mirror.branch, rep.branch)
+        signed |= set(np.sign(rep.u[rep.branch != BRANCH_ZERO]))
+    assert signed == {-1.0, 1.0}  # both mirrored branches ran
+
+
+# ---------------------------------------------------------------------------
 # the bounded scan: only the candidate patches that can reach an extreme
 # ---------------------------------------------------------------------------
 
