@@ -102,15 +102,10 @@ class FracParams:
         return self.alpha * self.p
 
     def validate_for_dim(self, n: int) -> None:
-        """Raise unless n < alpha*p < n + p."""
+        """Raise unless n < alpha*p < n + p; alpha <= 1 gives alpha*p < n + p."""
         if not (self.ap > n):
             raise ValueError(
                 f"invalid exponents: alpha*p = {self.ap} <= n = {n} "
-                f"(need n < alpha*p < n + p)"
-            )
-        if not (self.ap < n + self.p):
-            raise ValueError(
-                f"invalid exponents: alpha*p = {self.ap} >= n + p = {n + self.p} "
                 f"(need n < alpha*p < n + p)"
             )
 

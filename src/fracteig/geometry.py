@@ -15,7 +15,8 @@ Conventions used throughout:
   outside so analytic distances stay strictly positive on the inside set;
 * distances are Euclidean and in physical units (not multiples of ``h``);
   every distance between two lattice nodes is read by their index offset
-  (`_offset_distances`); only analytic distances and `nearest_node` use coordinates;
+  (`_offset_distances`); analytic distances read coordinates at the inside
+  nodes, `nearest_node` the axes, and only a predicate every node's;
 * a lattice reflection is a permutation of the positions in an ascending
   array of flat node indices that it maps onto itself (`_reflections`), and
   `_orbits` numbers the orbits of a group of them, for every fold.
@@ -65,7 +66,7 @@ _BOUNDARY_GUARD = 1e-9
 # for a disk at 1.8 and 7.1 million nodes, 10.6 and 10.1 for an interval at 1
 # and 4 million (its axis and the mask), and 2.0 for a rectangle at 1.7 and 6.8
 # million, each charged 16; that of a predicate mask, the unit disk's, was 40.0
-# at 1.8 and 7.1 million (coordinates, the predicate and the tight-box test),
+# at 1.8 and 7.1 million (the coordinates and the predicate's temporaries),
 # charged 48 for predicates that make more temporaries than that one.
 _LATTICE_BYTES = {"shape": 16, "predicate": 48}
 
@@ -114,9 +115,9 @@ def _size(n: float) -> str:
 # canonical shapes (exact membership and exact distance to the complement)
 #
 # Each shape's membership test is written once, as `_inside`, on coordinate
-# columns that broadcast against each other: the columns of a point array
-# (`contains`) or the sparse axes of a lattice (`_lattice`), which give the
-# same booleans without an array of every node's coordinates.
+# columns that broadcast against each other: the sparse axes of a lattice
+# (`_membership`, for every mask) or the columns of a point array
+# (`contains`), which give the same booleans from every node's coordinates.
 # ---------------------------------------------------------------------------
 
 
@@ -342,7 +343,7 @@ class GridDomain:
 
     def same_lattice(self, other: "GridDomain") -> bool:
         """True when two domains share dim, spacing and node coordinates."""
-        return (
+        return other is self or (
             self.dim == other.dim
             and self.h == other.h
             and all(np.array_equal(a, b) for a, b in zip(self.axes, other.axes))
@@ -353,15 +354,20 @@ class GridDomain:
         """Sub-domain on the same lattice: inside nodes that satisfy predicate.
 
         The predicate receives an (N, dim) coordinate array and returns a
-        boolean vector.  Useful for monotonicity experiments where the smaller
-        region must live on the identical lattice and box.
+        boolean vector, so it passes `_check_memory` first; a canonical
+        shape_tag is tested on the axes instead.  Useful for monotonicity
+        experiments where the smaller region must live on the identical
+        lattice and box.
         """
-        mask = self.inside_flat & _members(self.node_coords, self.h, shape_tag, predicate)
+        if shape_tag is None:
+            _check_memory(_LATTICE_BYTES["predicate"] * self.n_nodes,
+                          f"lattice arrays for {self.n_nodes} nodes")
+        mask = self.inside & _membership(self.axes, self.h, shape_tag, predicate)
         return GridDomain(
             dim=self.dim,
             h=self.h,
             axes=self.axes,
-            inside=mask.reshape(self.lattice_shape),
+            inside=mask,
             shape_tag=shape_tag,
             margin=self.margin,
         )
@@ -468,15 +474,17 @@ def _coords(dom: GridDomain, nodes: np.ndarray) -> np.ndarray:
     return np.stack([ax[i] for ax, i in zip(dom.axes, at)], axis=1)
 
 
-def _members(pts: np.ndarray, h: float, shape: Optional[CanonicalShape],
-             predicate: Optional[Callable[[np.ndarray], np.ndarray]]) -> np.ndarray:
-    """Membership of points in a canonical shape, with the boundary guard of
-    spacing h, or else by a predicate."""
+def _membership(axes, h: float, shape: Optional[CanonicalShape],
+                predicate: Optional[Callable[[np.ndarray], np.ndarray]]) -> np.ndarray:
+    """Membership mask of the product lattice of `axes`: a canonical shape's
+    `_inside` on the sparse axes, with the boundary guard of spacing h, or
+    else a predicate on every node's coordinates, made for the call alone."""
     if shape is not None:
-        return shape.contains(pts, _BOUNDARY_GUARD * h)
+        return shape._inside(*np.meshgrid(*axes, indexing="ij", sparse=True, copy=False),
+                             guard=_BOUNDARY_GUARD * h)
     if predicate is None:
         raise ValueError("need a predicate or a canonical shape")
-    return np.asarray(predicate(pts), dtype=bool)
+    return np.asarray(predicate(_node_coords(axes)), dtype=bool).reshape(tuple(map(len, axes)))
 
 
 def _lattice(lo: np.ndarray, hi: np.ndarray, h: float, margin: float, anchor: np.ndarray,
@@ -503,16 +511,10 @@ def _lattice(lo: np.ndarray, hi: np.ndarray, h: float, margin: float, anchor: np
     per_node = _LATTICE_BYTES["predicate" if shape is None else "shape"]
     _check_memory(per_node * int(nodes), f"lattice arrays for {int(nodes)} nodes")
     axes = tuple(_axis(c, -int(down), int(up), h) for c, down, up in zip(anchor, below, above))
-    guard = _BOUNDARY_GUARD * h
-    if shape is not None:
-        inside = shape._inside(*np.meshgrid(*axes, indexing="ij", sparse=True, copy=False),
-                               guard=guard)
-    else:  # the predicate counts only inside the tight box
-        pts = _node_coords(axes)
-        inside = _members(pts, h, None, inside_of)
-        inside = inside & np.all((pts > lo + guard) & (pts < hi - guard), axis=1)
-    return GridDomain(dim=len(axes), h=float(h), axes=axes,
-                      inside=inside.reshape(tuple(map(len, axes))),
+    inside = _membership(axes, h, shape, inside_of)
+    if shape is None:  # the predicate counts only inside the tight box
+        inside = inside & _membership(axes, h, Rectangle(*lo, *hi), None)
+    return GridDomain(dim=len(axes), h=float(h), axes=axes, inside=inside,
                       shape_tag=shape, margin=float(margin))
 
 
@@ -726,7 +728,7 @@ def distance_to_set(dom: GridDomain, nodes: NodeSet) -> GridFunction:
     zero-extended: the distance is meaningful on the whole lattice.  Its table
     spans the whole box, so it passes `_check_memory` first.
     """
-    if nodes.domain is not dom and not dom.same_lattice(nodes.domain):
+    if not dom.same_lattice(nodes.domain):
         raise ValueError("node set lives on a different lattice")
     # measured peak: 8 bytes x (table + 5.0-5.4 per box node) on disks of 0.18
     # and 0.73 million nodes, 6.0 on an interval; keys also grow with the set
@@ -754,8 +756,10 @@ def _node_index(dom: GridDomain, x) -> int:
 
 
 def nearest_node(dom: GridDomain, point) -> int:
-    """Flat index of the lattice node closest to a point."""
+    """Flat index of the lattice node closest to a point: the nearest along
+    each axis (the lower on a tie), as the squared distance sums over axes."""
     p = np.atleast_1d(np.asarray(point, dtype=float))
     if p.shape != (dom.dim,):
         raise ValueError(f"point must have {dom.dim} coordinates")
-    return int(np.argmin(((dom.node_coords - p) ** 2).sum(axis=1)))
+    at = [np.argmin((ax - c) ** 2) for ax, c in zip(dom.axes, p)]
+    return int(np.ravel_multi_index(at, dom.lattice_shape))

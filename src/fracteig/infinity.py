@@ -351,16 +351,17 @@ def _ties(q: np.ndarray, best: np.ndarray, extreme: np.ndarray, eq: np.ndarray,
     least image of the tied columns and the quotient at that column, so
     |group| pairs however many columns tie.  The columns of q are the
     candidates sel, best is the argmax or argmin of each row, and eq a bool
-    workspace of q's shape, the only array of that shape made for ties."""
+    workspace of q's shape, the only array of that shape made for ties;
+    the tied columns' images are gathered one element at a time."""
     np.equal(q, extreme[:, None], out=eq)
     eq[np.arange(best.size), best] = False
     for row in np.flatnonzero(eq.any(axis=1)):
         eq[row, best[row]] = True
         cols = np.flatnonzero(eq[row])
         tied = sel[cols]
-        images = np.stack([g[tied] for g in group])
-        k = images.argmin(axis=1)
-        out.append((k0 + row, images[np.arange(len(group)), k], q[row, cols[k]]))
+        k = np.array([g[tied].argmin() for g in group])
+        images = np.array([g[y] for g, y in zip(group, tied[k])])
+        out.append((k0 + row, images, q[row, cols[k]]))
 
 
 def _expand(value: np.ndarray, witness: np.ndarray, ties: list, orbit: np.ndarray,
@@ -502,7 +503,7 @@ def _residual_report(u: GridFunction, alpha: float, lam: float, delta: GridFunct
     if band_scale is not None and not band_scale >= 0.0:  # NaN included
         raise ValueError("band_scale must be >= 0")
     dom = u.domain
-    if delta.domain is not dom and not dom.same_lattice(delta.domain):
+    if not dom.same_lattice(delta.domain):
         raise ValueError("distance function lives on a different lattice")
     nodes = dom.inside_indices
     uin = u.flat()[nodes]
@@ -572,7 +573,7 @@ def representation(dom: GridDomain, gamma1: NodeSet, alpha: float, *,
     _check_alpha(alpha)
     if delta is None:
         delta = distance_to_complement(dom)
-    elif delta.domain is not dom and not dom.same_lattice(delta.domain):
+    elif not dom.same_lattice(delta.domain):
         raise ValueError("distance function lives on a different lattice")
     if not np.isin(gamma1.indices, high_ridge(delta).indices).all():
         raise ValueError("gamma1 contains nodes outside the ridge tolerance")

@@ -209,6 +209,53 @@ def test_same_lattice_detects_mismatch():
     a = build_interval(0.0, 1.0, 0.25)
     b = build_interval(0.0, 1.0, 0.125)
     assert not a.same_lattice(b)
+    assert a.same_lattice(a)
+    assert a.same_lattice(build_interval(0.0, 1.0, 0.25))
+
+
+@pytest.mark.parametrize("parent, shape, predicate", [
+    (build_interval(0.1, 2.3, 0.1, margin=1.0), Interval(0.5, 1.7), None),
+    (build_disk((0.3, -0.7), 0.9, 0.1, margin=1.0), Disk(0.2, -0.6, 0.55), None),
+    (build_rectangle((0.0, 0.0), (1.0, 0.5), 1 / 8, margin=1.5),
+     Rectangle(0.0, 0.0, 0.5, 0.5), None),
+    (build_disk((0.3, -0.7), 0.9, 0.1, margin=1.0), None,
+     lambda pts: pts[:, 0] + 2.0 * pts[:, 1] < -0.9),
+], ids=["interval", "disk", "rectangle", "predicate"])
+def test_restricted_equals_the_point_form_mask(parent, shape, predicate):
+    """A sub-domain's mask, tested on the axes, is the parent's mask and the
+    shape's (or predicate's) test of every node's coordinates, bit for bit."""
+    sub = parent.restricted(predicate, shape_tag=shape)
+    coords = parent.node_coords
+    if shape is None:
+        want = parent.inside_flat & predicate(coords)
+    else:
+        want = parent.inside_flat & shape.contains(coords, geometry._BOUNDARY_GUARD * parent.h)
+    assert 0 < sub.inside_count < parent.inside_count
+    np.testing.assert_array_equal(sub.inside_flat, want)
+    assert sub.same_lattice(parent) and sub.shape_tag is shape
+
+
+def test_restricted_with_a_predicate_passes_the_memory_check(monkeypatch):
+    """A predicate sees every node's coordinates, so it is charged as a
+    predicate lattice build; a canonical sub-shape tests the axes."""
+    sq = build_rectangle((0.0, 0.0), (1.0, 1.0), 1 / 8)
+    monkeypatch.setattr(geometry, "_physical_memory", lambda: 32 * sq.n_nodes)
+    with pytest.raises(ValueError, match=f"lattice arrays for {sq.n_nodes} nodes need"):
+        sq.restricted(lambda c: c[:, 0] < 0.5)
+    assert sq.restricted(None, shape_tag=Rectangle(0.0, 0.0, 0.5, 1.0)).inside_count == 21
+
+
+def test_restricted_and_nearest_node_read_the_axes_alone(monkeypatch):
+    """Neither a canonical sub-shape nor a nearest-node query builds the whole
+    box's coordinates, cached or not."""
+    calls = []
+    real = geometry._node_coords
+    monkeypatch.setattr(geometry, "_node_coords", lambda axes: calls.append(1) or real(axes))
+    sq = build_rectangle((0.0, 0.0), (1.0, 1.0), 1 / 8)
+    half = sq.restricted(None, shape_tag=Rectangle(0.0, 0.0, 0.5, 1.0))
+    assert nearest_node(half, (0.3, 0.7)) == nearest_node(sq, (0.3, 0.7))
+    assert calls == []
+    assert "node_coords" not in sq.__dict__ and "node_coords" not in half.__dict__
 
 
 def test_grid_function_validation():
@@ -301,6 +348,42 @@ def test_distance_to_set_larger_than_memory_is_a_value_error(monkeypatch):
                                          "nodes need .* MiB, more than the 256 KiB"):
         distance_to_set(dom, ridge)
     assert representation(dom, ridge, 0.5, delta=delta).flat()[ridge.indices[0]] == 1.0
+
+
+_NEAREST = {
+    "interval": build_interval(0.1, 1.3, 0.1),
+    "disk": build_disk((0.3, -0.7), 0.9, 0.1, margin=1.0),
+    "dyadic_interval": build_interval(0.0, 2.0, 1 / 8, margin=1.0),
+    "dyadic_disk": build_disk((0.0, 0.0), 1.0, 1 / 16, margin=1.0),
+    "dyadic_rectangle": build_rectangle((0.0, 0.0), (1.0, 0.5), 1 / 8, margin=1.5),
+}
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(name=st.sampled_from(sorted(_NEAREST)), at=st.tuples(st.floats(-0.2, 1.2),
+                                                            st.floats(-0.2, 1.2)),
+       steps=st.tuples(st.integers(0, 10**4), st.integers(0, 10**4)),
+       midpoint=st.tuples(st.booleans(), st.booleans()))
+def test_nearest_node_is_a_brute_force_argmin(name, at, steps, midpoint):
+    """The node nearest along each axis minimizes the squared distance over
+    every node.  Points lie in the box widened by 20% on every side, or on
+    the lattice with any coordinates moved half a step, where two or four
+    nodes tie; on a dyadic lattice the tie is exact, and the lower index wins,
+    as in an argmin over flat order.  Elsewhere the rounded sum of the axes'
+    squares can tie nodes whose squares differ, so only the minimum is
+    compared."""
+    dom = _NEAREST[name]
+    lo, hi, dim = dom.box_lo, dom.box_hi, dom.dim
+    d2_of = lambda p: ((dom.node_coords - p) ** 2).sum(axis=1)
+    p = lo + (hi - lo) * np.array(at[:dim])
+    d2 = d2_of(p)
+    assert d2[nearest_node(dom, p)] == d2.min()
+    p = np.array([ax[k % (ax.size - 1)] + 0.5 * dom.h * m
+                  for ax, k, m in zip(dom.axes, steps, midpoint)])
+    d2 = d2_of(p)
+    assert d2[nearest_node(dom, p)] == d2.min()
+    if name.startswith("dyadic"):
+        assert nearest_node(dom, p) == np.argmin(d2)
 
 
 def test_nearest_node_validation():
