@@ -12,13 +12,14 @@ integral splits into three computable pieces:
 * cross: twice the sum over (inside, outside-but-in-box) pairs, where u
   vanishes at the outside node.  The kernel depends only on the integer
   lattice offset, and the outside nodes of each lattice line form runs, so
-  every run is summed for all inside nodes at once as a difference of two
-  suffix sums of one offset table, accumulated from the far end.  The
-  subtracted suffix holds only terms farther out than the run, so no
-  difference cancels the run itself, even at nodes deep inside the region:
-  the weights match a 30-digit sum to 1e-15 relative at alpha*p from 1.2
-  to 48, while at alpha*p = 48 a direct pair sum over node coordinates is off
-  by up to 7e-14 from the rounding of the coordinates;
+  every run is summed, one at a time, for all the nodes that need a weight
+  (the orbit representatives) as a difference of two suffix sums of one
+  offset table, accumulated from the far end, at a cost of k times the
+  number of runs.  The subtracted suffix holds only terms farther out than
+  the run, so no difference cancels the run itself, even at nodes deep
+  inside the region: the weights match a 30-digit sum to 1e-15 relative at
+  alpha*p from 1.2 to 48, while at alpha*p = 48 a direct pair sum over node
+  coordinates is off by up to 7e-14 from the rounding of the coordinates;
 * tail: twice the analytic radial integral over the complement of the box,
   bracketed between evaluations at the nearest and farthest box-boundary
   distance of each inside node.  Quotients use the bracket midpoint.
@@ -35,7 +36,8 @@ factored out, and combines the block sums in log space; a (3, B, k)
 workspace is all it writes, so the k x k `holder` is the only array that
 grows with k squared.  The tables are folded
 over the k orbits of a group G of lattice reflections, for vectors that are
-constant on each orbit, the pair kernel as one sum over G: the solver passes
+constant on each orbit, the pair kernel as one sum over G and the cross
+weight as the representative's times the orbit size: the solver passes
 the lattice's symmetries, and the trivial group, the default, makes every
 orbit one inside node (k = m), for which the fold is bit for bit the plain
 kernel.
@@ -187,7 +189,8 @@ class QuotientTables:
     cross weight and tail coefficient up to rounding, so a vector that is
     constant on each orbit I has the quotient of the k orbit values v_I with
 
-        W_IJ = |I| |J| / |G| sum_{g in G} K_{rep(I), g rep(J)},   c_I = sum_{i in I} c_i,
+        W_IJ = |I| |J| / |G| sum_{g in G} K_{rep(I), g rep(J)},
+        cross_I = |I| cross_rep(I),   tail_I = sum_{i in I} tail_i,
 
     and the denominator h^n sum_I |I| |v_I|^p, where K_ij = |x_i - x_j|^(-alpha p)
     is the pair kernel: g rep(J) runs over the members of J, each |G| / |J|
@@ -207,8 +210,16 @@ class QuotientTables:
         self.reps, self.labels, _ = _orbits(group)
         # nodes per orbit: each value's weight in the denominator
         self.sizes = np.bincount(self.labels).astype(float)
+        k = self.orbits
+        self._block = min(block_rows(k), k)
+        # the k x k `holder`, the pair pass's (3, block, k) workspace (the
+        # holder build's two (block, k) blocks come first and fit in it) and
+        # the cross weights' (lines, n + 1) suffix table, n nodes per line
+        lines = dom.n_nodes // dom.lattice_shape[-1]
+        _check_memory(8 * (k * (k + 3 * self._block) + dom.n_nodes + lines),
+                      f"kernel tables for {k} orbits of {self.labels.size} inside nodes")
         (self.cross_coef, self.tail_lower_coef, self.tail_upper_coef,
-         self.ct_coef) = _coefficients(dom, prm, self.labels, self.orbits)
+         self.ct_coef) = _coefficients(dom, prm, self.reps, self.labels, self.sizes)
         n, h = dom.dim, dom.h
         self.hn = h ** n
         self.h2n = h ** (2 * n)
@@ -226,19 +237,17 @@ class QuotientTables:
         K is gathered, block by block, from the table of `_offset_distances`
         raised to -alpha once, with 0 at the zero offset (a node's own entry),
         into the block of its keys: take reads key j before it writes entry j.
-        The fold runs in blocks of representative rows against the k |G|
-        members, as a (rows, |G|, k) block, so each (row, orbit) group
-        reduces over axis 1; no m x m array is built.  The group maximum of
-        a one-node orbit against itself is 0, where 1 stands in for it.
-        |I| |J| / |G| is a power of two, so the weight rounds nothing; with
-        the trivial group each group sum is one term, g_IJ (1 * 1**p)**(1/p)
-        = g_IJ, so that case gathers the plain kernel straight into `holder`,
-        exactly symmetric, and skips the passes that change no bit there."""
+        The fold runs in blocks of representative rows, one group element g
+        at a time: a (rows, k) block of K_{rep(I), g rep(J)}, gathered once
+        for the group maximum and once more for the sum, which adds the
+        elements in group order, so no (rows, |G| k) block and no m x m
+        array is built.  The group maximum of a one-node orbit against
+        itself is 0, where 1 stands in for it.  |I| |J| / |G| is a power of
+        two, so the weight rounds nothing; with the trivial group each group
+        sum is one term, g_IJ (1 * 1**p)**(1/p) = g_IJ, so that case gathers
+        the plain kernel straight into `holder`, exactly symmetric, and skips
+        the passes that change no bit there."""
         k, order = members.shape
-        self._block = min(block_rows(k), k)
-        # the k x k `holder` and the pair pass's (3, block, k) workspace
-        _check_memory(8 * k * (k + 3 * self._block),
-                      f"kernel tables for {k} orbits of {self.labels.size} inside nodes")
         inside = self.dom.inside_indices  # columns group-major: column g k + J is g rep(J)
         kern, row_keys, col_keys = _offset_distances(self.dom, inside[self.reps],
                                                      inside[members.T.ravel()])
@@ -247,25 +256,35 @@ class QuotientTables:
         p = self.prm.p
         share = self.sizes / order  # |J| / |G|: each member of J is counted |G| / |J| times
         self.holder = np.empty((k, k))
-        rows = min(block_rows(members.size), k)
+        rows = self._block
+
+        def gather(start, e, out):
+            """K_{rep(I), g_e rep(J)} for the block's rows I, into out."""
+            keys = np.subtract.outer(row_keys[start:start + len(out)],
+                                     col_keys[e * k:(e + 1) * k], out=out.view(np.int64))
+            return kern.take(keys, out=out, mode="clip")
+
         if order == 1:  # each group sum is one term: holder is the plain kernel
             for start in range(0, k, rows):
-                w = self.holder[start:start + rows]
-                kern.take(np.subtract.outer(row_keys[start:start + rows], col_keys,
-                                            out=w.view(np.int64)), out=w, mode="clip")
+                gather(start, 0, self.holder[start:start + rows])
             return
+        top_rows, term_rows = np.empty((2, rows, k))
         for start in range(0, k, rows):
             n = min(rows, k - start)
-            keys = np.subtract.outer(row_keys[start:start + n], col_keys)
-            g = kern.take(keys, out=keys.view(float), mode="clip").reshape(n, order, k)
-            gmax = g.max(axis=1)
-            gmax[gmax == 0.0] = 1.0
-            g /= gmax[:, None, :]
-            g **= p
-            w = g.sum(axis=1, out=self.holder[start:start + n])
+            top = gather(start, 0, top_rows[:n])  # g_IJ
+            for e in range(1, order):
+                np.maximum(top, gather(start, e, term_rows[:n]), out=top)
+            top[top == 0.0] = 1.0
+            w = self.holder[start:start + n]
+            w.fill(0.0)
+            for e in range(order):
+                term = gather(start, e, term_rows[:n])
+                term /= top
+                term **= p
+                w += term
             w *= self.sizes[start:start + n, None] * share
             w **= 1.0 / p
-            w *= gmax
+            w *= top
         np.fill_diagonal(self.holder, 0.0)
         # W is symmetric up to rounding; `value_and_grad` needs it exactly symmetric
         for i in range(1, k):
@@ -484,25 +503,30 @@ class QuotientTables:
         return v / c
 
 
-def _coefficients(dom: GridDomain, prm: FracParams, labels: np.ndarray, k: int):
+def _coefficients(dom: GridDomain, prm: FracParams, reps: np.ndarray, labels: np.ndarray,
+                  sizes: np.ndarray):
     """Per-orbit coefficients of |v_I|^p: cross, tail lower and upper bound, and
-    cross plus tail midpoint, each summed over the nodes of an orbit, where
-    labels[i] numbers the orbit of inside node i among k.
+    cross plus tail midpoint, for the orbits with representatives reps (inside
+    positions), labels[i] the orbit of inside node i and sizes their node counts.
 
-    Raises ValueError unless n < alpha p < n + p, and when a coefficient is
-    not finite: the kernel h^(-alpha p) of the nearest pairs overflows double
-    range.  With labels 0 .. m - 1 the sums are the per-node coefficients."""
+    The group keeps every cross weight up to rounding, so an orbit's cross
+    coefficient is its representative's times |I|; the tail coefficients
+    are sums over the nodes of an orbit.  Raises ValueError unless
+    n < alpha p < n + p, and when a coefficient is not finite: the kernel
+    h^(-alpha p) of the nearest pairs overflows double range.  With one node
+    per orbit these are the per-node coefficients."""
     prm.validate_for_dim(dom.dim)
     n, h, ap = dom.dim, dom.h, prm.ap
     with np.errstate(over="ignore", invalid="ignore"):
-        w_out = _cross_weights(dom, ap)
+        w_out = _cross_weights(dom, ap, reps)
         tail_lower, tail_upper = _tail_bracket(dom, ap, dom.inside_coords)
     # coefficients multiplying |u_i|^p in each energy piece
-    cross = 2.0 * h ** (2 * n) * w_out
+    cross = 2.0 * h ** (2 * n) * w_out * sizes
     lower = 2.0 * h ** n * tail_lower
     upper = 2.0 * h ** n * tail_upper
-    coefs = [np.bincount(labels, weights=c, minlength=k)
-             for c in (cross, lower, upper, cross + 0.5 * (lower + upper))]
+    lower, upper, mid = (np.bincount(labels, weights=c, minlength=sizes.size)
+                         for c in (lower, upper, 0.5 * (lower + upper)))
+    coefs = [cross, lower, upper, cross + mid]
     if not all(np.isfinite(c).all() for c in coefs):
         raise ValueError(f"kernel coefficients overflow double range at p = {prm.p}, "
                          f"alpha = {prm.alpha}, h = {h}: the nearest-pair kernel "
@@ -510,33 +534,45 @@ def _coefficients(dom: GridDomain, prm: FracParams, labels: np.ndarray, k: int):
     return coefs
 
 
-def _cross_weights(dom: GridDomain, ap: float) -> np.ndarray:
-    """Sum over the outside-but-in-box nodes y of |y - x_i|^(-ap), per inside node.
+def _cross_weights(dom: GridDomain, ap: float, at: np.ndarray | None = None) -> np.ndarray:
+    """Sum over the outside-but-in-box nodes y of |y - x_i|^(-ap), for the
+    inside nodes i at positions `at` (default: every inside node).
 
     The lattice lines run along the last axis (the whole lattice is one line
     in 1D).  The kernel depends only on the offset between two nodes, a lines
     apart and b nodes apart along a line, so one table K[a, b] holds it, and
     S[a, b] = sum over b' >= b of K[a, b'], accumulated from the far end so
-    that small terms are added first.  The outside nodes of a line form runs
+    that small terms are added first.  S is the one (lines, n + 1) array:
+    the squared offsets, their power, the scale h^(-ap) and the cumulative
+    sum are written into it in place.  The outside nodes of a line form runs
     [lo, hi); a run at line offset a from a node at position t on its line
     covers along-line offsets lo - t .. hi - 1 - t.  Its part at offsets >= 0
-    and its part at offsets < 0 are each a difference of two lookups in S.
+    and its part at offsets < 0 are each a difference of two lookups in S,
+    so a node costs one step per run.
     """
     inside = dom.inside.reshape(-1, dom.lattice_shape[-1])
     nlines, n = inside.shape
-    a = np.arange(nlines, dtype=float)[:, None]
-    b = np.arange(n, dtype=float)
-    r2 = a * a + b * b
-    r2[0, 0] = np.inf  # zero offset: a node is never its own outside neighbour
-    kern = np.float64(dom.h) ** -ap * r2 ** (-0.5 * ap)  # inf when h^-ap overflows
-    suffix = np.zeros((nlines, n + 1))
-    suffix[:, -2::-1] = np.cumsum(kern[:, ::-1], axis=1)
-    suffix = suffix.ravel()
-
-    line, t = np.divmod(dom.inside_indices, n)
+    # the runs first, so their byte-per-node temporaries are gone before S is made
     edges = np.diff(np.pad(~inside, ((0, 0), (1, 1))).astype(np.int8), axis=1)
     run_line, run_lo = np.nonzero(edges == 1)
     run_hi = np.nonzero(edges == -1)[1]
+    del edges
+    # K over b = 0 .. n, contiguous, so no ufunc buffers a strided view; the
+    # b = n column is zeroed before the sum, and 0 + x = x leaves every sum's bits
+    suffix = np.empty((nlines, n + 1))
+    b = np.arange(n + 1, dtype=float)
+    b *= b
+    for a in range(nlines):  # one line at a time: a broadcast sum would buffer
+        np.add(b, a * a, out=suffix[a])
+    suffix[0, 0] = np.inf  # zero offset: a node is never its own outside neighbour
+    suffix **= -0.5 * ap
+    suffix *= np.float64(dom.h) ** -ap  # inf when h^-ap overflows
+    suffix[:, n] = 0.0
+    np.cumsum(suffix[:, ::-1], axis=1, out=suffix[:, ::-1])
+    suffix = suffix.ravel()
+
+    nodes = dom.inside_indices if at is None else dom.inside_indices[at]
+    line, t = np.divmod(nodes, n)
     w = np.zeros(len(t))
     for k, lo, hi in zip(run_line.tolist(), run_lo.tolist(), run_hi.tolist()):
         row = np.abs(line - k) * (n + 1)

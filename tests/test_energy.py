@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.spatial.distance import cdist
 
-from fracteig import geometry
+from fracteig import energy, geometry
 from fracteig.energy import (
     FracParams,
     QuotientTables,
@@ -684,6 +684,88 @@ def test_orbit_tables_fold_the_full_kernel(shape, k, m, p):
     for name in ("cross_coef", "tail_lower_coef", "tail_upper_coef", "ct_coef"):
         np.testing.assert_allclose(getattr(tables, name), one_hot @ getattr(full, name),
                                    rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("p", [4.0, 64.0])
+@pytest.mark.parametrize("shape", ["interval", "disk", "rectangle", "annulus"])
+def test_orbit_cross_coefficient_is_the_representative_weight_times_the_orbit_size(shape, p):
+    """The folded cross coefficient is the representative's weight times |I|:
+    the orbit sum of the plain coefficients to 1e-14 relative, and bit for bit
+    on the interval, whose mirror images add the same two run sums in the
+    other order.  The tail coefficients stay orbit sums of the plain ones,
+    bit for bit, and ct is the cross coefficient plus the tail midpoints."""
+    dom = _SYMMETRIC[shape]()
+    prm = FracParams(0.75, p)
+    tables, full = orbit_tables(dom, prm), QuotientTables(dom, prm)
+    assert tables.orbits < dom.inside_count
+    orbit_sum = lambda c: np.bincount(tables.labels, c)
+    want = orbit_sum(full.cross_coef)
+    if shape == "interval":
+        np.testing.assert_array_equal(tables.cross_coef, want)
+    else:
+        np.testing.assert_allclose(tables.cross_coef, want, rtol=1e-14, atol=0.0)
+    w = _cross_weights(dom, prm.ap, tables.reps)
+    np.testing.assert_array_equal(tables.cross_coef,
+                                  2.0 * dom.h ** (2 * dom.dim) * w * tables.sizes)
+    np.testing.assert_array_equal(tables.tail_lower_coef, orbit_sum(full.tail_lower_coef))
+    np.testing.assert_array_equal(tables.tail_upper_coef, orbit_sum(full.tail_upper_coef))
+    np.testing.assert_array_equal(
+        tables.ct_coef,
+        tables.cross_coef + orbit_sum(0.5 * (full.tail_lower_coef + full.tail_upper_coef)))
+
+
+def test_cross_weights_at_given_nodes_are_those_of_the_whole_pass():
+    """Weights at chosen inside positions are the whole pass's at those positions, bitwise."""
+    dom = annulus_mask(1 / 8)
+    at = np.array([0, 5, 17, dom.inside_count - 1])
+    np.testing.assert_array_equal(_cross_weights(dom, 3.0, at), _cross_weights(dom, 3.0)[at])
+
+
+def suffix_table_bytes(dom):
+    """8 (lines x (n + 1)) bytes: the cross weights' suffix table, n nodes per line."""
+    n = dom.lattice_shape[-1]
+    return 8 * (dom.n_nodes // n) * (n + 1)
+
+
+def test_cross_weights_peak_is_the_suffix_table():
+    """On the disk at h = 1/16, margin 2 (a 215 x 215 lattice), the cross
+    weights at the orbit representatives allocate little beyond their one
+    (lines, n + 1) table: its powers and sums are written in place."""
+    import tracemalloc
+
+    dom = build_disk((0.0, 0.0), 1.0, 1 / 16)
+    assert dom.lattice_shape == (215, 215)
+    reps = geometry._orbits(lattice_symmetries(dom))[0]
+    tracemalloc.start()
+    try:
+        _cross_weights(dom, 3.0, reps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * suffix_table_bytes(dom)
+
+
+def test_tables_check_the_suffix_table_before_allocating(monkeypatch):
+    """A small disk in a wide box: 45 inside nodes in 9 orbits, 56,169 box
+    nodes.  The folded tables themselves are a few KiB, so only the suffix
+    table's bytes exceed the memory allowed, and the build stops before
+    it computes any coefficient."""
+    dom = build_disk((0.0, 0.0), 1.0, 0.25, margin=10.0)
+    group = lattice_symmetries(dom)
+    k = geometry._orbits(group)[0].size
+    holder = 8 * k * (k + 3 * k)  # one block of rows
+    need = holder + suffix_table_bytes(dom)
+    assert (dom.inside_count, k, dom.n_nodes) == (45, 9, 56169) and holder < 4096
+    calls = []
+    monkeypatch.setattr(energy, "_cross_weights", lambda *args: calls.append(args))
+    monkeypatch.setattr(geometry, "_physical_memory", lambda: need - 1)
+    with pytest.raises(ValueError, match=f"kernel tables for 9 orbits of 45 inside nodes "
+                                         f"need {geometry._size(need)}, more than"):
+        QuotientTables(dom, FracParams(0.75, 4.0), group)
+    assert not calls
+    monkeypatch.undo()
+    monkeypatch.setattr(geometry, "_physical_memory", lambda: need)
+    QuotientTables(dom, FracParams(0.75, 4.0), group)
 
 
 def test_orbit_fold_in_row_blocks_changes_no_bit(monkeypatch):

@@ -269,6 +269,42 @@ def test_grid_function_validation():
         GridFunction(dom, np.zeros((2, 2)))
 
 
+def test_zero_extension_check_counts_instead_of_copying():
+    """On the disk at h = 1/16, margin 2 (46,225 box nodes, 793 inside), the
+    check counts the nonzeros over the box and at the inside nodes, so it
+    allocates well under one box-sized float array beyond the values (the
+    finiteness test's byte mask and the inside values).  -0.0 outside is
+    zero; one nonzero outside node, or a NaN, is rejected."""
+    import tracemalloc
+
+    dom = build_disk((0.0, 0.0), 1.0, 1 / 16)
+    values = np.zeros(dom.n_nodes)
+    values[dom.inside_indices] = 1.0
+    values = values.reshape(dom.lattice_shape)
+    tracemalloc.start()
+    try:
+        GridFunction(dom, values)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * dom.n_nodes
+    outside = np.flatnonzero(~dom.inside_flat)
+    signed_zero = values.copy()
+    signed_zero.ravel()[outside] = -0.0
+    GridFunction(dom, signed_zero)
+    one = values.copy()
+    one.ravel()[outside[len(outside) // 2]] = 1e-300
+    with pytest.raises(ValueError, match="^zero-extended grid function is nonzero outside "
+                                         "the region$"):
+        GridFunction(dom, one)
+    GridFunction(dom, one, zero_extended=False)
+    for at in (outside[0], dom.inside_indices[0]):
+        nan = values.copy()
+        nan.ravel()[at] = np.nan
+        with pytest.raises(ValueError, match="contains non-finite values"):
+            GridFunction(dom, nan)
+
+
 def test_grid_function_from_inside():
     dom = build_interval(0.0, 1.0, 0.25)
     u = GridFunction.from_inside(dom, np.array([1.0, -2.0, 3.0]))
