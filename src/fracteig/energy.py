@@ -8,7 +8,8 @@ and the quotient E(u) / int |u|^p.  For zero-extended grid functions the double
 integral splits into three computable pieces:
 
 * interior: midpoint-rule sum over ordered pairs of distinct inside nodes,
-  with the kernel read by the pair's offset (`geometry._offset_distances`);
+  with the kernel read by the pair's offset from geometry's one distance
+  table, which `geometry._offset_distances` raises to -alpha;
 * cross: twice the sum over (inside, outside-but-in-box) pairs, where u
   vanishes at the outside node.  The kernel depends only on the integer
   lattice offset, and the outside nodes of each lattice line form runs, so
@@ -50,8 +51,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import (GridDomain, GridFunction, _check_memory, _coords, _node_index,
-                       _offset_distances, _orbits, block_rows)
+from .geometry import (GridDomain, GridFunction, _check_memory, _coords, _gather,
+                       _node_index, _offset_distances, _orbits, block_rows)
 
 __all__ = [
     "FracParams",
@@ -234,9 +235,8 @@ class QuotientTables:
         value over the members of J, and members[J, g] the inside index of
         g rep(J).
 
-        K is gathered, block by block, from the table of `_offset_distances`
-        raised to -alpha once, with 0 at the zero offset (a node's own entry),
-        into the block of its keys: take reads key j before it writes entry j.
+        K is gathered (`_gather`), block by block, from the `_offset_distances`
+        table raised to -alpha, 0 at the zero offset (a node's own entry).
         The fold runs in blocks of representative rows, one group element g
         at a time: a (rows, k) block of K_{rep(I), g rep(J)}, gathered once
         for the group maximum and once more for the sum, which adds the
@@ -250,9 +250,8 @@ class QuotientTables:
         k, order = members.shape
         inside = self.dom.inside_indices  # columns group-major: column g k + J is g rep(J)
         kern, row_keys, col_keys = _offset_distances(self.dom, inside[self.reps],
-                                                     inside[members.T.ravel()])
-        kern[kern.size // 2] = np.inf  # the zero offset: kernel 0
-        kern **= -self.prm.alpha
+                                                     inside[members.T.ravel()],
+                                                     -self.prm.alpha)[:3]
         p = self.prm.p
         share = self.sizes / order  # |J| / |G|: each member of J is counted |G| / |J| times
         self.holder = np.empty((k, k))
@@ -260,9 +259,8 @@ class QuotientTables:
 
         def gather(start, e, out):
             """K_{rep(I), g_e rep(J)} for the block's rows I, into out."""
-            keys = np.subtract.outer(row_keys[start:start + len(out)],
-                                     col_keys[e * k:(e + 1) * k], out=out.view(np.int64))
-            return kern.take(keys, out=out, mode="clip")
+            return _gather(kern, row_keys[start:start + len(out)],
+                           col_keys[e * k:(e + 1) * k], out)
 
         if order == 1:  # each group sum is one term: holder is the plain kernel
             for start in range(0, k, rows):
@@ -641,10 +639,10 @@ def apply_Lp(u: GridFunction, prm: FracParams, x: int) -> float:
         raise ValueError(f"node {x} lies on the box boundary, where the tail diverges")
     vals = u.flat()
     ux = vals[x]
-    dist, row_keys, col_keys = _offset_distances(dom, np.array([x]), np.arange(dom.n_nodes))
-    dist[dist.size // 2] = np.inf  # y = x: kernel 0
+    kern, row_keys, col_keys = _offset_distances(dom, np.array([x]), np.arange(dom.n_nodes),
+                                                 -prm.ap)[:3]  # y = x: kernel 0
     diff = vals - ux
-    core = np.abs(diff) ** (prm.p - 2.0) * diff * dist[row_keys[0] - col_keys] ** (-prm.ap)
+    core = np.abs(diff) ** (prm.p - 2.0) * diff * kern[row_keys[0] - col_keys]
     lower, upper = _tail_bracket(dom, prm.ap, point)
     tail = 0.5 * (lower[0] + upper[0])
     return float(2.0 * (core.sum() * dom.h ** dom.dim

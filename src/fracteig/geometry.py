@@ -14,9 +14,10 @@ Conventions used throughout:
   outside); nodes within ``1e-9 * h`` of a canonical boundary are treated as
   outside so analytic distances stay strictly positive on the inside set;
 * distances are Euclidean and in physical units (not multiples of ``h``);
-  every distance between two lattice nodes is read by their index offset
-  (`_offset_distances`); analytic distances read coordinates at the inside
-  nodes, `nearest_node` the axes, and only a predicate every node's;
+  every distance between two lattice nodes, or a power of it, is read by
+  their index offset from one table that only `_offset_distances` builds and
+  `_gather` reads; analytic distances read coordinates at the inside nodes,
+  `nearest_node` the axes, and only a predicate every node's;
 * a lattice reflection is a permutation of the positions in an ascending
   array of flat node indices that it maps onto itself (`_reflections`), and
   `_orbits` numbers the orbits of a group of them, for every fold.
@@ -654,39 +655,51 @@ def _dilate(mask: np.ndarray) -> np.ndarray:
     return out
 
 
-def _offset_distances(dom: GridDomain, rows: np.ndarray, cols: np.ndarray) -> tuple:
-    """Distances between lattice nodes by their integer index offset a:
-    ``(table, row_keys, col_keys)`` with table[row_keys[i] - col_keys[j]] =
-    h * sqrt(sum_k a_k**2), a the offset of node rows[i] from node cols[j]
-    (flat indices, any order).  The table spans a_k = -e_k .. e_k, e_k the
-    extent of the nodes' bounding box, under 2**dim entries per box node,
-    with the zero offset at ``table[table.size // 2]``.  A reflection
-    permutes offsets, so it keeps every distance bitwise; for h a power of
-    two and nodes at multiples of h these are the coordinate distances."""
-    at, ext = _offset_box(dom, np.concatenate([rows, cols]))
+def _offset_distances(dom: GridDomain, rows: np.ndarray, cols: np.ndarray,
+                      power: float = 1.0, zero: float = 0.0) -> tuple:
+    """Distances between lattice nodes by their integer index offset a,
+    raised to `power`: ``(table, row_keys, col_keys, (at, ext))`` with
+    table[row_keys[i] - col_keys[j]] = (h * sqrt(sum_k a_k**2))**power, a the
+    offset of node rows[i] from node cols[j] (flat indices, any order), and
+    `zero` at a = 0.  The table spans a_k = -ext[k] .. ext[k], the extents of
+    the nodes' bounding box (under 2**dim entries per box node); at[k] holds
+    their indices along axis k from its low corner, rows first.  Reflections
+    permute offsets, so keep every distance bitwise; for h a power of two and
+    nodes at multiples of h these are the coordinate distances."""
+    at = [a - a.min() for a in np.unravel_index(np.concatenate([rows, cols]), dom.lattice_shape)]
+    ext = [int(a.max()) for a in at]
     offsets = np.ix_(*[np.arange(-e, e + 1, dtype=float) for e in ext])
     table = sum(a * a for a in offsets).ravel()  # a new array, so sqrt and scale in place
     table = np.multiply(np.sqrt(table, out=table), dom.h, out=table)
+    middle = table.size // 2  # the zero offset, set apart so 0 meets no negative power
+    table[middle] = 1.0
+    table **= power  # ** rather than np.power: a power of 0.5 takes numpy's sqrt path
+    table[middle] = zero
     keys = np.ravel_multi_index(at, [2 * e + 1 for e in ext])
-    return table, keys[:len(rows)] + table.size // 2, keys[len(rows):]
+    return table, keys[:len(rows)] + middle, keys[len(rows):], (at, ext)
 
 
-def _offset_box(dom: GridDomain, nodes: np.ndarray) -> tuple:
-    """``(at, ext)``: the index of each node (flat indices) along every axis,
-    counted from the low corner of the nodes' bounding box, and the box's
-    extent along every axis: the layout of the `_offset_distances` table."""
-    at = [a - a.min() for a in np.unravel_index(nodes, dom.lattice_shape)]
-    return at, [int(a.max()) for a in at]
+def _gather(table: np.ndarray, row_keys: np.ndarray, col_keys: np.ndarray,
+            out: np.ndarray) -> np.ndarray:
+    """The block table[row_keys[i] - col_keys[j]] of an `_offset_distances`
+    table, written into the leading entries of the contiguous workspace out:
+    the keys first (in range by construction, so clip skips the bounds
+    check), then the values, as take reads key j before it writes entry j."""
+    shape = (row_keys.size, col_keys.size)
+    block = out.reshape(-1)[:shape[0] * shape[1]].reshape(shape)
+    keys = np.subtract.outer(row_keys, col_keys, out=block.view(np.int64))
+    return table.take(keys, out=block, mode="clip")
 
 
 def _nearest_distances(dom: GridDomain, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """Distance from each node of rows to the nearest node of cols (flat
     indices), a minimum over the `_offset_distances` table in row blocks."""
-    table, row_keys, col_keys = _offset_distances(dom, rows, cols)
+    table, row_keys, col_keys = _offset_distances(dom, rows, cols)[:3]
     d = np.empty(len(rows))
     step = block_rows(len(cols))
+    work = np.empty(min(step, len(rows)) * len(cols))
     for k0 in range(0, len(rows), step):
-        d[k0:k0 + step] = table[np.subtract.outer(row_keys[k0:k0 + step], col_keys)].min(axis=1)
+        _gather(table, row_keys[k0:k0 + step], col_keys, work).min(axis=1, out=d[k0:k0 + step])
     return d
 
 
@@ -762,5 +775,7 @@ def nearest_node(dom: GridDomain, point) -> int:
     p = np.atleast_1d(np.asarray(point, dtype=float))
     if p.shape != (dom.dim,):
         raise ValueError(f"point must have {dom.dim} coordinates")
+    if not np.isfinite(p).all():
+        raise ValueError(f"point must be finite, got {p.tolist()}")
     at = [np.argmin((ax - c) ** 2) for ax, c in zip(dom.axes, p)]
     return int(np.ravel_multi_index(at, dom.lattice_shape))

@@ -17,13 +17,13 @@ therefore exactly 0, whatever the box margin.  Comparison functions that are
 not zero-extended (cones) are scanned over every box node; the box is all the
 lattice knows of them.  Ties go to the lowest flat index.
 
-The distance |y - x| is read by the nodes' integer index offset from one
-table per scan (`geometry._offset_distances`), raised to alpha once.  Every
-lattice reflection permutes index offsets, so it keeps every distance bit
-for bit, and the scan is folded over the mask's reflections
-(`geometry._reflections`, the solver's group), held in geometry's one form,
-as permutations of the candidate columns.  Of these, the scan keeps the
-elements g that map the scanned nodes onto themselves and keep u bitwise
+The distance |y - x|^alpha is read by the nodes' integer index offset from one
+table per scan, which `geometry._offset_distances` builds and
+`geometry._gather` reads.  Every lattice reflection permutes index offsets, so
+it keeps every distance bit for bit, and the scan is folded over the mask's
+reflections (`geometry._reflections`, the solver's group), held in geometry's
+one form, as permutations of the candidate columns.  Of these, the scan keeps
+the elements g that map the scanned nodes onto themselves and keep u bitwise
 (compared as int64, so -0.0 differs from 0.0).  Then q(g x, g y) = q(x, y)
 bitwise for every pair, one row per orbit is scanned (`geometry._orbits`
 numbers the orbits, as for the solver's tables), and a member g x takes that
@@ -76,9 +76,9 @@ from .geometry import (
     NodeSet,
     _coords,
     _dilate,
+    _gather,
     _nearest_distances,
     _node_index,
-    _offset_box,
     _offset_distances,
     _orbits,
     _reflections,
@@ -139,23 +139,19 @@ def _extreme_quotients(u: GridFunction, alpha: float,
     One base node per orbit of the invariance group (`_invariance`) is
     scanned, its smallest (`geometry._orbits` over positions in base), in
     row blocks of `block_rows` rows, gathering each block's |y - x|^alpha
-    from the offset distances (`geometry._offset_distances`) raised to alpha
-    once.  The sup and the inf are one rule with the direction flipped, so
-    both run through one loop, in each block and in the expansion after the
-    blocks.  Each extreme is its argmax or argmin, and the value is read back
+    from the alpha-powered offset table, NaN at y = x (set apart below).
+    The sup and the inf are one rule with the direction flipped, so both run
+    through one loop, in each block and in the expansion after the blocks.
+    Each extreme is its argmax or argmin, and the value is read back
     at that column, so a value and its witness always come from one entry.
     A member g x of an orbit takes the value of x and the witness min g(T),
     where T holds the columns of row x equal to the extreme: on rows with a
     tie, min g(T) is kept for every element g (`_ties`), and otherwise g
     maps the argmax or argmin (`_expand`).
 
-    A scan of more than one block is bounded (`_patch_bound`; the module
-    docstring gives the bound and why it is exact): a block forms its
-    first-pass quotients, then those of the kept patches only, in ascending
-    column order, so argmax, argmin and T are those of the full rows, bit for
-    bit.  The bound only drops columns of the scanned rows, so the fold and
-    the bound compose.  A scan that fits in one block (one node, a coarse
-    lattice) forms every quotient and sets up no bound.
+    A scan of more than one block is bounded (`_patch_bound`, from the
+    table's layout; the module docstring gives the bound, why it is exact
+    and why it composes with the fold).
 
     The distance, quotient and tie blocks are allocated once per call, for
     every column, and each block writes the leading rows x columns entries
@@ -182,9 +178,7 @@ def _extreme_quotients(u: GridFunction, alpha: float,
                                 + [np.searchsorted(col, g[col]) for g in group[1:]])
     col, is_cand = col[reps], is_cand[reps]  # the scanned rows, one per orbit
     bv = u.flat()[base[reps]]
-    dist_a, row_keys, col_keys = _offset_distances(dom, base[reps], cand)
-    dist_a[dist_a.size // 2] = np.nan  # y = x, set apart below
-    dist_a **= alpha  # ** rather than np.power: alpha = 0.5 takes numpy's sqrt path
+    dist_a, row_keys, col_keys, layout = _offset_distances(dom, base[reps], cand, alpha, np.nan)
 
     n = reps.size
     result = (np.empty(base.size), np.empty(base.size, dtype=np.int64),
@@ -197,7 +191,7 @@ def _extreme_quotients(u: GridFunction, alpha: float,
 
     rows = min(block_rows(cand.size), n)
     every = np.arange(cand.size)
-    select = (_patch_bound(dom, base[reps], bv, cand, vals, dist_a, row_keys, col_keys)
+    select = (_patch_bound(dom, bv, vals, dist_a, row_keys, col_keys, layout)
               if rows < n else None)
     dist = np.empty(rows * cand.size)
     quot = np.empty_like(dist)
@@ -241,29 +235,23 @@ def _quotients(vals: np.ndarray, bv: np.ndarray, row_keys: np.ndarray,
                col_keys: np.ndarray, dist_a: np.ndarray, dist: np.ndarray,
                quot: np.ndarray) -> np.ndarray:
     """The block q[i, j] = (vals[j] - bv[i]) / dist_a[row_keys[i] - col_keys[j]],
-    written into the leading entries of the workspace quot; the keys pass
-    through q (in range by construction, so clip skips the bounds check),
-    the distances through dist."""
-    shape = (row_keys.size, col_keys.size)
-    d = dist[:shape[0] * shape[1]].reshape(shape)
-    q = quot[:d.size].reshape(shape)
-    keys = np.subtract.outer(row_keys, col_keys, out=q.view(np.int64))
-    dist_a.take(keys, out=d, mode="clip")
+    written into the leading entries of the workspace quot, the distances
+    gathered (`geometry._gather`) into those of dist."""
+    d = _gather(dist_a, row_keys, col_keys, dist)
+    q = quot[:d.size].reshape(d.shape)
     np.subtract(vals[None, :], bv[:, None], out=q)
     q /= d
     return q
 
 
-def _patch_bound(dom: GridDomain, nodes: np.ndarray, bv: np.ndarray, cand: np.ndarray,
-                 vals: np.ndarray, dist_a: np.ndarray, row_keys: np.ndarray,
-                 col_keys: np.ndarray):
+def _patch_bound(dom: GridDomain, bv: np.ndarray, vals: np.ndarray, dist_a: np.ndarray,
+                 row_keys: np.ndarray, col_keys: np.ndarray, layout: tuple):
     """The column selection of a bounded scan (`_extreme_quotients`): rows
-    at the flat indices nodes, with values bv, against the candidates cand,
-    with values vals; dist_a, row_keys and col_keys are the scan's
-    alpha-powered `geometry._offset_distances` table, NaN at the zero
-    offset, and its keys.  Returns select(rows, dist, quot): the ascending
-    candidate columns kept for the block of rows (a slice of the scanned
-    rows), using the workspaces dist and quot of `_quotients`.
+    with values bv against candidates with values vals, and the scan's
+    alpha-powered `geometry._offset_distances` table dist_a, NaN at the zero
+    offset, with its keys and layout.  Returns select(rows, dist, quot): the
+    ascending candidate columns kept for the block of rows (a slice of the
+    scanned rows), using the workspaces dist and quot of `_quotients`.
 
     The block first forms its quotients against every `_SAMPLE_STRIDE`-th
     candidate.  The self pair's is NaN, which fmax and fmin pass over, so
@@ -285,7 +273,7 @@ def _patch_bound(dom: GridDomain, nodes: np.ndarray, bv: np.ndarray, cand: np.nd
     where U < bp and L > bm on every row of the block, so a NaN keeps it."""
     side = _PATCH_SIDE[dom.dim]
     half = side // 2
-    at, ext = _offset_box(dom, np.concatenate([nodes, cand]))
+    at, ext = layout
     quarter = dist_a.reshape([2 * e + 1 for e in ext])[tuple(slice(e, None) for e in ext)]
     low = quarter.copy()
     high = quarter.copy()
@@ -299,7 +287,7 @@ def _patch_bound(dom: GridDomain, nodes: np.ndarray, bv: np.ndarray, cand: np.nd
     # and the patches: the occupied tiles, numbered in flat order
     tiles = [e // side + 1 for e in ext]
     tile_of = np.ravel_multi_index(
-        [np.repeat(np.arange(t), side)[a[nodes.size:]] for t, a in zip(tiles, at)], tiles)
+        [np.repeat(np.arange(t), side)[a[bv.size:]] for t, a in zip(tiles, at)], tiles)
     top = np.full(math.prod(tiles), -np.inf)
     np.maximum.at(top, tile_of, vals)
     bottom = np.full(top.size, np.inf)
@@ -315,7 +303,7 @@ def _patch_bound(dom: GridDomain, nodes: np.ndarray, bv: np.ndarray, cand: np.nd
     # g = max(d, -1 - d) and d = x_k - c_k.  So both distances are tabulated
     # by d, and one subtraction of keys gives every (row, patch) index.
     centre = [t * side + half for t in np.unravel_index(occupied, tiles)]
-    row_at = [a[:nodes.size] for a in at]
+    row_at = [a[:bv.size] for a in at]
     span = [np.arange(int(r.min()) - int(c.max()), int(r.max()) - int(c.min()) + 1)
             for r, c in zip(row_at, centre)]
     gap = [np.maximum(d, -1 - d) for d in span]
@@ -409,6 +397,8 @@ def linf_minus_analytic(u: GridFunction, delta: GridFunction, alpha: float,
     """-u(x) / delta(x)^alpha: the infimum a nonnegative zero-extended function
     attains in the complement of the region."""
     _check_alpha(alpha)
+    if not u.domain.same_lattice(delta.domain):
+        raise ValueError("distance function lives on a different lattice")
     x = _node_index(u.domain, x)
     dx = delta.flat()[x]
     if not (dx > 0.0):
@@ -502,6 +492,8 @@ def _residual_report(u: GridFunction, alpha: float, lam: float, delta: GridFunct
         raise ValueError(f"{name} expects a zero-extended function")
     if band_scale is not None and not band_scale >= 0.0:  # NaN included
         raise ValueError("band_scale must be >= 0")
+    if not math.isfinite(lam):
+        raise ValueError(f"lam must be finite, got {lam}")
     dom = u.domain
     if not dom.same_lattice(delta.domain):
         raise ValueError("distance function lives on a different lattice")
@@ -597,7 +589,7 @@ def cone(dom: GridDomain, x0: int, radius: float, alpha: float,
     if not (radius > 0.0):
         raise ValueError(f"radius must be positive, got {radius}")
     x0 = _node_index(dom, x0)
-    dist, row_keys, col_keys = _offset_distances(dom, np.array([x0]), np.arange(dom.n_nodes))
+    dist, row_keys, col_keys = _offset_distances(dom, np.array([x0]), np.arange(dom.n_nodes))[:3]
     r = dist[row_keys[0] - col_keys]
     if alpha < 1.0:
         vals = np.minimum(r ** alpha, radius ** alpha)
@@ -641,16 +633,17 @@ def r2_radius(dom: GridDomain) -> float:
     order = np.argsort(-delta, kind="stable")
     delta = delta[order]
     nodes = dom.inside_indices[order]
-    table, row_keys, col_keys = _offset_distances(dom, nodes, nodes)
+    table, row_keys, col_keys = _offset_distances(dom, nodes, nodes)[:3]
     best = 0.0
     # cap is symmetric (bitwise), so a block needs only the columns up to its
     # last row: the pairs after them are rows of a later block
     rows = block_rows(nodes.size)
+    work = np.empty(min(rows, nodes.size) * nodes.size)
     for k0 in range(0, nodes.size, rows):
         if delta[k0] <= best:
             break
         k1 = k0 + rows
-        cap = table[np.subtract.outer(row_keys[k0:k1], col_keys[:k1])]
+        cap = _gather(table, row_keys[k0:k1], col_keys[:k1], work)
         cap *= 0.5
         np.minimum(cap, delta[None, :k1], out=cap)
         np.minimum(cap, delta[k0:k1, None], out=cap)

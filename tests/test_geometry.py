@@ -428,6 +428,16 @@ def test_nearest_node_validation():
         nearest_node(dom, (0.5, 0.5))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_nearest_node_rejects_a_point_that_is_not_finite(bad):
+    """A NaN or infinite coordinate names no node, on the line or in the plane."""
+    line = build_interval(0.0, 1.0, 0.25)
+    disk = build_disk((0.0, 0.0), 1.0, 0.25)
+    for dom, point in ((line, bad), (disk, (bad, 0.0)), (disk, (0.0, bad))):
+        with pytest.raises(ValueError, match="point must be finite"):
+            nearest_node(dom, point)
+
+
 @pytest.mark.parametrize("a,b,h,margin,msg", [
     (1.0, 1.0, 0.1, 2.0, "degenerate interval"),
     (0.0, 1.0, -0.1, 2.0, "spacing h must be positive"),
@@ -575,17 +585,17 @@ def test_reflections_keep_every_offset_distance_bitwise(dom, order):
         np.testing.assert_array_equal(pos[g[dom.inside_indices]], perm)
     keys = {e.tobytes() for e in group}
     inside = dom.inside_indices
-    table, rows, cols = _offset_distances(dom, inside, inside)
+    table, rows, cols, _ = _offset_distances(dom, inside, inside)
     d = table[np.subtract.outer(rows, cols)]
     for g in group:
         assert all(g[f].tobytes() in keys for f in group)
         np.testing.assert_array_equal(np.sort(g), nodes)
-        table, rows, cols = _offset_distances(dom, g[inside], g[inside])
+        table, rows, cols, _ = _offset_distances(dom, g[inside], g[inside])
         np.testing.assert_array_equal(table[np.subtract.outer(rows, cols)].view(np.int64),
                                       d.view(np.int64))
 
 
-@pytest.mark.parametrize("dom, dyadic", [
+_OFFSET_LATTICES = pytest.mark.parametrize("dom, dyadic", [
     (build_interval(0.0, 2.0, 1 / 128), True),
     (build_interval(0.0, 2.0, 1 / 100), False),
     (build_disk((0.0, 0.0), 1.0, 1 / 8, 1.0), True),
@@ -594,6 +604,9 @@ def test_reflections_keep_every_offset_distance_bitwise(dom, order):
     (triangle_mask(1 / 8), True),
 ], ids=["dyadic_interval", "interval_h001", "disk", "offcentre_disk", "rectangle",
         "free_form"])
+
+
+@_OFFSET_LATTICES
 def test_offset_distances_are_the_coordinate_distances_up_to_rounding(dom, dyadic):
     """The table read at row key minus column key is h sqrt(sum a_k^2) for
     the index offset a, bit for bit, on two node sets in no order (the
@@ -606,7 +619,7 @@ def test_offset_distances_are_the_coordinate_distances_up_to_rounding(dom, dyadi
     fewer than 2^dim entries per node of the sets' bounding box, and its
     middle entry is the zero offset."""
     rows_at, cols_at = dom.inside_indices[::-1], np.arange(dom.n_nodes)
-    table, rows, cols = _offset_distances(dom, rows_at, cols_at)
+    table, rows, cols, _ = _offset_distances(dom, rows_at, cols_at)
     got = table[np.subtract.outer(rows, cols)]
     np.testing.assert_array_equal(got, offset_distances(dom, rows_at, cols_at))
     assert table[table.size // 2] == 0.0
@@ -618,6 +631,60 @@ def test_offset_distances_are_the_coordinate_distances_up_to_rounding(dom, dyadi
         assert not np.array_equal(got, want)
         scale = np.abs(dom.node_coords).max()
         np.testing.assert_allclose(got, want, rtol=0.0, atol=2 * np.finfo(float).eps * scale)
+
+
+# the (power, zero) pairs the callers pass: the plain distance (cone, the
+# two-ball radius, nearest distances), the holder's kernel at alpha = 1/2 and
+# 3/4, apply_Lp's at alpha p = 6, and the scan's quotient denominators
+_POWERS = [(1.0, 0.0), (-0.5, 0.0), (-0.75, 0.0), (-6.0, 0.0), (0.25, np.nan),
+           (0.5, np.nan), (1.0, np.nan)]
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+@_OFFSET_LATTICES
+def test_offset_distances_raise_the_plain_table_and_set_the_zero_offset(dom, dyadic):
+    """Every (power, zero) pair in use gives the plain table raised
+    elementwise, bit for bit, with `zero` (bit for bit) at the zero offset
+    and the plain keys.  The layout is each node's index along every axis
+    from the low corner of the nodes' bounding box, rows first, and the
+    box's extents, which size the table."""
+    rows_at, cols_at = dom.inside_indices[::-1], np.arange(dom.n_nodes)
+    plain, rows, cols, (at, ext) = _offset_distances(dom, rows_at, cols_at)
+    middle = int(np.flatnonzero(plain == 0.0)[0])
+    others = np.delete(plain, middle)
+    for power, zero in _POWERS:
+        table, r, c, _ = _offset_distances(dom, rows_at, cols_at, power, zero)
+        np.testing.assert_array_equal(r, rows)
+        np.testing.assert_array_equal(c, cols)
+        np.testing.assert_array_equal(_bits(np.delete(table, middle)), _bits(others ** power))
+        assert _bits(table[middle]) == _bits(zero)
+    nodes = np.unravel_index(np.concatenate([rows_at, cols_at]), dom.lattice_shape)
+    for a, e, k in zip(at, ext, nodes):
+        np.testing.assert_array_equal(a, k - k.min())
+        assert e == k.max() - k.min()
+    assert plain.size == np.prod([2 * e + 1 for e in ext])
+
+
+@_OFFSET_LATTICES
+def test_gather_into_a_larger_workspace_equals_fancy_indexing(dom, dyadic):
+    """`geometry._gather` writes the block table[row_keys[i] - col_keys[j]]
+    into the leading entries of a larger flat workspace, or the leading rows
+    of a 2-D one, bit for bit what fancy indexing gives, and leaves the rest
+    of the workspace alone.  Self pairs are among the columns."""
+    rng = np.random.default_rng(1)
+    rows_at = rng.permutation(dom.inside_indices)[:7]
+    cols_at = np.concatenate([rows_at[:3], rng.permutation(dom.n_nodes)[:47]])
+    for power, zero in _POWERS:
+        table, rows, cols, _ = _offset_distances(dom, rows_at, cols_at, power, zero)
+        want = table[np.subtract.outer(rows, cols)]
+        for work in (np.full(1000, -1.0), np.full((10, cols.size), -1.0)):
+            got = geometry._gather(table, rows, cols, work)
+            assert got.shape == want.shape and np.shares_memory(got, work)
+            np.testing.assert_array_equal(_bits(got), _bits(want))
+            assert (work.ravel()[want.size:] == -1.0).all()
 
 
 # canonical lattices whose nodes are rounded off the dyadic grid, at spacing h

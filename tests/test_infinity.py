@@ -171,6 +171,18 @@ def test_l_minus_analytic_values():
         linf_minus_analytic(u, delta, 0.5, nearest_node(dom, -1.0))
 
 
+def test_l_minus_analytic_rejects_a_distance_on_another_lattice():
+    """delta must live on u's lattice, as in the residual reports: (0, 4) at
+    h = 1/4 has the 81 nodes of (0, 2) at h = 1/8 at other coordinates, and
+    (0, 2) at h = 1/4 has fewer nodes."""
+    dom, delta, ridge, u = rep_on_interval(h=1 / 8)
+    same_count, coarser = build_interval(0.0, 4.0, 0.25), build_interval(0.0, 2.0, 0.25)
+    assert same_count.n_nodes == dom.n_nodes > coarser.n_nodes
+    for other in (same_count, coarser):
+        with pytest.raises(ValueError, match="different lattice"):
+            linf_minus_analytic(u, distance_to_complement(other), 0.5, int(ridge.indices[0]))
+
+
 @pytest.mark.parametrize("x", [0.5, 9.9, True, np.float64(3.0)])
 def test_node_index_that_is_no_integer_is_rejected(x):
     """A fractional index is not truncated to a node, and a bool is no index."""
@@ -263,6 +275,11 @@ def test_first_residual_validation():
     rho = distance_to_set(dom, ridge)
     with pytest.raises(ValueError, match="zero-extended"):
         first_residual(rho, 0.5, 1.0, delta)
+    for lam in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="lam must be finite"):
+            first_residual(u, 0.5, lam, delta)
+        with pytest.raises(ValueError, match="lam must be finite"):
+            higher_residual(u, 0.5, lam, delta)
 
 
 def test_first_residual_small_at_true_lambda():
@@ -622,9 +639,9 @@ def _scanned_rows(monkeypatch):
     rows = []
     real = infinity._offset_distances
 
-    def counted(dom, row_nodes, cols):
+    def counted(dom, row_nodes, cols, *args):
         rows.append(len(row_nodes))
-        return real(dom, row_nodes, cols)
+        return real(dom, row_nodes, cols, *args)
 
     monkeypatch.setattr(infinity, "_offset_distances", counted)
     return rows
@@ -911,7 +928,7 @@ def _unpruned(u, alpha, base):
     better."""
     dom = u.domain
     cand = np.flatnonzero(_dilate(dom.inside)) if u.zero_extended else np.arange(dom.n_nodes)
-    table, row_keys, col_keys = geometry._offset_distances(dom, base, cand)
+    table, row_keys, col_keys, _ = geometry._offset_distances(dom, base, cand)
     table **= alpha
     with np.errstate(invalid="ignore"):
         q = (u.flat()[cand] - u.flat()[base][:, None]) / table[np.subtract.outer(row_keys, col_keys)]
@@ -1029,7 +1046,7 @@ def test_a_patch_whose_bound_is_the_extreme_is_kept(monkeypatch):
     _assert_bitwise(got, want)
     assert sum(formed) < base.size * dom.n_nodes / 2  # the scan was bounded
 
-    table, _, _ = geometry._offset_distances(dom, base, base)
+    table = geometry._offset_distances(dom, base, base)[0]
     table **= 0.5
     half = table[table.size // 2:]  # offset 0, 1, ...: the smallest over offsets >= j
     smallest = np.minimum.accumulate(np.concatenate([half[1:], [np.inf]])[::-1])[::-1]
