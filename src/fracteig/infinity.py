@@ -23,14 +23,20 @@ table per scan, which `geometry._offset_distances` builds and
 it keeps every distance bit for bit, and the scan is folded over the mask's
 reflections (`geometry._reflections`, the solver's group), held in geometry's
 one form, as permutations of the candidate columns.  Of these, the scan keeps
-the elements g that map the scanned nodes onto themselves and keep u bitwise
-(compared as int64, so -0.0 differs from 0.0).  Then q(g x, g y) = q(x, y)
-bitwise for every pair, one row per orbit is scanned (`geometry._orbits`
-numbers the orbits, as for the solver's tables), and a member g x takes that
-row's value and the lowest flat index in g(T), T the columns tied at the
-extreme: exactly what a scan of its own row would give.  An antisymmetric u
-(u o g = -u) is not folded: a pair with u(y) = u(x) gives +0.0 directly but
--0.0 through the flip.  A scan from one node has nothing to fold.
+the elements g that map the scanned nodes onto themselves and keep u up to a
+sign s, u o g = s u compared by value, so mixed groups (u odd in x and even in
+y) fold too.  One row per orbit is scanned (`geometry._orbits` numbers the
+orbits, as for the solver's tables).  Negation commutes with IEEE subtraction
+and division, so q(g x, g y) = s q(x, y) bitwise wherever u(y) != u(x), and a
+member g x takes the row's extreme (s = 1) or its other extreme negated
+(s = -1: the sup at g x is minus the inf at x), with the lowest flat index in
+g(T), T the columns tied at that extreme: exactly what a scan of its own row
+would give.  A pair with u(y) = u(x) gives a zero whose sign g may change
+(+0.0 directly, -0.0 through a flip), unless g keeps u's bits (compared as
+int64, so -0.0 differs from 0.0); so a member reached through such a g whose
+row has a zero extreme is scanned as a row of its own, in a second pass, and
+a folded scan never forms more rows than an unfolded one.  A scan from one
+node has nothing to fold.
 
 A scan of more than one row block is bounded (`_patch_bound`): it forms only
 the quotients that can reach a row's extreme.  Each block first forms its
@@ -114,20 +120,33 @@ BRANCH_ZERO = "zero"       # node classified as u = 0 (dead band)
 _PATCH_SIDE = {1: 32, 2: 4}
 _SAMPLE_STRIDE = 16
 
+# The sup, then the inf: the self pair's value, which the pick passes over,
+# and the pick.
+_EXTREMES = ((-np.inf, np.argmax), (np.inf, np.argmin))
 
-def _invariance(u: GridFunction, cand: np.ndarray, at: Optional[np.ndarray]) -> list:
+
+def _invariance(u: GridFunction, cand: np.ndarray, at: Optional[np.ndarray]) -> tuple:
     """The mask reflections (`geometry._reflections`) as permutations of the
     ascending candidate nodes that map the base nodes, at the ascending
-    positions `at` among them, onto themselves and keep u bitwise at every
-    candidate (as int64, so -0.0 differs from 0.0), identity first; the
+    positions `at` among them, onto themselves and keep u up to sign at every
+    candidate, compared by value: ``(group, sign, exact)`` with
+    u o group[k] == sign[k] * u, and exact[k] where group[k] keeps the bits
+    of u too (as int64, so -0.0 differs from 0.0).  Equality by value up to
+    sign is transitive, so the elements form a group, identity first; the
     identity alone for one base node or when one is not a candidate (None)."""
     if at is None or at.size == 1:
-        return [np.arange(cand.size)]
+        return [np.arange(cand.size)], np.ones(1), np.ones(1, dtype=bool)
     in_base = np.zeros(cand.size, dtype=bool)
     in_base[at] = True
-    flat = u.flat()[cand].view(np.int64)
-    return [g for g in _reflections(u.domain, cand)
-            if in_base[g[at]].all() and np.array_equal(flat[g], flat)]
+    vals = u.flat()[cand]
+    kept = []
+    for g in _reflections(u.domain, cand):
+        image = vals[g]
+        s = 1.0 if np.array_equal(image, vals) else -1.0
+        if in_base[g[at]].all() and np.array_equal(image, s * vals):
+            kept.append((g, s, np.array_equal(image.view(np.int64), vals.view(np.int64))))
+    group, sign, exact = zip(*kept)
+    return list(group), np.array(sign), np.array(exact)
 
 
 def _extreme_quotients(u: GridFunction, alpha: float,
@@ -137,26 +156,13 @@ def _extreme_quotients(u: GridFunction, alpha: float,
     otherwise (see the module docstring).
 
     One base node per orbit of the invariance group (`_invariance`) is
-    scanned, its smallest (`geometry._orbits` over positions in base), in
-    row blocks of `block_rows` rows, gathering each block's |y - x|^alpha
-    from the alpha-powered offset table, NaN at y = x (set apart below).
-    The sup and the inf are one rule with the direction flipped, so both run
-    through one loop, in each block and in the expansion after the blocks.
-    Each extreme is its argmax or argmin, and the value is read back
-    at that column, so a value and its witness always come from one entry.
-    A member g x of an orbit takes the value of x and the witness min g(T),
-    where T holds the columns of row x equal to the extreme: on rows with a
-    tie, min g(T) is kept for every element g (`_ties`), and otherwise g
-    maps the argmax or argmin (`_expand`).
+    scanned (`_scan`), its smallest (`geometry._orbits` over positions in
+    base).  A member g x of an orbit takes the extremes of row x through g
+    (`_expand`).  Where g does not keep the bits of u and an extreme of x is
+    a zero, whose sign g may change, g x is a row of a second `_scan`.  The
+    far field is offered last, to every base node alike.
 
-    A scan of more than one block is bounded (`_patch_bound`, from the
-    table's layout; the module docstring gives the bound, why it is exact
-    and why it composes with the fold).
-
-    The distance, quotient and tie blocks are allocated once per call, for
-    every column, and each block writes the leading rows x columns entries
-    of them, so pages the bounded blocks never reach stay unmapped.  The
-    fold sorts nothing (the first sort of a process maps about 0.4 MB of
+    The fold sorts nothing (the first sort of a process maps about 0.4 MB of
     numpy's sort kernels), keeps one permutation of the candidates per
     group element, and makes the results before the blocks, so the blocks
     are the last allocation, as in an unfolded scan, and freeing them can
@@ -167,38 +173,78 @@ def _extreme_quotients(u: GridFunction, alpha: float,
         cand = np.flatnonzero(_dilate(dom.inside))
     else:
         cand = np.arange(dom.n_nodes)
-    vals = u.flat()[cand]
     base = np.asarray(base, dtype=np.int64)
     # column of each base node among the candidates, where it is one (y = x is excluded)
     col = np.minimum(np.searchsorted(cand, base), cand.size - 1)
     is_cand = cand[col] == base
-    group = _invariance(u, cand, col if is_cand.all() else None)
+    group, sign, exact = _invariance(u, cand, col if is_cand.all() else None)
     # the group as permutations of positions in base, which its elements map onto itself
     reps, orbit, elem = _orbits([np.arange(base.size)]
                                 + [np.searchsorted(col, g[col]) for g in group[1:]])
-    col, is_cand = col[reps], is_cand[reps]  # the scanned rows, one per orbit
-    bv = u.flat()[base[reps]]
-    dist_a, row_keys, col_keys, layout = _offset_distances(dom, base[reps], cand, alpha, np.nan)
-
-    n = reps.size
     result = (np.empty(base.size), np.empty(base.size, dtype=np.int64),
               np.empty(base.size), np.empty(base.size, dtype=np.int64))
-    # the sup, then the inf: the self pair's value, which the pick passes
-    # over, the pick, the scanned rows' values and witnesses, and the tied
-    # rows as (row, least image per element, its quotient)
-    extremes = [(self_value, pick, np.empty(n), np.empty(n, dtype=np.int64), [])
-                for self_value, pick in ((-np.inf, np.argmax), (np.inf, np.argmin))]
+    scanned = _scan(u, alpha, cand, base[reps], col[reps], is_cand[reps], group)
+    # the members whose extremes their element may not carry over, as rows of
+    # their own, reached through the identity
+    zero = (scanned[0][0] == 0.0) | (scanned[1][0] == 0.0)
+    again = np.flatnonzero(~exact[elem] & zero[orbit])
+    if again.size:
+        extra = _scan(u, alpha, cand, base[again], col[again], is_cand[again], group[:1])
+        orbit[again] = reps.size + np.arange(again.size)
+        elem[again] = 0
+        scanned = [(np.concatenate([v, w]), np.concatenate([i, j]), ties)
+                   for (v, i, ties), (w, j, _) in zip(scanned, extra)]
 
-    rows = min(block_rows(cand.size), n)
+    for e, (self_value, _) in enumerate(_EXTREMES):
+        value, witness = _expand(scanned, e, orbit, elem, group, sign, cand,
+                                 result[2 * e:2 * e + 2])
+        if u.zero_extended:
+            # the far field, at 0, wins where strictly better: where the
+            # value lies on the self pair's side of 0
+            far = np.sign(value) == np.sign(self_value)
+            value[far] = 0.0
+            witness[far] = EXTERIOR_WITNESS
+    return result
+
+
+def _scan(u: GridFunction, alpha: float, cand: np.ndarray, rows: np.ndarray,
+          col: np.ndarray, is_cand: np.ndarray, group: list) -> list:
+    """The extremes of the rows (flat indices) over the ascending candidates
+    cand: for the sup, then the inf, the values, the witnesses as candidate
+    columns, and the rows tied at the extreme (`_ties`, where the group has
+    more than the identity).  Row i is candidate column col[i] where
+    is_cand[i], and that self pair is passed over.
+
+    The rows run in blocks of `block_rows` rows, gathering each block's
+    |y - x|^alpha from the alpha-powered offset table, NaN at y = x (set
+    apart below).  The sup and the inf are one rule with the direction
+    flipped, so both run through one loop.  Each extreme is its argmax or
+    argmin, and the value is read back at that column, so a value and its
+    witness always come from one entry.  A scan of more than one block is
+    bounded (`_patch_bound`, from the table's layout; the module docstring
+    gives the bound, why it is exact and why it composes with the fold).
+
+    The distance, quotient and tie blocks are allocated once per call, for
+    every column, and each block writes the leading rows x columns entries
+    of them, so pages the bounded blocks never reach stay unmapped.
+    """
+    dom = u.domain
+    vals = u.flat()[cand]
+    bv = u.flat()[rows]
+    dist_a, row_keys, col_keys, layout = _offset_distances(dom, rows, cand, alpha, np.nan)
+    n = rows.size
+    extremes = [(np.empty(n), np.empty(n, dtype=np.int64), []) for _ in _EXTREMES]
+
+    step = min(block_rows(cand.size), n)
     every = np.arange(cand.size)
     select = (_patch_bound(dom, bv, vals, dist_a, row_keys, col_keys, layout)
-              if rows < n else None)
-    dist = np.empty(rows * cand.size)
+              if step < n else None)
+    dist = np.empty(step * cand.size)
     quot = np.empty_like(dist)
     tied = np.empty(dist.shape, dtype=bool) if len(group) > 1 else None
-    at = np.arange(rows)
-    for k0 in range(0, n, rows):
-        sl = slice(k0, min(k0 + rows, n))
+    at = np.arange(step)
+    for k0 in range(0, n, step):
+        sl = slice(k0, min(k0 + step, n))
         i = at[:sl.stop - k0]
         self_row = np.flatnonzero(is_cand[sl])
         self_col = col[sl][self_row]
@@ -209,26 +255,14 @@ def _extreme_quotients(u: GridFunction, alpha: float,
         kept = sel[pos] == self_col
         self_at = (self_row[kept], pos[kept])
         eq = None if tied is None else tied[:q.size].reshape(q.shape)
-        for self_value, pick, value, witness, ties in extremes:
+        for (self_value, pick), (value, witness, ties) in zip(_EXTREMES, extremes):
             q[self_at] = self_value
             best = pick(q, axis=1)
             value[sl] = q[i, best]
             witness[sl] = sel[best]
             if eq is not None:
                 _ties(q, best, value[sl], eq, k0, sel, group, ties)
-    # freed before _expand allocates, whose arrays could otherwise sit above the
-    # blocks and keep the heap from shrinking (disk_infinity peak RSS +0.9 MB)
-    del dist, quot, tied
-
-    for (self_value, _, value, witness, ties), out in zip(extremes, (result[:2], result[2:])):
-        value, witness = _expand(value, witness, ties, orbit, elem, group, cand, out)
-        if u.zero_extended:
-            # the far field, at 0, wins where strictly better: where the
-            # value lies on the self pair's side of 0
-            far = np.sign(value) == np.sign(self_value)
-            value[far] = 0.0
-            witness[far] = EXTERIOR_WITNESS
-    return result
+    return extremes
 
 
 def _quotients(vals: np.ndarray, bv: np.ndarray, row_keys: np.ndarray,
@@ -352,23 +386,34 @@ def _ties(q: np.ndarray, best: np.ndarray, extreme: np.ndarray, eq: np.ndarray,
         out.append((k0 + row, images, q[row, cols[k]]))
 
 
-def _expand(value: np.ndarray, witness: np.ndarray, ties: list, orbit: np.ndarray,
-            elem: np.ndarray, group: list, cand: np.ndarray, out: tuple) -> tuple:
-    """Values and witnesses of every base node, written into out, from those
-    of the scanned rows, whose witnesses are candidate columns: base node i
-    takes row orbit[i] through the element group[elem[i]].  A tied row's
-    members take what `_ties` kept for their element: the smallest image of
-    its tied columns, and the quotient there (equal to the row's, but it may
-    be the other zero).  The columns become flat node indices at the end."""
-    value = np.take(value, orbit, out=out[0])
-    witness = np.take(witness, orbit, out=out[1])
+def _expand(scanned: list, e: int, orbit: np.ndarray, elem: np.ndarray, group: list,
+            sign: np.ndarray, cand: np.ndarray, out: tuple) -> tuple:
+    """Values and witnesses of extreme e (0 the sup, 1 the inf) at every
+    base node, written into out, from the scanned rows' (`_scan`), whose
+    witnesses are candidate columns: base node i takes row orbit[i] through
+    the element g = group[elem[i]].  Where g keeps u it takes extreme e of
+    the row; where g flips the sign of u, the other extreme, negated (the
+    sup at g x is -(the inf at x)), which is exact for every nonzero value.
+    The witness is g of the row's, or on a row tied at that extreme what
+    `_ties` kept for g: the smallest image of the tied columns, and the
+    quotient there (equal to the row's, but it may be the other zero).  The
+    columns become flat node indices at the end."""
+    value, witness = out
+    flip = sign[elem] < 0
+    # the base nodes that take each extreme of their row
+    takes = [np.flatnonzero(flip == (s != e)) for s in (0, 1)]
+    for (v, w, _), i in zip(scanned, takes):
+        value[i] = v[orbit[i]]
+        witness[i] = w[orbit[i]]
     for k, g in enumerate(group[1:], 1):
         i = np.flatnonzero(elem == k)
         witness[i] = g[witness[i]]
-    for row, images, quot in ties:
-        i = np.flatnonzero(orbit == row)
-        witness[i] = images[elem[i]]
-        value[i] = quot[elem[i]]
+    for (_, _, ties), i in zip(scanned, takes):
+        for row, images, quot in ties:
+            j = i[orbit[i] == row]
+            witness[j] = images[elem[j]]
+            value[j] = quot[elem[j]]
+    np.negative(value, out=value, where=flip)
     return value, cand.take(witness, out=witness)
 
 

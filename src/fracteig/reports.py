@@ -113,16 +113,19 @@ def write_mask(path: Path, dom: GridDomain) -> None:
     and ``dom.inside_flat``.  A node's coordinates are its axis values, so
     each axis value is formatted once: a line is the prefix of its
     leading-axis value, followed by one of the two line ends (value, flag)
-    formed for each value of the last axis.
+    formed for each value of the last axis.  The ends are picked one lattice
+    line at a time, by its flags read as 0 and 1, so no array or list of the
+    whole box is made.
     """
     *lead, last = (["%.17g" % v for v in ax.tolist()] for ax in dom.axes)
     ends = np.array([[f"{v},0\n" for v in last], [f"{v},1\n" for v in last]], dtype=object)
-    lines = ends[dom.inside.astype(np.intp), np.arange(len(last))]
+    column = np.arange(len(last))
     prefixes = [v + "," for v in lead[0]] if lead else [""]
+    flags = dom.inside.reshape(len(prefixes), len(last)).view(np.uint8)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join([*coord_header(dom), "inside"]) + "\n")
-        for prefix, row in zip(prefixes, lines.reshape(len(prefixes), -1).tolist()):
-            fh.write(prefix + prefix.join(row))
+        for prefix, line in zip(prefixes, flags):
+            fh.write(prefix + prefix.join(ends[line, column].tolist()))
 
 
 def _stream_rows(*columns: np.ndarray):

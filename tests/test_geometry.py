@@ -545,7 +545,8 @@ def test_lattice_symmetries_list_the_disk_group_in_breadth_first_order():
 def test_orbits_equal_the_sorted_reference(dom, order):
     """`_orbits` numbers the orbits as np.unique of the orbit minima does,
     and each position i is the image of its orbit's smallest position under
-    the element it names."""
+    the element it names, the first that maps it there: the identity at the
+    smallest positions."""
     group = lattice_symmetries(dom)
     reps, labels, elem = _orbits(group)
     want_reps, want_labels, want_sizes = np.unique(np.minimum.reduce(group),
@@ -555,6 +556,9 @@ def test_orbits_equal_the_sorted_reference(dom, order):
     np.testing.assert_array_equal(np.bincount(labels), want_sizes)
     m = dom.inside_count
     np.testing.assert_array_equal(np.stack(group)[elem, reps[labels]], np.arange(m))
+    np.testing.assert_array_equal(
+        elem, np.argmax(np.stack(group)[:, reps[labels]] == np.arange(m), axis=0))
+    assert not elem[reps].any()
 
 
 _REFLECTION_LATTICES = pytest.mark.parametrize("dom, order", [

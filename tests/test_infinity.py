@@ -727,8 +727,8 @@ def test_folded_scan_equals_the_unfolded_scan(monkeypatch, make, alpha, order):
     u = make()
     dom = u.domain
     for base in (dom.inside_indices, np.flatnonzero(u.flat())):
-        group = infinity._invariance(u, np.arange(dom.n_nodes), base)
-        assert len(group) == order
+        group, sign, exact = infinity._invariance(u, np.arange(dom.n_nodes), base)
+        assert len(group) == order and sign.tolist() == [1.0] * order and exact.all()
         _assert_bitwise(_extreme_quotients(u, alpha, base),
                         _unfolded(monkeypatch, u, alpha, base))
 
@@ -749,7 +749,7 @@ dom = build_disk((0.3, -0.7), 0.9, 0.1)
 c = cone(dom, nearest_node(dom, (0.3, -0.7)), 0.5, 0.5)
 base = np.flatnonzero(c.flat())
 lp = _extreme_quotients(c, 0.5, base)[0]
-print(dom.lattice_shape, len(_invariance(c, np.arange(dom.n_nodes), base)), lp.size)
+print(dom.lattice_shape, len(_invariance(c, np.arange(dom.n_nodes), base)[0]), lp.size)
 """
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [SRC, *filter(None, [os.environ.get("PYTHONPATH")])])}
@@ -783,24 +783,23 @@ def test_the_fold_scans_one_row_per_orbit(monkeypatch):
     assert sum(rows) == orbits == 428
     assert dom.inside_count == 3205
     centre = np.array([nearest_node(dom, (0.0, 0.0))])
-    assert len(infinity._invariance(u, np.arange(dom.n_nodes), centre)) == 1
+    assert len(infinity._invariance(u, np.arange(dom.n_nodes), centre)[0]) == 1
 
 
 @pytest.mark.parametrize("make", [
     lambda: _rep(build_interval(0.0, 2.0, 0.01), 0.5),
     lambda: _rep(build_disk((0.3, -0.7), 1.0, 0.05), 0.5),
-    lambda: sample(second_1d(0.5), build_interval(0.0, 2.0, 1 / 256)),
-], ids=["interval_h001", "offcentre_disk", "antisymmetric"])
+], ids=["interval_h001", "offcentre_disk"])
 def test_scan_falls_back_to_every_row(monkeypatch, make):
-    """A u that no reflection keeps bitwise leaves the identity alone, and
+    """A u that no reflection keeps up to sign leaves the identity alone, and
     every inside node is a scanned row: the representation on axes that do
     not mirror exactly (h = 0.01; a disk centred off the dyadic grid), whose
     analytic delta is evaluated at the rounded node coordinates (rho is read
-    by index offset), and the odd second profile."""
+    by index offset)."""
     u = make()
     dom = u.domain
     assert len(geometry.lattice_symmetries(dom)) > 1  # the solver would fold these
-    assert len(infinity._invariance(u, np.arange(dom.n_nodes), dom.inside_indices)) == 1
+    assert len(infinity._invariance(u, np.arange(dom.n_nodes), dom.inside_indices)[0]) == 1
     rows = _scanned_rows(monkeypatch)
     _extreme_quotients(u, 0.5, dom.inside_indices)
     assert sum(rows) == dom.inside_count
@@ -814,7 +813,7 @@ def test_symmetry_breaking_gamma1_keeps_only_the_reflections_of_u(monkeypatch):
     delta = distance_to_complement(dom)
     end = NodeSet(dom, high_ridge(delta).indices[:1])
     u = representation(dom, end, 0.5, delta=delta)
-    group = infinity._invariance(u, np.arange(dom.n_nodes), dom.inside_indices)
+    group = infinity._invariance(u, np.arange(dom.n_nodes), dom.inside_indices)[0]
     assert len(group) == 2 and len(geometry.lattice_symmetries(dom)) == 4
     rows = _scanned_rows(monkeypatch)
     got = _extreme_quotients(u, 0.5, dom.inside_indices)
@@ -822,10 +821,12 @@ def test_symmetry_breaking_gamma1_keeps_only_the_reflections_of_u(monkeypatch):
     _assert_bitwise(got, _unfolded(monkeypatch, u, 0.5, dom.inside_indices))
 
 
-def test_reflections_are_kept_only_where_u_is_bitwise_invariant(monkeypatch):
+def test_reflections_that_change_bits_of_u_rescan_its_zero_extremes(monkeypatch):
     """-0.0 at z0 alone (its mirror images keep +0.0) leaves u invariant in
-    value but not in bits: the reflections that move z0 are dropped, and the
-    scan, which folds no row then, equals the unfolded one bitwise."""
+    value but not in bits: the reflections that move z0 are kept, inexact,
+    and the members they reach whose row has a zero extreme (73 of the 105
+    inside nodes, many tied at a zero) are scanned as rows of their own, so
+    the scan forms no more rows than the unfolded one and equals it bitwise."""
     u = _ties_signed_zeros(build_rectangle((0.0, 0.0), (1.0, 0.5), 1 / 16, 1.0))
     dom = u.domain
     z0 = dom.inside_indices[0]
@@ -833,8 +834,12 @@ def test_reflections_are_kept_only_where_u_is_bitwise_invariant(monkeypatch):
     vals[z0] = -0.0
     v = GridFunction(dom, vals.reshape(dom.lattice_shape), zero_extended=False)
     base = dom.inside_indices
-    assert len(infinity._invariance(v, np.arange(dom.n_nodes), base)) == 1
-    _assert_bitwise(_extreme_quotients(v, 1.0, base), _unfolded(monkeypatch, v, 1.0, base))
+    group, sign, exact = infinity._invariance(v, np.arange(dom.n_nodes), base)
+    assert sign.tolist() == [1.0] * 4 and exact.tolist() == [True, False, False, False]
+    rows = _scanned_rows(monkeypatch)
+    got = _extreme_quotients(v, 1.0, base)
+    assert rows == [32, 73] and sum(rows) == base.size
+    _assert_bitwise(got, _unfolded(monkeypatch, v, 1.0, base))
 
 
 @pytest.mark.parametrize("dom, order", [
@@ -849,12 +854,79 @@ def test_inexact_axes_fold_a_symmetric_u_bit_for_bit(monkeypatch, dom, order):
     the unfolded scan bitwise."""
     u = GridFunction(dom, _symmetric(dom, _rep(dom, 0.5).flat()).reshape(dom.lattice_shape))
     base = dom.inside_indices
-    assert len(infinity._invariance(u, np.arange(dom.n_nodes), base)) == order
+    assert len(infinity._invariance(u, np.arange(dom.n_nodes), base)[0]) == order
     rows = _scanned_rows(monkeypatch)
     got = _extreme_quotients(u, 0.5, base)
     orbits = np.unique(np.stack(geometry.lattice_symmetries(dom)).min(axis=0)).size
     assert sum(rows) == orbits < dom.inside_count
     _assert_bitwise(got, _unfolded(monkeypatch, u, 0.5, base))
+
+
+def _second(h):
+    return sample(second_1d(0.5), build_interval(0.0, 2.0, h))
+
+
+def _odd_plateau():
+    """The second profile clipped to +-1/2 at h = 1/128: a plateau whose
+    rows have a zero extreme, which the flip may not carry over."""
+    u = _second(1 / 128)
+    return GridFunction.from_inside(u.domain, np.clip(u.inside_values(), -0.5, 0.5))
+
+
+_FLIP_RECTANGLE = build_rectangle((0.0, 0.0), (1.0, 0.5), 1 / 16, 1.0)  # 53 x 45 nodes
+
+
+def _odd_x_even_y(dom):
+    """Random values made odd along axis 0 and even along axis 1, bit for
+    bit (a - a o f_0, then b + b o f_1), zero outside."""
+    a = np.random.default_rng(7).standard_normal(dom.lattice_shape)
+    odd = a - np.flip(a, 0)
+    vals = odd + np.flip(odd, 1)
+    vals[~dom.inside] = 0.0
+    return GridFunction(dom, vals)
+
+
+def _odd_odd(dom):
+    """f(x) g(y), both odd bit for bit, zero outside: the zeros on the centre
+    lines take the sign of the other factor, so f_0 f_1 keeps u by value but
+    not in bits."""
+    rng = np.random.default_rng(8)
+    f, g = (b - b[::-1] for b in map(rng.standard_normal, dom.lattice_shape))
+    vals = np.outer(f, g)
+    vals[~dom.inside] = 0.0
+    return GridFunction(dom, vals)
+
+
+@pytest.mark.parametrize("alpha", [0.25, 0.5, 1.0])
+@pytest.mark.parametrize("make, sign, exact, again", [
+    (lambda: _second(1 / 128), [1, -1], [True, False], 0),
+    (lambda: _second(1 / 256), [1, -1], [True, False], 0),
+    (lambda: _second(0.01), [1], [True], 0),
+    (lambda: _odd_x_even_y(_FLIP_RECTANGLE), [1, -1, 1, -1], [True, False, True, False], 2),
+    (lambda: _odd_odd(_FLIP_RECTANGLE), [1, -1, -1, 1], [True, False, False, False], 3),
+    (_odd_plateau, [1, -1], [True, False], 38),
+], ids=["second_h128", "second_h256", "second_h001", "odd_x_even_y", "odd_odd",
+        "odd_plateau"])
+def test_sign_flipping_fold_equals_the_unfolded_scan(monkeypatch, make, sign, exact,
+                                                      again, alpha):
+    """Reflections with u o g == -u by value fold too: one row per orbit of
+    the group with its signs, plus a row for each member that an element
+    changing the bits of u reaches from a row with a zero extreme (`again`:
+    on the rectangles, the rows of the extreme values, tied at 0 with a
+    mirror node; on the clipped plateau, its rows), bit for bit with the
+    unfolded scan, on the inside nodes and on the nonzero nodes.  At
+    h = 0.01 the second profile is not odd by value, and every row is
+    scanned."""
+    u = make()
+    dom = u.domain
+    for base in (dom.inside_indices, np.flatnonzero(u.flat())):
+        group, got_sign, got_exact = infinity._invariance(u, np.arange(dom.n_nodes), base)
+        assert got_sign.tolist() == sign and got_exact.tolist() == exact
+        orbits = np.unique(np.minimum.reduce([g[base] for g in group])).size
+        rows = _scanned_rows(monkeypatch)
+        got = _extreme_quotients(u, alpha, base)
+        assert rows == [orbits] + [again] * bool(again)
+        _assert_bitwise(got, _unfolded(monkeypatch, u, alpha, base))
 
 
 # ---------------------------------------------------------------------------

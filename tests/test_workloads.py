@@ -14,6 +14,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from test_infinity import _scanned_rows
 
 from fracteig.cli import main
 
@@ -44,3 +45,18 @@ def test_full_workload_passes_its_check_and_reruns_byte_identically(tmp_path, na
         assert problems == []
         hashes.append(csv_hashes)
     assert hashes[0] and hashes[0] == hashes[1]
+
+
+def test_verify1d_scans_fold_every_profile(monkeypatch, tmp_path):
+    """The verify1d workload's twelve scans (three profiles at h = 1/128 ..
+    1/1024) form 5,760 rows, one per orbit of each profile's reflections:
+    the second profile, odd about x = 1, folds as the even first and third
+    do, and needs no row of its own for a zero extreme.  Unfolded, the
+    twelve scans formed 7,676 rows."""
+    rows = _scanned_rows(monkeypatch)
+    wl = workloads.WORKLOADS["verify1d"]
+    cfg = tmp_path / "verify1d.json"
+    cfg.write_text(json.dumps({**wl.full.config, "out": str(tmp_path / "out")}), encoding="utf-8")
+    assert main([wl.command, "--config", str(cfg)]) == 0
+    assert rows == [m for m in (128, 256, 512, 1024) for profile in range(3)]
+    assert sum(rows) == 5760
