@@ -55,12 +55,15 @@ __all__ = [
 
 # Elements in one block temporary of the pairwise-distance loops (here and in
 # energy, infinity): 2**17 doubles, 1 MB.  The size sets the Python overhead
-# per block, not cache residency: a scan block holds dist + quot + tied, about
-# 2.2 MB, and the pair pass a 3 MB (3, B, m) slab, over the 2 MB L2 per core
-# of the Xeon measured.  There, blocks of 2**16 and 2**15 elements made the
-# twelve verify1d scans take 33-40 ms instead of 27-31 ms, and row blocks
-# balanced across the rows raised the peak RSS by 0.24 MB on verify1d and
-# 0.95 MB on disk_infinity.
+# per block, not cache residency: the pair pass holds a 3 MB (3, B, m) slab,
+# over the 2 MB L2 per core of the Xeon measured.  There, row blocks of 2**16
+# and 2**15 elements made the twelve verify1d scans take 33-40 ms instead of
+# 27-31 ms, and row blocks balanced across the rows raised the peak RSS by
+# 0.24 MB on verify1d and 0.95 MB on disk_infinity.  A scan keeps its row
+# blocks of this size for the bound, and forms their quotients in sub-blocks
+# of a quarter of it (`infinity._SUB_BLOCK_ELEMENTS`), so its dist + quot +
+# tied workspaces hold about 0.56 MB while one row of candidates fits in a
+# sub-block.
 _BLOCK_ELEMENTS = 2**17
 
 # Fraction of h used as a guard band: nodes this close to a canonical boundary
@@ -593,24 +596,28 @@ def _reflections(dom: GridDomain, nodes: np.ndarray) -> list:
     it maps the mask onto itself.  The result is the group the counted
     candidates generate, identity first, then the products in breadth-first
     order.  Reflections that agree on every node of `nodes` are one element.
+
+    A reflection is a bijection of the box, so it maps the mask onto itself
+    when it maps every inside node to an inside node: the test reads the
+    mask at the inside nodes' images alone.  The group has at most 8
+    elements, so a new product is compared with each element kept so far.
     """
     shape = dom.lattice_shape
+    inside = dom.inside_indices
     at = np.unravel_index(nodes, shape)
-    # (the mask moved, the lattice indices of the nodes' images)
-    moves = [(np.flip(dom.inside, ax), at[:ax] + (shape[ax] - 1 - at[ax],) + at[ax + 1:])
+    at_inside = at if nodes is inside else np.unravel_index(inside, shape)
+    # each candidate, as the lattice indices of the images of nodes at indices a
+    moves = [lambda a, ax=ax: a[:ax] + (shape[ax] - 1 - a[ax],) + a[ax + 1:]
              for ax in range(dom.dim)]
     if dom.dim == 2 and shape[0] == shape[1]:
-        moves.append((dom.inside.T, at[::-1]))
-    gens = [np.searchsorted(nodes, np.ravel_multi_index(image, shape))
-            for mask, image in moves if np.array_equal(mask, dom.inside)]
+        moves.append(lambda a: a[::-1])
+    gens = [np.searchsorted(nodes, np.ravel_multi_index(move(at), shape)) for move in moves
+            if dom.inside_flat[np.ravel_multi_index(move(at_inside), shape)].all()]
     group = [np.arange(nodes.size)]
-    seen = {group[0].tobytes()}
     for g in group:  # the loop also visits the elements it appends
         for s in gens:
             composed = g[s]  # (g s)(x) = g(s(x))
-            key = composed.tobytes()
-            if key not in seen:
-                seen.add(key)
+            if not any(np.array_equal(composed, k) for k in group):
                 group.append(composed)
     return group
 
@@ -621,7 +628,9 @@ def _orbits(group: list) -> tuple:
     with reps the ascending smallest positions, labels[i] the orbit of
     position i, and group[elem[i]] the first element mapping reps[labels[i]]
     to i, so the identity at the reps.  Sorts nothing."""
-    first = np.minimum.reduce(group)  # the smallest position of each position's orbit
+    first = group[0].copy()  # the smallest position of each position's orbit
+    for g in group[1:]:
+        np.minimum(first, g, out=first)
     reps = np.flatnonzero(first == np.arange(first.size))
     labels = np.searchsorted(reps, first)
     elem = np.zeros(first.size, dtype=np.int64)

@@ -54,7 +54,11 @@ order, and no others: a dropped column is strictly below the sup and above
 the inf of every row, so argmax, argmin and the tied set T are those of the
 full rows.  The bound only drops columns of the scanned rows, so it composes
 with the fold.  A scan that fits in one block (one node, a coarse lattice)
-forms every quotient and sets up no bound.
+forms every quotient and sets up no bound.  Either way a block forms its
+quotients in sub-blocks of rows, a bounded number of entries at a time, so
+a block near a flat maximum, which keeps almost every column, needs no
+larger workspace than one that keeps few; each row is reduced over the same
+columns in the same order, so the sub-blocks change no bit.
 
 The first-eigenvalue equation residual at an inside node is
 
@@ -76,6 +80,7 @@ import numpy as np
 
 from .energy import _check_alpha
 from .geometry import (
+    _BLOCK_ELEMENTS,
     GridDomain,
     GridFunction,
     Interval,
@@ -119,6 +124,13 @@ BRANCH_ZERO = "zero"       # node classified as u = 0 (dead band)
 # axis (32 in 1-D, 4 x 4 in 2-D), and its first pass reads every 16th column.
 _PATCH_SIDE = {1: 32, 2: 4}
 _SAMPLE_STRIDE = 16
+
+# Quotient entries one sub-block of a scan forms at a time (`_scan`): 2**15,
+# 256 KB per workspace.  A row block near a flat maximum keeps almost every
+# column, and forming it whole touched the 1 MB of a full block per
+# workspace; this bound took the scans' traced peak on verify1d at
+# h = 1/256 from 2.45 to 0.92 MB.
+_SUB_BLOCK_ELEMENTS = _BLOCK_ELEMENTS // 4
 
 # The sup, then the inf: the self pair's value, which the pick passes over,
 # and the pick.
@@ -215,18 +227,25 @@ def _scan(u: GridFunction, alpha: float, cand: np.ndarray, rows: np.ndarray,
     more than the identity).  Row i is candidate column col[i] where
     is_cand[i], and that self pair is passed over.
 
-    The rows run in blocks of `block_rows` rows, gathering each block's
-    |y - x|^alpha from the alpha-powered offset table, NaN at y = x (set
-    apart below).  The sup and the inf are one rule with the direction
-    flipped, so both run through one loop.  Each extreme is its argmax or
-    argmin, and the value is read back at that column, so a value and its
-    witness always come from one entry.  A scan of more than one block is
-    bounded (`_patch_bound`, from the table's layout; the module docstring
-    gives the bound, why it is exact and why it composes with the fold).
+    The rows run in blocks of `block_rows` rows.  A scan of more than one
+    block is bounded (`_patch_bound`, from the table's layout; the module
+    docstring gives the bound, why it is exact and why it composes with the
+    fold), which keeps a set of columns for each block.  The block then forms
+    its quotients in sub-blocks of at most `_SUB_BLOCK_ELEMENTS` entries (one
+    row at least), gathering |y - x|^alpha from the alpha-powered offset
+    table, NaN at y = x (set apart below).  The sup and the inf are one rule
+    with the direction flipped, so both run through one loop.  Each extreme
+    is its argmax or argmin, and the value is read back at that column, so a
+    value and its witness always come from one entry.  Every row is reduced
+    over the same columns, in the same order, whatever its sub-block.
 
-    The distance, quotient and tie blocks are allocated once per call, for
-    every column, and each block writes the leading rows x columns entries
-    of them, so pages the bounded blocks never reach stay unmapped.
+    The distance, quotient and tie workspaces are allocated once per call,
+    at the most any sub-block or the bound's first pass writes:
+    `_SUB_BLOCK_ELEMENTS`, one row of every column, or a block of the first
+    pass's columns, and never more than a block of every column.  Each of
+    those writes their leading entries.  So while one row of candidates fits
+    in a sub-block they hold about 0.56 MB, however many columns a block
+    keeps.
     """
     dom = u.domain
     vals = u.flat()[cand]
@@ -237,31 +256,37 @@ def _scan(u: GridFunction, alpha: float, cand: np.ndarray, rows: np.ndarray,
 
     step = min(block_rows(cand.size), n)
     every = np.arange(cand.size)
-    select = (_patch_bound(dom, bv, vals, dist_a, row_keys, col_keys, layout)
+    select = (_patch_bound(dom, bv, vals, dist_a, row_keys, col_keys, layout, step)
               if step < n else None)
-    dist = np.empty(step * cand.size)
+    sampled = -(-cand.size // _SAMPLE_STRIDE)
+    dist = np.empty(min(step * cand.size,
+                        max(_SUB_BLOCK_ELEMENTS, cand.size, step * sampled)))
     quot = np.empty_like(dist)
     tied = np.empty(dist.shape, dtype=bool) if len(group) > 1 else None
     at = np.arange(step)
-    for k0 in range(0, n, step):
-        sl = slice(k0, min(k0 + step, n))
-        i = at[:sl.stop - k0]
-        self_row = np.flatnonzero(is_cand[sl])
-        self_col = col[sl][self_row]
-        sel = every if select is None else select(sl, dist, quot)
-        q = _quotients(vals[sel], bv[sl], row_keys[sl], col_keys[sel], dist_a, dist, quot)
-        # the self pair, where its column was kept
-        pos = np.minimum(np.searchsorted(sel, self_col), sel.size - 1)
-        kept = sel[pos] == self_col
-        self_at = (self_row[kept], pos[kept])
-        eq = None if tied is None else tied[:q.size].reshape(q.shape)
-        for (self_value, pick), (value, witness, ties) in zip(_EXTREMES, extremes):
-            q[self_at] = self_value
-            best = pick(q, axis=1)
-            value[sl] = q[i, best]
-            witness[sl] = sel[best]
-            if eq is not None:
-                _ties(q, best, value[sl], eq, k0, sel, group, ties)
+    for b0 in range(0, n, step):
+        block = slice(b0, min(b0 + step, n))
+        sel = every if select is None else select(block, dist, quot)
+        sel_vals, sel_keys = vals[sel], col_keys[sel]
+        sub = max(1, _SUB_BLOCK_ELEMENTS // sel.size)
+        for k0 in range(b0, block.stop, sub):
+            sl = slice(k0, min(k0 + sub, block.stop))
+            i = at[:sl.stop - k0]
+            self_row = np.flatnonzero(is_cand[sl])
+            self_col = col[sl][self_row]
+            q = _quotients(sel_vals, bv[sl], row_keys[sl], sel_keys, dist_a, dist, quot)
+            # the self pair, where its column was kept
+            pos = np.minimum(np.searchsorted(sel, self_col), sel.size - 1)
+            kept = sel[pos] == self_col
+            self_at = (self_row[kept], pos[kept])
+            eq = None if tied is None else tied[:q.size].reshape(q.shape)
+            for (self_value, pick), (value, witness, ties) in zip(_EXTREMES, extremes):
+                q[self_at] = self_value
+                best = pick(q, axis=1)
+                value[sl] = q[i, best]
+                witness[sl] = sel[best]
+                if eq is not None:
+                    _ties(q, best, value[sl], eq, k0, sel, group, ties)
     return extremes
 
 
@@ -279,13 +304,15 @@ def _quotients(vals: np.ndarray, bv: np.ndarray, row_keys: np.ndarray,
 
 
 def _patch_bound(dom: GridDomain, bv: np.ndarray, vals: np.ndarray, dist_a: np.ndarray,
-                 row_keys: np.ndarray, col_keys: np.ndarray, layout: tuple):
+                 row_keys: np.ndarray, col_keys: np.ndarray, layout: tuple, step: int):
     """The column selection of a bounded scan (`_extreme_quotients`): rows
     with values bv against candidates with values vals, and the scan's
     alpha-powered `geometry._offset_distances` table dist_a, NaN at the zero
     offset, with its keys and layout.  Returns select(rows, dist, quot): the
-    ascending candidate columns kept for the block of rows (a slice of the
-    scanned rows), using the workspaces dist and quot of `_quotients`.
+    ascending candidate columns kept for the block of rows (a slice of at
+    most step of the scanned rows), using the workspaces dist and quot of
+    `_quotients`.  The block's (2, rows, patches) bounds are written into
+    workspaces made here, once per scan.
 
     The block first forms its quotients against every `_SAMPLE_STRIDE`-th
     candidate.  The self pair's is NaN, which fmax and fmin pass over, so
@@ -352,14 +379,24 @@ def _patch_bound(dom: GridDomain, bv: np.ndarray, vals: np.ndarray, dist_a: np.n
     ends = np.stack([top, bottom])[:, None, :]
     sample = slice(None, None, _SAMPLE_STRIDE)
     sample_vals, sample_keys = vals[sample], col_keys[sample]
+    d_work = np.empty(2 * step * occupied.size)
+    bound_work = np.empty_like(d_work)
+    nonneg_work = np.empty(d_work.shape, dtype=bool)
 
     def select(rows: slice, dist: np.ndarray, quot: np.ndarray) -> np.ndarray:
         q = _quotients(sample_vals, bv[rows], row_keys[rows], sample_keys, dist_a, dist, quot)
         bp = np.fmax.reduce(q, axis=1)[:, None]
         bm = np.fmin.reduce(q, axis=1)[:, None]
-        d = near_far.take(np.subtract.outer(row_key[rows], patch_key), axis=1, mode="clip")
-        bound = ends - bv[None, rows, None]
-        bound /= np.where(bound >= 0.0, d, d[::-1])
+        shape = (2, rows.stop - rows.start, occupied.size)
+        d, bound, nonneg = (w[:math.prod(shape)].reshape(shape)
+                            for w in (d_work, bound_work, nonneg_work))
+        # the (row, patch) keys in the bound's workspace, read before it is written
+        keys = np.subtract.outer(row_key[rows], patch_key, out=bound[0].view(np.int64))
+        near_far.take(keys, axis=1, out=d, mode="clip")
+        np.subtract(ends, bv[None, rows, None], out=bound)
+        np.greater_equal(bound, 0.0, out=nonneg)
+        np.divide(bound, d, out=bound, where=nonneg)
+        np.divide(bound, d[::-1], out=bound, where=np.logical_not(nonneg, out=nonneg))
         drop = ((bound[0] < bp) & (bound[1] > bm)).all(axis=0)
         return np.flatnonzero(~drop[patch])
 

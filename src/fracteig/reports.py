@@ -115,17 +115,23 @@ def write_mask(path: Path, dom: GridDomain) -> None:
     leading-axis value, followed by one of the two line ends (value, flag)
     formed for each value of the last axis.  The ends are picked one lattice
     line at a time, by its flags read as 0 and 1, so no array or list of the
-    whole box is made.
+    whole box is made.  Every line of a 2-D box reads all the ends, formed
+    once; the single line of a 1-D box is formed and written `_CHUNK_ROWS`
+    ends at a time, so neither holds more than a line's ends or a chunk.
     """
-    *lead, last = (["%.17g" % v for v in ax.tolist()] for ax in dom.axes)
-    ends = np.array([[f"{v},0\n" for v in last], [f"{v},1\n" for v in last]], dtype=object)
-    column = np.arange(len(last))
-    prefixes = [v + "," for v in lead[0]] if lead else [""]
-    flags = dom.inside.reshape(len(prefixes), len(last)).view(np.uint8)
+    *lead, last = dom.axes
+    prefixes = ["%.17g," % v for v in lead[0].tolist()] if lead else [""]
+    flags = dom.inside.reshape(len(prefixes), last.size).view(np.uint8)
+    span = last.size if lead else _CHUNK_ROWS
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join([*coord_header(dom), "inside"]) + "\n")
-        for prefix, line in zip(prefixes, flags):
-            fh.write(prefix + prefix.join(ends[line, column].tolist()))
+        for c0 in range(0, last.size, span):
+            values = ["%.17g" % v for v in last[c0:c0 + span].tolist()]
+            ends = np.array([[v + ",0\n" for v in values], [v + ",1\n" for v in values]],
+                            dtype=object)
+            column = np.arange(len(values))
+            for prefix, line in zip(prefixes, flags[:, c0:c0 + span]):
+                fh.write(prefix + prefix.join(ends[line, column].tolist()))
 
 
 def _stream_rows(*columns: np.ndarray):

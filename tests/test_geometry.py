@@ -599,6 +599,44 @@ def test_reflections_keep_every_offset_distance_bitwise(dom, order):
                                       d.view(np.int64))
 
 
+def _breadth_first_reflections(dom, nodes):
+    """The group of `_reflections` as first built: each candidate tested by
+    comparing the whole moved mask with the mask, and the products kept
+    when their bytes are new."""
+    shape = dom.lattice_shape
+    at = np.unravel_index(nodes, shape)
+    moves = [(np.flip(dom.inside, ax), at[:ax] + (shape[ax] - 1 - at[ax],) + at[ax + 1:])
+             for ax in range(dom.dim)]
+    if dom.dim == 2 and shape[0] == shape[1]:
+        moves.append((dom.inside.T, at[::-1]))
+    gens = [np.searchsorted(nodes, np.ravel_multi_index(image, shape))
+            for mask, image in moves if np.array_equal(mask, dom.inside)]
+    group = [np.arange(nodes.size)]
+    seen = {group[0].tobytes()}
+    for g in group:
+        for s in gens:
+            if g[s].tobytes() not in seen:
+                seen.add(g[s].tobytes())
+                group.append(g[s])
+    return group
+
+
+@_REFLECTION_LATTICES
+def test_reflections_equal_the_whole_mask_breadth_first_group(dom, order):
+    """Testing the mask at the inside nodes' images and comparing each new
+    product with the kept elements give the group that whole-mask
+    comparisons and a set of byte keys gave: element for element and in
+    order, as permutations of the inside nodes (`lattice_symmetries`), of
+    the inside nodes and their ring (the scan's candidates) and of the box."""
+    for nodes in (dom.inside_indices, np.flatnonzero(geometry._dilate(dom.inside)),
+                  np.arange(dom.n_nodes)):
+        got = _reflections(dom, nodes)
+        want = _breadth_first_reflections(dom, nodes)
+        assert len(got) == len(want) == order
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g, w)
+
+
 _OFFSET_LATTICES = pytest.mark.parametrize("dom, dyadic", [
     (build_interval(0.0, 2.0, 1 / 128), True),
     (build_interval(0.0, 2.0, 1 / 100), False),

@@ -1019,18 +1019,23 @@ def _unpruned(u, alpha, base):
 
 
 def _formed(monkeypatch):
-    """Count the quotient entries the scan forms, through the blocks it asks
+    """Record the (rows, columns) of each quotient block the scan asks
     `_quotients` for: the first pass and the kept columns of a bounded
     scan, every column of a one-block scan."""
-    entries = []
+    shapes = []
     real = infinity._quotients
 
     def counted(vals, bv, row_keys, col_keys, *rest):
-        entries.append(row_keys.size * col_keys.size)
+        shapes.append((row_keys.size, col_keys.size))
         return real(vals, bv, row_keys, col_keys, *rest)
 
     monkeypatch.setattr(infinity, "_quotients", counted)
-    return entries
+    return shapes
+
+
+def _entries(shapes):
+    """The quotient entries of the blocks `_formed` recorded."""
+    return sum(rows * cols for rows, cols in shapes)
 
 
 @functools.lru_cache(maxsize=None)
@@ -1116,7 +1121,7 @@ def test_a_patch_whose_bound_is_the_extreme_is_kept(monkeypatch):
     got = _extreme_quotients(u, 0.5, base)
     want = _unpruned(u, 0.5, base)
     _assert_bitwise(got, want)
-    assert sum(formed) < base.size * dom.n_nodes / 2  # the scan was bounded
+    assert _entries(formed) < base.size * dom.n_nodes / 2  # the scan was bounded
 
     table = geometry._offset_distances(dom, base, base)[0]
     table **= 0.5
@@ -1146,7 +1151,7 @@ def test_verify1d_finest_scans_form_under_a_fifth_of_the_pairs(monkeypatch):
             first_residual(u, 0.5, ex.lam, delta)
         else:
             higher_residual(u, 0.5, ex.lam, delta)
-        shares[ex.kind] = sum(formed) / (sum(rows) * ncols)
+        shares[ex.kind] = _entries(formed) / (sum(rows) * ncols)
     print("shares of the full scan's pairs formed at h = 1/1024:",
           {kind: round(share, 3) for kind, share in shares.items()})
     assert max(shares.values()) < 0.2, shares
@@ -1175,3 +1180,103 @@ def test_one_block_scans_compute_no_bound(monkeypatch):
     assert calls == []
     first_residual(u, 0.5, 1.0, distance_to_complement(dom))
     assert len(calls) == 1
+
+
+# ---------------------------------------------------------------------------
+# sub-blocks: a row block's quotients formed `_SUB_BLOCK_ELEMENTS` at a time
+# ---------------------------------------------------------------------------
+
+_WHOLE_BLOCKS = 2**62  # at least a block of every column: no block is split
+
+
+def _with_sub_blocks(monkeypatch, elements, scan, *args):
+    """scan(*args) with sub-blocks of at most `elements` quotient entries,
+    and the (rows, columns) of each block it formed (`_formed`)."""
+    with monkeypatch.context() as m:
+        m.setattr(infinity, "_SUB_BLOCK_ELEMENTS", elements)
+        formed = _formed(m)
+        return scan(*args), formed
+
+
+def test_a_split_last_block_equals_the_whole_block(monkeypatch):
+    """disk_infinity's scan (the representation on the disk at h = 1/32, one
+    row per orbit) ends in a block of 10 rows near the flat maximum, which
+    keeps 3,143 of the 3,389 candidates.  In sub-blocks of 3, 3, 3 and 1
+    rows it gives the whole block's values (as int64) and witnesses."""
+    dom = build_disk((0.0, 0.0), 1.0, 1 / 32, 1.0)
+    u = _rep(dom, 0.5)
+    base = dom.inside_indices
+    want, whole = _with_sub_blocks(monkeypatch, _WHOLE_BLOCKS, _extreme_quotients, u, 0.5, base)
+    assert whole[-2:] == [(10, 212), (10, 3143)]  # the first pass, then the kept columns
+    got, split = _with_sub_blocks(monkeypatch, 3 * 3143, _extreme_quotients, u, 0.5, base)
+    assert split[-5:] == [(10, 212), (3, 3143), (3, 3143), (3, 3143), (1, 3143)]
+    _assert_bitwise(got, want)
+
+
+def _scan_every_row(u, alpha):
+    """`_scan` of every inside node of a zero-extended u, each a candidate,
+    with the group of `_invariance`, so the rows tied at an extreme are
+    recorded."""
+    dom = u.domain
+    cand = np.flatnonzero(_dilate(dom.inside))
+    rows = dom.inside_indices
+    col = np.searchsorted(cand, rows)
+    group = infinity._invariance(u, cand, col)[0]
+    assert len(group) > 1
+    return infinity._scan(u, alpha, cand, rows, col, np.ones(rows.size, dtype=bool), group)
+
+
+def test_rows_tied_on_both_sides_of_a_sub_block_edge_keep_their_records(monkeypatch):
+    """The symmetric integer-valued function on the disk at h = 1/8 ties
+    many rows.  Its one-block scan, run in sub-blocks of two rows, gives
+    the whole block's values, witnesses and tie records (row, images,
+    quotients) bit for bit, with tied rows on both sides of an edge."""
+    u = _ties_integer(build_disk((0.0, 0.0), 1.0, 1 / 8, 1.0))
+    ncols = np.count_nonzero(_dilate(u.domain.inside))
+    want, whole = _with_sub_blocks(monkeypatch, _WHOLE_BLOCKS, _scan_every_row, u, 1.0)
+    got, split = _with_sub_blocks(monkeypatch, 2 * ncols, _scan_every_row, u, 1.0)
+    n = u.domain.inside_count
+    assert whole == [(n, ncols)] and split == [(2, ncols)] * (n // 2) + [(1, ncols)] * (n % 2)
+    for (value, witness, ties), (v, w, t) in zip(got, want):
+        _assert_bitwise((value, witness), (v, w))
+        assert [row for row, _, _ in ties] == [row for row, _, _ in t]
+        for (_, images, quot), (_, im, q) in zip(ties, t):
+            np.testing.assert_array_equal(images, im)
+            assert quot.tobytes() == q.tobytes()
+        tied = {row for row, _, _ in t}
+        assert any(row % 2 == 0 and row - 1 in tied for row in tied)
+
+
+def test_verify1d_blocks_split_at_the_default_size_equal_whole_blocks(monkeypatch):
+    """verify1d's first profile at h = 1/256 keeps 288 of the 513 candidates
+    for its first block of 255 rows.  At the default size that block runs in
+    sub-blocks of 113, 113 and 29 rows, each setting apart the self pairs of
+    its own rows, and gives the whole block's bits."""
+    u = _profile("first")
+    base = u.domain.inside_indices
+    want, whole = _with_sub_blocks(monkeypatch, _WHOLE_BLOCKS, _extreme_quotients, u, 0.5, base)
+    assert whole[:2] == [(255, 33), (255, 288)]
+    got, split = _with_sub_blocks(monkeypatch, infinity._SUB_BLOCK_ELEMENTS,
+                                  _extreme_quotients, u, 0.5, base)
+    assert split[:4] == [(255, 33), (113, 288), (113, 288), (29, 288)]
+    _assert_bitwise(got, want)
+
+
+def test_verify1d_scans_trace_under_a_megabyte():
+    """Each of verify1d's three scans at h = 1/256 traces a peak under
+    1.0 MB (about 0.92 MB measured): the workspaces hold
+    `_SUB_BLOCK_ELEMENTS` entries, however many columns a block keeps.
+    Workspaces of a block of every column peaked at 2.45 MB."""
+    import tracemalloc
+
+    dom = build_interval(0.0, 2.0, 1 / 256)
+    base = dom.inside_indices
+    for ex in (first_1d(0.5), second_1d(0.5), third_1d(0.5)):
+        u = sample(ex, dom)
+        tracemalloc.start()
+        try:
+            _extreme_quotients(u, 0.5, base)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, (ex.kind, peak)

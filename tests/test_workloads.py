@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from test_infinity import _scanned_rows
+from test_infinity import _entries, _formed, _scanned_rows
 
 from fracteig.cli import main
 
@@ -60,3 +60,18 @@ def test_verify1d_scans_fold_every_profile(monkeypatch, tmp_path):
     assert main([wl.command, "--config", str(cfg)]) == 0
     assert rows == [m for m in (128, 256, 512, 1024) for profile in range(3)]
     assert sum(rows) == 5760
+
+
+@pytest.mark.parametrize("name, quotients", [("verify1d", 1_646_151),
+                                             ("disk_infinity", 238_142)])
+def test_scans_form_a_pinned_number_of_quotients(monkeypatch, tmp_path, name, quotients):
+    """The quotient entries a workload's scans form, the bound's first passes
+    included, are pinned, so a change to the bound or the fold shows here.
+    Splitting a block into sub-blocks forms the same entries: verify1d makes
+    156 `_quotients` calls, 147 with whole blocks."""
+    formed = _formed(monkeypatch)
+    wl = workloads.WORKLOADS[name]
+    cfg = tmp_path / f"{name}.json"
+    cfg.write_text(json.dumps({**wl.full.config, "out": str(tmp_path / "out")}), encoding="utf-8")
+    assert main([wl.command, "--config", str(cfg)]) == 0
+    assert _entries(formed) == quotients
