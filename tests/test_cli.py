@@ -893,7 +893,6 @@ def test_write_mask_holds_one_lattice_line_at_a_time(tmp_path):
     assert peak < 0.25 * 2**20, peak
 
 
-
 def test_write_mask_holds_one_chunk_of_a_1d_line_at_a_time(tmp_path):
     """A 1-D box is one lattice line: on (0, 2) at h = 1/1024 (10,241 nodes)
     the writer's traced peak stays under 0.3 MB (0.06 MB measured), as it
@@ -912,6 +911,7 @@ def test_write_mask_holds_one_chunk_of_a_1d_line_at_a_time(tmp_path):
     assert peak < 0.3 * 2**20, peak
     write_csv(tmp_path / "want.csv", ["x", "inside"], mask_rows(dom))
     assert (tmp_path / "mask.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
 
 def test_write_csv_passes_strings_through(tmp_path):
     path = tmp_path / "t.csv"

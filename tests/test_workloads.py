@@ -67,8 +67,7 @@ def test_verify1d_scans_fold_every_profile(monkeypatch, tmp_path):
 def test_scans_form_a_pinned_number_of_quotients(monkeypatch, tmp_path, name, quotients):
     """The quotient entries a workload's scans form, the bound's first passes
     included, are pinned, so a change to the bound or the fold shows here.
-    Splitting a block into sub-blocks forms the same entries: verify1d makes
-    156 `_quotients` calls, 147 with whole blocks."""
+    Sub-blocks form the entries whole blocks formed."""
     formed = _formed(monkeypatch)
     wl = workloads.WORKLOADS[name]
     cfg = tmp_path / f"{name}.json"
