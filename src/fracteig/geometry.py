@@ -17,7 +17,8 @@ Conventions used throughout:
   every distance between two lattice nodes, or a power of it, is read by
   their index offset from one table that only `_offset_distances` builds and
   `_gather` reads; analytic distances read coordinates at the inside nodes,
-  `nearest_node` the axes, and only a predicate every node's;
+  `nearest_node` the axes, and only a predicate every node's, one band of
+  lattice lines at a time;
 * a lattice reflection is a permutation of the positions in an ascending
   array of flat node indices that it maps onto itself (`_reflections`), and
   `_orbits` numbers the orbits of a group of them, for every fold.
@@ -66,17 +67,31 @@ __all__ = [
 # sub-block.
 _BLOCK_ELEMENTS = 2**17
 
+# Nodes in one band of lattice lines of a membership test (`_membership`):
+# 2**12, so a band's float temporaries take 32 KB at most.  Freed heap blocks
+# stay resident: with bands of 2**14 to 2**18 nodes the disk_eig run (a
+# 215 x 215 box) peaked 0.06-0.11 MB above the whole-box test, and with 2**12
+# level with it.  The disk at h = 1/256, margin 2 (11.6 million nodes, 3,411
+# one-line bands) builds in 122-213 ms in a fresh process, against 110-290
+# ms for the whole box.
+_BAND_ELEMENTS = _BLOCK_ELEMENTS // 32
+
 # Fraction of h used as a guard band: nodes this close to a canonical boundary
 # count as outside, so inside nodes always carry a strictly positive distance.
 _BOUNDARY_GUARD = 1e-9
 
 # Peak bytes per box node of a lattice build, by how it tests membership.  The
-# measured peak RSS rise of a canonical shape's test on sparse axes was 9.0
-# for a disk at 1.8 and 7.1 million nodes, 10.6 and 10.1 for an interval at 1
-# and 4 million (its axis and the mask), and 2.0 for a rectangle at 1.7 and 6.8
-# million, each charged 16; that of a predicate mask, the unit disk's, was 40.0
-# at 1.8 and 7.1 million (the coordinates and the predicate's temporaries),
-# charged 48 for predicates that make more temporaries than that one.
+# charges were set when every test spanned the whole box: a canonical shape's
+# test on sparse axes then rose the peak RSS by 9.0 bytes a node for a disk at
+# 1.8 and 7.1 million nodes, 10.6 and 10.1 for an interval at 1 and 4 million
+# (its axis and the mask), and 2.0 for a rectangle at 1.7 and 6.8 million,
+# each charged 16; a predicate mask, the unit disk's, rose it by 40.0 at 1.8
+# and 7.1 million (the coordinates and the predicate's temporaries), charged
+# 48.  Formed a band at a time (`_membership`), the same builds rise by 1.00
+# and 0.98 (disk), 8.93 and 8.98 (interval: its axis is 8), 0.93 and 0.98
+# (rectangle) and 0.99 and 0.98 (predicate, now tested in the tight box
+# alone).  The charges stay: lowering them would change which configs are
+# refused.
 _LATTICE_BYTES = {"shape": 16, "predicate": 48}
 
 
@@ -253,7 +268,8 @@ class GridDomain:
 
     Instances are treated as immutable; do not mutate ``inside`` in place.
     The inside nodes' indices, coordinates and distance to the complement
-    (`inside_distance`) are cached: each is computed once per domain.
+    (`inside_distance`), and the inside nodes with their outside ring
+    (`inside_and_ring`), are cached: each is computed once per domain.
     """
 
     dim: int
@@ -341,10 +357,19 @@ class GridDomain:
         if self.shape_tag is not None:
             d = self.shape_tag.distance(self.inside_coords)
         else:
-            ring = np.flatnonzero(_dilate(self.inside) & ~self.inside)
-            d = _nearest_distances(self, self.inside_indices, ring)
+            near = self.inside_and_ring
+            d = _nearest_distances(self, self.inside_indices, near[~self.inside_flat[near]])
         d.flags.writeable = False
         return d
+
+    @cached_property
+    def inside_and_ring(self) -> np.ndarray:
+        """Ascending flat indices of the inside nodes and the outside ring,
+        the outside axis neighbours of inside nodes: computed once per domain
+        and kept read-only."""
+        near = np.flatnonzero(_dilate(self.inside))
+        near.flags.writeable = False
+        return near
 
     @property
     def inside_count(self) -> int:
@@ -371,7 +396,8 @@ class GridDomain:
         if shape_tag is None:
             _check_memory(_LATTICE_BYTES["predicate"] * self.n_nodes,
                           f"lattice arrays for {self.n_nodes} nodes")
-        mask = self.inside & _membership(self.axes, self.h, shape_tag, predicate)
+        mask = _membership(self.axes, self.h, shape_tag, predicate)
+        mask &= self.inside
         return GridDomain(
             dim=self.dim,
             h=self.h,
@@ -485,16 +511,46 @@ def _coords(dom: GridDomain, nodes: np.ndarray) -> np.ndarray:
 
 
 def _membership(axes, h: float, shape: Optional[CanonicalShape],
-                predicate: Optional[Callable[[np.ndarray], np.ndarray]]) -> np.ndarray:
+                predicate: Optional[Callable[[np.ndarray], np.ndarray]],
+                within: Optional[tuple] = None) -> np.ndarray:
     """Membership mask of the product lattice of `axes`: a canonical shape's
     `_inside` on the sparse axes, with the boundary guard of spacing h, or
-    else a predicate on every node's coordinates, made for the call alone."""
-    if shape is not None:
-        return shape._inside(*np.meshgrid(*axes, indexing="ij", sparse=True, copy=False),
-                             guard=_BOUNDARY_GUARD * h)
-    if predicate is None:
+    else a predicate on the nodes' coordinates, and'ed, where within is a
+    pair (lo, hi) of corners, with the open box between them.
+
+    That box, guarded as a `Rectangle` is, holds one range of nodes per
+    axis, so the predicate is tested on that window alone and the rest of
+    the mask is False.  The mask is written into one bool array, a band of
+    lattice lines along axis 0 at a time, each band at most `_BAND_ELEMENTS`
+    nodes (one line at least), so the float temporaries of a test never
+    span the box.  A predicate is called once per band, on that band's
+    (nodes, dim) coordinates, so it must be pointwise: a node's flag may
+    depend on its own coordinates alone.  Every test here is elementwise,
+    so the bands give the flags a test of the whole box would, bit for bit."""
+    if shape is None and predicate is None:
         raise ValueError("need a predicate or a canonical shape")
-    return np.asarray(predicate(_node_coords(axes)), dtype=bool).reshape(tuple(map(len, axes)))
+    guard = _BOUNDARY_GUARD * h
+    out = np.empty(tuple(map(len, axes)), dtype=bool)
+    window = out
+    if shape is None and within is not None:
+        out.fill(False)
+        spans = [np.flatnonzero((ax > a + guard) & (ax < b - guard))
+                 for ax, a, b in zip(axes, *within)]
+        if any(s.size == 0 for s in spans):
+            return out
+        window = out[tuple(slice(s[0], s[-1] + 1) for s in spans)]
+        axes = [ax[s[0]:s[-1] + 1] for ax, s in zip(axes, spans)]
+    lines, *rest = axes
+    band = max(1, _BAND_ELEMENTS // math.prod(map(len, rest)))
+    for k0 in range(0, lines.size, band):
+        sub = (lines[k0:k0 + band], *rest)
+        if shape is not None:
+            window[k0:k0 + band] = shape._inside(
+                *np.meshgrid(*sub, indexing="ij", sparse=True, copy=False), guard=guard)
+        else:
+            window[k0:k0 + band] = np.asarray(predicate(_node_coords(sub)),
+                                              dtype=bool).reshape(tuple(map(len, sub)))
+    return out
 
 
 def _lattice(lo: np.ndarray, hi: np.ndarray, h: float, margin: float, anchor: np.ndarray,
@@ -521,9 +577,8 @@ def _lattice(lo: np.ndarray, hi: np.ndarray, h: float, margin: float, anchor: np
     per_node = _LATTICE_BYTES["predicate" if shape is None else "shape"]
     _check_memory(per_node * int(nodes), f"lattice arrays for {int(nodes)} nodes")
     axes = tuple(_axis(c, -int(down), int(up), h) for c, down, up in zip(anchor, below, above))
-    inside = _membership(axes, h, shape, inside_of)
-    if shape is None:  # the predicate counts only inside the tight box
-        inside = inside & _membership(axes, h, Rectangle(*lo, *hi), None)
+    # a predicate counts only inside the tight box
+    inside = _membership(axes, h, shape, inside_of, within=(lo, hi))
     return GridDomain(dim=len(axes), h=float(h), axes=axes, inside=inside,
                       shape_tag=shape, margin=float(margin))
 
@@ -735,17 +790,26 @@ def high_ridge(delta: GridFunction, tol: Optional[float] = None) -> NodeSet:
     """Nodes where the distance to the complement is within tol of its maximum.
 
     Default tolerance is h/2, which captures exactly the nodes sitting on the
-    continuum ridge whenever that ridge passes through lattice nodes.
+    continuum ridge whenever that ridge passes through lattice nodes.  The
+    maximum is taken over the lattice (`inscribed_radius`), the nodes among
+    the inside ones (`_ridge`).
     """
     dom = delta.domain
+    return _ridge(dom, delta.flat()[dom.inside_indices], inscribed_radius(delta), tol)
+
+
+def _ridge(dom: GridDomain, din: np.ndarray, top: Optional[float] = None,
+           tol: Optional[float] = None) -> NodeSet:
+    """The inside nodes whose distance din (in inside order) is within tol
+    of top: `high_ridge` on the inside values alone.  top defaults to the
+    largest of din, tol to h/2."""
     if tol is None:
         tol = dom.h / 2.0
     if tol < 0.0:
         raise ValueError(f"tolerance must be >= 0, got {tol}")
-    r = inscribed_radius(delta)
-    flat = delta.flat()
-    mask = (flat >= r - tol) & dom.inside_flat
-    return NodeSet(dom, np.flatnonzero(mask))
+    if top is None:
+        top = float(din.max())
+    return NodeSet(dom, dom.inside_indices[din >= top - tol])
 
 
 def distance_to_set(dom: GridDomain, nodes: NodeSet) -> GridFunction:

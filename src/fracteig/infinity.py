@@ -60,6 +60,16 @@ a block near a flat maximum, which keeps almost every column, needs no
 larger workspace than one that keeps few; each row is reduced over the same
 columns in the same order, so the sub-blocks change no bit.
 
+The scan and the reports work on values, not on grid functions:
+`_extreme_quotients`, `_scan` and `_invariance` take the domain and u's
+values at its candidates (`_candidates`), and `_residual_report` those and
+the distance to the complement at the inside nodes.  The command line calls
+them with inside values (`_zero_ring` puts +0.0 on the ring), so a report
+makes no array over the box's nodes.  The public functions on grid
+functions are thin wrappers: they read the candidates' values as stored,
+so a -0.0 outside the region keeps its bits, and return functions through
+`GridFunction.from_inside`.
+
 The first-eigenvalue equation residual at an inside node is
 
     max( l_plus + l_minus ,  l_minus + lam * u )
@@ -86,15 +96,14 @@ from .geometry import (
     Interval,
     NodeSet,
     _coords,
-    _dilate,
     _gather,
     _nearest_distances,
     _node_index,
     _offset_distances,
     _orbits,
     _reflections,
+    _ridge,
     block_rows,
-    distance_to_complement,
     high_ridge,
 )
 from .reports import _stream_rows
@@ -137,22 +146,39 @@ _SUB_BLOCK_ELEMENTS = _BLOCK_ELEMENTS // 4
 _EXTREMES = ((-np.inf, np.argmax), (np.inf, np.argmin))
 
 
-def _invariance(u: GridFunction, cand: np.ndarray, at: Optional[np.ndarray]) -> tuple:
+def _candidates(dom: GridDomain, zero_extended: bool = True) -> np.ndarray:
+    """The ascending flat indices a scan compares against (the module
+    docstring): the inside nodes and their ring for a zero-extended
+    function, every box node otherwise."""
+    return dom.inside_and_ring if zero_extended else np.arange(dom.n_nodes)
+
+
+def _zero_ring(dom: GridDomain, uin: np.ndarray) -> np.ndarray:
+    """A zero-extended u known at the inside nodes (uin, in their order) as
+    its values at its candidates (`_candidates`): +0.0 on the ring."""
+    cand = dom.inside_and_ring
+    vals = np.zeros(cand.size)
+    vals[dom.inside_flat[cand]] = uin
+    return vals
+
+
+def _invariance(dom: GridDomain, vals: np.ndarray, cand: np.ndarray,
+                at: Optional[np.ndarray]) -> tuple:
     """The mask reflections (`geometry._reflections`) as permutations of the
-    ascending candidate nodes that map the base nodes, at the ascending
-    positions `at` among them, onto themselves and keep u up to sign at every
-    candidate, compared by value: ``(group, sign, exact)`` with
-    u o group[k] == sign[k] * u, and exact[k] where group[k] keeps the bits
-    of u too (as int64, so -0.0 differs from 0.0).  Equality by value up to
-    sign is transitive, so the elements form a group, identity first; the
-    identity alone for one base node or when one is not a candidate (None)."""
+    ascending candidate nodes cand that map the base nodes, at the ascending
+    positions `at` among them, onto themselves and keep u, given by its
+    values vals at the candidates, up to sign at every candidate, compared
+    by value: ``(group, sign, exact)`` with u o group[k] == sign[k] * u, and
+    exact[k] where group[k] keeps the bits of u too (as int64, so -0.0
+    differs from 0.0).  Equality by value up to sign is transitive, so the
+    elements form a group, identity first; the identity alone for one base
+    node or when one is not a candidate (None)."""
     if at is None or at.size == 1:
         return [np.arange(cand.size)], np.ones(1), np.ones(1, dtype=bool)
     in_base = np.zeros(cand.size, dtype=bool)
     in_base[at] = True
-    vals = u.flat()[cand]
     kept = []
-    for g in _reflections(u.domain, cand):
+    for g in _reflections(dom, cand):
         image = vals[g]
         s = 1.0 if np.array_equal(image, vals) else -1.0
         if in_base[g[at]].all() and np.array_equal(image, s * vals):
@@ -161,11 +187,14 @@ def _invariance(u: GridFunction, cand: np.ndarray, at: Optional[np.ndarray]) -> 
     return list(group), np.array(sign), np.array(exact)
 
 
-def _extreme_quotients(u: GridFunction, alpha: float,
-                       base: np.ndarray) -> Tuple[np.ndarray, ...]:
+def _extreme_quotients(dom: GridDomain, vals: np.ndarray, alpha: float, base: np.ndarray,
+                       base_vals: np.ndarray,
+                       zero_extended: bool = True) -> Tuple[np.ndarray, ...]:
     """Max/min Hoelder quotients (and witnesses) for each base node, given as
-    ascending flat indices: over R^n for a zero-extended u, over the box
-    otherwise (see the module docstring).
+    ascending flat indices, of a function u on dom given by its values vals
+    at its candidates (`_candidates`) and base_vals at the base nodes: over
+    R^n for a zero-extended u, over the box otherwise (see the module
+    docstring).
 
     One base node per orbit of the invariance group (`_invariance`) is
     scanned (`_scan`), its smallest (`geometry._orbits` over positions in
@@ -180,28 +209,26 @@ def _extreme_quotients(u: GridFunction, alpha: float,
     are the last allocation, as in an unfolded scan, and freeing them can
     return their memory.
     """
-    dom = u.domain
-    if u.zero_extended:
-        cand = np.flatnonzero(_dilate(dom.inside))
-    else:
-        cand = np.arange(dom.n_nodes)
+    cand = _candidates(dom, zero_extended)
     base = np.asarray(base, dtype=np.int64)
     # column of each base node among the candidates, where it is one (y = x is excluded)
     col = np.minimum(np.searchsorted(cand, base), cand.size - 1)
     is_cand = cand[col] == base
-    group, sign, exact = _invariance(u, cand, col if is_cand.all() else None)
+    group, sign, exact = _invariance(dom, vals, cand, col if is_cand.all() else None)
     # the group as permutations of positions in base, which its elements map onto itself
     reps, orbit, elem = _orbits([np.arange(base.size)]
                                 + [np.searchsorted(col, g[col]) for g in group[1:]])
     result = (np.empty(base.size), np.empty(base.size, dtype=np.int64),
               np.empty(base.size), np.empty(base.size, dtype=np.int64))
-    scanned = _scan(u, alpha, cand, base[reps], col[reps], is_cand[reps], group)
+    scanned = _scan(dom, vals, alpha, cand, base[reps], base_vals[reps], col[reps],
+                    is_cand[reps], group)
     # the members whose extremes their element may not carry over, as rows of
     # their own, reached through the identity
     zero = (scanned[0][0] == 0.0) | (scanned[1][0] == 0.0)
     again = np.flatnonzero(~exact[elem] & zero[orbit])
     if again.size:
-        extra = _scan(u, alpha, cand, base[again], col[again], is_cand[again], group[:1])
+        extra = _scan(dom, vals, alpha, cand, base[again], base_vals[again], col[again],
+                      is_cand[again], group[:1])
         orbit[again] = reps.size + np.arange(again.size)
         elem[again] = 0
         scanned = [(np.concatenate([v, w]), np.concatenate([i, j]), ties)
@@ -210,7 +237,7 @@ def _extreme_quotients(u: GridFunction, alpha: float,
     for e, (self_value, _) in enumerate(_EXTREMES):
         value, witness = _expand(scanned, e, orbit, elem, group, sign, cand,
                                  result[2 * e:2 * e + 2])
-        if u.zero_extended:
+        if zero_extended:
             # the far field, at 0, wins where strictly better: where the
             # value lies on the self pair's side of 0
             far = np.sign(value) == np.sign(self_value)
@@ -219,13 +246,15 @@ def _extreme_quotients(u: GridFunction, alpha: float,
     return result
 
 
-def _scan(u: GridFunction, alpha: float, cand: np.ndarray, rows: np.ndarray,
-          col: np.ndarray, is_cand: np.ndarray, group: list) -> list:
-    """The extremes of the rows (flat indices) over the ascending candidates
-    cand: for the sup, then the inf, the values, the witnesses as candidate
-    columns, and the rows tied at the extreme (`_ties`, where the group has
-    more than the identity).  Row i is candidate column col[i] where
-    is_cand[i], and that self pair is passed over.
+def _scan(dom: GridDomain, vals: np.ndarray, alpha: float, cand: np.ndarray,
+          rows: np.ndarray, bv: np.ndarray, col: np.ndarray, is_cand: np.ndarray,
+          group: list) -> list:
+    """The extremes of the rows (flat indices, where u is bv) over the
+    ascending candidates cand (where u is vals): for the sup, then the inf,
+    the values, the witnesses as candidate columns, and the rows tied at the
+    extreme (`_ties`, where the group has more than the identity).  Row i is
+    candidate column col[i] where is_cand[i], and that self pair is passed
+    over.
 
     The rows run in blocks of `block_rows` rows.  A scan of more than one
     block is bounded (`_patch_bound`, from the table's layout; the module
@@ -247,9 +276,6 @@ def _scan(u: GridFunction, alpha: float, cand: np.ndarray, rows: np.ndarray,
     in a sub-block they hold about 0.56 MB, however many columns a block
     keeps.
     """
-    dom = u.domain
-    vals = u.flat()[cand]
-    bv = u.flat()[rows]
     dist_a, row_keys, col_keys, layout = _offset_distances(dom, rows, cand, alpha, np.nan)
     n = rows.size
     extremes = [(np.empty(n), np.empty(n, dtype=np.int64), []) for _ in _EXTREMES]
@@ -454,13 +480,21 @@ def _expand(scanned: list, e: int, orbit: np.ndarray, elem: np.ndarray, group: l
     return value, cand.take(witness, out=witness)
 
 
+def _grid_extremes(u: GridFunction, alpha: float, base: np.ndarray) -> Tuple[np.ndarray, ...]:
+    """`_extreme_quotients` of a grid function at the base nodes, read from
+    its stored values, bit for bit (a -0.0 stays -0.0)."""
+    flat = u.flat()
+    return _extreme_quotients(u.domain, flat[_candidates(u.domain, u.zero_extended)], alpha,
+                              base, flat[base], u.zero_extended)
+
+
 def linf_plus(u: GridFunction, alpha: float, x: int) -> Tuple[float, int]:
     """Sup of the alpha-quotient at node x; returns (value, witness index).
 
     Witness -1 means the far field won: every other quotient is negative.
     """
     _check_alpha(alpha)
-    lp, wp, _, _ = _extreme_quotients(u, alpha, np.array([_node_index(u.domain, x)]))
+    lp, wp, _, _ = _grid_extremes(u, alpha, np.array([_node_index(u.domain, x)]))
     return float(lp[0]), int(wp[0])
 
 
@@ -470,7 +504,7 @@ def linf_minus(u: GridFunction, alpha: float, x: int) -> Tuple[float, int]:
     Witness -1 means the far field won: every other quotient is positive.
     """
     _check_alpha(alpha)
-    _, _, lm, wm = _extreme_quotients(u, alpha, np.array([_node_index(u.domain, x)]))
+    _, _, lm, wm = _grid_extremes(u, alpha, np.array([_node_index(u.domain, x)]))
     return float(lm[0]), int(wm[0])
 
 
@@ -499,7 +533,7 @@ def holder_seminorm(u: GridFunction, alpha: float) -> float:
     nz = np.flatnonzero(u.flat())
     if nz.size == 0:
         return 0.0
-    lp, _, lm, _ = _extreme_quotients(u, alpha, nz)
+    lp, _, lm, _ = _grid_extremes(u, alpha, nz)
     return float(max(lp.max(), -lm.min(), 0.0))
 
 
@@ -565,28 +599,25 @@ class InfinityReport:
                             self.l_minus_analytic, self.branch, self.residual)
 
 
-def _residual_report(u: GridFunction, alpha: float, lam: float, delta: GridFunction,
-                     band_scale: Optional[float], name: str) -> InfinityReport:
-    """One extreme-quotient scan over the inside nodes.  band_scale None is the
-    first-eigenvalue equation: u >= 0 and no dead band."""
+def _residual_report(dom: GridDomain, vals: np.ndarray, din: np.ndarray, alpha: float,
+                     lam: float, band_scale: Optional[float]) -> InfinityReport:
+    """One extreme-quotient scan over the inside nodes of a zero-extended u
+    given by its values vals at its candidates (`_candidates`; `_zero_ring`
+    makes them from the inside values), din the distance to the complement
+    at the inside nodes.  band_scale None is the first-eigenvalue equation:
+    u >= 0 and no dead band."""
     _check_alpha(alpha)
-    if not u.zero_extended:
-        raise ValueError(f"{name} expects a zero-extended function")
     if band_scale is not None and not band_scale >= 0.0:  # NaN included
         raise ValueError("band_scale must be >= 0")
     if not math.isfinite(lam):
         raise ValueError(f"lam must be finite, got {lam}")
-    dom = u.domain
-    if not dom.same_lattice(delta.domain):
-        raise ValueError("distance function lives on a different lattice")
     nodes = dom.inside_indices
-    uin = u.flat()[nodes]
-    din = delta.flat()[nodes]
+    uin = vals[dom.inside_flat[dom.inside_and_ring]]
     if np.any(din <= 0.0):
         raise RuntimeError("distance must be positive at inside nodes")
     if band_scale is None and np.any(uin < 0.0):
-        raise ValueError(f"{name} expects a nonnegative function")
-    lp, wp, lm, wm = _extreme_quotients(u, alpha, nodes)
+        raise ValueError("first_residual expects a nonnegative function")
+    lp, wp, lm, wm = _extreme_quotients(dom, vals, alpha, nodes, uin)
 
     # the seminorm is holder_seminorm(u, alpha) exactly: every pair with a
     # nonzero end is a row of this scan, and |x - y| is bitwise symmetric
@@ -608,10 +639,23 @@ def _residual_report(u: GridFunction, alpha: float, lam: float, delta: GridFunct
                           branch=branch, residual=residual)
 
 
+def _grid_report(u: GridFunction, alpha: float, lam: float, delta: GridFunction,
+                 band_scale: Optional[float], name: str) -> InfinityReport:
+    """`_residual_report` of grid functions, read from their stored values,
+    bit for bit (a -0.0 on the ring stays -0.0)."""
+    if not u.zero_extended:
+        raise ValueError(f"{name} expects a zero-extended function")
+    dom = u.domain
+    if not dom.same_lattice(delta.domain):
+        raise ValueError("distance function lives on a different lattice")
+    return _residual_report(dom, u.flat()[dom.inside_and_ring],
+                            delta.flat()[dom.inside_indices], alpha, lam, band_scale)
+
+
 def first_residual(u: GridFunction, alpha: float, lam: float,
                    delta: GridFunction) -> InfinityReport:
     """Residual of max{ l_plus + l_minus, l_minus + lam*u } = 0 for u >= 0."""
-    return _residual_report(u, alpha, lam, delta, None, "first_residual")
+    return _grid_report(u, alpha, lam, delta, None, "first_residual")
 
 
 def higher_residual(u: GridFunction, alpha: float, lam: float,
@@ -625,7 +669,7 @@ def higher_residual(u: GridFunction, alpha: float, lam: float,
     Hoelder variation, so it vanishes under refinement.  The seminorm is read
     off the same scan that gives l_plus and l_minus: one scan per report.
     """
-    return _residual_report(u, alpha, lam, delta, band_scale, "higher_residual")
+    return _grid_report(u, alpha, lam, delta, band_scale, "higher_residual")
 
 
 # ---------------------------------------------------------------------------
@@ -641,22 +685,30 @@ def representation(dom: GridDomain, gamma1: NodeSet, alpha: float, *,
     the complement and rho the distance to the chosen subset gamma1 of the
     ridge, high_ridge(delta).  Equals 1 exactly on gamma1, lies in (0, 1]
     inside, 0 outside, so rho is read (by index offset) at inside nodes only.
-    A caller that already holds distance_to_complement(dom) passes it as
-    delta; it must live on the lattice of dom.
+    A caller's delta, a distance function on the lattice of dom, takes the
+    place of the domain's `inside_distance`.
     """
     _check_alpha(alpha)
     if delta is None:
-        delta = distance_to_complement(dom)
+        din = dom.inside_distance
+        ridge = _ridge(dom, din)
     elif not dom.same_lattice(delta.domain):
         raise ValueError("distance function lives on a different lattice")
-    if not np.isin(gamma1.indices, high_ridge(delta).indices).all():
+    else:
+        din = delta.flat()[dom.inside_indices]
+        ridge = high_ridge(delta)
+    return GridFunction.from_inside(dom, _representation(dom, gamma1, alpha, din, ridge))
+
+
+def _representation(dom: GridDomain, gamma1: NodeSet, alpha: float, din: np.ndarray,
+                    ridge: NodeSet) -> np.ndarray:
+    """`representation` at the inside nodes, from the distance din there and
+    the ridge that gamma1 must lie on."""
+    if not np.isin(gamma1.indices, ridge.indices).all():
         raise ValueError("gamma1 contains nodes outside the ridge tolerance")
-    inside = dom.inside_indices
-    da = delta.flat()[inside] ** alpha
-    ra = _nearest_distances(dom, inside, gamma1.indices) ** alpha
-    vals = np.zeros(dom.n_nodes)
-    vals[inside] = da / (da + ra)
-    return GridFunction(dom, vals.reshape(dom.lattice_shape))
+    da = din ** alpha
+    ra = _nearest_distances(dom, dom.inside_indices, gamma1.indices) ** alpha
+    return da / (da + ra)
 
 
 def cone(dom: GridDomain, x0: int, radius: float, alpha: float,

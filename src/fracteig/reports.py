@@ -37,6 +37,7 @@ __all__ = [
     "coord_header",
     "write_mask",
     "function_rows",
+    "inside_rows",
     "infinity_header",
 ]
 
@@ -144,8 +145,13 @@ def _stream_rows(*columns: np.ndarray):
 
 def function_rows(u: GridFunction):
     """Rows (coordinates..., value) at the inside nodes."""
-    dom = u.domain
-    return _stream_rows(*dom.inside_coords.T, u.flat()[dom.inside_indices])
+    return inside_rows(u.domain, u.inside_values())
+
+
+def inside_rows(dom: GridDomain, values: np.ndarray):
+    """Rows (coordinates..., value) of values given at the inside nodes, in
+    their order."""
+    return _stream_rows(*dom.inside_coords.T, values)
 
 
 def infinity_header(dom: GridDomain) -> list:

@@ -1,6 +1,25 @@
+import tracemalloc
+
 import pytest
 
 _RECORDS = []
+
+
+@pytest.fixture
+def traced_peak():
+    """traced_peak(fn, *args, **kwargs): the peak bytes tracemalloc traces
+    while fn runs, counted from the call, so arrays that exist before it
+    count for nothing."""
+
+    def peak(fn, *args, **kwargs) -> int:
+        tracemalloc.start()
+        try:
+            fn(*args, **kwargs)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    return peak
 
 
 @pytest.fixture

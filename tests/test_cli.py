@@ -652,8 +652,8 @@ def test_lattice_larger_than_memory_exits_2(tmp_path, capsys, monkeypatch, comma
 @pytest.mark.parametrize("command, library_call, overrides", [
     ("eig", "minimize_first", {}),
     ("sweep", "p_sweep", {"ps": [4.0, 8.0]}),
-    ("infinity", "first_residual", {}),
-    ("verify1d", "higher_residual", {"h_list": [1 / 16]}),
+    ("infinity", "_residual_report", {}),
+    ("verify1d", "_residual_report", {"h_list": [1 / 16]}),
 ], ids=["eig", "sweep", "infinity", "verify1d"])
 def test_a_library_value_error_exits_2_in_every_subcommand(tmp_path, capsys, monkeypatch,
                                                            command, library_call, overrides):
@@ -875,42 +875,45 @@ def test_write_mask_equals_write_csv_of_node_rows(tmp_path, dom):
     assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
-def test_write_mask_holds_one_lattice_line_at_a_time(tmp_path):
+def test_write_mask_holds_one_lattice_line_at_a_time(tmp_path, traced_peak):
     """On disk_infinity's 247 x 247 box the 2-D mask writer's traced peak
     stays under 0.25 MB (0.11 MB measured): one line's ends and text at a
     time.  Indexing the ends with the whole box's flags at once peaked at
     1.06 MB."""
-    import tracemalloc
-
     dom = build_disk((0.0, 0.0), 1.0, 1 / 32, margin=1.0)
     assert dom.lattice_shape == (247, 247)
-    tracemalloc.start()
-    try:
-        write_mask(tmp_path / "mask.csv", dom)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(write_mask, tmp_path / "mask.csv", dom)
     assert peak < 0.25 * 2**20, peak
 
 
-def test_write_mask_holds_one_chunk_of_a_1d_line_at_a_time(tmp_path):
+def test_write_mask_holds_one_chunk_of_a_1d_line_at_a_time(tmp_path, traced_peak):
     """A 1-D box is one lattice line: on (0, 2) at h = 1/1024 (10,241 nodes)
     the writer's traced peak stays under 0.3 MB (0.06 MB measured), as it
     forms `_CHUNK_ROWS` line ends at a time.  Forming the whole line's ends
     at once peaked at 2.43 MB.  The bytes are write_csv's."""
-    import tracemalloc
-
     dom = build_interval(0.0, 2.0, 1 / 1024)
     assert dom.n_nodes == 10241
-    tracemalloc.start()
-    try:
-        write_mask(tmp_path / "mask.csv", dom)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(write_mask, tmp_path / "mask.csv", dom)
     assert peak < 0.3 * 2**20, peak
     write_csv(tmp_path / "want.csv", ["x", "inside"], mask_rows(dom))
     assert (tmp_path / "mask.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+def test_infinity_on_a_wide_box_traces_under_a_float_per_box_node(tmp_path, traced_peak):
+    """The infinity run on the unit disk at h = 1/8, margin 8 (145,161 box
+    nodes, 193 inside) traces a peak under 8 bytes per box node, one float
+    array over the box: its functions, distances and report hold inside
+    values, and the mask is formed a band at a time (4.69 bytes a node
+    measured).  With delta and u as functions over the box it traced 20.7."""
+    out = tmp_path / "run"
+    cfg = _write_config(tmp_path, {"domain": {"shape": "disk", "center": [0.0, 0.0],
+                                              "radius": 1.0},
+                                   "alpha": 0.5, "h": 0.125, "margin": 8.0, "out": str(out)})
+    nodes = build_disk((0.0, 0.0), 1.0, 0.125, margin=8.0).n_nodes
+    assert nodes == 145161
+    peak = traced_peak(main, ["infinity", "--config", str(cfg)])
+    assert _report(out)["summary"]["nodes"] == 193
+    assert peak < 8 * nodes, peak / nodes
 
 
 def test_write_csv_passes_strings_through(tmp_path):

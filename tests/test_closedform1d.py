@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from fracteig.closedform1d import first_1d, sample, second_1d, third_1d
-from fracteig.geometry import build_disk, build_interval
+from fracteig.geometry import build_disk, build_interval, distance_to_complement, nearest_node
+from fracteig.infinity import BRANCH_OPERATOR, higher_residual
 
 
 def test_constants_at_half():
@@ -133,3 +134,48 @@ def test_sampled_max_sits_next_to_break_point():
         u = sample(ex, dom)
         xmax = dom.inside_coords[np.argmax(u.inside_values()), 0]
         assert abs(xmax - ex.a) <= h
+
+
+@pytest.mark.parametrize("make, opposite, h, plateau, at", [
+    (second_1d, lambda a: 2.0 - a, 1 / 3072, 0.12813, 0.29499),
+    (third_1d, lambda a: 1.0, 1 / 2560, 0.16541, 0.17700),
+], ids=["second", "third"])
+def test_sign_changing_profiles_have_a_continuum_plateau(make, opposite, h, plateau, at):
+    """Criterion 7, measured (alpha = 1/2).  On the band (a/2, a) between
+    the wall and the first peak a (u = 1) the sup of the Hoelder quotient is
+    attained at a, and the inf across the nodal line, at the opposite-sign
+    peak p (u = -1; 2 - a for the second profile, 1 for the third), where
+    below a/2 it is attained at the wall.  Both branches of the equation are
+    then negative: r = max(l+ + l-, l- + lam u) < 0, a strict supersolution,
+    whose residual tends to the band's minimum, -plateau, and not to 0.
+
+    A scan at a spacing that makes a and p nodes finds those witnesses at
+    every node of the band, and its sup residual, on the band, with a
+    negative sign, is the continuum plateau to 1e-4."""
+    ex = make(0.5)
+    a, p = ex.a, opposite(ex.a)
+    x = np.linspace(a / 2, a, 100_001)[1:-1]
+    u = ex(x)
+    l_minus = (-1.0 - u) / (p - x) ** 0.5
+    r = np.maximum((1.0 - u) / (a - x) ** 0.5 + l_minus, l_minus + ex.lam * u)
+    # the opposite peak is below the wall's quotient -u / x^alpha on the band
+    assert np.all(l_minus < -u / x ** 0.5)
+    assert r.max() < 0.0
+    k = np.argmin(r)
+    assert abs(-r[k] - plateau) < 5e-6 and abs(x[k] - at) < 1e-5
+
+    dom = build_interval(0.0, 2.0, h)
+    peak, far = nearest_node(dom, a), nearest_node(dom, p)
+    assert abs(dom.axes[0][peak] - a) < 1e-12 and abs(dom.axes[0][far] - p) < 1e-12
+    rep = higher_residual(sample(ex, dom), 0.5, ex.lam, distance_to_complement(dom))
+    xs = dom.inside_coords[:, 0]
+    band = (xs > a / 2 + h) & (xs < a - h)
+    assert band.sum() > 200
+    assert np.all(rep.witness_plus[band] == peak) and np.all(rep.witness_minus[band] == far)
+    assert np.all(rep.residual[band] < 0.0) and np.all(rep.branch[band] == BRANCH_OPERATOR)
+    left = np.flatnonzero(xs < 1.0)
+    worst = left[np.argmax(np.abs(rep.residual[left]))]
+    assert band[worst] and abs(xs[worst] - at) < 2 * h
+    assert rep.residual[worst] < 0.0
+    assert abs(rep.residual[worst] - r[k]) < 1e-4
+    assert abs(rep.sup_norm() - plateau) < 1e-4

@@ -727,21 +727,14 @@ def suffix_table_bytes(dom):
     return 8 * (dom.n_nodes // n) * (n + 1)
 
 
-def test_cross_weights_peak_is_the_suffix_table():
+def test_cross_weights_peak_is_the_suffix_table(traced_peak):
     """On the disk at h = 1/16, margin 2 (a 215 x 215 lattice), the cross
     weights at the orbit representatives allocate little beyond their one
     (lines, n + 1) table: its powers and sums are written in place."""
-    import tracemalloc
-
     dom = build_disk((0.0, 0.0), 1.0, 1 / 16)
     assert dom.lattice_shape == (215, 215)
     reps = geometry._orbits(lattice_symmetries(dom))[0]
-    tracemalloc.start()
-    try:
-        _cross_weights(dom, 3.0, reps)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(_cross_weights, dom, 3.0, reps)
     assert peak <= 1.1 * suffix_table_bytes(dom)
 
 

@@ -11,10 +11,11 @@ from hypothesis import strategies as st
 from scipy import ndimage
 from scipy.spatial.distance import cdist
 
-from fracteig import geometry, infinity
+from fracteig import closedform1d, geometry, infinity
 from fracteig.geometry import (
     GridFunction,
     NodeSet,
+    _dilate,
     build_disk,
     build_interval,
     build_rectangle,
@@ -29,8 +30,7 @@ from fracteig.infinity import (
     BRANCH_OPERATOR,
     BRANCH_ZERO,
     EXTERIOR_WITNESS,
-    _dilate,
-    _extreme_quotients,
+    _grid_extremes,
     cone,
     first_residual,
     higher_residual,
@@ -154,7 +154,7 @@ def test_extremes_stay_within_rounding_of_coordinate_distances(dom):
     centred at (0.1, 0)), and a far-field 0 stays exactly 0."""
     u = _slab_function(dom)
     coords = dom.node_coords
-    lp, _, lm, _ = _extreme_quotients(u, 0.6, np.arange(dom.n_nodes))
+    lp, _, lm, _ = _grid_extremes(u, 0.6, np.arange(dom.n_nodes))
     tol = 2.0 * np.finfo(float).eps
     for x in range(dom.n_nodes):
         d = np.sqrt(((coords - coords[x]) ** 2).sum(axis=1))
@@ -586,9 +586,9 @@ def test_blocked_loops_do_not_depend_on_the_block_size(monkeypatch):
     v = representation(line, high_ridge(distance_to_complement(line)), 0.5)
 
     def run():
-        return (*_extreme_quotients(u, 0.5, dom.inside_indices),
-                *_extreme_quotients(c, 0.5, dom.inside_indices),
-                *_extreme_quotients(v, 0.5, line.inside_indices),
+        return (*_grid_extremes(u, 0.5, dom.inside_indices),
+                *_grid_extremes(c, 0.5, dom.inside_indices),
+                *_grid_extremes(v, 0.5, line.inside_indices),
                 r2_radius(dom), distance_to_set(dom, ridge).flat())
 
     want = run()
@@ -652,7 +652,13 @@ def _unfolded(monkeypatch, u, alpha, base):
     with monkeypatch.context() as m:
         m.setattr(infinity, "_reflections",
                   lambda dom, nodes: geometry._reflections(dom, nodes)[:1])
-        return _extreme_quotients(u, alpha, base)
+        return _grid_extremes(u, alpha, base)
+
+
+def _box_invariance(u, base):
+    """`_invariance` of u over every box node, for the base nodes."""
+    dom = u.domain
+    return infinity._invariance(dom, u.flat(), np.arange(dom.n_nodes), base)
 
 
 def _assert_bitwise(got, want):
@@ -727,9 +733,9 @@ def test_folded_scan_equals_the_unfolded_scan(monkeypatch, make, alpha, order):
     u = make()
     dom = u.domain
     for base in (dom.inside_indices, np.flatnonzero(u.flat())):
-        group, sign, exact = infinity._invariance(u, np.arange(dom.n_nodes), base)
+        group, sign, exact = _box_invariance(u, base)
         assert len(group) == order and sign.tolist() == [1.0] * order and exact.all()
-        _assert_bitwise(_extreme_quotients(u, alpha, base),
+        _assert_bitwise(_grid_extremes(u, alpha, base),
                         _unfolded(monkeypatch, u, alpha, base))
 
 
@@ -744,12 +750,12 @@ import resource
 resource.setrlimit(resource.RLIMIT_AS, (3000 << 20, 3000 << 20))
 import numpy as np
 from fracteig.geometry import build_disk, nearest_node
-from fracteig.infinity import _extreme_quotients, _invariance, cone
+from fracteig.infinity import _grid_extremes, _invariance, cone
 dom = build_disk((0.3, -0.7), 0.9, 0.1)
 c = cone(dom, nearest_node(dom, (0.3, -0.7)), 0.5, 0.5)
 base = np.flatnonzero(c.flat())
-lp = _extreme_quotients(c, 0.5, base)[0]
-print(dom.lattice_shape, len(_invariance(c, np.arange(dom.n_nodes), base)[0]), lp.size)
+lp = _grid_extremes(c, 0.5, base)[0]
+print(dom.lattice_shape, len(_invariance(dom, c.flat(), np.arange(dom.n_nodes), base)[0]), lp.size)
 """
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [SRC, *filter(None, [os.environ.get("PYTHONPATH")])])}
@@ -766,7 +772,7 @@ def test_signed_zero_ties_reach_l_plus():
     dom = u.domain
     z0 = dom.inside_indices[0]
     members = [g[z0] for g in geometry._reflections(dom, np.arange(dom.n_nodes))]
-    lp = _extreme_quotients(u, 1.0, np.array(sorted(members)))[0]
+    lp = _grid_extremes(u, 1.0, np.array(sorted(members)))[0]
     assert np.array_equal(lp, np.zeros(4))
     assert np.signbit(lp).tolist() == [True, False, False, False]
 
@@ -783,7 +789,7 @@ def test_the_fold_scans_one_row_per_orbit(monkeypatch):
     assert sum(rows) == orbits == 428
     assert dom.inside_count == 3205
     centre = np.array([nearest_node(dom, (0.0, 0.0))])
-    assert len(infinity._invariance(u, np.arange(dom.n_nodes), centre)[0]) == 1
+    assert len(_box_invariance(u, centre)[0]) == 1
 
 
 @pytest.mark.parametrize("make", [
@@ -799,9 +805,9 @@ def test_scan_falls_back_to_every_row(monkeypatch, make):
     u = make()
     dom = u.domain
     assert len(geometry.lattice_symmetries(dom)) > 1  # the solver would fold these
-    assert len(infinity._invariance(u, np.arange(dom.n_nodes), dom.inside_indices)[0]) == 1
+    assert len(_box_invariance(u, dom.inside_indices)[0]) == 1
     rows = _scanned_rows(monkeypatch)
-    _extreme_quotients(u, 0.5, dom.inside_indices)
+    _grid_extremes(u, 0.5, dom.inside_indices)
     assert sum(rows) == dom.inside_count
 
 
@@ -813,10 +819,10 @@ def test_symmetry_breaking_gamma1_keeps_only_the_reflections_of_u(monkeypatch):
     delta = distance_to_complement(dom)
     end = NodeSet(dom, high_ridge(delta).indices[:1])
     u = representation(dom, end, 0.5, delta=delta)
-    group = infinity._invariance(u, np.arange(dom.n_nodes), dom.inside_indices)[0]
+    group = _box_invariance(u, dom.inside_indices)[0]
     assert len(group) == 2 and len(geometry.lattice_symmetries(dom)) == 4
     rows = _scanned_rows(monkeypatch)
-    got = _extreme_quotients(u, 0.5, dom.inside_indices)
+    got = _grid_extremes(u, 0.5, dom.inside_indices)
     assert dom.inside_count / 2 <= sum(rows) < dom.inside_count
     _assert_bitwise(got, _unfolded(monkeypatch, u, 0.5, dom.inside_indices))
 
@@ -834,10 +840,10 @@ def test_reflections_that_change_bits_of_u_rescan_its_zero_extremes(monkeypatch)
     vals[z0] = -0.0
     v = GridFunction(dom, vals.reshape(dom.lattice_shape), zero_extended=False)
     base = dom.inside_indices
-    group, sign, exact = infinity._invariance(v, np.arange(dom.n_nodes), base)
+    group, sign, exact = _box_invariance(v, base)
     assert sign.tolist() == [1.0] * 4 and exact.tolist() == [True, False, False, False]
     rows = _scanned_rows(monkeypatch)
-    got = _extreme_quotients(v, 1.0, base)
+    got = _grid_extremes(v, 1.0, base)
     assert rows == [32, 73] and sum(rows) == base.size
     _assert_bitwise(got, _unfolded(monkeypatch, v, 1.0, base))
 
@@ -854,9 +860,9 @@ def test_inexact_axes_fold_a_symmetric_u_bit_for_bit(monkeypatch, dom, order):
     the unfolded scan bitwise."""
     u = GridFunction(dom, _symmetric(dom, _rep(dom, 0.5).flat()).reshape(dom.lattice_shape))
     base = dom.inside_indices
-    assert len(infinity._invariance(u, np.arange(dom.n_nodes), base)[0]) == order
+    assert len(_box_invariance(u, base)[0]) == order
     rows = _scanned_rows(monkeypatch)
-    got = _extreme_quotients(u, 0.5, base)
+    got = _grid_extremes(u, 0.5, base)
     orbits = np.unique(np.stack(geometry.lattice_symmetries(dom)).min(axis=0)).size
     assert sum(rows) == orbits < dom.inside_count
     _assert_bitwise(got, _unfolded(monkeypatch, u, 0.5, base))
@@ -920,11 +926,11 @@ def test_sign_flipping_fold_equals_the_unfolded_scan(monkeypatch, make, sign, ex
     u = make()
     dom = u.domain
     for base in (dom.inside_indices, np.flatnonzero(u.flat())):
-        group, got_sign, got_exact = infinity._invariance(u, np.arange(dom.n_nodes), base)
+        group, got_sign, got_exact = _box_invariance(u, base)
         assert got_sign.tolist() == sign and got_exact.tolist() == exact
         orbits = np.unique(np.minimum.reduce([g[base] for g in group])).size
         rows = _scanned_rows(monkeypatch)
-        got = _extreme_quotients(u, alpha, base)
+        got = _grid_extremes(u, alpha, base)
         assert rows == [orbits] + [again] * bool(again)
         _assert_bitwise(got, _unfolded(monkeypatch, u, alpha, base))
 
@@ -970,8 +976,8 @@ def test_scan_and_higher_residual_are_odd_in_u(lattice, kind):
     neg = GridFunction.from_inside(dom, -u.inside_values())
     assert (u.flat() < 0.0).any() and (u.flat() > 0.0).any()
     for base in (dom.inside_indices, np.flatnonzero(u.flat())):
-        lp, wp, lm, wm = _extreme_quotients(u, 0.5, base)
-        neg_lp, neg_wp, neg_lm, neg_wm = _extreme_quotients(neg, 0.5, base)
+        lp, wp, lm, wm = _grid_extremes(u, 0.5, base)
+        neg_lp, neg_wp, neg_lm, neg_wm = _grid_extremes(neg, 0.5, base)
         assert np.array_equal(neg_lp, -lm) and np.array_equal(neg_lm, -lp)
         np.testing.assert_array_equal(neg_wp, wm)
         np.testing.assert_array_equal(neg_wm, wp)
@@ -1100,7 +1106,7 @@ def test_bounded_scan_equals_the_unpruned_scan(lattice, kind, alpha, base_kind, 
         if rows is not None:
             ncols = dom.n_nodes if kind == "cone" else np.count_nonzero(_dilate(dom.inside))
             m.setattr(geometry, "_BLOCK_ELEMENTS", rows * ncols)
-        got = _extreme_quotients(u, alpha, base)
+        got = _grid_extremes(u, alpha, base)
     _assert_bitwise(got, _unpruned(u, alpha, base))
 
 
@@ -1118,7 +1124,7 @@ def test_a_patch_whose_bound_is_the_extreme_is_kept(monkeypatch):
     u = GridFunction(dom, vals.reshape(dom.lattice_shape), zero_extended=False)
     base = np.arange(dom.n_nodes)
     formed = _formed(monkeypatch)
-    got = _extreme_quotients(u, 0.5, base)
+    got = _grid_extremes(u, 0.5, base)
     want = _unpruned(u, 0.5, base)
     _assert_bitwise(got, want)
     assert _entries(formed) < base.size * dom.n_nodes / 2  # the scan was bounded
@@ -1206,9 +1212,9 @@ def test_a_split_last_block_equals_the_whole_block(monkeypatch):
     dom = build_disk((0.0, 0.0), 1.0, 1 / 32, 1.0)
     u = _rep(dom, 0.5)
     base = dom.inside_indices
-    want, whole = _with_sub_blocks(monkeypatch, _WHOLE_BLOCKS, _extreme_quotients, u, 0.5, base)
+    want, whole = _with_sub_blocks(monkeypatch, _WHOLE_BLOCKS, _grid_extremes, u, 0.5, base)
     assert whole[-2:] == [(10, 212), (10, 3143)]  # the first pass, then the kept columns
-    got, split = _with_sub_blocks(monkeypatch, 3 * 3143, _extreme_quotients, u, 0.5, base)
+    got, split = _with_sub_blocks(monkeypatch, 3 * 3143, _grid_extremes, u, 0.5, base)
     assert split[-5:] == [(10, 212), (3, 3143), (3, 3143), (3, 3143), (1, 3143)]
     _assert_bitwise(got, want)
 
@@ -1221,9 +1227,11 @@ def _scan_every_row(u, alpha):
     cand = np.flatnonzero(_dilate(dom.inside))
     rows = dom.inside_indices
     col = np.searchsorted(cand, rows)
-    group = infinity._invariance(u, cand, col)[0]
+    vals = u.flat()[cand]
+    group = infinity._invariance(dom, vals, cand, col)[0]
     assert len(group) > 1
-    return infinity._scan(u, alpha, cand, rows, col, np.ones(rows.size, dtype=bool), group)
+    return infinity._scan(dom, vals, alpha, cand, rows, vals[col], col,
+                          np.ones(rows.size, dtype=bool), group)
 
 
 def test_rows_tied_on_both_sides_of_a_sub_block_edge_keep_their_records(monkeypatch):
@@ -1254,29 +1262,116 @@ def test_verify1d_blocks_split_at_the_default_size_equal_whole_blocks(monkeypatc
     its own rows, and gives the whole block's bits."""
     u = _profile("first")
     base = u.domain.inside_indices
-    want, whole = _with_sub_blocks(monkeypatch, _WHOLE_BLOCKS, _extreme_quotients, u, 0.5, base)
+    want, whole = _with_sub_blocks(monkeypatch, _WHOLE_BLOCKS, _grid_extremes, u, 0.5, base)
     assert whole[:2] == [(255, 33), (255, 288)]
     got, split = _with_sub_blocks(monkeypatch, infinity._SUB_BLOCK_ELEMENTS,
-                                  _extreme_quotients, u, 0.5, base)
+                                  _grid_extremes, u, 0.5, base)
     assert split[:4] == [(255, 33), (113, 288), (113, 288), (29, 288)]
     _assert_bitwise(got, want)
 
 
-def test_verify1d_scans_trace_under_a_megabyte():
+def test_verify1d_scans_trace_under_a_megabyte(traced_peak):
     """Each of verify1d's three scans at h = 1/256 traces a peak under
     1.0 MB (about 0.92 MB measured): the workspaces hold
     `_SUB_BLOCK_ELEMENTS` entries, however many columns a block keeps.
     Workspaces of a block of every column peaked at 2.45 MB."""
-    import tracemalloc
-
     dom = build_interval(0.0, 2.0, 1 / 256)
     base = dom.inside_indices
     for ex in (first_1d(0.5), second_1d(0.5), third_1d(0.5)):
-        u = sample(ex, dom)
-        tracemalloc.start()
-        try:
-            _extreme_quotients(u, 0.5, base)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(_grid_extremes, sample(ex, dom), 0.5, base)
         assert peak < 2**20, (ex.kind, peak)
+
+
+# ---------------------------------------------------------------------------
+# the public functions are thin wrappers over the inside-value layer
+# ---------------------------------------------------------------------------
+
+
+def _assert_same_report(got, want):
+    """Two reports with the same nodes, values, witnesses and branches,
+    floats compared as int64."""
+    for field in ("nodes", "u", "delta", "l_plus", "witness_plus", "l_minus",
+                  "witness_minus", "l_minus_analytic", "branch", "residual"):
+        a, b = getattr(got, field), getattr(want, field)
+        if a.dtype == np.float64:
+            a, b = a.view(np.int64), b.view(np.int64)
+        np.testing.assert_array_equal(a, b, err_msg=field)
+    assert (got.alpha, got.lam) == (want.alpha, want.lam)
+
+
+def _signed_zero_ring(u):
+    """u with -0.0 on its outside ring."""
+    dom = u.domain
+    vals = u.flat().copy()
+    near = dom.inside_and_ring
+    vals[near[~dom.inside_flat[near]]] = -0.0
+    return GridFunction(dom, vals.reshape(dom.lattice_shape))
+
+
+@pytest.mark.parametrize("dom", [
+    build_interval(0.0, 2.0, 1 / 64),
+    build_interval(0.0, 2.0, 0.01),
+    build_disk((0.0, 0.0), 1.0, 1 / 16, 1.0),
+    build_rectangle((0.0, 0.0), (1.0, 0.5), 1 / 16, 1.0),
+    triangle_mask(1 / 8),
+], ids=["dyadic_interval", "decimal_interval", "disk", "rectangle", "triangle"])
+def test_representation_wrappers_equal_the_inside_value_layer(dom):
+    """What the infinity command computes from inside values (the ridge,
+    the representation and its report) is what the public functions give
+    on grid functions, bit for bit; so are linf_plus and linf_minus against
+    the scan of one node, and a -0.0 on the ring is read as stored."""
+    alpha = 0.5
+    lam = lambda_infinity(dom, alpha)
+    delta = distance_to_complement(dom)
+    din = dom.inside_distance
+    ridge = geometry._ridge(dom, din)
+    np.testing.assert_array_equal(ridge.indices, high_ridge(delta).indices)
+    uin = infinity._representation(dom, ridge, alpha, din, ridge)
+    for u in (representation(dom, ridge, alpha), representation(dom, ridge, alpha, delta=delta)):
+        assert u.flat().tobytes() == GridFunction.from_inside(dom, uin).flat().tobytes()
+    want = infinity._residual_report(dom, infinity._zero_ring(dom, uin), din, alpha, lam, None)
+    _assert_same_report(first_residual(u, alpha, lam, delta), want)
+    _assert_same_report(higher_residual(u, alpha, lam, delta),
+                        infinity._residual_report(dom, infinity._zero_ring(dom, uin), din,
+                                                  alpha, lam, 1.0))
+
+    signed = _signed_zero_ring(u)
+    vals = signed.flat()[dom.inside_and_ring]
+    assert np.signbit(vals).any()
+    _assert_same_report(first_residual(signed, alpha, lam, delta),
+                        infinity._residual_report(dom, vals, din, alpha, lam, None))
+    ring = dom.inside_and_ring[~dom.inside_flat[dom.inside_and_ring]]
+    for v, layer in ((u, infinity._zero_ring(dom, uin)), (signed, vals)):
+        for x in (*dom.inside_indices[::7], ring[0], ring[-1]):
+            lp, wp, lm, wm = infinity._extreme_quotients(dom, layer, alpha, np.array([x]),
+                                                         v.flat()[[x]])
+            got_p, got_m = linf_plus(v, alpha, int(x)), linf_minus(v, alpha, int(x))
+            assert (np.float64(got_p[0]).view(np.int64), got_p[1]) == (lp.view(np.int64)[0],
+                                                                      wp[0])
+            assert (np.float64(got_m[0]).view(np.int64), got_m[1]) == (lm.view(np.int64)[0],
+                                                                      wm[0])
+
+
+@pytest.mark.parametrize("h", [1 / 64, 0.01])
+def test_profile_wrappers_equal_the_inside_value_layer(h):
+    """verify1d's inside-value reports of the three closed-form profiles are
+    the public residuals of the sampled grid functions, bit for bit, the
+    sign-changing profiles' branches included, and a -0.0 on the ring is
+    read as stored."""
+    dom = build_interval(0.0, 2.0, h)
+    delta = distance_to_complement(dom)
+    for ex in (first_1d(0.5), second_1d(0.5), third_1d(0.5)):
+        uin = closedform1d._sample(ex, dom)
+        u = sample(ex, dom)
+        assert u.flat().tobytes() == GridFunction.from_inside(dom, uin).flat().tobytes()
+        band = None if ex.kind == "first" else 1.0
+        residual = first_residual if band is None else higher_residual
+        want = infinity._residual_report(dom, infinity._zero_ring(dom, uin),
+                                         dom.inside_distance, 0.5, ex.lam, band)
+        _assert_same_report(residual(u, 0.5, ex.lam, delta), want)
+        if band is not None:
+            assert {BRANCH_OPERATOR, BRANCH_EIGEN} <= set(want.branch.tolist())
+        signed = _signed_zero_ring(u)
+        _assert_same_report(residual(signed, 0.5, ex.lam, delta),
+                            infinity._residual_report(dom, signed.flat()[dom.inside_and_ring],
+                                                      dom.inside_distance, 0.5, ex.lam, band))
