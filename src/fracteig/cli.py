@@ -28,31 +28,32 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .closedform1d import _sample, first_1d, second_1d, third_1d
+from .closedform1d import first_1d, sample, second_1d, third_1d
 from .energy import FracParams
 from .geometry import (
     GridDomain,
     _TooLarge,
-    _ridge,
     _unique,
     build_disk,
     build_interval,
     build_rectangle,
+    distance_to_complement,
+    high_ridge,
+    inscribed_radius,
     NodeSet,
 )
 from .infinity import (
-    _representation,
-    _residual_report,
-    _zero_ring,
+    first_residual,
+    higher_residual,
     lambda_infinity,
     r2_radius,
+    representation,
 )
 from .reports import (
     config_digest,
     coord_header,
     function_rows,
     infinity_header,
-    inside_rows,
     write_csv,
     write_json,
     write_mask,
@@ -331,29 +332,27 @@ def cmd_sweep(cfg: RunConfig) -> tuple:
 
 def cmd_infinity(cfg: RunConfig) -> tuple:
     """limiting-equation report for a representation eigenfunction"""
-    # delta, u and the report are held at the inside nodes (u also on the ring)
     dom = build_domain(cfg)
-    delta = dom.inside_distance
+    delta = distance_to_complement(dom)
     lam = lambda_infinity(dom, cfg.alpha)
-    ridge = _ridge(dom, delta)
+    ridge = high_ridge(delta)
     gamma1 = ridge
     if cfg.gamma1 is not None:
         try:
             gamma1 = NodeSet(dom, np.asarray(cfg.gamma1, dtype=np.int64))
         except ValueError as exc:
             raise ConfigError(f"bad gamma1 node list: {exc}") from exc
-    u = _representation(dom, gamma1, cfg.alpha, delta, ridge)
-    report = _residual_report(dom, _zero_ring(dom, u), delta, cfg.alpha, lam, None)
+    u = representation(dom, gamma1, cfg.alpha, delta=delta)
+    report = first_residual(u, cfg.alpha, lam, delta)
 
     tables = [
-        ("representation", "representation.csv", [*coord_header(dom), "u"],
-         inside_rows(dom, u)),
+        ("representation", "representation.csv", [*coord_header(dom), "u"], function_rows(u)),
         ("report_table", "infinity_report.csv", infinity_header(dom), report.rows()),
     ]
     summary = {
         "alpha": cfg.alpha,
         "lambda_infinity": lam,
-        "inscribed_radius": float(delta.max()),
+        "inscribed_radius": inscribed_radius(delta),
         "r2_radius": r2_radius(dom),
         "ridge_nodes": len(ridge),
         "gamma1_nodes": len(gamma1),
@@ -381,16 +380,17 @@ def cmd_verify1d(cfg: RunConfig) -> tuple:
     tables = []
     residuals = []
     for h, dom in zip(hs, doms):
+        delta = distance_to_complement(dom)
         for ex in examples:
-            u = _sample(ex, dom)
-            # the first profile's equation has no dead band; the others' the default
-            band_scale = None if ex.kind == "first" else 1.0
-            rep = _residual_report(dom, _zero_ring(dom, u), dom.inside_distance, alpha,
-                                   ex.lam, band_scale)
+            u = sample(ex, dom)
+            if ex.kind == "first":
+                rep = first_residual(u, alpha, ex.lam, delta)
+            else:
+                rep = higher_residual(u, alpha, ex.lam, delta)
             residuals.append((ex.kind, h, rep.sup_norm(), rep.sup_norm(exclude_collar=True)))
             if h == finest:
                 tables.append((f"{ex.kind}_profile", f"{ex.kind}_profile.csv", ["x", "u"],
-                               inside_rows(dom, u)))
+                               function_rows(u)))
     tables.append(("residuals", "residuals.csv",
                    ["example", "h", "sup_residual", "sup_residual_interior"], residuals))
 

@@ -107,16 +107,12 @@ def third_1d(alpha: float) -> Example1D:
 
 
 def sample(example: Example1D, dom: GridDomain) -> GridFunction:
-    """Evaluate a closed-form profile on an interval grid covering (0, 2)."""
-    return GridFunction.from_inside(dom, _sample(example, dom))
-
-
-def _sample(example: Example1D, dom: GridDomain) -> np.ndarray:
-    """`sample` at the inside nodes, in their order: the evaluators are
-    pointwise, so these are the values at those nodes of the whole axis."""
+    """Evaluate a closed-form profile on an interval grid covering (0, 2),
+    held at the inside nodes (`GridFunction.from_inside`): the evaluators
+    are pointwise, so these are the values at those nodes of the whole axis."""
     tag = dom.shape_tag
     if dom.dim != 1 or not isinstance(tag, Interval):
         raise ValueError("sampling requires a canonical 1D interval grid")
     if abs(tag.a - 0.0) > 1e-12 or abs(tag.b - 2.0) > 1e-12:
         raise ValueError(f"grid covers ({tag.a}, {tag.b}); the profiles live on (0, 2)")
-    return example(dom.axes[0][dom.inside_indices])
+    return GridFunction.from_inside(dom, example(dom.axes[0][dom.inside_indices]))

@@ -357,8 +357,8 @@ class GridDomain:
         if self.shape_tag is not None:
             d = self.shape_tag.distance(self.inside_coords)
         else:
-            near = self.inside_and_ring
-            d = _nearest_distances(self, self.inside_indices, near[~self.inside_flat[near]])
+            ring = np.flatnonzero(_dilate(self.inside) & ~self.inside)
+            d = _nearest_distances(self, self.inside_indices, ring)
         d.flags.writeable = False
         return d
 
@@ -408,7 +408,6 @@ class GridDomain:
         )
 
 
-@dataclass(eq=False)
 class GridFunction:
     """Real values on every lattice node of a domain.
 
@@ -416,46 +415,83 @@ class GridFunction:
     region (the default for anything fed to the nonlocal energy); comparison
     functions such as cones carry meaningful values everywhere and set it to
     False.
+
+    A function built from its inside values (`from_inside`) keeps those
+    alone and forms its array over the box (`values`, `flat`) on first use.
+    Until then `at` and `inside_values` read the inside values, with +0.0 at
+    every other node, bit for bit what that array holds, and `max_value` and
+    `max_abs` reduce them.  So a function that is only scanned, reported or
+    written costs no 8 bytes per box node.
     """
 
-    domain: GridDomain
-    values: np.ndarray
-    zero_extended: bool = True
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != self.domain.lattice_shape:
-            raise ValueError(
-                f"values shape {self.values.shape} != lattice {self.domain.lattice_shape}"
-            )
-        if not np.isfinite(self.values).all():
+    def __init__(self, domain: GridDomain, values: np.ndarray, zero_extended: bool = True):
+        values = np.asarray(values, dtype=float)
+        if values.shape != domain.lattice_shape:
+            raise ValueError(f"values shape {values.shape} != lattice {domain.lattice_shape}")
+        if not np.isfinite(values).all():
             raise ValueError("grid function contains non-finite values")
+        self.domain = domain
+        self.zero_extended = zero_extended
+        self._values, self._inside = values, None
         # the nonzeros outside are those over the box less those at the inside
         # nodes: two counts, no copy of the outside values
-        if self.zero_extended and (np.count_nonzero(self.values)
-                                   > np.count_nonzero(self.inside_values())):
+        if zero_extended and (np.count_nonzero(values)
+                              > np.count_nonzero(self.inside_values())):
             raise ValueError("zero-extended grid function is nonzero outside the region")
 
     @classmethod
     def from_inside(cls, domain: GridDomain, inside_values: np.ndarray) -> "GridFunction":
-        """Build a zero-extended function from values on the inside nodes."""
-        inside_values = np.asarray(inside_values, dtype=float)
+        """Build a zero-extended function from values on the inside nodes,
+        kept as a copy of them alone."""
+        inside_values = np.array(inside_values, dtype=float)
         if inside_values.shape != (domain.inside_count,):
             raise ValueError(
                 f"expected {domain.inside_count} inside values, got {inside_values.shape}"
             )
-        full = np.zeros(domain.n_nodes)
-        full[domain.inside_indices] = inside_values
-        return cls(domain, full.reshape(domain.lattice_shape))
+        if not np.isfinite(inside_values).all():
+            raise ValueError("grid function contains non-finite values")
+        u = cls.__new__(cls)
+        u.domain, u.zero_extended = domain, True
+        u._values, u._inside = None, inside_values
+        return u
+
+    @property
+    def values(self) -> np.ndarray:
+        """The values over the box, in the lattice's shape."""
+        if self._values is None:
+            full = np.zeros(self.domain.n_nodes)
+            full[self.domain.inside_indices] = self._inside
+            self._values, self._inside = full.reshape(self.domain.lattice_shape), None
+        return self._values
+
+    def at(self, nodes: np.ndarray) -> np.ndarray:
+        """The values at the flat node indices `nodes`, an integer array."""
+        if self._values is not None:
+            return self._values.ravel()[nodes]
+        dom = self.domain
+        out = np.zeros(nodes.shape)
+        inside = dom.inside_flat[nodes]
+        out[inside] = self._inside[np.searchsorted(dom.inside_indices, nodes[inside])]
+        return out
 
     def inside_values(self) -> np.ndarray:
-        return self.values.ravel()[self.domain.inside_indices]
+        if self._values is None:
+            return self._inside.copy()
+        return self._values.ravel()[self.domain.inside_indices]
 
     def flat(self) -> np.ndarray:
         return self.values.ravel()
 
+    def max_value(self) -> float:
+        """The largest value on the lattice."""
+        if self._values is None:  # every outside node holds 0.0
+            return max(float(self._inside.max()), 0.0)
+        return float(self._values.max())
+
     def max_abs(self) -> float:
-        return float(np.abs(self.values).max())
+        if self._values is None:
+            return float(np.abs(self._inside).max())
+        return float(np.abs(self._values).max())
 
 
 @dataclass(eq=False)
@@ -516,7 +552,8 @@ def _membership(axes, h: float, shape: Optional[CanonicalShape],
     """Membership mask of the product lattice of `axes`: a canonical shape's
     `_inside` on the sparse axes, with the boundary guard of spacing h, or
     else a predicate on the nodes' coordinates, and'ed, where within is a
-    pair (lo, hi) of corners, with the open box between them.
+    pair (lo, hi) of corners (`_lattice` passes it with a predicate only),
+    with the open box between them.
 
     That box, guarded as a `Rectangle` is, holds one range of nodes per
     axis, so the predicate is tested on that window alone and the rest of
@@ -532,7 +569,7 @@ def _membership(axes, h: float, shape: Optional[CanonicalShape],
     guard = _BOUNDARY_GUARD * h
     out = np.empty(tuple(map(len, axes)), dtype=bool)
     window = out
-    if shape is None and within is not None:
+    if within is not None:
         out.fill(False)
         spans = [np.flatnonzero((ax > a + guard) & (ax < b - guard))
                  for ax, a, b in zip(axes, *within)]
@@ -578,7 +615,7 @@ def _lattice(lo: np.ndarray, hi: np.ndarray, h: float, margin: float, anchor: np
     _check_memory(per_node * int(nodes), f"lattice arrays for {int(nodes)} nodes")
     axes = tuple(_axis(c, -int(down), int(up), h) for c, down, up in zip(anchor, below, above))
     # a predicate counts only inside the tight box
-    inside = _membership(axes, h, shape, inside_of, within=(lo, hi))
+    inside = _membership(axes, h, shape, inside_of, within=(lo, hi) if shape is None else None)
     return GridDomain(dim=len(axes), h=float(h), axes=axes, inside=inside,
                       shape_tag=shape, margin=float(margin))
 
@@ -774,16 +811,15 @@ def _nearest_distances(dom: GridDomain, rows: np.ndarray, cols: np.ndarray) -> n
 
 def distance_to_complement(dom: GridDomain) -> GridFunction:
     """Distance from each node to the complement of the region (zero outside),
-    as a fresh function on the whole lattice.  Its inside values are the
-    domain's `GridDomain.inside_distance`, computed once per domain."""
-    vals = np.zeros(dom.n_nodes)
-    vals[dom.inside_indices] = dom.inside_distance
-    return GridFunction(dom, vals.reshape(dom.lattice_shape))
+    as a fresh function held at the inside nodes (`GridFunction.from_inside`).
+    Its inside values are the domain's `GridDomain.inside_distance`, computed
+    once per domain."""
+    return GridFunction.from_inside(dom, dom.inside_distance)
 
 
 def inscribed_radius(delta: GridFunction) -> float:
     """Largest distance-to-complement value on the lattice."""
-    return float(delta.values.max())
+    return delta.max_value()
 
 
 def high_ridge(delta: GridFunction, tol: Optional[float] = None) -> NodeSet:
@@ -792,24 +828,15 @@ def high_ridge(delta: GridFunction, tol: Optional[float] = None) -> NodeSet:
     Default tolerance is h/2, which captures exactly the nodes sitting on the
     continuum ridge whenever that ridge passes through lattice nodes.  The
     maximum is taken over the lattice (`inscribed_radius`), the nodes among
-    the inside ones (`_ridge`).
+    the inside ones.
     """
     dom = delta.domain
-    return _ridge(dom, delta.flat()[dom.inside_indices], inscribed_radius(delta), tol)
-
-
-def _ridge(dom: GridDomain, din: np.ndarray, top: Optional[float] = None,
-           tol: Optional[float] = None) -> NodeSet:
-    """The inside nodes whose distance din (in inside order) is within tol
-    of top: `high_ridge` on the inside values alone.  top defaults to the
-    largest of din, tol to h/2."""
     if tol is None:
         tol = dom.h / 2.0
     if tol < 0.0:
         raise ValueError(f"tolerance must be >= 0, got {tol}")
-    if top is None:
-        top = float(din.max())
-    return NodeSet(dom, dom.inside_indices[din >= top - tol])
+    r = inscribed_radius(delta)
+    return NodeSet(dom, dom.inside_indices[delta.inside_values() >= r - tol])
 
 
 def distance_to_set(dom: GridDomain, nodes: NodeSet) -> GridFunction:

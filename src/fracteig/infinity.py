@@ -60,15 +60,14 @@ a block near a flat maximum, which keeps almost every column, needs no
 larger workspace than one that keeps few; each row is reduced over the same
 columns in the same order, so the sub-blocks change no bit.
 
-The scan and the reports work on values, not on grid functions:
-`_extreme_quotients`, `_scan` and `_invariance` take the domain and u's
-values at its candidates (`_candidates`), and `_residual_report` those and
-the distance to the complement at the inside nodes.  The command line calls
-them with inside values (`_zero_ring` puts +0.0 on the ring), so a report
-makes no array over the box's nodes.  The public functions on grid
-functions are thin wrappers: they read the candidates' values as stored,
-so a -0.0 outside the region keeps its bits, and return functions through
-`GridFunction.from_inside`.
+The scan works on values, not on grid functions: `_extreme_quotients`,
+`_scan` and `_invariance` take the domain and u's values at its candidates
+(`_candidates`).  The public functions read those with `GridFunction.at`,
+and a report reads the distance at the inside nodes alone, so a function
+held at the inside nodes (`GridFunction.from_inside`: the distance to the
+complement, `representation`, a sampled closed-form profile) is scanned and
+reported without an array over the box's nodes.  A function stored over
+the box is read as stored, so a -0.0 outside the region keeps its bits.
 
 The first-eigenvalue equation residual at an inside node is
 
@@ -102,8 +101,8 @@ from .geometry import (
     _offset_distances,
     _orbits,
     _reflections,
-    _ridge,
     block_rows,
+    distance_to_complement,
     high_ridge,
 )
 from .reports import _stream_rows
@@ -146,20 +145,11 @@ _SUB_BLOCK_ELEMENTS = _BLOCK_ELEMENTS // 4
 _EXTREMES = ((-np.inf, np.argmax), (np.inf, np.argmin))
 
 
-def _candidates(dom: GridDomain, zero_extended: bool = True) -> np.ndarray:
+def _candidates(dom: GridDomain, zero_extended: bool) -> np.ndarray:
     """The ascending flat indices a scan compares against (the module
     docstring): the inside nodes and their ring for a zero-extended
     function, every box node otherwise."""
     return dom.inside_and_ring if zero_extended else np.arange(dom.n_nodes)
-
-
-def _zero_ring(dom: GridDomain, uin: np.ndarray) -> np.ndarray:
-    """A zero-extended u known at the inside nodes (uin, in their order) as
-    its values at its candidates (`_candidates`): +0.0 on the ring."""
-    cand = dom.inside_and_ring
-    vals = np.zeros(cand.size)
-    vals[dom.inside_flat[cand]] = uin
-    return vals
 
 
 def _invariance(dom: GridDomain, vals: np.ndarray, cand: np.ndarray,
@@ -481,11 +471,10 @@ def _expand(scanned: list, e: int, orbit: np.ndarray, elem: np.ndarray, group: l
 
 
 def _grid_extremes(u: GridFunction, alpha: float, base: np.ndarray) -> Tuple[np.ndarray, ...]:
-    """`_extreme_quotients` of a grid function at the base nodes, read from
-    its stored values, bit for bit (a -0.0 stays -0.0)."""
-    flat = u.flat()
-    return _extreme_quotients(u.domain, flat[_candidates(u.domain, u.zero_extended)], alpha,
-                              base, flat[base], u.zero_extended)
+    """`_extreme_quotients` of a grid function at the base nodes, its values
+    read with `GridFunction.at`, bit for bit (a -0.0 stays -0.0)."""
+    cand = _candidates(u.domain, u.zero_extended)
+    return _extreme_quotients(u.domain, u.at(cand), alpha, base, u.at(base), u.zero_extended)
 
 
 def linf_plus(u: GridFunction, alpha: float, x: int) -> Tuple[float, int]:
@@ -515,11 +504,11 @@ def linf_minus_analytic(u: GridFunction, delta: GridFunction, alpha: float,
     _check_alpha(alpha)
     if not u.domain.same_lattice(delta.domain):
         raise ValueError("distance function lives on a different lattice")
-    x = _node_index(u.domain, x)
-    dx = delta.flat()[x]
+    at = np.array([_node_index(u.domain, x)])
+    dx = delta.at(at)[0]
     if not (dx > 0.0):
-        raise RuntimeError(f"distance vanishes at node {x}; not an inside node?")
-    return float(-u.flat()[x] / dx ** alpha)
+        raise RuntimeError(f"distance vanishes at node {at[0]}; not an inside node?")
+    return float(-u.at(at)[0] / dx ** alpha)
 
 
 def holder_seminorm(u: GridFunction, alpha: float) -> float:
@@ -530,7 +519,9 @@ def holder_seminorm(u: GridFunction, alpha: float) -> float:
     is 0, so it cannot raise the maximum of |quotient|.
     """
     _check_alpha(alpha)
-    nz = np.flatnonzero(u.flat())
+    # a zero-extended u vanishes off its candidates
+    cand = _candidates(u.domain, u.zero_extended)
+    nz = cand[u.at(cand) != 0.0]
     if nz.size == 0:
         return 0.0
     lp, _, lm, _ = _grid_extremes(u, alpha, nz)
@@ -599,24 +590,30 @@ class InfinityReport:
                             self.l_minus_analytic, self.branch, self.residual)
 
 
-def _residual_report(dom: GridDomain, vals: np.ndarray, din: np.ndarray, alpha: float,
-                     lam: float, band_scale: Optional[float]) -> InfinityReport:
-    """One extreme-quotient scan over the inside nodes of a zero-extended u
-    given by its values vals at its candidates (`_candidates`; `_zero_ring`
-    makes them from the inside values), din the distance to the complement
-    at the inside nodes.  band_scale None is the first-eigenvalue equation:
-    u >= 0 and no dead band."""
+def _residual_report(u: GridFunction, alpha: float, lam: float, delta: GridFunction,
+                     band_scale: Optional[float], name: str) -> InfinityReport:
+    """One extreme-quotient scan over the inside nodes, u read at its
+    candidates (`_candidates`) and delta at the inside nodes alone.
+    band_scale None is the first-eigenvalue equation: u >= 0 and no dead
+    band."""
     _check_alpha(alpha)
+    if not u.zero_extended:
+        raise ValueError(f"{name} expects a zero-extended function")
     if band_scale is not None and not band_scale >= 0.0:  # NaN included
         raise ValueError("band_scale must be >= 0")
     if not math.isfinite(lam):
         raise ValueError(f"lam must be finite, got {lam}")
+    dom = u.domain
+    if not dom.same_lattice(delta.domain):
+        raise ValueError("distance function lives on a different lattice")
     nodes = dom.inside_indices
+    vals = u.at(dom.inside_and_ring)
     uin = vals[dom.inside_flat[dom.inside_and_ring]]
+    din = delta.inside_values()
     if np.any(din <= 0.0):
         raise RuntimeError("distance must be positive at inside nodes")
     if band_scale is None and np.any(uin < 0.0):
-        raise ValueError("first_residual expects a nonnegative function")
+        raise ValueError(f"{name} expects a nonnegative function")
     lp, wp, lm, wm = _extreme_quotients(dom, vals, alpha, nodes, uin)
 
     # the seminorm is holder_seminorm(u, alpha) exactly: every pair with a
@@ -639,23 +636,10 @@ def _residual_report(dom: GridDomain, vals: np.ndarray, din: np.ndarray, alpha: 
                           branch=branch, residual=residual)
 
 
-def _grid_report(u: GridFunction, alpha: float, lam: float, delta: GridFunction,
-                 band_scale: Optional[float], name: str) -> InfinityReport:
-    """`_residual_report` of grid functions, read from their stored values,
-    bit for bit (a -0.0 on the ring stays -0.0)."""
-    if not u.zero_extended:
-        raise ValueError(f"{name} expects a zero-extended function")
-    dom = u.domain
-    if not dom.same_lattice(delta.domain):
-        raise ValueError("distance function lives on a different lattice")
-    return _residual_report(dom, u.flat()[dom.inside_and_ring],
-                            delta.flat()[dom.inside_indices], alpha, lam, band_scale)
-
-
 def first_residual(u: GridFunction, alpha: float, lam: float,
                    delta: GridFunction) -> InfinityReport:
     """Residual of max{ l_plus + l_minus, l_minus + lam*u } = 0 for u >= 0."""
-    return _grid_report(u, alpha, lam, delta, None, "first_residual")
+    return _residual_report(u, alpha, lam, delta, None, "first_residual")
 
 
 def higher_residual(u: GridFunction, alpha: float, lam: float,
@@ -669,7 +653,7 @@ def higher_residual(u: GridFunction, alpha: float, lam: float,
     Hoelder variation, so it vanishes under refinement.  The seminorm is read
     off the same scan that gives l_plus and l_minus: one scan per report.
     """
-    return _grid_report(u, alpha, lam, delta, band_scale, "higher_residual")
+    return _residual_report(u, alpha, lam, delta, band_scale, "higher_residual")
 
 
 # ---------------------------------------------------------------------------
@@ -685,30 +669,20 @@ def representation(dom: GridDomain, gamma1: NodeSet, alpha: float, *,
     the complement and rho the distance to the chosen subset gamma1 of the
     ridge, high_ridge(delta).  Equals 1 exactly on gamma1, lies in (0, 1]
     inside, 0 outside, so rho is read (by index offset) at inside nodes only.
-    A caller's delta, a distance function on the lattice of dom, takes the
-    place of the domain's `inside_distance`.
+    A caller that already holds distance_to_complement(dom) passes it as
+    delta; it must live on the lattice of dom.  The result is held at the
+    inside nodes (`GridFunction.from_inside`), as delta is read there.
     """
     _check_alpha(alpha)
     if delta is None:
-        din = dom.inside_distance
-        ridge = _ridge(dom, din)
+        delta = distance_to_complement(dom)
     elif not dom.same_lattice(delta.domain):
         raise ValueError("distance function lives on a different lattice")
-    else:
-        din = delta.flat()[dom.inside_indices]
-        ridge = high_ridge(delta)
-    return GridFunction.from_inside(dom, _representation(dom, gamma1, alpha, din, ridge))
-
-
-def _representation(dom: GridDomain, gamma1: NodeSet, alpha: float, din: np.ndarray,
-                    ridge: NodeSet) -> np.ndarray:
-    """`representation` at the inside nodes, from the distance din there and
-    the ridge that gamma1 must lie on."""
-    if not np.isin(gamma1.indices, ridge.indices).all():
+    if not np.isin(gamma1.indices, high_ridge(delta).indices).all():
         raise ValueError("gamma1 contains nodes outside the ridge tolerance")
-    da = din ** alpha
+    da = delta.inside_values() ** alpha
     ra = _nearest_distances(dom, dom.inside_indices, gamma1.indices) ** alpha
-    return da / (da + ra)
+    return GridFunction.from_inside(dom, da / (da + ra))
 
 
 def cone(dom: GridDomain, x0: int, radius: float, alpha: float,

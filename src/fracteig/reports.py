@@ -37,7 +37,6 @@ __all__ = [
     "coord_header",
     "write_mask",
     "function_rows",
-    "inside_rows",
     "infinity_header",
 ]
 
@@ -145,13 +144,7 @@ def _stream_rows(*columns: np.ndarray):
 
 def function_rows(u: GridFunction):
     """Rows (coordinates..., value) at the inside nodes."""
-    return inside_rows(u.domain, u.inside_values())
-
-
-def inside_rows(dom: GridDomain, values: np.ndarray):
-    """Rows (coordinates..., value) of values given at the inside nodes, in
-    their order."""
-    return _stream_rows(*dom.inside_coords.T, values)
+    return _stream_rows(*u.domain.inside_coords.T, u.inside_values())
 
 
 def infinity_header(dom: GridDomain) -> list:

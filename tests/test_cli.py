@@ -652,8 +652,8 @@ def test_lattice_larger_than_memory_exits_2(tmp_path, capsys, monkeypatch, comma
 @pytest.mark.parametrize("command, library_call, overrides", [
     ("eig", "minimize_first", {}),
     ("sweep", "p_sweep", {"ps": [4.0, 8.0]}),
-    ("infinity", "_residual_report", {}),
-    ("verify1d", "_residual_report", {"h_list": [1 / 16]}),
+    ("infinity", "first_residual", {}),
+    ("verify1d", "higher_residual", {"h_list": [1 / 16]}),
 ], ids=["eig", "sweep", "infinity", "verify1d"])
 def test_a_library_value_error_exits_2_in_every_subcommand(tmp_path, capsys, monkeypatch,
                                                            command, library_call, overrides):

@@ -305,6 +305,46 @@ def test_grid_function_from_inside():
     assert np.all(u.flat()[~dom.inside_flat] == 0.0)
 
 
+def _spread(dom, inside_values):
+    """The array over the box a function with these inside values holds:
+    0.0 at every other node, as an int64 view, so -0.0 differs from 0.0."""
+    full = np.zeros(dom.n_nodes)
+    full[dom.inside_indices] = inside_values
+    return full.view(np.int64)
+
+
+@pytest.mark.parametrize("dom", [
+    build_interval(0.0, 2.0, 0.1),
+    build_disk((0.25, -0.5), 1.0, 1 / 8, 1.0),
+], ids=["interval", "disk"])
+def test_a_function_held_inside_reads_what_its_box_array_holds(dom):
+    """A function built from inside values holds no array over the box
+    until `values` is read; `at`, `inside_values`, `max_value` and
+    `max_abs` read what that array then holds, bit for bit (a -0.0 inside
+    stays -0.0).  The function keeps its own copy of the inside values."""
+    rng = np.random.default_rng(5)
+    given = rng.normal(size=dom.inside_count)
+    given[::5] = -0.0
+    u = GridFunction.from_inside(dom, given)
+    want = _spread(dom, given)
+    nodes = np.concatenate([rng.permutation(dom.n_nodes)[:500], dom.inside_and_ring])
+    given[:] = 7.0  # the caller's array may change
+    assert np.array_equal(u.at(nodes).view(np.int64), want[nodes])
+    assert np.array_equal(u.inside_values().view(np.int64), want[dom.inside_indices])
+    u.inside_values()[:] = 7.0  # a copy
+    stored = want.view(float)
+    for lazy, box in ((u.max_value(), stored.max()), (u.max_abs(), np.abs(stored).max())):
+        assert np.float64(lazy).view(np.int64) == np.float64(box).view(np.int64)
+    assert u._values is None
+    assert np.array_equal(u.flat().view(np.int64), want)
+    assert u.values.shape == dom.lattice_shape
+    assert np.array_equal(u.at(nodes).view(np.int64), want[nodes])
+    # below zero inside, the outside nodes hold the largest value
+    assert GridFunction.from_inside(dom, -np.ones(dom.inside_count)).max_value() == 0.0
+    with pytest.raises(ValueError, match="contains non-finite values"):
+        GridFunction.from_inside(dom, np.full(dom.inside_count, np.inf))
+
+
 def test_node_set_validation():
     dom = build_interval(0.0, 1.0, 0.25)
     with pytest.raises(ValueError, match="node set is empty"):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from scipy import ndimage
 from scipy.spatial.distance import cdist
 
-from fracteig import closedform1d, geometry, infinity
+from fracteig import geometry, infinity
 from fracteig.geometry import (
     GridFunction,
     NodeSet,
@@ -1283,7 +1283,7 @@ def test_verify1d_scans_trace_under_a_megabyte(traced_peak):
 
 
 # ---------------------------------------------------------------------------
-# the public functions are thin wrappers over the inside-value layer
+# functions held at the inside nodes give what functions over the box give
 # ---------------------------------------------------------------------------
 
 
@@ -1299,13 +1299,19 @@ def _assert_same_report(got, want):
     assert (got.alpha, got.lam) == (want.alpha, want.lam)
 
 
-def _signed_zero_ring(u):
-    """u with -0.0 on its outside ring."""
+def _over_box(u, ring=0.0):
+    """u stored over the box, as np.zeros and a scatter of its inside
+    values make it, with `ring` on its outside ring."""
     dom = u.domain
-    vals = u.flat().copy()
+    vals = np.zeros(dom.n_nodes)
+    vals[dom.inside_indices] = u.inside_values()
     near = dom.inside_and_ring
-    vals[near[~dom.inside_flat[near]]] = -0.0
+    vals[near[~dom.inside_flat[near]]] = ring
     return GridFunction(dom, vals.reshape(dom.lattice_shape))
+
+
+def _bits(x):
+    return np.float64(x).view(np.int64)
 
 
 @pytest.mark.parametrize("dom", [
@@ -1315,63 +1321,68 @@ def _signed_zero_ring(u):
     build_rectangle((0.0, 0.0), (1.0, 0.5), 1 / 16, 1.0),
     triangle_mask(1 / 8),
 ], ids=["dyadic_interval", "decimal_interval", "disk", "rectangle", "triangle"])
-def test_representation_wrappers_equal_the_inside_value_layer(dom):
-    """What the infinity command computes from inside values (the ridge,
-    the representation and its report) is what the public functions give
-    on grid functions, bit for bit; so are linf_plus and linf_minus against
-    the scan of one node, and a -0.0 on the ring is read as stored."""
+def test_functions_held_inside_equal_functions_over_the_box(dom):
+    """The infinity command's distance, ridge, representation and report,
+    on functions held at the inside nodes, are bit for bit what the same
+    calls give on those functions stored over the box, and none of them
+    forms that array; so are linf_plus, linf_minus, linf_minus_analytic and
+    holder_seminorm.  A -0.0 on the ring of a stored function is read as
+    stored."""
     alpha = 0.5
     lam = lambda_infinity(dom, alpha)
     delta = distance_to_complement(dom)
-    din = dom.inside_distance
-    ridge = geometry._ridge(dom, din)
-    np.testing.assert_array_equal(ridge.indices, high_ridge(delta).indices)
-    uin = infinity._representation(dom, ridge, alpha, din, ridge)
-    for u in (representation(dom, ridge, alpha), representation(dom, ridge, alpha, delta=delta)):
-        assert u.flat().tobytes() == GridFunction.from_inside(dom, uin).flat().tobytes()
-    want = infinity._residual_report(dom, infinity._zero_ring(dom, uin), din, alpha, lam, None)
-    _assert_same_report(first_residual(u, alpha, lam, delta), want)
+    delta_box = _over_box(delta)
+    ridge = high_ridge(delta)
+    np.testing.assert_array_equal(ridge.indices, high_ridge(delta_box).indices)
+    assert _bits(inscribed_radius(delta)) == _bits(inscribed_radius(delta_box))
+    u = representation(dom, ridge, alpha, delta=delta)
+    u_box = _over_box(u)
+    for v in (representation(dom, ridge, alpha), representation(dom, ridge, alpha,
+                                                                 delta=delta_box)):
+        assert v.inside_values().tobytes() == u.inside_values().tobytes()
+    _assert_same_report(first_residual(u, alpha, lam, delta),
+                        first_residual(u_box, alpha, lam, delta_box))
     _assert_same_report(higher_residual(u, alpha, lam, delta),
-                        infinity._residual_report(dom, infinity._zero_ring(dom, uin), din,
-                                                  alpha, lam, 1.0))
-
-    signed = _signed_zero_ring(u)
-    vals = signed.flat()[dom.inside_and_ring]
-    assert np.signbit(vals).any()
-    _assert_same_report(first_residual(signed, alpha, lam, delta),
-                        infinity._residual_report(dom, vals, din, alpha, lam, None))
+                        higher_residual(u_box, alpha, lam, delta_box))
+    assert _bits(holder_seminorm(u, alpha)) == _bits(holder_seminorm(u_box, alpha))
     ring = dom.inside_and_ring[~dom.inside_flat[dom.inside_and_ring]]
-    for v, layer in ((u, infinity._zero_ring(dom, uin)), (signed, vals)):
-        for x in (*dom.inside_indices[::7], ring[0], ring[-1]):
-            lp, wp, lm, wm = infinity._extreme_quotients(dom, layer, alpha, np.array([x]),
-                                                         v.flat()[[x]])
-            got_p, got_m = linf_plus(v, alpha, int(x)), linf_minus(v, alpha, int(x))
-            assert (np.float64(got_p[0]).view(np.int64), got_p[1]) == (lp.view(np.int64)[0],
-                                                                      wp[0])
-            assert (np.float64(got_m[0]).view(np.int64), got_m[1]) == (lm.view(np.int64)[0],
-                                                                      wm[0])
+    for x in (*dom.inside_indices[::7], ring[0], ring[-1]):
+        for f in (linf_plus, linf_minus):
+            got, want = f(u, alpha, int(x)), f(u_box, alpha, int(x))
+            assert (_bits(got[0]), got[1]) == (_bits(want[0]), want[1])
+    for x in dom.inside_indices[::7]:
+        assert _bits(linf_minus_analytic(u, delta, alpha, int(x))) \
+            == _bits(linf_minus_analytic(u_box, delta_box, alpha, int(x)))
+    assert u._values is None and delta._values is None
+
+    signed = _over_box(u, ring=-0.0)
+    cand = dom.inside_and_ring
+    stored = signed.flat()[cand]
+    assert np.signbit(stored).any()
+    rep = first_residual(signed, alpha, lam, delta)
+    lp, wp, lm, wm = infinity._extreme_quotients(dom, stored, alpha, dom.inside_indices,
+                                                 signed.inside_values())
+    for got, want in ((rep.l_plus, lp), (rep.witness_plus, wp), (rep.l_minus, lm),
+                      (rep.witness_minus, wm)):
+        assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("h", [1 / 64, 0.01])
-def test_profile_wrappers_equal_the_inside_value_layer(h):
-    """verify1d's inside-value reports of the three closed-form profiles are
-    the public residuals of the sampled grid functions, bit for bit, the
-    sign-changing profiles' branches included, and a -0.0 on the ring is
-    read as stored."""
+def test_sampled_profiles_equal_profiles_over_the_box(h):
+    """verify1d's sampled profiles, held at the inside nodes, are the
+    whole axis's evaluation masked to the region, bit for bit, and their
+    residuals are those of that masked array, the sign-changing profiles'
+    branches included."""
     dom = build_interval(0.0, 2.0, h)
     delta = distance_to_complement(dom)
+    delta_box = _over_box(delta)
     for ex in (first_1d(0.5), second_1d(0.5), third_1d(0.5)):
-        uin = closedform1d._sample(ex, dom)
         u = sample(ex, dom)
-        assert u.flat().tobytes() == GridFunction.from_inside(dom, uin).flat().tobytes()
-        band = None if ex.kind == "first" else 1.0
-        residual = first_residual if band is None else higher_residual
-        want = infinity._residual_report(dom, infinity._zero_ring(dom, uin),
-                                         dom.inside_distance, 0.5, ex.lam, band)
-        _assert_same_report(residual(u, 0.5, ex.lam, delta), want)
-        if band is not None:
-            assert {BRANCH_OPERATOR, BRANCH_EIGEN} <= set(want.branch.tolist())
-        signed = _signed_zero_ring(u)
-        _assert_same_report(residual(signed, 0.5, ex.lam, delta),
-                            infinity._residual_report(dom, signed.flat()[dom.inside_and_ring],
-                                                      dom.inside_distance, 0.5, ex.lam, band))
+        u_box = GridFunction(dom, np.where(dom.inside, ex(dom.axes[0]), 0.0))
+        assert u.at(np.arange(dom.n_nodes)).tobytes() == u_box.flat().tobytes()
+        residual = first_residual if ex.kind == "first" else higher_residual
+        got = residual(u, 0.5, ex.lam, delta)
+        _assert_same_report(got, residual(u_box, 0.5, ex.lam, delta_box))
+        if ex.kind != "first":
+            assert {BRANCH_OPERATOR, BRANCH_EIGEN} <= set(got.branch.tolist())
+        assert u._values is None

@@ -11,8 +11,10 @@ numpy.ma, which the first np.unique of a process imports (13-17 ms, 1.7 MB).
 No run builds the whole box's coordinate array (`geometry._node_coords`, 16
 bytes per box node in 2-D): lattices test membership on sparse axes, and
 coordinates, distances and CSV rows are formed at the inside nodes alone.
-The infinity and verify1d runs construct no `GridFunction`, a float array
-over the box: their functions, distances and reports hold inside values.
+The infinity and verify1d runs form no float array over the box: they
+build no `GridFunction` from one and read no function's `values`, as their
+functions and distances are held at the inside nodes
+(`GridFunction.from_inside`).
 
 Every run computes the distance to the complement once per lattice it
 builds, however many of its steps read it (a sweep's start and target, the
@@ -45,7 +47,9 @@ _TINY_RUNS = [
 # (GridDomain instances) and of complement distances computed at the inside
 # nodes: a canonical shape's `distance`, or for a mask geometry's own call of
 # `_nearest_distances` (which distance_to_set also makes; no run here calls it),
-# and of GridFunction instances.
+# and of float arrays over the box behind grid functions: GridFunction.__init__
+# calls, which take one, and reads of GridFunction.values, which form one for
+# a function held at the inside nodes.
 _SCRIPT = """
 import json, sys
 from pathlib import Path
@@ -63,29 +67,31 @@ def counting(owner, name, tally):
         return real(*args, **kwargs)
     setattr(owner, name, wrapper)
 
-calls, lattices, deltas, functions = [], [], [], []
+calls, lattices, deltas, boxes = [], [], [], []
 counting(geometry, "_node_coords", calls)
 counting(geometry.GridDomain, "__post_init__", lattices)
-counting(geometry.GridFunction, "__post_init__", functions)
+counting(geometry.GridFunction, "__init__", boxes)
+box_values = geometry.GridFunction.values.fget
+geometry.GridFunction.values = property(lambda u: boxes.append(u) or box_values(u))
 for shape in (geometry.Interval, geometry.Disk, geometry.Rectangle):
     counting(shape, "distance", deltas)
 counting(geometry, "_nearest_distances", deltas)
 
 tmp = Path(sys.argv[1])
 seen = {"import": heavy_modules()}
-coords, per_lattice, grid_functions = {}, {}, {}
+coords, per_lattice, box_arrays = {}, {}, {}
 for k, (command, cfg) in enumerate(json.loads(sys.argv[2])):
     out = tmp / f"run{k}"
     cfg = dict(cfg, out=str(out))
     path = tmp / f"config{k}.json"
     path.write_text(json.dumps(cfg), encoding="utf-8")
-    del calls[:], lattices[:], deltas[:], functions[:]
+    del calls[:], lattices[:], deltas[:], boxes[:]
     assert main([command, "--config", str(path)]) == 0, (command, cfg)
     seen[f"{k}:{command}"] = heavy_modules()
     coords[f"{k}:{command}"] = len(calls)
     per_lattice[f"{k}:{command}"] = [len(lattices), len(deltas)]
-    grid_functions[f"{k}:{command}"] = len(functions)
-print(json.dumps([seen, coords, per_lattice, grid_functions]))
+    box_arrays[f"{k}:{command}"] = len(boxes)
+print(json.dumps([seen, coords, per_lattice, box_arrays]))
 """
 
 
@@ -111,7 +117,7 @@ def test_cli_import_and_tiny_runs_load_no_scipy(tmp_path):
         ("infinity", {"domain": {"shape": "mask", "path": str(mask)},
                       "alpha": 0.5, "h": 0.25}),
     ]
-    seen, coords, per_lattice, grid_functions = _run_fresh(tmp_path, runs)
+    seen, coords, per_lattice, box_arrays = _run_fresh(tmp_path, runs)
     assert list(seen) == ["import", "0:sweep", "1:eig", "2:infinity", "3:verify1d",
                           "4:eig", "5:infinity"]
     for stage, modules in seen.items():
@@ -122,7 +128,7 @@ def test_cli_import_and_tiny_runs_load_no_scipy(tmp_path):
     assert per_lattice == {stage: [3, 3] if stage.endswith("verify1d") else [1, 1]
                            for stage in list(seen)[1:]}
     # infinity and verify1d, the mask run too, hold inside values alone
-    assert [grid_functions[stage] for stage in ("2:infinity", "3:verify1d", "5:infinity")] \
+    assert [box_arrays[stage] for stage in ("2:infinity", "3:verify1d", "5:infinity")] \
         == [0, 0, 0]
     report = json.loads((tmp_path / "run4" / "report.json").read_text(encoding="utf-8"))
     assert report["summary"]["oracle_gap"] < 1e-8 * report["summary"]["oracle_lambda"]
