@@ -184,7 +184,7 @@ class RunReport:
 # ---------------------------------------------------------------------------
 
 
-def _load_mask_csv(path: Path, h: float, margin: float) -> GridDomain:
+def _load_mask_csv(path: Path, h: float) -> GridDomain:
     try:
         text = Path(path).read_text(encoding="utf-8").strip().splitlines()
     except OSError as exc:
@@ -226,8 +226,7 @@ def _load_mask_csv(path: Path, h: float, margin: float) -> GridDomain:
     if any(np.moveaxis(inside, j, 0)[[0, -1]].any() for j in range(dim)):
         raise ConfigError(f"mask file {path} has inside nodes on the lattice edge; "
                           "pad the lattice with outside nodes")
-    return GridDomain(dim=dim, h=spacings[0], axes=tuple(axes), inside=inside,
-                      shape_tag=None, margin=margin)
+    return GridDomain(h=spacings[0], axes=tuple(axes), inside=inside)
 
 
 def build_domain(cfg: RunConfig) -> GridDomain:
@@ -237,13 +236,11 @@ def build_domain(cfg: RunConfig) -> GridDomain:
         if kind == "interval":
             return build_interval(float(spec["a"]), float(spec["b"]), cfg.h, cfg.margin)
         if kind == "disk":
-            return build_disk([float(c) for c in spec["center"]],
-                              float(spec["radius"]), cfg.h, cfg.margin)
+            return build_disk(spec["center"], float(spec["radius"]), cfg.h, cfg.margin)
         if kind == "rectangle":
-            return build_rectangle([float(c) for c in spec["lo"]],
-                                   [float(c) for c in spec["hi"]], cfg.h, cfg.margin)
+            return build_rectangle(spec["lo"], spec["hi"], cfg.h, cfg.margin)
         if kind == "mask":
-            return _load_mask_csv(Path(spec["path"]), cfg.h, cfg.margin)
+            return _load_mask_csv(Path(spec["path"]), cfg.h)
     except _TooLarge:  # too large for memory is not bad input: no prefix
         raise
     except (KeyError, TypeError, ValueError) as exc:

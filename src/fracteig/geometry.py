@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Callable, Optional, Union
 
@@ -257,14 +257,12 @@ class GridDomain:
 
     Attributes
     ----------
-    dim : 1 or 2.
     h : lattice spacing (same along every axis).
-    axes : per-axis node coordinate arrays; the lattice is their product.
+    axes : per-axis node coordinate arrays, one or two; the lattice is their
+        product, and ``dim`` is their number.
     inside : boolean array over the lattice, True at strictly interior nodes.
     shape_tag : canonical shape when the mask came from one (enables exact
         distances); None for free-form masks.
-    margin : the box extends at least ``margin`` times the diagonal of the
-        region's bounding box beyond that bounding box on every side.
 
     Instances are treated as immutable; do not mutate ``inside`` in place.
     The inside nodes' indices, coordinates and distance to the complement
@@ -272,20 +270,16 @@ class GridDomain:
     (`inside_and_ring`), are cached: each is computed once per domain.
     """
 
-    dim: int
     h: float
     axes: tuple
     inside: np.ndarray
     shape_tag: Optional[CanonicalShape] = None
-    margin: float = 2.0
 
     def __post_init__(self):
         if self.dim not in (1, 2):
             raise ValueError(f"dim must be 1 or 2, got {self.dim}")
         if not (self.h > 0.0) or not math.isfinite(self.h):
             raise ValueError(f"spacing h must be positive and finite, got {self.h}")
-        if len(self.axes) != self.dim:
-            raise ValueError("axes/dim mismatch")
         shape = tuple(len(ax) for ax in self.axes)
         if self.inside.shape != shape:
             raise ValueError(f"inside mask shape {self.inside.shape} != lattice {shape}")
@@ -297,6 +291,10 @@ class GridDomain:
             raise ValueError("domain has no outside nodes; enlarge the box")
 
     # -- lattice bookkeeping -------------------------------------------------
+
+    @property
+    def dim(self) -> int:
+        return len(self.axes)
 
     @property
     def lattice_shape(self) -> tuple:
@@ -398,14 +396,7 @@ class GridDomain:
                           f"lattice arrays for {self.n_nodes} nodes")
         mask = _membership(self.axes, self.h, shape_tag, predicate)
         mask &= self.inside
-        return GridDomain(
-            dim=self.dim,
-            h=self.h,
-            axes=self.axes,
-            inside=mask,
-            shape_tag=shape_tag,
-            margin=self.margin,
-        )
+        return replace(self, inside=mask, shape_tag=shape_tag)
 
 
 class GridFunction:
@@ -616,8 +607,7 @@ def _lattice(lo: np.ndarray, hi: np.ndarray, h: float, margin: float, anchor: np
     axes = tuple(_axis(c, -int(down), int(up), h) for c, down, up in zip(anchor, below, above))
     # a predicate counts only inside the tight box
     inside = _membership(axes, h, shape, inside_of, within=(lo, hi) if shape is None else None)
-    return GridDomain(dim=len(axes), h=float(h), axes=axes, inside=inside,
-                      shape_tag=shape, margin=float(margin))
+    return GridDomain(h=float(h), axes=axes, inside=inside, shape_tag=shape)
 
 
 def build_interval(a: float, b: float, h: float, margin: float = 2.0) -> GridDomain:
@@ -634,39 +624,57 @@ def build_interval(a: float, b: float, h: float, margin: float = 2.0) -> GridDom
     return _lattice(lo, hi, h, margin, lo, None, shape)
 
 
+def _point(name: str, value, dim: int) -> np.ndarray:
+    """value as a float vector of exactly dim finite entries; a ValueError
+    that names it otherwise."""
+    p = np.atleast_1d(np.asarray(value, dtype=float))
+    if p.shape != (dim,):
+        raise ValueError(f"{name} must have {dim} coordinates")
+    if not np.isfinite(p).all():
+        raise ValueError(f"{name} must be finite, got {p.tolist()}")
+    return p
+
+
+def _box2d(lo, hi) -> tuple:
+    """The corners lo and hi of a 2D box, each read by `_point`, hi above lo
+    along both axes."""
+    lo, hi = _point("lo", lo, 2), _point("hi", hi, 2)
+    if not np.all(hi > lo):
+        raise ValueError(f"degenerate 2D box: lo={lo}, hi={hi}")
+    return lo, hi
+
+
 def build_mask2d(box, h: float, inside_predicate: Callable[[np.ndarray], np.ndarray],
-                 margin: float = 2.0, shape: Optional[CanonicalShape] = None,
-                 anchor=None) -> GridDomain:
+                 margin: float = 2.0, anchor=None) -> GridDomain:
     """2D lattice domain from a membership predicate.
 
-    ``box`` is the (lo, hi) pair of 2-vectors tightly bounding the region; the
-    lattice extends ``margin * diam(box)`` beyond it on every side.  The
-    predicate receives (N, 2) coordinates and returns booleans; it is only
-    honored inside the tight box.  Pass ``shape`` for a registered canonical
-    shape to get exact distances downstream (the predicate is then ignored in
-    favor of the shape's own membership test).
+    ``box`` is the (lo, hi) pair of corners tightly bounding the region; the
+    lattice runs through ``anchor`` (default lo) and extends ``margin`` times
+    the box's diagonal beyond it on every side.  lo, hi and anchor each take
+    exactly two finite coordinates.  The predicate receives (N, 2)
+    coordinates and returns booleans; it is only honored inside the tight
+    box.  The domain carries no shape, so its distances are the lattice's.
     """
-    lo, hi = (np.asarray(corner, dtype=float) for corner in box)
-    if lo.shape != (2,) or hi.shape != (2,) or not np.all(hi > lo):
-        raise ValueError(f"degenerate 2D box: lo={lo}, hi={hi}")
-    anchor = lo if anchor is None else np.asarray(anchor, dtype=float)
-    return _lattice(lo, hi, h, margin, anchor, inside_predicate, shape)
+    lo, hi = _box2d(*box)
+    anchor = lo if anchor is None else _point("anchor", anchor, 2)
+    return _lattice(lo, hi, h, margin, anchor, inside_predicate, None)
 
 
 def build_disk(center, radius: float, h: float, margin: float = 2.0) -> GridDomain:
-    """Canonical disk domain; the center is a lattice node by construction."""
-    cx, cy = float(center[0]), float(center[1])
+    """Canonical disk domain; the center, two finite coordinates, is a
+    lattice node by construction."""
+    c = _point("center", center, 2)
     if not (radius > 0.0):
         raise ValueError(f"radius must be positive, got {radius}")
-    shape = Disk(cx, cy, float(radius))
-    return build_mask2d(shape.bounding_box(), h, None, margin=margin, shape=shape,
-                        anchor=np.array([cx, cy]))
+    shape = Disk(*c.tolist(), float(radius))
+    return _lattice(*shape.bounding_box(), h, margin, c, None, shape)
 
 
 def build_rectangle(lo, hi, h: float, margin: float = 2.0) -> GridDomain:
-    """Canonical axis-aligned rectangle domain anchored at its lower corner."""
-    shape = Rectangle(float(lo[0]), float(lo[1]), float(hi[0]), float(hi[1]))
-    return build_mask2d(shape.bounding_box(), h, None, margin=margin, shape=shape)
+    """Canonical axis-aligned rectangle domain anchored at its lower corner;
+    lo and hi take two finite coordinates each, hi above lo along both axes."""
+    lo, hi = _box2d(lo, hi)
+    return _lattice(lo, hi, h, margin, lo, None, Rectangle(*lo.tolist(), *hi.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -877,10 +885,6 @@ def _node_index(dom: GridDomain, x) -> int:
 def nearest_node(dom: GridDomain, point) -> int:
     """Flat index of the lattice node closest to a point: the nearest along
     each axis (the lower on a tie), as the squared distance sums over axes."""
-    p = np.atleast_1d(np.asarray(point, dtype=float))
-    if p.shape != (dom.dim,):
-        raise ValueError(f"point must have {dom.dim} coordinates")
-    if not np.isfinite(p).all():
-        raise ValueError(f"point must be finite, got {p.tolist()}")
+    p = _point("point", point, dom.dim)
     at = [np.argmin((ax - c) ** 2) for ax, c in zip(dom.axes, p)]
     return int(np.ravel_multi_index(at, dom.lattice_shape))

@@ -1,6 +1,14 @@
+import os
 import tracemalloc
 
 import pytest
+
+# One BLAS thread unless the environment says otherwise, as perfbench/run.py
+# gives its children: a small dense solve such as p2_oracle's eigh can wait
+# far longer on OpenBLAS's thread pool than it computes.  BLAS reads these
+# when numpy loads, which is after this file.
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_name, "1")
 
 _RECORDS = []
 

@@ -477,6 +477,27 @@ def test_mask_file_roundtrip(tmp_path):
         (out_a / "domain_mask.csv").read_bytes()
 
 
+def test_margin_does_not_move_a_mask_lattice(tmp_path):
+    """A mask file is its own lattice: runs with --margin 1 and --margin 5
+    write the same bytes to every CSV, the mask reloaded included, and each
+    report echoes its own margin."""
+    mask = tmp_path / "mask.csv"
+    write_mask(mask, triangle_mask(1 / 8))
+    cfg = _write_config(tmp_path, {"domain": {"shape": "mask", "path": str(mask)},
+                                   "alpha": 0.5, "h": 1 / 8})
+    outs = {m: tmp_path / f"margin{m}" for m in (1, 5)}
+    for m, out in outs.items():
+        assert main(["infinity", "--config", str(cfg), "--margin", str(m),
+                     "--out", str(out)]) == 0
+        assert _report(out)["config"]["margin"] == m
+    csvs = sorted(path.name for path in outs[1].glob("*.csv"))
+    assert "domain_mask.csv" in csvs
+    assert sorted(path.name for path in outs[5].glob("*.csv")) == csvs
+    for name in csvs:
+        assert (outs[1] / name).read_bytes() == (outs[5] / name).read_bytes(), name
+    assert (outs[1] / "domain_mask.csv").read_bytes() == mask.read_bytes()
+
+
 def test_asymmetric_mask_reports_every_inside_node_as_an_orbit(tmp_path):
     dom = triangle_mask(1 / 8)
     mask = tmp_path / "mask.csv"
@@ -624,6 +645,26 @@ def test_non_finite_lattice_exits_2(tmp_path, capsys, command, domain):
                    encoding="utf-8")
     assert main([command, "--config", str(cfg)]) == 2
     assert "is not finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("vector", [[0.0, 0.0, 5.0], [0.0], [0.0, math.inf]],
+                         ids=["three", "one", "inf"])
+@pytest.mark.parametrize("field, domain", [
+    ("center", {"shape": "disk", "center": [0.0, 0.0], "radius": 1.0}),
+    ("lo", {"shape": "rectangle", "lo": [-1.0, -1.0], "hi": [1.0, 1.0]}),
+    ("hi", {"shape": "rectangle", "lo": [-1.0, -1.0], "hi": [1.0, 1.0]}),
+], ids=["center", "lo", "hi"])
+def test_shape_vector_not_two_finite_entries_exits_2(tmp_path, capsys, field, domain, vector):
+    """A disk's center and a rectangle's corners take exactly two finite
+    entries: a third is not dropped, a single one is no traceback, and 1e400
+    reads as inf.  Each exits 2 naming the field, before any output."""
+    out = tmp_path / "run"
+    cfg = _eig_config(tmp_path, out, domain={**domain, field: vector}, alpha=0.75, p=4.0)
+    cfg.write_text(cfg.read_text(encoding="utf-8").replace("Infinity", "1e400"),
+                   encoding="utf-8")
+    assert main(["eig", "--config", str(cfg)]) == 2
+    assert f"bad domain description: {field} must" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -32,9 +32,15 @@ from fracteig.geometry import (
 from fracteig.infinity import representation
 
 
+_SQUARE = ((-1.0, -1.0), (1.0, 1.0))
+
+
+def _in_unit_disk(pts):
+    return (pts ** 2).sum(axis=1) < 1.0
+
+
 def _unit_disk_mask(h):
-    pred = lambda pts: (pts ** 2).sum(axis=1) < 1.0
-    return build_mask2d(((-1.0, -1.0), (1.0, 1.0)), h, pred, anchor=(0.0, 0.0))
+    return build_mask2d(_SQUARE, h, _in_unit_disk, anchor=(0.0, 0.0))
 
 
 def _l_shape_mask(h):
@@ -493,6 +499,25 @@ def test_builder_validation(a, b, h, margin, msg):
 def test_non_finite_2d_lattice_is_a_value_error(build):
     with pytest.raises(ValueError, match="is not finite"):
         build()
+
+
+@pytest.mark.parametrize("vector, msg", [
+    ((0.0, 0.0, 5.0), "must have 2 coordinates"),
+    ((0.0,), "must have 2 coordinates"),
+    ((0.0, np.inf), "must be finite"),
+], ids=["three", "one", "inf"])
+@pytest.mark.parametrize("field, build", [
+    ("center", lambda v: build_disk(v, 1.0, 0.25)),
+    ("lo", lambda v: build_rectangle(v, _SQUARE[1], 0.25)),
+    ("hi", lambda v: build_rectangle(_SQUARE[0], v, 0.25)),
+    ("lo", lambda v: build_mask2d((v, _SQUARE[1]), 0.25, _in_unit_disk)),
+    ("hi", lambda v: build_mask2d((_SQUARE[0], v), 0.25, _in_unit_disk)),
+    ("anchor", lambda v: build_mask2d(_SQUARE, 0.25, _in_unit_disk, anchor=v)),
+], ids=["disk-center", "rectangle-lo", "rectangle-hi", "mask-lo", "mask-hi", "mask-anchor"])
+def test_shape_vectors_take_two_finite_coordinates(field, build, vector, msg):
+    """A third entry is not dropped and a single one is no IndexError."""
+    with pytest.raises(ValueError, match=f"^{field} {msg}"):
+        build(vector)
 
 
 def test_domain_needs_inside_nodes():
