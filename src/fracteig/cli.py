@@ -339,8 +339,8 @@ def cmd_infinity(cfg: RunConfig) -> tuple:
             gamma1 = NodeSet(dom, np.asarray(cfg.gamma1, dtype=np.int64))
         except ValueError as exc:
             raise ConfigError(f"bad gamma1 node list: {exc}") from exc
-    u = representation(dom, gamma1, cfg.alpha, delta=delta)
-    report = first_residual(u, cfg.alpha, lam, delta)
+    u = representation(dom, gamma1, cfg.alpha)
+    report = first_residual(u, cfg.alpha, lam)
 
     tables = [
         ("representation", "representation.csv", [*coord_header(dom), "u"], function_rows(u)),
@@ -377,13 +377,12 @@ def cmd_verify1d(cfg: RunConfig) -> tuple:
     tables = []
     residuals = []
     for h, dom in zip(hs, doms):
-        delta = distance_to_complement(dom)
         for ex in examples:
             u = sample(ex, dom)
             if ex.kind == "first":
-                rep = first_residual(u, alpha, ex.lam, delta)
+                rep = first_residual(u, alpha, ex.lam)
             else:
-                rep = higher_residual(u, alpha, ex.lam, delta)
+                rep = higher_residual(u, alpha, ex.lam)
             residuals.append((ex.kind, h, rep.sup_norm(), rep.sup_norm(exclude_collar=True)))
             if h == finest:
                 tables.append((f"{ex.kind}_profile", f"{ex.kind}_profile.csv", ["x", "u"],

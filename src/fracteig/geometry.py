@@ -262,7 +262,9 @@ class GridDomain:
         product, and ``dim`` is their number.
     inside : boolean array over the lattice, True at strictly interior nodes.
     shape_tag : canonical shape when the mask came from one (enables exact
-        distances); None for free-form masks.
+        distances); None for free-form masks.  It must contain the mask, or
+        `inside_distance` reads no true distance (it raises ValueError where
+        that distance is not positive).
 
     Instances are treated as immutable; do not mutate ``inside`` in place.
     The inside nodes' indices, coordinates and distance to the complement
@@ -351,12 +353,17 @@ class GridDomain:
         which approximates the continuum distance to O(h).  That node always
         lies on the outside ring, the outside axis neighbours of inside
         nodes: one lattice step from it toward the inside node lands inside,
-        or a nearer outside node would exist.  So only the ring is scanned."""
+        or a nearer outside node would exist.  So only the ring is scanned.
+        Raises ValueError where the distance is not positive, which only a
+        shape_tag that does not contain the mask gives."""
         if self.shape_tag is not None:
             d = self.shape_tag.distance(self.inside_coords)
         else:
             ring = np.flatnonzero(_dilate(self.inside) & ~self.inside)
             d = _nearest_distances(self, self.inside_indices, ring)
+        if not (d > 0.0).all():
+            raise ValueError("distance to the complement must be positive at inside nodes; "
+                             f"does the shape_tag {self.shape_tag} contain the mask?")
         d.flags.writeable = False
         return d
 
@@ -383,19 +390,27 @@ class GridDomain:
 
     def restricted(self, predicate: Callable[[np.ndarray], np.ndarray],
                    shape_tag: Optional[CanonicalShape] = None) -> "GridDomain":
-        """Sub-domain on the same lattice: inside nodes that satisfy predicate.
+        """Sub-domain on the same lattice: the inside nodes that satisfy
+        predicate, or else those of the canonical shape_tag.
 
         The predicate receives an (N, dim) coordinate array and returns a
-        boolean vector, so it passes `_check_memory` first; a canonical
-        shape_tag is tested on the axes instead.  Useful for monotonicity
-        experiments where the smaller region must live on the identical
-        lattice and box.
+        boolean vector, so it passes `_check_memory` first; a shape_tag is
+        tested on the axes instead.  Passing both raises ValueError, as does
+        a shape_tag with a lattice node outside this domain's inside set:
+        such a tag does not describe the sub-domain's mask, so its analytic
+        distance would be wrong.  Useful for monotonicity experiments where
+        the smaller region must live on the identical lattice and box.
         """
         if shape_tag is None:
             _check_memory(_LATTICE_BYTES["predicate"] * self.n_nodes,
                           f"lattice arrays for {self.n_nodes} nodes")
+        elif predicate is not None:
+            raise ValueError("pass a predicate or a shape_tag, not both")
         mask = _membership(self.axes, self.h, shape_tag, predicate)
+        count = np.count_nonzero(mask)
         mask &= self.inside
+        if shape_tag is not None and np.count_nonzero(mask) < count:
+            raise ValueError(f"shape_tag {shape_tag} has lattice nodes outside the domain")
         return replace(self, inside=mask, shape_tag=shape_tag)
 
 

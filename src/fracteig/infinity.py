@@ -63,11 +63,14 @@ columns in the same order, so the sub-blocks change no bit.
 The scan works on values, not on grid functions: `_extreme_quotients`,
 `_scan` and `_invariance` take the domain and u's values at its candidates
 (`_candidates`).  The public functions read those with `GridFunction.at`,
-and a report reads the distance at the inside nodes alone, so a function
-held at the inside nodes (`GridFunction.from_inside`: the distance to the
-complement, `representation`, a sampled closed-form profile) is scanned and
-reported without an array over the box's nodes.  A function stored over
-the box is read as stored, so a -0.0 outside the region keeps its bits.
+so a function held at the inside nodes (`GridFunction.from_inside`:
+`representation`, a sampled closed-form profile) is scanned and reported
+without an array over the box's nodes.  A function stored over the box is
+read as stored, so a -0.0 outside the region keeps its bits.
+
+The distance to the complement, delta, is fixed by the region, so every
+function here that needs it reads the domain's `GridDomain.inside_distance`,
+computed once per domain: none takes a delta.
 
 The first-eigenvalue equation residual at an inside node is
 
@@ -497,18 +500,17 @@ def linf_minus(u: GridFunction, alpha: float, x: int) -> Tuple[float, int]:
     return float(lm[0]), int(wm[0])
 
 
-def linf_minus_analytic(u: GridFunction, delta: GridFunction, alpha: float,
-                        x: int) -> float:
-    """-u(x) / delta(x)^alpha: the infimum a nonnegative zero-extended function
-    attains in the complement of the region."""
+def linf_minus_analytic(u: GridFunction, alpha: float, x: int) -> float:
+    """-u(x) / delta(x)^alpha, delta the domain's `inside_distance`: the
+    infimum a nonnegative zero-extended function attains in the complement
+    of the region.  x must be an inside node (ValueError otherwise)."""
     _check_alpha(alpha)
-    if not u.domain.same_lattice(delta.domain):
-        raise ValueError("distance function lives on a different lattice")
-    at = np.array([_node_index(u.domain, x)])
-    dx = delta.at(at)[0]
-    if not (dx > 0.0):
-        raise RuntimeError(f"distance vanishes at node {at[0]}; not an inside node?")
-    return float(-u.at(at)[0] / dx ** alpha)
+    dom = u.domain
+    x = _node_index(dom, x)
+    if not dom.inside_flat[x]:
+        raise ValueError(f"node {x} is not an inside node")
+    dx = dom.inside_distance[np.searchsorted(dom.inside_indices, x)]
+    return float(-u.at(np.array([x]))[0] / dx ** alpha)
 
 
 def holder_seminorm(u: GridFunction, alpha: float) -> float:
@@ -535,7 +537,10 @@ def holder_seminorm(u: GridFunction, alpha: float) -> float:
 
 @dataclass(eq=False)
 class InfinityReport:
-    """Per-inside-node evaluation of the limiting eigenvalue equation."""
+    """Per-inside-node evaluation of the limiting eigenvalue equation.
+
+    delta is the domain's read-only `GridDomain.inside_distance` itself, not
+    a copy."""
 
     domain: GridDomain
     alpha: float
@@ -590,10 +595,10 @@ class InfinityReport:
                             self.l_minus_analytic, self.branch, self.residual)
 
 
-def _residual_report(u: GridFunction, alpha: float, lam: float, delta: GridFunction,
+def _residual_report(u: GridFunction, alpha: float, lam: float,
                      band_scale: Optional[float], name: str) -> InfinityReport:
     """One extreme-quotient scan over the inside nodes, u read at its
-    candidates (`_candidates`) and delta at the inside nodes alone.
+    candidates (`_candidates`), delta the domain's `inside_distance`.
     band_scale None is the first-eigenvalue equation: u >= 0 and no dead
     band."""
     _check_alpha(alpha)
@@ -604,14 +609,10 @@ def _residual_report(u: GridFunction, alpha: float, lam: float, delta: GridFunct
     if not math.isfinite(lam):
         raise ValueError(f"lam must be finite, got {lam}")
     dom = u.domain
-    if not dom.same_lattice(delta.domain):
-        raise ValueError("distance function lives on a different lattice")
     nodes = dom.inside_indices
     vals = u.at(dom.inside_and_ring)
     uin = vals[dom.inside_flat[dom.inside_and_ring]]
-    din = delta.inside_values()
-    if np.any(din <= 0.0):
-        raise RuntimeError("distance must be positive at inside nodes")
+    din = dom.inside_distance
     if band_scale is None and np.any(uin < 0.0):
         raise ValueError(f"{name} expects a nonnegative function")
     lp, wp, lm, wm = _extreme_quotients(dom, vals, alpha, nodes, uin)
@@ -636,14 +637,13 @@ def _residual_report(u: GridFunction, alpha: float, lam: float, delta: GridFunct
                           branch=branch, residual=residual)
 
 
-def first_residual(u: GridFunction, alpha: float, lam: float,
-                   delta: GridFunction) -> InfinityReport:
+def first_residual(u: GridFunction, alpha: float, lam: float) -> InfinityReport:
     """Residual of max{ l_plus + l_minus, l_minus + lam*u } = 0 for u >= 0."""
-    return _residual_report(u, alpha, lam, delta, None, "first_residual")
+    return _residual_report(u, alpha, lam, None, "first_residual")
 
 
 def higher_residual(u: GridFunction, alpha: float, lam: float,
-                    delta: GridFunction, band_scale: float = 1.0) -> InfinityReport:
+                    band_scale: float = 1.0) -> InfinityReport:
     """Residual of the sign-switching eigenvalue equation.
 
     Branches: where u > 0 the first-eigenvalue max-branch applies; where u < 0
@@ -653,7 +653,7 @@ def higher_residual(u: GridFunction, alpha: float, lam: float,
     Hoelder variation, so it vanishes under refinement.  The seminorm is read
     off the same scan that gives l_plus and l_minus: one scan per report.
     """
-    return _residual_report(u, alpha, lam, delta, band_scale, "higher_residual")
+    return _residual_report(u, alpha, lam, band_scale, "higher_residual")
 
 
 # ---------------------------------------------------------------------------
@@ -661,26 +661,21 @@ def higher_residual(u: GridFunction, alpha: float, lam: float,
 # ---------------------------------------------------------------------------
 
 
-def representation(dom: GridDomain, gamma1: NodeSet, alpha: float, *,
-                   delta: Optional[GridFunction] = None) -> GridFunction:
+def representation(dom: GridDomain, gamma1: NodeSet, alpha: float) -> GridFunction:
     """First eigenfunction of the limiting equation built from distances.
 
-    u = delta^alpha / (delta^alpha + rho^alpha), where delta is the distance to
-    the complement and rho the distance to the chosen subset gamma1 of the
-    ridge, high_ridge(delta).  Equals 1 exactly on gamma1, lies in (0, 1]
-    inside, 0 outside, so rho is read (by index offset) at inside nodes only.
-    A caller that already holds distance_to_complement(dom) passes it as
-    delta; it must live on the lattice of dom.  The result is held at the
-    inside nodes (`GridFunction.from_inside`), as delta is read there.
+    u = delta^alpha / (delta^alpha + rho^alpha), where delta is the domain's
+    distance to the complement (`GridDomain.inside_distance`) and rho the
+    distance to the chosen subset gamma1 of the ridge,
+    high_ridge(distance_to_complement(dom)).  Equals 1 exactly on gamma1,
+    lies in (0, 1] inside, 0 outside, so rho is read (by index offset) at
+    inside nodes only.  The result is held at the inside nodes
+    (`GridFunction.from_inside`), as delta is read there.
     """
     _check_alpha(alpha)
-    if delta is None:
-        delta = distance_to_complement(dom)
-    elif not dom.same_lattice(delta.domain):
-        raise ValueError("distance function lives on a different lattice")
-    if not np.isin(gamma1.indices, high_ridge(delta).indices).all():
+    if not np.isin(gamma1.indices, high_ridge(distance_to_complement(dom)).indices).all():
         raise ValueError("gamma1 contains nodes outside the ridge tolerance")
-    da = delta.inside_values() ** alpha
+    da = dom.inside_distance ** alpha
     ra = _nearest_distances(dom, dom.inside_indices, gamma1.indices) ** alpha
     return GridFunction.from_inside(dom, da / (da + ra))
 

@@ -149,7 +149,7 @@ def test_criterion_05_representation_residual_shrinks_like_h_alpha(criterion):
     def residual(dom, alpha):
         delta = distance_to_complement(dom)
         u = representation(dom, high_ridge(delta), alpha)
-        rep = first_residual(u, alpha, lambda_infinity(dom, alpha), delta)
+        rep = first_residual(u, alpha, lambda_infinity(dom, alpha))
         return rep.sup_norm(exclude_collar=True)
 
     cases = []
@@ -198,7 +198,7 @@ def test_criterion_06_analytic_negative_part_balances_on_the_ridge(criterion):
         radius = inscribed_radius(delta)
         uf, df = u.flat(), delta.flat()
         slack = np.array([
-            abs(linf_minus_analytic(u, delta, alpha, int(x)) + lam * uf[x])
+            abs(linf_minus_analytic(u, alpha, int(x)) + lam * uf[x])
             for x in dom.inside_indices
         ])
         on_ridge = np.isin(dom.inside_indices, ridge.indices)
@@ -237,8 +237,7 @@ def test_criterion_07_closed_form_profiles(criterion):
         vals = []
         for h in (1 / 100, 1 / 200, 1 / 400):
             dom = build_interval(0.0, 2.0, h)
-            delta = distance_to_complement(dom)
-            rep = higher_residual(sample(ex, dom), 0.5, ex.lam, delta)
+            rep = higher_residual(sample(ex, dom), 0.5, ex.lam)
             vals.append(rep.sup_norm())
         sups[kind] = vals
     decreasing = {k: all(b < a for a, b in zip(v, v[1:]))

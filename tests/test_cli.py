@@ -885,8 +885,8 @@ def test_streamed_rows_equal_the_materialized_rows():
     dom = build_disk((0.0, 0.0), 1.0, 1 / 16, margin=1.0)
     assert dom.inside_count > 2 * reports._CHUNK_ROWS
     delta = distance_to_complement(dom)
-    u = representation(dom, high_ridge(delta), 0.5, delta=delta)
-    rep = first_residual(u, 0.5, lambda_infinity(dom, 0.5), delta)
+    u = representation(dom, high_ridge(delta), 0.5)
+    rep = first_residual(u, 0.5, lambda_infinity(dom, 0.5))
     coords = dom.node_coords[rep.nodes]
     want = list(zip(rep.nodes.tolist(), *coords.T.tolist(), rep.u.tolist(),
                     rep.delta.tolist(), rep.l_plus.tolist(), rep.witness_plus.tolist(),

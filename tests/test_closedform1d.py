@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fracteig.closedform1d import first_1d, sample, second_1d, third_1d
-from fracteig.geometry import build_disk, build_interval, distance_to_complement, nearest_node
+from fracteig.geometry import build_disk, build_interval, nearest_node
 from fracteig.infinity import BRANCH_OPERATOR, higher_residual
 
 
@@ -167,7 +167,7 @@ def test_sign_changing_profiles_have_a_continuum_plateau(make, opposite, h, plat
     dom = build_interval(0.0, 2.0, h)
     peak, far = nearest_node(dom, a), nearest_node(dom, p)
     assert abs(dom.axes[0][peak] - a) < 1e-12 and abs(dom.axes[0][far] - p) < 1e-12
-    rep = higher_residual(sample(ex, dom), 0.5, ex.lam, distance_to_complement(dom))
+    rep = higher_residual(sample(ex, dom), 0.5, ex.lam)
     xs = dom.inside_coords[:, 0]
     band = (xs > a / 2 + h) & (xs < a - h)
     assert band.sum() > 200

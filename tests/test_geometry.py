@@ -211,6 +211,28 @@ def test_restricted_predicate_and_shape():
         sq.restricted(None)
 
 
+def test_restricted_takes_a_predicate_or_a_shape_tag_not_both():
+    """Each alone keeps its own nodes; together one would be dropped
+    without a word, so the pair is refused."""
+    dom = build_interval(0.0, 2.0, 1 / 8)
+    assert dom.restricted(lambda c: c[:, 0] < 0.5).inside_count == 3
+    assert dom.restricted(None, shape_tag=Interval(0.0, 1.5)).inside_count == 11
+    with pytest.raises(ValueError, match="a predicate or a shape_tag, not both"):
+        dom.restricted(lambda c: c[:, 0] < 0.5, shape_tag=Interval(0.0, 1.5))
+
+
+def test_restricted_refuses_a_shape_tag_beyond_the_inside_nodes():
+    """(0.5, 2) on the inside nodes of (0, 1) keeps the nodes of (0.5, 1)
+    but would read their distance to the complement from the wrong shape
+    (an inscribed radius of 0.375 for 0.25), so it is refused."""
+    small = build_interval(0.0, 2.0, 1 / 8).restricted(None, shape_tag=Interval(0.0, 1.0))
+    with pytest.raises(ValueError, match=r"shape_tag Interval\(a=0.5, b=2.0\) has lattice "
+                                         "nodes outside the domain"):
+        small.restricted(None, shape_tag=Interval(0.5, 2.0))
+    sub = small.restricted(None, shape_tag=Interval(0.5, 1.0))
+    assert sub.inside_count == 3 and sub.inside_distance.max() == 0.25
+
+
 def test_same_lattice_detects_mismatch():
     a = build_interval(0.0, 1.0, 0.25)
     b = build_interval(0.0, 1.0, 0.125)
@@ -421,7 +443,7 @@ def test_distance_to_set_larger_than_memory_is_a_value_error(monkeypatch):
     with pytest.raises(ValueError, match=f"distance_to_set arrays for {dom.n_nodes} box "
                                          "nodes need .* MiB, more than the 256 KiB"):
         distance_to_set(dom, ridge)
-    assert representation(dom, ridge, 0.5, delta=delta).flat()[ridge.indices[0]] == 1.0
+    assert representation(dom, ridge, 0.5).flat()[ridge.indices[0]] == 1.0
 
 
 _NEAREST = {

@@ -13,7 +13,9 @@ from scipy.spatial.distance import cdist
 
 from fracteig import geometry, infinity
 from fracteig.geometry import (
+    GridDomain,
     GridFunction,
+    Interval,
     NodeSet,
     _dilate,
     build_disk,
@@ -166,21 +168,60 @@ def test_extremes_stay_within_rounding_of_coordinate_distances(dom):
 def test_l_minus_analytic_values():
     dom, delta, ridge, u = rep_on_interval()
     # at the ridge: -u/delta^alpha = -1
-    assert linf_minus_analytic(u, delta, 0.5, int(ridge.indices[0])) == pytest.approx(-1.0)
-    with pytest.raises(RuntimeError, match="distance vanishes at node"):
-        linf_minus_analytic(u, delta, 0.5, nearest_node(dom, -1.0))
+    assert linf_minus_analytic(u, 0.5, int(ridge.indices[0])) == pytest.approx(-1.0)
+    outside = nearest_node(dom, -1.0)
+    with pytest.raises(ValueError, match=f"node {outside} is not an inside node"):
+        linf_minus_analytic(u, 0.5, outside)
 
 
-def test_l_minus_analytic_rejects_a_distance_on_another_lattice():
-    """delta must live on u's lattice, as in the residual reports: (0, 4) at
-    h = 1/4 has the 81 nodes of (0, 2) at h = 1/8 at other coordinates, and
-    (0, 2) at h = 1/4 has fewer nodes."""
-    dom, delta, ridge, u = rep_on_interval(h=1 / 8)
-    same_count, coarser = build_interval(0.0, 4.0, 0.25), build_interval(0.0, 2.0, 0.25)
-    assert same_count.n_nodes == dom.n_nodes > coarser.n_nodes
-    for other in (same_count, coarser):
-        with pytest.raises(ValueError, match="different lattice"):
-            linf_minus_analytic(u, distance_to_complement(other), 0.5, int(ridge.indices[0]))
+def _unit_interval_in_a_wider_box():
+    """(0, 1) cut from (0, 2) at h = 1/16: 15 inside nodes on the parent's
+    lattice, and its representation."""
+    dom = build_interval(0.0, 2.0, 1 / 16).restricted(None, shape_tag=Interval(0.0, 1.0))
+    return dom, representation(dom, high_ridge(distance_to_complement(dom)), 0.5)
+
+
+def test_functions_of_u_read_the_distance_of_its_domain():
+    """A sub-domain shares its parent's lattice but not its distance to the
+    complement: the report's delta is the sub-domain's own cache, and
+    linf_minus_analytic at x = 15/16 divides by delta = 1/16 there."""
+    dom, u = _unit_interval_in_a_wider_box()
+    assert dom.inside_count == 15
+    rep = first_residual(u, 0.5, lambda_infinity(dom, 0.5))
+    assert rep.delta is dom.inside_distance and not rep.delta.flags.writeable
+    x = nearest_node(dom, 15 / 16)
+    assert dom.inside_distance[-1] == 1 / 16
+    want = -u.at(np.array([x]))[0] / (1 / 16) ** 0.5
+    assert linf_minus_analytic(u, 0.5, x) == want == pytest.approx(-1.0972, abs=1e-4)
+    # inside the parent, outside the sub-domain
+    outside = nearest_node(dom, 1.5)
+    with pytest.raises(ValueError, match=f"node {outside} is not an inside node"):
+        linf_minus_analytic(u, 0.5, outside)
+
+
+def test_no_function_of_u_takes_a_distance():
+    """A caller that still passes delta gets a TypeError, not a result."""
+    dom, u = _unit_interval_in_a_wider_box()
+    delta = distance_to_complement(dom)
+    x = nearest_node(dom, 0.5)
+    calls = [lambda: first_residual(u, 0.5, 1.0, delta),
+             lambda: higher_residual(u, 0.5, 1.0, delta),
+             lambda: representation(dom, high_ridge(delta), 0.5, delta=delta),
+             lambda: linf_minus_analytic(u, delta, 0.5, x)]
+    for call in calls:
+        with pytest.raises(TypeError):
+            call()
+
+
+def test_a_shape_tag_that_does_not_contain_the_mask_is_refused():
+    """The mask of (0, 2) at h = 1/8 tagged (0, 1): the tag's distance
+    vanishes at the 8 inside nodes from x = 1 on, so the domain's distance,
+    and every reader of it, raises."""
+    lat = build_interval(0.0, 2.0, 1 / 8)
+    dom = GridDomain(lat.h, lat.axes, lat.inside, shape_tag=Interval(0.0, 1.0))
+    for call in (lambda: dom.inside_distance, lambda: lambda_infinity(dom, 0.5)):
+        with pytest.raises(ValueError, match="must be positive at inside nodes"):
+            call()
 
 
 @pytest.mark.parametrize("x", [0.5, 9.9, True, np.float64(3.0)])
@@ -188,7 +229,7 @@ def test_node_index_that_is_no_integer_is_rejected(x):
     """A fractional index is not truncated to a node, and a bool is no index."""
     dom, delta, ridge, u = rep_on_interval()
     calls = [lambda: linf_plus(u, 0.5, x), lambda: linf_minus(u, 0.5, x),
-             lambda: linf_minus_analytic(u, delta, 0.5, x), lambda: cone(dom, x, 0.5, 0.5)]
+             lambda: linf_minus_analytic(u, 0.5, x), lambda: cone(dom, x, 0.5, 0.5)]
     for call in calls:
         with pytest.raises(ValueError, match="node index must be an integer"):
             call()
@@ -201,8 +242,8 @@ def test_numpy_integer_node_index_is_accepted():
     assert linf_minus(u, 0.5, x) == linf_minus(u, 0.5, 3)
     np.testing.assert_array_equal(cone(dom, x, 0.5, 0.5).flat(), cone(dom, 3, 0.5, 0.5).flat())
     top = int(ridge.indices[0])
-    assert (linf_minus_analytic(u, delta, 0.5, np.int64(top))
-            == linf_minus_analytic(u, delta, 0.5, top))
+    assert (linf_minus_analytic(u, 0.5, np.int64(top))
+            == linf_minus_analytic(u, 0.5, top))
 
 
 def test_node_index_out_of_range_is_rejected():
@@ -214,7 +255,7 @@ def test_node_index_out_of_range_is_rejected():
         with pytest.raises(ValueError, match=f"node index {x} out of range"):
             linf_minus(u, 0.5, x)
         with pytest.raises(ValueError, match=f"node index {x} out of range"):
-            linf_minus_analytic(u, delta, 0.5, x)
+            linf_minus_analytic(u, 0.5, x)
 
 
 @pytest.mark.parametrize("alpha", [0.5, 1.0])
@@ -222,7 +263,7 @@ def test_l_minus_brute_equals_analytic_on_interval(alpha):
     dom, delta, ridge, u = rep_on_interval(h=1 / 50, alpha=alpha)
     for ix in dom.inside_indices:
         lm, wm = linf_minus(u, alpha, int(ix))
-        assert lm == pytest.approx(linf_minus_analytic(u, delta, alpha, int(ix)), abs=1e-14)
+        assert lm == pytest.approx(linf_minus_analytic(u, alpha, int(ix)), abs=1e-14)
         if alpha < 1.0:
             # the infimum looks out of the region (or beyond the box)
             assert wm == EXTERIOR_WITNESS or not dom.inside_flat[wm]
@@ -236,7 +277,7 @@ def test_l_minus_brute_near_analytic_on_disk():
     worst = 0.0
     for ix in dom.inside_indices:
         lm, _ = linf_minus(u, 0.5, int(ix))
-        lma = linf_minus_analytic(u, delta, 0.5, int(ix))
+        lma = linf_minus_analytic(u, 0.5, int(ix))
         worst = max(worst, abs(lm - lma))
     assert worst <= 2.0 * h ** 0.5
 
@@ -271,34 +312,34 @@ def test_holder_seminorm_against_brute():
 def test_first_residual_validation():
     dom, delta, ridge, u = rep_on_interval()
     with pytest.raises(ValueError, match="nonnegative"):
-        first_residual(GridFunction(dom, -u.values), 0.5, 1.0, delta)
+        first_residual(GridFunction(dom, -u.values), 0.5, 1.0)
     rho = distance_to_set(dom, ridge)
     with pytest.raises(ValueError, match="zero-extended"):
-        first_residual(rho, 0.5, 1.0, delta)
+        first_residual(rho, 0.5, 1.0)
     for lam in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError, match="lam must be finite"):
-            first_residual(u, 0.5, lam, delta)
+            first_residual(u, 0.5, lam)
         with pytest.raises(ValueError, match="lam must be finite"):
-            higher_residual(u, 0.5, lam, delta)
+            higher_residual(u, 0.5, lam)
 
 
 def test_first_residual_small_at_true_lambda():
     dom, delta, ridge, u = rep_on_interval(h=1 / 100)
-    rep = first_residual(u, 0.5, lambda_infinity(dom, 0.5), delta)
+    rep = first_residual(u, 0.5, lambda_infinity(dom, 0.5))
     assert rep.sup_norm() <= 1e-12
     assert set(rep.branch) <= {BRANCH_OPERATOR, BRANCH_EIGEN}
 
 
 def test_first_residual_detects_wrong_lambda():
     dom, delta, ridge, u = rep_on_interval(h=1 / 100)
-    rep = first_residual(u, 0.5, 0.5 * lambda_infinity(dom, 0.5), delta)
+    rep = first_residual(u, 0.5, 0.5 * lambda_infinity(dom, 0.5))
     assert rep.sup_norm() >= 0.2
 
 
 def test_report_structure():
     dom, delta, ridge, u = rep_on_interval(h=1 / 20)
     lam = lambda_infinity(dom, 0.5)
-    rep = first_residual(u, 0.5, lam, delta)
+    rep = first_residual(u, 0.5, lam)
     s = rep.summary()
     assert s["nodes"] == dom.inside_count
     assert s["lambda"] == lam
@@ -317,23 +358,22 @@ def test_higher_residual_zero_function_and_validation():
     dom = build_interval(0.0, 2.0, 0.25)
     delta = distance_to_complement(dom)
     z = GridFunction(dom, np.zeros(dom.lattice_shape))
-    rep = higher_residual(z, 0.5, 1.0, delta)
+    rep = higher_residual(z, 0.5, 1.0)
     assert rep.sup_norm() == 0.0
     assert set(rep.branch) == {BRANCH_ZERO}
     for bad in (-1.0, float("nan")):
         with pytest.raises(ValueError, match="band_scale must be >= 0"):
-            higher_residual(z, 0.5, 1.0, delta, band_scale=bad)
+            higher_residual(z, 0.5, 1.0, band_scale=bad)
     rho = distance_to_set(dom, high_ridge(delta))
     with pytest.raises(ValueError, match="zero-extended"):
-        higher_residual(rho, 0.5, 1.0, delta)
+        higher_residual(rho, 0.5, 1.0)
 
 
 def test_higher_residual_branches_and_reconstruction():
     ex = second_1d(0.5)
     dom = build_interval(0.0, 2.0, 1 / 64)
-    delta = distance_to_complement(dom)
     u = sample(ex, dom)
-    rep = higher_residual(u, 0.5, ex.lam, delta)
+    rep = higher_residual(u, 0.5, ex.lam)
     band = dom.h ** 0.5 * holder_seminorm(u, 0.5)
     op = rep.l_plus + rep.l_minus
     for k in range(rep.u.size):
@@ -351,8 +391,7 @@ def test_higher_residual_mirror_antisymmetry():
     # u(2-x) = -u(x) swaps the sup/inf roles exactly, node for node
     ex = second_1d(0.5)
     dom = build_interval(0.0, 2.0, 1 / 128)
-    delta = distance_to_complement(dom)
-    rep = higher_residual(sample(ex, dom), 0.5, ex.lam, delta)
+    rep = higher_residual(sample(ex, dom), 0.5, ex.lam)
     xs = dom.inside_coords[:, 0]
     order = np.argsort(xs)
     r = rep.residual[order]
@@ -362,10 +401,9 @@ def test_higher_residual_mirror_antisymmetry():
 def test_higher_matches_first_on_positive_part():
     ex = first_1d(0.5)
     dom = build_interval(0.0, 2.0, 1 / 64)
-    delta = distance_to_complement(dom)
     u = sample(ex, dom)
-    hi = higher_residual(u, 0.5, ex.lam, delta)
-    lo = first_residual(u, 0.5, ex.lam, delta)
+    hi = higher_residual(u, 0.5, ex.lam)
+    lo = first_residual(u, 0.5, ex.lam)
     band = dom.h ** 0.5 * holder_seminorm(u, 0.5)
     strong = hi.u > band
     assert strong.any()
@@ -394,7 +432,7 @@ def test_report_scan_gives_the_holder_seminorm_exactly(alpha):
     # higher_residual sizes its dead band from its own scan over the inside
     # nodes: for a zero-extended u that is holder_seminorm, bit for bit
     for name, u in _seminorm_cases():
-        rep = higher_residual(u, alpha, 1.0, distance_to_complement(u.domain))
+        rep = higher_residual(u, alpha, 1.0)
         seminorm = holder_seminorm(u, alpha)
         assert max(rep.l_plus.max(), -rep.l_minus.min(), 0.0) == seminorm, name
         band = u.domain.h ** alpha * seminorm
@@ -406,8 +444,7 @@ def test_report_scan_gives_the_holder_seminorm_exactly(alpha):
 def test_giant_band_classifies_everything_zero():
     ex = second_1d(0.5)
     dom = build_interval(0.0, 2.0, 1 / 32)
-    delta = distance_to_complement(dom)
-    rep = higher_residual(sample(ex, dom), 0.5, ex.lam, delta, band_scale=1e9)
+    rep = higher_residual(sample(ex, dom), 0.5, ex.lam, band_scale=1e9)
     assert set(rep.branch) == {BRANCH_ZERO}
 
 
@@ -436,15 +473,6 @@ def test_representation_bounds_and_gamma1():
     off_ridge = NodeSet(dom, np.array([nearest_node(dom, 0.25)]))
     with pytest.raises(ValueError, match="outside the ridge tolerance"):
         representation(dom, off_ridge, 0.5)
-
-
-def test_representation_takes_the_callers_delta():
-    dom, delta, ridge, u = rep_on_interval(h=1 / 20)
-    np.testing.assert_array_equal(representation(dom, ridge, 0.5, delta=delta).values,
-                                  u.values)
-    other = distance_to_complement(build_interval(0.0, 2.0, 1 / 40))
-    with pytest.raises(ValueError, match="different lattice"):
-        representation(dom, ridge, 0.5, delta=other)
 
 
 def test_lambda_infinity_and_r2_radius_read_the_domains_distance():
@@ -785,7 +813,7 @@ def test_the_fold_scans_one_row_per_orbit(monkeypatch):
     u = _rep(dom, 0.5)
     orbits = np.unique(np.stack(geometry.lattice_symmetries(dom)).min(axis=0)).size
     rows = _scanned_rows(monkeypatch)
-    first_residual(u, 0.5, lambda_infinity(dom, 0.5), distance_to_complement(dom))
+    first_residual(u, 0.5, lambda_infinity(dom, 0.5))
     assert sum(rows) == orbits == 428
     assert dom.inside_count == 3205
     centre = np.array([nearest_node(dom, (0.0, 0.0))])
@@ -818,7 +846,7 @@ def test_symmetry_breaking_gamma1_keeps_only_the_reflections_of_u(monkeypatch):
     dom = build_rectangle((0.0, 0.0), (1.0, 0.5), 1 / 32)
     delta = distance_to_complement(dom)
     end = NodeSet(dom, high_ridge(delta).indices[:1])
-    u = representation(dom, end, 0.5, delta=delta)
+    u = representation(dom, end, 0.5)
     group = _box_invariance(u, dom.inside_indices)[0]
     assert len(group) == 2 and len(geometry.lattice_symmetries(dom)) == 4
     rows = _scanned_rows(monkeypatch)
@@ -981,11 +1009,10 @@ def test_scan_and_higher_residual_are_odd_in_u(lattice, kind):
         assert np.array_equal(neg_lp, -lm) and np.array_equal(neg_lm, -lp)
         np.testing.assert_array_equal(neg_wp, wm)
         np.testing.assert_array_equal(neg_wm, wp)
-    delta = distance_to_complement(dom)
     lam = lambda_infinity(dom, 0.5)
     signed = set()
     for band_scale in (1.0, 0.0):
-        rep, mirror = (higher_residual(f, 0.5, lam, delta, band_scale) for f in (u, neg))
+        rep, mirror = (higher_residual(f, 0.5, lam, band_scale) for f in (u, neg))
         assert np.array_equal(mirror.residual, -rep.residual)
         np.testing.assert_array_equal(mirror.branch, rep.branch)
         signed |= set(np.sign(rep.u[rep.branch != BRANCH_ZERO]))
@@ -1144,7 +1171,6 @@ def test_verify1d_finest_scans_form_under_a_fifth_of_the_pairs(monkeypatch):
     quotients a full scan of the same rows forms, the first pass included
     (about 12-14 % measured)."""
     dom = build_interval(0.0, 2.0, 1 / 1024)
-    delta = distance_to_complement(dom)
     ncols = np.count_nonzero(_dilate(dom.inside))
     rows = _scanned_rows(monkeypatch)
     formed = _formed(monkeypatch)
@@ -1154,9 +1180,9 @@ def test_verify1d_finest_scans_form_under_a_fifth_of_the_pairs(monkeypatch):
         formed.clear()
         u = sample(ex, dom)
         if ex.kind == "first":
-            first_residual(u, 0.5, ex.lam, delta)
+            first_residual(u, 0.5, ex.lam)
         else:
-            higher_residual(u, 0.5, ex.lam, delta)
+            higher_residual(u, 0.5, ex.lam)
         shares[ex.kind] = _entries(formed) / (sum(rows) * ncols)
     print("shares of the full scan's pairs formed at h = 1/1024:",
           {kind: round(share, 3) for kind, share in shares.items()})
@@ -1182,9 +1208,9 @@ def test_one_block_scans_compute_no_bound(monkeypatch):
         linf_plus(u, 0.5, x)
         linf_minus(c, 0.5, x)
     coarse = build_disk((0.0, 0.0), 1.0, 1 / 4, 1.0)
-    first_residual(_rep(coarse, 0.5), 0.5, 1.0, distance_to_complement(coarse))
+    first_residual(_rep(coarse, 0.5), 0.5, 1.0)
     assert calls == []
-    first_residual(u, 0.5, 1.0, distance_to_complement(dom))
+    first_residual(u, 0.5, 1.0)
     assert len(calls) == 1
 
 
@@ -1335,15 +1361,12 @@ def test_functions_held_inside_equal_functions_over_the_box(dom):
     ridge = high_ridge(delta)
     np.testing.assert_array_equal(ridge.indices, high_ridge(delta_box).indices)
     assert _bits(inscribed_radius(delta)) == _bits(inscribed_radius(delta_box))
-    u = representation(dom, ridge, alpha, delta=delta)
+    u = representation(dom, ridge, alpha)
     u_box = _over_box(u)
-    for v in (representation(dom, ridge, alpha), representation(dom, ridge, alpha,
-                                                                 delta=delta_box)):
-        assert v.inside_values().tobytes() == u.inside_values().tobytes()
-    _assert_same_report(first_residual(u, alpha, lam, delta),
-                        first_residual(u_box, alpha, lam, delta_box))
-    _assert_same_report(higher_residual(u, alpha, lam, delta),
-                        higher_residual(u_box, alpha, lam, delta_box))
+    _assert_same_report(first_residual(u, alpha, lam),
+                        first_residual(u_box, alpha, lam))
+    _assert_same_report(higher_residual(u, alpha, lam),
+                        higher_residual(u_box, alpha, lam))
     assert _bits(holder_seminorm(u, alpha)) == _bits(holder_seminorm(u_box, alpha))
     ring = dom.inside_and_ring[~dom.inside_flat[dom.inside_and_ring]]
     for x in (*dom.inside_indices[::7], ring[0], ring[-1]):
@@ -1351,15 +1374,15 @@ def test_functions_held_inside_equal_functions_over_the_box(dom):
             got, want = f(u, alpha, int(x)), f(u_box, alpha, int(x))
             assert (_bits(got[0]), got[1]) == (_bits(want[0]), want[1])
     for x in dom.inside_indices[::7]:
-        assert _bits(linf_minus_analytic(u, delta, alpha, int(x))) \
-            == _bits(linf_minus_analytic(u_box, delta_box, alpha, int(x)))
+        assert _bits(linf_minus_analytic(u, alpha, int(x))) \
+            == _bits(linf_minus_analytic(u_box, alpha, int(x)))
     assert u._values is None and delta._values is None
 
     signed = _over_box(u, ring=-0.0)
     cand = dom.inside_and_ring
     stored = signed.flat()[cand]
     assert np.signbit(stored).any()
-    rep = first_residual(signed, alpha, lam, delta)
+    rep = first_residual(signed, alpha, lam)
     lp, wp, lm, wm = infinity._extreme_quotients(dom, stored, alpha, dom.inside_indices,
                                                  signed.inside_values())
     for got, want in ((rep.l_plus, lp), (rep.witness_plus, wp), (rep.l_minus, lm),
@@ -1374,15 +1397,13 @@ def test_sampled_profiles_equal_profiles_over_the_box(h):
     residuals are those of that masked array, the sign-changing profiles'
     branches included."""
     dom = build_interval(0.0, 2.0, h)
-    delta = distance_to_complement(dom)
-    delta_box = _over_box(delta)
     for ex in (first_1d(0.5), second_1d(0.5), third_1d(0.5)):
         u = sample(ex, dom)
         u_box = GridFunction(dom, np.where(dom.inside, ex(dom.axes[0]), 0.0))
         assert u.at(np.arange(dom.n_nodes)).tobytes() == u_box.flat().tobytes()
         residual = first_residual if ex.kind == "first" else higher_residual
-        got = residual(u, 0.5, ex.lam, delta)
-        _assert_same_report(got, residual(u_box, 0.5, ex.lam, delta_box))
+        got = residual(u, 0.5, ex.lam)
+        _assert_same_report(got, residual(u_box, 0.5, ex.lam))
         if ex.kind != "first":
             assert {BRANCH_OPERATOR, BRANCH_EIGEN} <= set(got.branch.tolist())
         assert u._values is None
