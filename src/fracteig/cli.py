@@ -17,6 +17,7 @@ the CLI's own ConfigErrors (unreadable or malformed config, bad mask file).
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import sys
@@ -475,6 +476,20 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand; return the exit code (0, or 2 for a ConfigError).
+
+    It first calls `gc.freeze()`, which moves every object alive at that
+    moment, chiefly the ~22,000 that importing numpy and fracteig made, to
+    the collector's permanent generation.  Those live until exit anyway, so
+    the interpreter's exit collection (15-21 ms of a 0.13-0.16 s run) and
+    any full collection during the run walked them to find no garbage; now
+    they walk only what the run allocates (about 400 objects tracked after
+    an infinity run).  No computed value or output byte changes.  A caller
+    that runs `main` in process has its own heap frozen too, so any cyclic
+    garbage not yet collected when it calls `main` stays until exit;
+    `gc.unfreeze()` hands the frozen objects back to the collector.
+    """
+    gc.freeze()
     args = _parser().parse_args(argv)
     try:
         _run(RunConfig.load(args.command, args))

@@ -673,6 +673,8 @@ def representation(dom: GridDomain, gamma1: NodeSet, alpha: float) -> GridFuncti
     (`GridFunction.from_inside`), as delta is read there.
     """
     _check_alpha(alpha)
+    if not dom.same_lattice(gamma1.domain):
+        raise ValueError("node set lives on a different lattice")
     if not np.isin(gamma1.indices, high_ridge(distance_to_complement(dom)).indices).all():
         raise ValueError("gamma1 contains nodes outside the ridge tolerance")
     da = dom.inside_distance ** alpha

@@ -475,6 +475,20 @@ def test_representation_bounds_and_gamma1():
         representation(dom, off_ridge, 0.5)
 
 
+def test_representation_rejects_a_set_on_another_lattice():
+    """Node 40 is x = 1, the ridge, on the domain's lattice but x = 2 on the
+    set's: the set is refused as distance_to_set refuses it, not read as the
+    domain's node 40."""
+    dom = build_interval(0.0, 2.0, 1 / 8)
+    other = build_interval(0.0, 4.0, 1 / 4)
+    assert (dom.axes[0][40], other.axes[0][40]) == (1.0, 2.0)
+    with pytest.raises(ValueError, match="different lattice"):
+        representation(dom, NodeSet(other, np.array([40])), 0.5)
+    with pytest.raises(ValueError, match="different lattice"):
+        distance_to_set(dom, NodeSet(other, np.array([40])))
+    assert representation(dom, NodeSet(dom, np.array([40])), 0.5).flat().max() == 1.0
+
+
 def test_lambda_infinity_and_r2_radius_read_the_domains_distance():
     """lambda_infinity and r2_radius read the complement distance the domain
     computes once: their results are those of an explicit

@@ -19,6 +19,10 @@ functions and distances are held at the inside nodes
 Every run computes the distance to the complement once per lattice it
 builds, however many of its steps read it (a sweep's start and target, the
 infinity report's lambda, ridge and two-ball radius).
+
+`main` freezes the heap the imports made (`gc.freeze()`), so the collector,
+at exit too, walks only what the run allocates; the frozen run writes the
+same bytes as an in-process one.
 """
 
 import json
@@ -28,6 +32,7 @@ import sys
 from pathlib import Path
 
 import fracteig
+from fracteig.cli import main
 
 SRC = str(Path(fracteig.__file__).resolve().parents[1])
 
@@ -95,13 +100,44 @@ print(json.dumps([seen, coords, per_lattice, box_arrays]))
 """
 
 
-def _run_fresh(tmp_path: Path, runs: list) -> list:
+# Runs the CLI once in process and prints whether the collector was enabled
+# before and after, the objects it tracked before the run, the frozen count
+# and the objects it tracks after.
+_GC_SCRIPT = """
+import gc, json, sys
+from fracteig.cli import main
+
+enabled, tracked = gc.isenabled(), len(gc.get_objects())
+assert main(sys.argv[1:]) == 0
+print(json.dumps([enabled, gc.isenabled(), tracked, gc.get_freeze_count(),
+                  len(gc.get_objects())]))
+"""
+
+
+def _python(*args: str) -> str:
+    """Standard output of a fresh interpreter that imports fracteig from here."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [SRC, *filter(None, [os.environ.get("PYTHONPATH")])])}
-    proc = subprocess.run([sys.executable, "-c", _SCRIPT, str(tmp_path), json.dumps(runs)],
+    proc = subprocess.run([sys.executable, *args],
                           capture_output=True, text=True, env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout.strip().splitlines()[-1])
+    return proc.stdout
+
+
+def _run_fresh(tmp_path: Path, runs: list) -> list:
+    stdout = _python("-c", _SCRIPT, str(tmp_path), json.dumps(runs))
+    return json.loads(stdout.strip().splitlines()[-1])
+
+
+def _write_config(path: Path, command_and_config: tuple, out: Path) -> list:
+    """Write the config with its output directory; return main's argv."""
+    command, cfg = command_and_config
+    path.write_text(json.dumps(dict(cfg, out=str(out))), encoding="utf-8")
+    return [command, "--config", str(path)]
+
+
+def _csv_bytes(out: Path) -> dict:
+    return {p.name: p.read_bytes() for p in sorted(out.glob("*.csv"))}
 
 
 def test_cli_import_and_tiny_runs_load_no_scipy(tmp_path):
@@ -132,3 +168,26 @@ def test_cli_import_and_tiny_runs_load_no_scipy(tmp_path):
         == [0, 0, 0]
     report = json.loads((tmp_path / "run4" / "report.json").read_text(encoding="utf-8"))
     assert report["summary"]["oracle_gap"] < 1e-8 * report["summary"]["oracle_lambda"]
+
+
+def test_main_freezes_the_import_heap(tmp_path):
+    """After a run the collector is as enabled as before, everything tracked
+    before the run is frozen, and it tracks under a tenth of that."""
+    argv = _write_config(tmp_path / "config.json", _TINY_RUNS[2], tmp_path / "run")
+    enabled, enabled_after, tracked, frozen, tracked_after = json.loads(
+        _python("-c", _GC_SCRIPT, *argv).strip().splitlines()[-1])
+    assert enabled_after == enabled
+    assert frozen >= tracked
+    assert tracked_after < tracked / 10
+
+
+def test_module_entry_and_in_process_main_write_the_same_bytes(tmp_path):
+    """`python -m fracteig.cli` freezes a fresh interpreter's heap; main in
+    this process freezes one that has run the test session.  The CSVs agree."""
+    fresh, here = tmp_path / "fresh", tmp_path / "here"
+    _python("-m", "fracteig.cli",
+            *_write_config(tmp_path / "fresh.json", _TINY_RUNS[2], fresh))
+    assert main(_write_config(tmp_path / "here.json", _TINY_RUNS[2], here)) == 0
+    written = _csv_bytes(fresh)
+    assert sorted(written) == ["domain_mask.csv", "infinity_report.csv", "representation.csv"]
+    assert _csv_bytes(here) == written
