@@ -214,8 +214,9 @@ class QuotientTables:
         k = self.orbits
         self._block = min(block_rows(k), k)
         # the k x k `holder`, the pair pass's (3, block, k) workspace (the
-        # holder build's two (block, k) blocks come first and fit in it) and
-        # the cross weights' (lines, n + 1) suffix table, n nodes per line
+        # holder build's stack of at most two (block, k) blocks comes first
+        # and fits in it) and the cross weights' (lines, n + 1) suffix table,
+        # n nodes per line
         lines = dom.n_nodes // dom.lattice_shape[-1]
         _check_memory(8 * (k * (k + 3 * self._block) + dom.n_nodes + lines),
                       f"kernel tables for {k} orbits of {self.labels.size} inside nodes")
@@ -237,52 +238,52 @@ class QuotientTables:
 
         K is gathered (`_gather`), block by block, from the `_offset_distances`
         table raised to -alpha, 0 at the zero offset (a node's own entry).
-        The fold runs in blocks of representative rows, one group element g
-        at a time: a (rows, k) block of K_{rep(I), g rep(J)}, gathered once
-        for the group maximum and once more for the sum, which adds the
-        elements in group order, so no (rows, |G| k) block and no m x m
-        array is built.  The group maximum of a one-node orbit against
-        itself is 0, where 1 stands in for it.  |I| |J| / |G| is a power of
-        two, so the weight rounds nothing; with the trivial group each group
-        sum is one term, g_IJ (1 * 1**p)**(1/p) = g_IJ, so that case gathers
-        the plain kernel straight into `holder`, exactly symmetric, and skips
+        The fold runs in blocks of representative rows I.  A block gathers
+        K_{rep(I), g rep(J)} once per group element g, as one slab of a
+        (|G|, rows, cols) stack, and only for the columns J from the block's
+        first row on: the closing mirror writes every entry below the
+        diagonal.  The stack fits in two of the (B, k) blocks that
+        `_check_memory` charges for the pair pass's workspace, which is made
+        later, but holds one row of every element at least; no m x m array
+        is built.  g_IJ, the stack's maximum over its slabs, is written into
+        `holder`, and the slabs are divided by it, raised to p and added in
+        group order.  The group maximum of a one-node orbit against itself
+        is 0, where 1 stands in for it.  |I| |J| / |G| is a power of two, so
+        the weight rounds nothing; with the trivial group each group sum is
+        one term, g_IJ (1 * 1**p)**(1/p) = g_IJ, so that case gathers the
+        plain kernel straight into `holder`, exactly symmetric, and skips
         the passes that change no bit there."""
         k, order = members.shape
         inside = self.dom.inside_indices  # columns group-major: column g k + J is g rep(J)
         kern, row_keys, col_keys = _offset_distances(self.dom, inside[self.reps],
                                                      inside[members.T.ravel()],
                                                      -self.prm.alpha)[:3]
+        self.holder = np.empty((k, k))
+        if order == 1:  # each group sum is one term: holder is the plain kernel
+            for start in range(0, k, self._block):
+                _gather(kern, row_keys[start:start + self._block], col_keys,
+                        self.holder[start:start + self._block])
+            return
         p = self.prm.p
         share = self.sizes / order  # |J| / |G|: each member of J is counted |G| / |J| times
-        self.holder = np.empty((k, k))
-        rows = self._block
-
-        def gather(start, e, out):
-            """K_{rep(I), g_e rep(J)} for the block's rows I, into out."""
-            return _gather(kern, row_keys[start:start + len(out)],
-                           col_keys[e * k:(e + 1) * k], out)
-
-        if order == 1:  # each group sum is one term: holder is the plain kernel
-            for start in range(0, k, rows):
-                gather(start, 0, self.holder[start:start + rows])
-            return
-        top_rows, term_rows = np.empty((2, rows, k))
+        rows = max(1, 2 * self._block // order)
+        stack = np.empty(order * rows * k)
         for start in range(0, k, rows):
-            n = min(rows, k - start)
-            top = gather(start, 0, top_rows[:n])  # g_IJ
-            for e in range(1, order):
-                np.maximum(top, gather(start, e, term_rows[:n]), out=top)
-            top[top == 0.0] = 1.0
-            w = self.holder[start:start + n]
-            w.fill(0.0)
+            n, cols = min(rows, k - start), k - start
+            terms = stack[:order * n * cols].reshape(order, n, cols)
             for e in range(order):
-                term = gather(start, e, term_rows[:n])
-                term /= top
-                term **= p
+                _gather(kern, row_keys[start:start + n], col_keys[e * k + start:(e + 1) * k],
+                        terms[e])
+            top = terms.max(axis=0, out=self.holder[start:start + n, start:])  # g_IJ
+            top[top == 0.0] = 1.0
+            terms /= top
+            terms **= p
+            w = terms[0]
+            for term in terms[1:]:
                 w += term
-            w *= self.sizes[start:start + n, None] * share
+            w *= self.sizes[start:start + n, None] * share[start:]
             w **= 1.0 / p
-            w *= top
+            top *= w
         np.fill_diagonal(self.holder, 0.0)
         # W is symmetric up to rounding; `value_and_grad` needs it exactly symmetric
         for i in range(1, k):
@@ -639,10 +640,11 @@ def apply_Lp(u: GridFunction, prm: FracParams, x: int) -> float:
         raise ValueError(f"node {x} lies on the box boundary, where the tail diverges")
     vals = u.flat()
     ux = vals[x]
-    kern, row_keys, col_keys = _offset_distances(dom, np.array([x]), np.arange(dom.n_nodes),
-                                                 -prm.ap)[:3]  # y = x: kernel 0
+    table, row_keys, col_keys = _offset_distances(dom, np.array([x]), np.arange(dom.n_nodes),
+                                                  -prm.ap)[:3]
+    kern = _gather(table, row_keys, col_keys, np.empty(dom.n_nodes))[0]  # y = x: kernel 0
     diff = vals - ux
-    core = np.abs(diff) ** (prm.p - 2.0) * diff * kern[row_keys[0] - col_keys]
+    core = np.abs(diff) ** (prm.p - 2.0) * diff * kern
     lower, upper = _tail_bracket(dom, prm.ap, point)
     tail = 0.5 * (lower[0] + upper[0])
     return float(2.0 * (core.sum() * dom.h ** dom.dim

@@ -160,10 +160,6 @@ class Interval(_Shape):
     b: float
 
     @property
-    def dim(self) -> int:
-        return 1
-
-    @property
     def diameter(self) -> float:
         return self.b - self.a
 
@@ -185,10 +181,6 @@ class Disk(_Shape):
     cx: float
     cy: float
     r: float
-
-    @property
-    def dim(self) -> int:
-        return 2
 
     @property
     def diameter(self) -> float:
@@ -216,15 +208,8 @@ class Rectangle(_Shape):
     hiy: float
 
     @property
-    def dim(self) -> int:
-        return 2
-
-    @property
     def diameter(self) -> float:
         return math.hypot(self.hix - self.lox, self.hiy - self.loy)
-
-    def bounding_box(self):
-        return np.array([self.lox, self.loy]), np.array([self.hix, self.hiy])
 
     def _inside(self, x, y, guard):
         return (

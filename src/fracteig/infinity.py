@@ -695,7 +695,7 @@ def cone(dom: GridDomain, x0: int, radius: float, alpha: float,
         raise ValueError(f"radius must be positive, got {radius}")
     x0 = _node_index(dom, x0)
     dist, row_keys, col_keys = _offset_distances(dom, np.array([x0]), np.arange(dom.n_nodes))[:3]
-    r = dist[row_keys[0] - col_keys]
+    r = _gather(dist, row_keys, col_keys, np.empty(dom.n_nodes))[0]
     if alpha < 1.0:
         vals = np.minimum(r ** alpha, radius ** alpha)
     else:

@@ -771,6 +771,79 @@ def test_orbit_fold_in_row_blocks_changes_no_bit(monkeypatch):
     np.testing.assert_array_equal(orbit_tables(dom, prm).holder, whole)
 
 
+def two_pass_fold(dom, prm, group):
+    """The folded holder by two passes over the whole (|G|, k, k) kernel of
+    every representative against every image of every representative: its
+    maximum over the group, then the sum of the scaled p-th powers in group
+    order, mirrored from above the diagonal."""
+    reps, labels, _ = geometry._orbits(group)
+    k, order = reps.size, len(group)
+    sizes = np.bincount(labels).astype(float)
+    inside = dom.inside_indices
+    members = np.concatenate([g[reps] for g in group])
+    kern, row_keys, col_keys = geometry._offset_distances(dom, inside[reps], inside[members],
+                                                          -prm.alpha)[:3]
+    kernel = kern[np.subtract.outer(row_keys, col_keys)].reshape(k, order, k).transpose(1, 0, 2)
+    top = kernel.max(axis=0)
+    top[top == 0.0] = 1.0
+    total = np.zeros((k, k))
+    for slab in kernel:
+        total += (slab / top) ** prm.p
+    total *= sizes[:, None] * (sizes / order)
+    holder = top * total ** (1.0 / prm.p)
+    np.fill_diagonal(holder, 0.0)
+    return np.triu(holder) + np.triu(holder, 1).T
+
+
+@pytest.mark.parametrize("p", [8.0, 64.0])
+@pytest.mark.parametrize("shape, rows, blocks", [
+    ("interval", None, 1),  # 16 orbits, 2 reflections: one stack of 16 rows
+    ("interval", 5, 4),  # stacks of 5 rows
+    ("rectangle", None, 2),  # 8 orbits, 4 reflections: stacks of 4 rows
+    ("disk", None, 5),  # 31 orbits, 8 reflections: stacks of 7 rows
+    ("disk", 3, 31),  # one row per stack
+    ("nine_nodes", None, 3),  # 3 orbits, fewer than the 8 reflections
+])
+def test_folded_holder_is_the_two_pass_fold_bit_for_bit(monkeypatch, shape, rows, blocks, p):
+    """The build gathers each block of rows once per group element, on and
+    above the diagonal, and its holder is the two-pass fold's bit for bit:
+    in one block, in several (`rows` forces the pair pass's block, and the
+    stack holds twice its rows over |G|), and with fewer orbits than
+    reflections, where a stack holds one row of every element."""
+    dom = build_disk((0.0, 0.0), 0.5, 0.25) if shape == "nine_nodes" else _SYMMETRIC[shape]()
+    prm = FracParams(0.75, p)
+    group = lattice_symmetries(dom)
+    k = geometry._orbits(group)[0].size
+    if rows is not None:
+        monkeypatch.setattr(geometry, "_BLOCK_ELEMENTS", rows * k)
+    gathers = []
+    real = energy._gather
+    monkeypatch.setattr(energy, "_gather", lambda *args: gathers.append(1) or real(*args))
+    holder = QuotientTables(dom, prm, group).holder
+    assert len(gathers) == blocks * len(group)
+    np.testing.assert_array_equal(holder, two_pass_fold(dom, prm, group))
+
+
+@pytest.mark.parametrize("h, margin", [(1 / 16, 2.0), (1 / 32, 1.0)])
+def test_a_table_build_stays_within_the_bytes_its_memory_check_charged(
+        monkeypatch, traced_peak, h, margin):
+    """On disk_eig's lattice (the disk at h = 1/16, margin 2: 113 orbits, one
+    block of pair-pass rows) and on the disk at h = 1/32, margin 1 (428
+    orbits, blocks of 306 rows), the folded build's traced peak stays within
+    the bytes `_check_memory` charged, 0.74 and 4.86 MiB: the holder's stack
+    is part of what the check counts."""
+    dom = build_disk((0.0, 0.0), 1.0, h, margin)
+    prm = FracParams(0.75, 4.0)
+    group = lattice_symmetries(dom)
+    QuotientTables(dom, prm, group)  # the domain's cached arrays are made here
+    charged = []
+    real = energy._check_memory
+    monkeypatch.setattr(energy, "_check_memory",
+                        lambda need, what: charged.append(need) or real(need, what))
+    peak = traced_peak(QuotientTables, dom, prm, group)
+    assert len(charged) == 1 and peak <= charged[0]
+
+
 def test_orbit_fold_and_expand():
     """fold takes orbit means, and returns an invariant vector's values bit for
     bit, where summing the 4 or 8 equal values of an orbit would round."""

@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
 from test_geometry import half_square, triangle_mask
 
+from fracteig import solver
 from fracteig.energy import (
     FracParams,
     QuotientTables,
@@ -158,6 +161,26 @@ def test_stop_reasons_and_eval_counts():
     assert res.evals >= res.iters + 1
     assert res.final_grad_norm == pytest.approx(
         float(np.linalg.norm(rayleigh_gradient(res.u, prm).inside_values())), rel=1e-6)
+
+
+def test_no_trial_point_with_a_finite_quotient_stops_on_no_descent(monkeypatch):
+    """Tables whose every point after the start has an infinite quotient:
+    the first iteration's Newton search and its steepest-descent fallback
+    both backtrack to their smallest step without an Armijo point, so the
+    run stops on `no_descent` after 1 iteration and 137 evaluations (the
+    start and 136 trials), flagged as not converged."""
+
+    class Blind(QuotientTables):
+        evaluated = 0
+
+        def value_and_grad(self, v):
+            q, g = super().value_and_grad(v)
+            self.evaluated += 1
+            return (q if self.evaluated == 1 else math.inf), g
+
+    monkeypatch.setattr(solver, "QuotientTables", Blind)
+    res = minimize_first(build_interval(0.0, 2.0, 1 / 16), FracParams(0.5, 8.0))
+    assert (res.stop_reason, res.converged, res.iters, res.evals) == ("no_descent", False, 1, 137)
 
 
 def test_sweep1d_p32_step_matches_the_reference():
