@@ -22,7 +22,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Optional
 
@@ -61,7 +61,7 @@ from .reports import (
 )
 from .solver import SolverOptions, minimize_first, p2_oracle, p_sweep
 
-__all__ = ["RunConfig", "RunReport", "main"]
+__all__ = ["RunConfig", "main"]
 
 _DEFAULT_VERIFY1D_H = [1 / 50, 1 / 100, 1 / 200, 1 / 400]
 
@@ -162,22 +162,6 @@ class RunConfig:
         d["out"] = str(self.out)
         d["command"] = self.command
         return d
-
-
-@dataclass
-class RunReport:
-    """What a run produced: config echo + digest, version, timing, outputs."""
-
-    config: dict
-    config_sha256: str
-    version: str
-    command: str
-    wall_time_s: float
-    outputs: dict
-    summary: dict
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 # ---------------------------------------------------------------------------
@@ -421,11 +405,11 @@ _COMMANDS = {
 }
 
 
-def _run(cfg: RunConfig) -> RunReport:
-    """Run cfg's subcommand, then write its outputs.  A ValueError from the
-    subcommand is rejected input and becomes a ConfigError; the output
-    directory is made only after the subcommand returns, so no ConfigError
-    leaves one."""
+def _run(cfg: RunConfig) -> None:
+    """Run cfg's subcommand, then write its outputs and report.json.  A
+    ValueError from the subcommand is rejected input and becomes a
+    ConfigError; the output directory is made only after the subcommand
+    returns, so no ConfigError leaves one."""
     started = time.perf_counter()
     try:
         dom, tables, summary = _COMMANDS[cfg.command](cfg)
@@ -444,12 +428,11 @@ def _run(cfg: RunConfig) -> RunReport:
         write_csv(out / name, header, rows)
         outputs[key] = name
     echo = cfg.echo()
-    report = RunReport(config=echo, config_sha256=config_digest(echo), version=__version__,
-                       command=cfg.command, wall_time_s=time.perf_counter() - started,
-                       outputs=outputs, summary=summary)
-    write_json(out / "report.json", report.to_dict())
+    write_json(out / "report.json", {
+        "config": echo, "config_sha256": config_digest(echo), "version": __version__,
+        "command": cfg.command, "wall_time_s": time.perf_counter() - started,
+        "outputs": outputs, "summary": summary})
     print(out / "report.json")
-    return report
 
 
 # ---------------------------------------------------------------------------

@@ -23,8 +23,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .energy import _check_alpha
-from .geometry import GridDomain, GridFunction, Interval
+from .geometry import GridDomain, GridFunction, Interval, _check_alpha
 
 __all__ = ["Example1D", "first_1d", "second_1d", "third_1d", "sample"]
 

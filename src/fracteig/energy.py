@@ -51,8 +51,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import (GridDomain, GridFunction, _check_memory, _coords, _gather,
-                       _node_index, _offset_distances, _orbits, block_rows)
+from .geometry import (GridDomain, GridFunction, _check_alpha, _check_memory, _coords,
+                       _gather, _node_index, _offset_distances, _orbits, block_rows)
 
 __all__ = [
     "FracParams",
@@ -73,12 +73,6 @@ def surface_measure(n: int) -> float:
     if n == 2:
         return 2.0 * math.pi
     raise ValueError(f"unsupported dimension {n}")
-
-
-def _check_alpha(alpha: float) -> None:
-    """Raise unless the Hoelder exponent alpha lies in (0, 1]."""
-    if not (0.0 < alpha <= 1.0):
-        raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
 
 
 @dataclass(frozen=True)
@@ -257,7 +251,7 @@ class QuotientTables:
         inside = self.dom.inside_indices  # columns group-major: column g k + J is g rep(J)
         kern, row_keys, col_keys = _offset_distances(self.dom, inside[self.reps],
                                                      inside[members.T.ravel()],
-                                                     -self.prm.alpha)[:3]
+                                                     -self.prm.alpha)
         self.holder = np.empty((k, k))
         if order == 1:  # each group sum is one term: holder is the plain kernel
             for start in range(0, k, self._block):
@@ -281,7 +275,10 @@ class QuotientTables:
             w = terms[0]
             for term in terms[1:]:
                 w += term
-            w *= self.sizes[start:start + n, None] * share[start:]
+            # |I| |J| / |G| as two powers of two in place, bit for bit their
+            # product, with no (n, cols) temporary
+            w *= self.sizes[start:start + n, None]
+            w *= share[start:]
             w **= 1.0 / p
             top *= w
         np.fill_diagonal(self.holder, 0.0)
@@ -641,7 +638,7 @@ def apply_Lp(u: GridFunction, prm: FracParams, x: int) -> float:
     vals = u.flat()
     ux = vals[x]
     table, row_keys, col_keys = _offset_distances(dom, np.array([x]), np.arange(dom.n_nodes),
-                                                  -prm.ap)[:3]
+                                                  -prm.ap)
     kern = _gather(table, row_keys, col_keys, np.empty(dom.n_nodes))[0]  # y = x: kernel 0
     diff = vals - ux
     core = np.abs(diff) ** (prm.p - 2.0) * diff * kern

@@ -15,10 +15,11 @@ Conventions used throughout:
   outside so analytic distances stay strictly positive on the inside set;
 * distances are Euclidean and in physical units (not multiples of ``h``);
   every distance between two lattice nodes, or a power of it, is read by
-  their index offset from one table that only `_offset_distances` builds and
-  `_gather` reads; analytic distances read coordinates at the inside nodes,
-  `nearest_node` the axes, and only a predicate every node's, one band of
-  lattice lines at a time;
+  their index offset from one table that only `_offset_distances` builds,
+  `_gather` reads and `_tile_envelopes` bounds over lattice tiles, and whose
+  layout (`_layout`) no other module reads; analytic distances read
+  coordinates at the inside nodes, `nearest_node` the axes, and only a
+  predicate every node's, one band of lattice lines at a time;
 * a lattice reflection is a permutation of the positions in an ascending
   array of flat node indices that it maps onto itself (`_reflections`), and
   `_orbits` numbers the orbits of a group of them, for every fold.
@@ -338,14 +339,15 @@ class GridDomain:
         which approximates the continuum distance to O(h).  That node always
         lies on the outside ring, the outside axis neighbours of inside
         nodes: one lattice step from it toward the inside node lands inside,
-        or a nearer outside node would exist.  So only the ring is scanned.
-        Raises ValueError where the distance is not positive, which only a
-        shape_tag that does not contain the mask gives."""
+        or a nearer outside node would exist.  So only the ring is scanned,
+        read from `inside_and_ring`, the scan's candidates, so one dilation
+        serves both.  Raises ValueError where the distance is not positive,
+        which only a shape_tag that does not contain the mask gives."""
         if self.shape_tag is not None:
             d = self.shape_tag.distance(self.inside_coords)
         else:
-            ring = np.flatnonzero(_dilate(self.inside) & ~self.inside)
-            d = _nearest_distances(self, self.inside_indices, ring)
+            near = self.inside_and_ring
+            d = _nearest_distances(self, self.inside_indices, near[~self.inside_flat[near]])
         if not (d > 0.0).all():
             raise ValueError("distance to the complement must be positive at inside nodes; "
                              f"does the shape_tag {self.shape_tag} contain the mask?")
@@ -769,19 +771,28 @@ def _dilate(mask: np.ndarray) -> np.ndarray:
     return out
 
 
+def _layout(dom: GridDomain, rows: np.ndarray, cols: np.ndarray) -> tuple:
+    """The layout of an `_offset_distances` table of rows against cols (flat
+    indices): ``(at, ext)``, at[k] the nodes' indices along axis k from the
+    low corner of their bounding box, rows first, and ext[k] that box's
+    extent along axis k."""
+    at = [a - a.min() for a in np.unravel_index(np.concatenate([rows, cols]), dom.lattice_shape)]
+    return at, [int(a.max()) for a in at]
+
+
 def _offset_distances(dom: GridDomain, rows: np.ndarray, cols: np.ndarray,
                       power: float = 1.0, zero: float = 0.0) -> tuple:
     """Distances between lattice nodes by their integer index offset a,
-    raised to `power`: ``(table, row_keys, col_keys, (at, ext))`` with
+    raised to `power`: ``(table, row_keys, col_keys)`` with
     table[row_keys[i] - col_keys[j]] = (h * sqrt(sum_k a_k**2))**power, a the
     offset of node rows[i] from node cols[j] (flat indices, any order), and
     `zero` at a = 0.  The table spans a_k = -ext[k] .. ext[k], the extents of
-    the nodes' bounding box (under 2**dim entries per box node); at[k] holds
-    their indices along axis k from its low corner, rows first.  Reflections
+    the nodes' bounding box (`_layout`; under 2**dim entries per box node),
+    in C order.  Only geometry reads that layout: callers read blocks through
+    `_gather`, and a per-tile bound through `_tile_envelopes`.  Reflections
     permute offsets, so keep every distance bitwise; for h a power of two and
     nodes at multiples of h these are the coordinate distances."""
-    at = [a - a.min() for a in np.unravel_index(np.concatenate([rows, cols]), dom.lattice_shape)]
-    ext = [int(a.max()) for a in at]
+    at, ext = _layout(dom, rows, cols)
     offsets = np.ix_(*[np.arange(-e, e + 1, dtype=float) for e in ext])
     table = sum(a * a for a in offsets).ravel()  # a new array, so sqrt and scale in place
     table = np.multiply(np.sqrt(table, out=table), dom.h, out=table)
@@ -790,7 +801,7 @@ def _offset_distances(dom: GridDomain, rows: np.ndarray, cols: np.ndarray,
     table **= power  # ** rather than np.power: a power of 0.5 takes numpy's sqrt path
     table[middle] = zero
     keys = np.ravel_multi_index(at, [2 * e + 1 for e in ext])
-    return table, keys[:len(rows)] + middle, keys[len(rows):], (at, ext)
+    return table, keys[:len(rows)] + middle, keys[len(rows):]
 
 
 def _gather(table: np.ndarray, row_keys: np.ndarray, col_keys: np.ndarray,
@@ -805,10 +816,75 @@ def _gather(table: np.ndarray, row_keys: np.ndarray, col_keys: np.ndarray,
     return table.take(keys, out=block, mode="clip")
 
 
+def _tile_envelopes(dom: GridDomain, table: np.ndarray, rows: np.ndarray, cols: np.ndarray,
+                    vals: np.ndarray, side: int) -> tuple:
+    """The lattice part of a per-tile bound over the `_offset_distances`
+    table of rows against cols (flat indices, as the table was built), with
+    vals the values at the columns: ``(patch, ends, envelopes, row_keys,
+    patch_keys)``.
+
+    The columns fall into tiles of `side` nodes per axis, counted from the
+    low corner of the table's layout (`_layout`).  The occupied tiles, the
+    patches, are numbered in flat order: patch[j] is column j's, and ends
+    the (2, patches) stack of the largest and the smallest of vals over each
+    patch's columns.  envelopes[:, row_keys[i] - patch_keys[P]] are the near
+    and the far envelope of row i against patch P: no entry of the table
+    between the row and a node of the tile lies below the first or above
+    the second.  Both are read from the table's quarter a >= 0, which a
+    reflection of offsets keeps bitwise ((-a)**2 == a**2), and no entry is
+    computed afresh: the near one is the smallest entry over offsets with
+    |a_k| >= n_k on every axis (a NaN passed over, so a NaN zero offset is
+    left out), the far one the largest over offsets with 0 < |a|,
+    |a_k| <= f_k, where n_k and f_k are the least and greatest |a_k| from
+    the row to the tile, f_k at most the table's extent.  For a table that
+    grows with every |a_k|, as a distance raised to a positive power does,
+    they are the least and the greatest entry over the tile's offsets in
+    the table, the zero offset left out."""
+    at, ext = _layout(dom, rows, cols)
+    half = side // 2
+    quarter = table.reshape([2 * e + 1 for e in ext])[tuple(slice(e, None) for e in ext)]
+    low = quarter.copy()
+    high = quarter.copy()
+    high.flat[0] = 0.0  # the zero offset, left out of the maxima
+    for ax in range(dom.dim):
+        back = tuple(slice(None, None, -1) if k == ax else slice(None) for k in range(dom.dim))
+        low[back] = np.fmin.accumulate(low[back], axis=ax)
+        np.maximum.accumulate(high, axis=ax, out=high)
+
+    # the tile of each column, the extremes of vals over each tile's columns,
+    # and the patches: the occupied tiles, numbered in flat order
+    tiles = [e // side + 1 for e in ext]
+    tile_of = np.ravel_multi_index([a[len(rows):] // side for a in at], tiles)
+    top = np.full(math.prod(tiles), -np.inf)
+    np.maximum.at(top, tile_of, vals)
+    bottom = np.full(top.size, np.inf)
+    np.minimum.at(bottom, tile_of, vals)
+    occupied = np.flatnonzero(top > -np.inf)
+    number = np.empty(top.size, dtype=np.int64)
+    number[occupied] = np.arange(occupied.size)
+
+    # Along an axis, the nodes of a tile [c_k - side/2, c_k + side/2) lie
+    # max(g + 1 - side/2, 0) to g + side/2 steps from a row x_k, where
+    # g = max(d, -1 - d) and d = x_k - c_k.  So both envelopes are tabulated
+    # by d, and one subtraction of keys gives every (row, patch) index.
+    centre = [t * side + half for t in np.unravel_index(occupied, tiles)]
+    row_at = [a[:len(rows)] for a in at]
+    span = [np.arange(int(r.min()) - int(c.max()), int(r.max()) - int(c.min()) + 1)
+            for r, c in zip(row_at, centre)]
+    gap = [np.maximum(d, -1 - d) for d in span]
+    near = low[np.ix_(*[np.maximum(n + 1 - half, 0) for n in gap])].ravel()
+    far = high[np.ix_(*[np.minimum(n + half, e) for n, e in zip(gap, ext)])].ravel()
+    stride = [math.prod(d.size for d in span[k + 1:]) for k in range(dom.dim)]
+    row_keys = sum((r - d[0]) * st for r, d, st in zip(row_at, span, stride))
+    patch_keys = sum(c * st for c, st in zip(centre, stride))
+    return (number[tile_of], np.stack([top[occupied], bottom[occupied]]),
+            np.stack([near, far]), row_keys, patch_keys)
+
+
 def _nearest_distances(dom: GridDomain, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """Distance from each node of rows to the nearest node of cols (flat
     indices), a minimum over the `_offset_distances` table in row blocks."""
-    table, row_keys, col_keys = _offset_distances(dom, rows, cols)[:3]
+    table, row_keys, col_keys = _offset_distances(dom, rows, cols)
     d = np.empty(len(rows))
     step = block_rows(len(cols))
     work = np.empty(min(step, len(rows)) * len(cols))
@@ -864,6 +940,12 @@ def distance_to_set(dom: GridDomain, nodes: NodeSet) -> GridFunction:
                   f"distance_to_set arrays for {dom.n_nodes} box nodes")
     d = _nearest_distances(dom, np.arange(dom.n_nodes), nodes.indices)
     return GridFunction(dom, d.reshape(dom.lattice_shape), zero_extended=False)
+
+
+def _check_alpha(alpha: float) -> None:
+    """Raise unless the Hoelder exponent alpha lies in (0, 1]."""
+    if not (0.0 < alpha <= 1.0):
+        raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
 
 
 def _check_integer(name: str, value) -> None:

@@ -18,11 +18,12 @@ not zero-extended (cones) are scanned over every box node; the box is all the
 lattice knows of them.  Ties go to the lowest flat index.
 
 The distance |y - x|^alpha is read by the nodes' integer index offset from one
-table per scan, which `geometry._offset_distances` builds and
-`geometry._gather` reads.  Every lattice reflection permutes index offsets, so
-it keeps every distance bit for bit, and the scan is folded over the mask's
-reflections (`geometry._reflections`, the solver's group), held in geometry's
-one form, as permutations of the candidate columns.  Of these, the scan keeps
+table per scan, which `geometry._offset_distances` builds, `geometry._gather`
+reads and `geometry._tile_envelopes` bounds over lattice tiles.  Every
+lattice reflection permutes index offsets, so it keeps every distance bit
+for bit, and the scan is folded over the mask's reflections
+(`geometry._reflections`, the solver's group), held in geometry's one form,
+as permutations of the candidate columns.  Of these, the scan keeps
 the elements g that map the scanned nodes onto themselves and keep u up to a
 sign s, u o g = s u compared by value, so mixed groups (u odd in x and even in
 y) fold too.  One row per orbit is scanned (`geometry._orbits` numbers the
@@ -48,8 +49,10 @@ U = (max_P u - u(x)) / D, with D the least |y - x|^alpha over the patch when
 the numerator is >= 0 and the greatest when it is < 0, and at least the
 matching L.  Rounding is monotone in each operand of - and /, and D is read
 from envelopes of the scan's own alpha-powered offset table, never a new
-power, so U and L bound the rounded quotients bit for bit.  The block forms
-the columns of the patches with U >= bp or L <= bm on some row, in ascending
+power, so U and L bound the rounded quotients bit for bit.  The tiles, u's
+extremes over them and the envelopes come from `geometry._tile_envelopes`,
+so the scan reshapes no table and reads no layout.  The block forms the
+columns of the patches with U >= bp or L <= bm on some row, in ascending
 order, and no others: a dropped column is strictly below the sup and above
 the inf of every row, so argmax, argmin and the tied set T are those of the
 full rows.  The bound only drops columns of the scanned rows, so it composes
@@ -90,13 +93,13 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .energy import _check_alpha
 from .geometry import (
     _BLOCK_ELEMENTS,
     GridDomain,
     GridFunction,
     Interval,
     NodeSet,
+    _check_alpha,
     _coords,
     _gather,
     _nearest_distances,
@@ -104,6 +107,7 @@ from .geometry import (
     _offset_distances,
     _orbits,
     _reflections,
+    _tile_envelopes,
     block_rows,
     distance_to_complement,
     high_ridge,
@@ -250,13 +254,14 @@ def _scan(dom: GridDomain, vals: np.ndarray, alpha: float, cand: np.ndarray,
     over.
 
     The rows run in blocks of `block_rows` rows.  A scan of more than one
-    block is bounded (`_patch_bound`, from the table's layout; the module
-    docstring gives the bound, why it is exact and why it composes with the
-    fold), which keeps a set of columns for each block.  The block then forms
-    its quotients in sub-blocks of at most `_SUB_BLOCK_ELEMENTS` entries (one
-    row at least), gathering |y - x|^alpha from the alpha-powered offset
-    table, NaN at y = x (set apart below).  The sup and the inf are one rule
-    with the direction flipped, so both run through one loop.  Each extreme
+    block is bounded (`_patch_bound`, on envelopes of the table that
+    `geometry._tile_envelopes` builds; the module docstring gives the bound,
+    why it is exact and why it composes with the fold), which keeps a set of
+    columns for each block.  The block then forms its quotients in
+    sub-blocks of at most `_SUB_BLOCK_ELEMENTS` entries (one row at least),
+    gathering |y - x|^alpha from the alpha-powered offset table, NaN at
+    y = x (set apart below).  The sup and the inf are one rule with the
+    direction flipped, so both run through one loop.  Each extreme
     is its argmax or argmin, and the value is read back at that column, so a
     value and its witness always come from one entry.  Every row is reduced
     over the same columns, in the same order, whatever its sub-block.
@@ -269,13 +274,13 @@ def _scan(dom: GridDomain, vals: np.ndarray, alpha: float, cand: np.ndarray,
     in a sub-block they hold about 0.56 MB, however many columns a block
     keeps.
     """
-    dist_a, row_keys, col_keys, layout = _offset_distances(dom, rows, cand, alpha, np.nan)
+    dist_a, row_keys, col_keys = _offset_distances(dom, rows, cand, alpha, np.nan)
     n = rows.size
     extremes = [(np.empty(n), np.empty(n, dtype=np.int64), []) for _ in _EXTREMES]
 
     step = min(block_rows(cand.size), n)
     every = np.arange(cand.size)
-    select = (_patch_bound(dom, bv, vals, dist_a, row_keys, col_keys, layout, step)
+    select = (_patch_bound(dom, rows, cand, bv, vals, dist_a, row_keys, col_keys, step)
               if step < n else None)
     sampled = -(-cand.size // _SAMPLE_STRIDE)
     dist = np.empty(min(step * cand.size,
@@ -322,83 +327,40 @@ def _quotients(vals: np.ndarray, bv: np.ndarray, row_keys: np.ndarray,
     return q
 
 
-def _patch_bound(dom: GridDomain, bv: np.ndarray, vals: np.ndarray, dist_a: np.ndarray,
-                 row_keys: np.ndarray, col_keys: np.ndarray, layout: tuple, step: int):
+def _patch_bound(dom: GridDomain, rows: np.ndarray, cand: np.ndarray, bv: np.ndarray,
+                 vals: np.ndarray, dist_a: np.ndarray, row_keys: np.ndarray,
+                 col_keys: np.ndarray, step: int):
     """The column selection of a bounded scan (`_extreme_quotients`): rows
-    with values bv against candidates with values vals, and the scan's
-    alpha-powered `geometry._offset_distances` table dist_a, NaN at the zero
-    offset, with its keys and layout.  Returns select(rows, dist, quot): the
-    ascending candidate columns kept for the block of rows (a slice of at
-    most step of the scanned rows), using the workspaces dist and quot of
-    `_quotients`.  The block's (2, rows, patches) bounds are written into
-    workspaces made here, once per scan.
+    (flat indices) with values bv against the candidates cand with values
+    vals, and the scan's alpha-powered `geometry._offset_distances` table
+    dist_a, NaN at the zero offset, with its keys.  Returns select(rows,
+    dist, quot): the ascending candidate columns kept for the block of rows
+    (a slice of at most step of the scanned rows), using the workspaces dist
+    and quot of `_quotients`.  The block's (2, rows, patches) bounds are
+    written into workspaces made here, once per scan.
 
     The block first forms its quotients against every `_SAMPLE_STRIDE`-th
     candidate.  The self pair's is NaN, which fmax and fmin pass over, so
     the row maxima bp and minima bm are actual quotients: bp <= max and
     bm >= min on every row (or NaN, when a row sampled only itself).
 
-    A patch P is a lattice tile of `_PATCH_SIDE` nodes per axis.  Every
-    quotient of row x against P is at most U = (max_P u - u(x)) / D and at
-    least L = (min_P u - u(x)) / D', each a rounded operation: D is the
-    smallest distance^alpha from x to the tile when the numerator is >= 0
-    and the largest when it is < 0, and D' the other way round.  Rounding is
-    monotone in each operand, so the bound holds for the rounded quotients,
-    bit for bit.  The distances are envelopes of dist_a itself, never a new
-    power, over its quarter a >= 0, which a reflection of offsets keeps
-    bitwise ((-a)**2 == a**2): the smallest entry over offsets with
-    |a_k| >= n_k on every axis (the zero offset's NaN passed over) and the
-    largest over offsets with 0 < |a|, |a_k| <= f_k, where n_k and f_k are
-    the least and greatest |a_k| from x to the tile.  A patch is dropped only
-    where U < bp and L > bm on every row of the block, so a NaN keeps it."""
-    side = _PATCH_SIDE[dom.dim]
-    half = side // 2
-    at, ext = layout
-    quarter = dist_a.reshape([2 * e + 1 for e in ext])[tuple(slice(e, None) for e in ext)]
-    low = quarter.copy()
-    high = quarter.copy()
-    high.flat[0] = 0.0  # the zero offset's NaN, left out of the maxima
-    for ax in range(dom.dim):
-        back = tuple(slice(None, None, -1) if k == ax else slice(None) for k in range(dom.dim))
-        low[back] = np.fmin.accumulate(low[back], axis=ax)
-        np.maximum.accumulate(high, axis=ax, out=high)
-
-    # the tile of each candidate, max u and min u over each tile's candidates,
-    # and the patches: the occupied tiles, numbered in flat order
-    tiles = [e // side + 1 for e in ext]
-    tile_of = np.ravel_multi_index(
-        [np.repeat(np.arange(t), side)[a[bv.size:]] for t, a in zip(tiles, at)], tiles)
-    top = np.full(math.prod(tiles), -np.inf)
-    np.maximum.at(top, tile_of, vals)
-    bottom = np.full(top.size, np.inf)
-    np.minimum.at(bottom, tile_of, vals)
-    occupied = np.flatnonzero(top > -np.inf)
-    top, bottom = top[occupied], bottom[occupied]
-    number = np.empty(math.prod(tiles), dtype=np.int64)
-    number[occupied] = np.arange(occupied.size)
-    patch = number[tile_of]
-
-    # Along an axis, the nodes of a tile [c_k - side/2, c_k + side/2) lie
-    # max(g + 1 - side/2, 0) to g + side/2 steps from a row x_k, where
-    # g = max(d, -1 - d) and d = x_k - c_k.  So both distances are tabulated
-    # by d, and one subtraction of keys gives every (row, patch) index.
-    centre = [t * side + half for t in np.unravel_index(occupied, tiles)]
-    row_at = [a[:bv.size] for a in at]
-    span = [np.arange(int(r.min()) - int(c.max()), int(r.max()) - int(c.min()) + 1)
-            for r, c in zip(row_at, centre)]
-    gap = [np.maximum(d, -1 - d) for d in span]
-    near = low[np.ix_(*[np.maximum(n + 1 - half, 0) for n in gap])].ravel()
-    far = high[np.ix_(*[np.minimum(n + half, e) for n, e in zip(gap, ext)])].ravel()
-    stride = [math.prod(d.size for d in span[k + 1:]) for k in range(dom.dim)]
-    row_key = sum((r - d[0]) * st for r, d, st in zip(row_at, span, stride))
-    patch_key = sum(c * st for c, st in zip(centre, stride))
-    # near and far stacked: the upper bound divides by the first where its
-    # numerator is >= 0, the lower bound by the second, reversed otherwise
-    near_far = np.stack([near, far])
-    ends = np.stack([top, bottom])[:, None, :]
+    A patch P is an occupied lattice tile of `_PATCH_SIDE` nodes per axis;
+    `geometry._tile_envelopes` numbers the patches, takes max_P u and
+    min_P u, and builds the near and far envelopes of dist_a between every
+    row and patch, which are read through their keys.  Every quotient of
+    row x against P is at most U = (max_P u - u(x)) / D and at least
+    L = (min_P u - u(x)) / D', each a rounded operation: D is the near
+    envelope when the numerator is >= 0 and the far one when it is < 0, and
+    D' the other way round.  Rounding is monotone in each operand, so the
+    bound holds for the rounded quotients, bit for bit.  A patch is dropped
+    only where U < bp and L > bm on every row of the block, so a NaN keeps
+    it."""
+    patch, ends, near_far, row_key, patch_key = _tile_envelopes(
+        dom, dist_a, rows, cand, vals, _PATCH_SIDE[dom.dim])
+    ends = ends[:, None, :]
     sample = slice(None, None, _SAMPLE_STRIDE)
     sample_vals, sample_keys = vals[sample], col_keys[sample]
-    d_work = np.empty(2 * step * occupied.size)
+    d_work = np.empty(2 * step * patch_key.size)
     bound_work = np.empty_like(d_work)
     nonneg_work = np.empty(d_work.shape, dtype=bool)
 
@@ -406,13 +368,15 @@ def _patch_bound(dom: GridDomain, bv: np.ndarray, vals: np.ndarray, dist_a: np.n
         q = _quotients(sample_vals, bv[rows], row_keys[rows], sample_keys, dist_a, dist, quot)
         bp = np.fmax.reduce(q, axis=1)[:, None]
         bm = np.fmin.reduce(q, axis=1)[:, None]
-        shape = (2, rows.stop - rows.start, occupied.size)
+        shape = (2, rows.stop - rows.start, patch_key.size)
         d, bound, nonneg = (w[:math.prod(shape)].reshape(shape)
                             for w in (d_work, bound_work, nonneg_work))
         # the (row, patch) keys in the bound's workspace, read before it is written
         keys = np.subtract.outer(row_key[rows], patch_key, out=bound[0].view(np.int64))
         near_far.take(keys, axis=1, out=d, mode="clip")
         np.subtract(ends, bv[None, rows, None], out=bound)
+        # the upper bound divides by the near envelope where its numerator
+        # is >= 0, the lower bound by the far one, reversed otherwise
         np.greater_equal(bound, 0.0, out=nonneg)
         np.divide(bound, d, out=bound, where=nonneg)
         np.divide(bound, d[::-1], out=bound, where=np.logical_not(nonneg, out=nonneg))
@@ -694,7 +658,7 @@ def cone(dom: GridDomain, x0: int, radius: float, alpha: float,
     if not (radius > 0.0):
         raise ValueError(f"radius must be positive, got {radius}")
     x0 = _node_index(dom, x0)
-    dist, row_keys, col_keys = _offset_distances(dom, np.array([x0]), np.arange(dom.n_nodes))[:3]
+    dist, row_keys, col_keys = _offset_distances(dom, np.array([x0]), np.arange(dom.n_nodes))
     r = _gather(dist, row_keys, col_keys, np.empty(dom.n_nodes))[0]
     if alpha < 1.0:
         vals = np.minimum(r ** alpha, radius ** alpha)
@@ -738,7 +702,7 @@ def r2_radius(dom: GridDomain) -> float:
     order = np.argsort(-delta, kind="stable")
     delta = delta[order]
     nodes = dom.inside_indices[order]
-    table, row_keys, col_keys = _offset_distances(dom, nodes, nodes)[:3]
+    table, row_keys, col_keys = _offset_distances(dom, nodes, nodes)
     best = 0.0
     # cap is symmetric (bitwise), so a block needs only the columns up to its
     # last row: the pairs after them are rows of a later block

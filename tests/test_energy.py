@@ -782,7 +782,7 @@ def two_pass_fold(dom, prm, group):
     inside = dom.inside_indices
     members = np.concatenate([g[reps] for g in group])
     kern, row_keys, col_keys = geometry._offset_distances(dom, inside[reps], inside[members],
-                                                          -prm.alpha)[:3]
+                                                          -prm.alpha)
     kernel = kern[np.subtract.outer(row_keys, col_keys)].reshape(k, order, k).transpose(1, 0, 2)
     top = kernel.max(axis=0)
     top[top == 0.0] = 1.0

@@ -7,7 +7,7 @@ from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 from test_energy import annulus_mask, offset_distances
 
-from fracteig import geometry
+from fracteig import geometry, infinity
 from fracteig.geometry import (
     Disk,
     GridFunction,
@@ -668,12 +668,12 @@ def test_reflections_keep_every_offset_distance_bitwise(dom, order):
         np.testing.assert_array_equal(pos[g[dom.inside_indices]], perm)
     keys = {e.tobytes() for e in group}
     inside = dom.inside_indices
-    table, rows, cols, _ = _offset_distances(dom, inside, inside)
+    table, rows, cols = _offset_distances(dom, inside, inside)
     d = table[np.subtract.outer(rows, cols)]
     for g in group:
         assert all(g[f].tobytes() in keys for f in group)
         np.testing.assert_array_equal(np.sort(g), nodes)
-        table, rows, cols, _ = _offset_distances(dom, g[inside], g[inside])
+        table, rows, cols = _offset_distances(dom, g[inside], g[inside])
         np.testing.assert_array_equal(table[np.subtract.outer(rows, cols)].view(np.int64),
                                       d.view(np.int64))
 
@@ -740,7 +740,7 @@ def test_offset_distances_are_the_coordinate_distances_up_to_rounding(dom, dyadi
     fewer than 2^dim entries per node of the sets' bounding box, and its
     middle entry is the zero offset."""
     rows_at, cols_at = dom.inside_indices[::-1], np.arange(dom.n_nodes)
-    table, rows, cols, _ = _offset_distances(dom, rows_at, cols_at)
+    table, rows, cols = _offset_distances(dom, rows_at, cols_at)
     got = table[np.subtract.outer(rows, cols)]
     np.testing.assert_array_equal(got, offset_distances(dom, rows_at, cols_at))
     assert table[table.size // 2] == 0.0
@@ -769,15 +769,16 @@ def _bits(a):
 def test_offset_distances_raise_the_plain_table_and_set_the_zero_offset(dom, dyadic):
     """Every (power, zero) pair in use gives the plain table raised
     elementwise, bit for bit, with `zero` (bit for bit) at the zero offset
-    and the plain keys.  The layout is each node's index along every axis
-    from the low corner of the nodes' bounding box, rows first, and the
-    box's extents, which size the table."""
+    and the plain keys.  The layout (`geometry._layout`) is each node's
+    index along every axis from the low corner of the nodes' bounding box,
+    rows first, and the box's extents, which size the table."""
     rows_at, cols_at = dom.inside_indices[::-1], np.arange(dom.n_nodes)
-    plain, rows, cols, (at, ext) = _offset_distances(dom, rows_at, cols_at)
+    plain, rows, cols = _offset_distances(dom, rows_at, cols_at)
+    at, ext = geometry._layout(dom, rows_at, cols_at)
     middle = int(np.flatnonzero(plain == 0.0)[0])
     others = np.delete(plain, middle)
     for power, zero in _POWERS:
-        table, r, c, _ = _offset_distances(dom, rows_at, cols_at, power, zero)
+        table, r, c = _offset_distances(dom, rows_at, cols_at, power, zero)
         np.testing.assert_array_equal(r, rows)
         np.testing.assert_array_equal(c, cols)
         np.testing.assert_array_equal(_bits(np.delete(table, middle)), _bits(others ** power))
@@ -799,13 +800,75 @@ def test_gather_into_a_larger_workspace_equals_fancy_indexing(dom, dyadic):
     rows_at = rng.permutation(dom.inside_indices)[:7]
     cols_at = np.concatenate([rows_at[:3], rng.permutation(dom.n_nodes)[:47]])
     for power, zero in _POWERS:
-        table, rows, cols, _ = _offset_distances(dom, rows_at, cols_at, power, zero)
+        table, rows, cols = _offset_distances(dom, rows_at, cols_at, power, zero)
         want = table[np.subtract.outer(rows, cols)]
         for work in (np.full(1000, -1.0), np.full((10, cols.size), -1.0)):
             got = geometry._gather(table, rows, cols, work)
             assert got.shape == want.shape and np.shares_memory(got, work)
             np.testing.assert_array_equal(_bits(got), _bits(want))
             assert (work.ravel()[want.size:] == -1.0).all()
+
+
+def _brute_tile_envelopes(dom, table, rows, cols, vals, side):
+    """The patches of the columns, their largest and smallest value, and
+    the least and greatest entry of an `_offset_distances` table between
+    each row and each patch, by a loop over every (row, tile) pair.  Tiles
+    hold side nodes per axis from the low corner of the nodes' bounding
+    box; an entry is read at each offset from the row to a node of the tile
+    that the table holds, the zero offset left out."""
+    at = np.stack(np.unravel_index(np.concatenate([rows, cols]), dom.lattice_shape), axis=1)
+    at -= at.min(axis=0)
+    ext = at.max(axis=0)
+    box = table.reshape(2 * ext + 1)
+    row_at, col_at = at[:len(rows)], at[len(rows):]
+    tiles = ext // side + 1
+    tile_of = np.ravel_multi_index(tuple((col_at // side).T), tiles)
+    occupied = np.unique(tile_of)
+    ends = np.array([[vals[tile_of == t].max() for t in occupied],
+                     [vals[tile_of == t].min() for t in occupied]])
+    within = np.stack(np.meshgrid(*[np.arange(side)] * dom.dim, indexing="ij"), axis=-1)
+    near = np.empty((len(rows), occupied.size))
+    far = np.empty_like(near)
+    for j, t in enumerate(occupied):
+        nodes = np.array(np.unravel_index(t, tiles)) * side + within.reshape(-1, dom.dim)
+        for i, r in enumerate(row_at):
+            a = r - nodes
+            a = a[(np.abs(a) <= ext).all(axis=1) & a.any(axis=1)]
+            entries = box[tuple((a + ext).T)]
+            near[i, j], far[i, j] = entries.min(), entries.max()
+    return np.searchsorted(occupied, tile_of), ends, near, far
+
+
+@_OFFSET_LATTICES
+def test_tile_envelopes_are_the_extremes_of_the_table_over_each_tile(dom, dyadic):
+    """`geometry._tile_envelopes` of the scan's alpha-powered tables (NaN at
+    the zero offset) of rows against the scan's candidates, the inside nodes
+    and their ring, with values drawn at random: the patch of each column,
+    the patches' largest and smallest values, and the near and far
+    envelopes read through the keys are bit for bit those of a brute-force
+    loop over every (row, tile) pair (`_brute_tile_envelopes`).  The table
+    grows with every |a_k|, so the envelopes are the least and greatest
+    entries over the tile.  The rows are inside nodes, which lie in tiles of
+    their own columns, and the box's corners, outside the columns' span."""
+    rng = np.random.default_rng(3)
+    cols = dom.inside_and_ring
+    corners = np.ravel_multi_index(np.meshgrid(*[[0, n - 1] for n in dom.lattice_shape],
+                                               indexing="ij"), dom.lattice_shape).ravel()
+    inside = rng.choice(dom.inside_indices, min(12, dom.inside_count), replace=False)
+    rows = np.concatenate([inside, corners])
+    vals = rng.normal(size=cols.size)
+    side = infinity._PATCH_SIDE[dom.dim]
+    for alpha in (0.25, 0.5, 1.0):
+        table = _offset_distances(dom, rows, cols, alpha, np.nan)[0]
+        patch, ends, envelopes, row_keys, patch_keys = geometry._tile_envelopes(
+            dom, table, rows, cols, vals, side)
+        want_patch, want_ends, near, far = _brute_tile_envelopes(dom, table, rows, cols, vals,
+                                                                 side)
+        np.testing.assert_array_equal(patch, want_patch)
+        np.testing.assert_array_equal(_bits(ends), _bits(want_ends))
+        got = envelopes[:, np.subtract.outer(row_keys, patch_keys)]
+        np.testing.assert_array_equal(_bits(got[0]), _bits(near))
+        np.testing.assert_array_equal(_bits(got[1]), _bits(far))
 
 
 # canonical lattices whose nodes are rounded off the dyadic grid, at spacing h

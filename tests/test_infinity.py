@@ -651,6 +651,24 @@ def test_axis_dilation_equals_ndimage(shape):
     np.testing.assert_array_equal(_dilate(edges), ndimage.binary_dilation(edges))
 
 
+def test_an_infinity_report_on_a_free_form_mask_dilates_once(monkeypatch):
+    """The representation's report on the triangle mask reads the outside
+    ring of its complement distance and its scan's candidates from one
+    dilation of the mask, `GridDomain.inside_and_ring`, computed once."""
+    calls = []
+    real = geometry._dilate
+
+    def counted(mask):
+        calls.append(mask.shape)
+        return real(mask)
+
+    monkeypatch.setattr(geometry, "_dilate", counted)
+    dom = triangle_mask(1 / 16)
+    u = representation(dom, high_ridge(distance_to_complement(dom)), 0.5)
+    first_residual(u, 0.5, lambda_infinity(dom, 0.5))
+    assert calls == [dom.lattice_shape]
+
+
 def test_distance_supersolution_alpha1():
     # the distance function solves the limit equation at alpha = 1:
     # inf-quotient is exactly -1 inside, and -1 + lam*delta <= 0 with
@@ -1047,7 +1065,7 @@ def _unpruned(u, alpha, base):
     better."""
     dom = u.domain
     cand = np.flatnonzero(_dilate(dom.inside)) if u.zero_extended else np.arange(dom.n_nodes)
-    table, row_keys, col_keys, _ = geometry._offset_distances(dom, base, cand)
+    table, row_keys, col_keys = geometry._offset_distances(dom, base, cand)
     table **= alpha
     with np.errstate(invalid="ignore"):
         q = (u.flat()[cand] - u.flat()[base][:, None]) / table[np.subtract.outer(row_keys, col_keys)]
