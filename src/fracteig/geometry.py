@@ -495,9 +495,13 @@ class NodeSet:
     indices: np.ndarray
 
     def __post_init__(self):
-        idx = _unique(np.asarray(self.indices, dtype=np.int64))
+        idx = np.asarray(self.indices)
         if idx.size == 0:
             raise ValueError("node set is empty")
+        # as `_check_integer`: a float is not truncated, nor a bool mask read as indices
+        if idx.dtype.kind not in "iu":
+            raise ValueError(f"node indices must be integers, got dtype {idx.dtype}")
+        idx = _unique(idx.astype(np.int64, copy=False))
         if idx[0] < 0 or idx[-1] >= self.domain.n_nodes:
             raise ValueError("node index out of lattice range")
         self.indices = idx

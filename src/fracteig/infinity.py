@@ -28,16 +28,15 @@ the elements g that map the scanned nodes onto themselves and keep u up to a
 sign s, u o g = s u compared by value, so mixed groups (u odd in x and even in
 y) fold too.  One row per orbit is scanned (`geometry._orbits` numbers the
 orbits, as for the solver's tables).  Negation commutes with IEEE subtraction
-and division, so q(g x, g y) = s q(x, y) bitwise wherever u(y) != u(x), and a
-member g x takes the row's extreme (s = 1) or its other extreme negated
-(s = -1: the sup at g x is minus the inf at x), with the lowest flat index in
-g(T), T the columns tied at that extreme: exactly what a scan of its own row
-would give.  A pair with u(y) = u(x) gives a zero whose sign g may change
-(+0.0 directly, -0.0 through a flip), unless g keeps u's bits (compared as
-int64, so -0.0 differs from 0.0); so a member reached through such a g whose
-row has a zero extreme is scanned as a row of its own, in a second pass, and
-a folded scan never forms more rows than an unfolded one.  A scan from one
-node has nothing to fold.
+and division, so q(g x, g y) = s q(x, y) compared by value (the two zeros
+equal), and a member g x takes its witness from the row's extreme (s = 1) or
+its other extreme (s = -1: the sup at g x is minus the inf at x): the lowest
+flat index in g(T), T the columns tied at that extreme by value, which is
+the witness a scan of its own row would pick.  The fold carries that witness
+w and the distance |w - g x|^alpha there, which g keeps bitwise, and forms
+the value once, (u(w) - u(g x)) / |w - g x|^alpha, as that scan forms it at
+its witness: bit for bit, its sign of zero included, even where g keeps u by
+value but not in bits.  A scan from one node has nothing to fold.
 
 A scan of more than one row block is bounded (`_patch_bound`): it forms only
 the quotients that can reach a row's extreme.  Each block first forms its
@@ -165,13 +164,12 @@ def _invariance(dom: GridDomain, vals: np.ndarray, cand: np.ndarray,
     ascending candidate nodes cand that map the base nodes, at the ascending
     positions `at` among them, onto themselves and keep u, given by its
     values vals at the candidates, up to sign at every candidate, compared
-    by value: ``(group, sign, exact)`` with u o group[k] == sign[k] * u, and
-    exact[k] where group[k] keeps the bits of u too (as int64, so -0.0
-    differs from 0.0).  Equality by value up to sign is transitive, so the
-    elements form a group, identity first; the identity alone for one base
-    node or when one is not a candidate (None)."""
+    by value: ``(group, sign)`` with u o group[k] == sign[k] * u.  Equality
+    by value up to sign is transitive, so the elements form a group,
+    identity first; the identity alone for one base node or when one is not
+    a candidate (None)."""
     if at is None or at.size == 1:
-        return [np.arange(cand.size)], np.ones(1), np.ones(1, dtype=bool)
+        return [np.arange(cand.size)], np.ones(1)
     in_base = np.zeros(cand.size, dtype=bool)
     in_base[at] = True
     kept = []
@@ -179,9 +177,9 @@ def _invariance(dom: GridDomain, vals: np.ndarray, cand: np.ndarray,
         image = vals[g]
         s = 1.0 if np.array_equal(image, vals) else -1.0
         if in_base[g[at]].all() and np.array_equal(image, s * vals):
-            kept.append((g, s, np.array_equal(image.view(np.int64), vals.view(np.int64))))
-    group, sign, exact = zip(*kept)
-    return list(group), np.array(sign), np.array(exact)
+            kept.append((g, s))
+    group, sign = zip(*kept)
+    return list(group), np.array(sign)
 
 
 def _extreme_quotients(dom: GridDomain, vals: np.ndarray, alpha: float, base: np.ndarray,
@@ -195,10 +193,10 @@ def _extreme_quotients(dom: GridDomain, vals: np.ndarray, alpha: float, base: np
 
     One base node per orbit of the invariance group (`_invariance`) is
     scanned (`_scan`), its smallest (`geometry._orbits` over positions in
-    base).  A member g x of an orbit takes the extremes of row x through g
-    (`_expand`).  Where g does not keep the bits of u and an extreme of x is
-    a zero, whose sign g may change, g x is a row of a second `_scan`.  The
-    far field is offered last, to every base node alike.
+    base).  A member g x of an orbit takes the witness of an extreme of row
+    x through g, and the distance there (`_expand`), and its value is formed
+    once, at that witness.  The far field is offered last, to every base
+    node alike.
 
     The fold sorts nothing (the first sort of a process maps about 0.4 MB of
     numpy's sort kernels), keeps one permutation of the candidates per
@@ -211,7 +209,7 @@ def _extreme_quotients(dom: GridDomain, vals: np.ndarray, alpha: float, base: np
     # column of each base node among the candidates, where it is one (y = x is excluded)
     col = np.minimum(np.searchsorted(cand, base), cand.size - 1)
     is_cand = cand[col] == base
-    group, sign, exact = _invariance(dom, vals, cand, col if is_cand.all() else None)
+    group, sign = _invariance(dom, vals, cand, col if is_cand.all() else None)
     # the group as permutations of positions in base, which its elements map onto itself
     reps, orbit, elem = _orbits([np.arange(base.size)]
                                 + [np.searchsorted(col, g[col]) for g in group[1:]])
@@ -219,21 +217,10 @@ def _extreme_quotients(dom: GridDomain, vals: np.ndarray, alpha: float, base: np
               np.empty(base.size), np.empty(base.size, dtype=np.int64))
     scanned = _scan(dom, vals, alpha, cand, base[reps], base_vals[reps], col[reps],
                     is_cand[reps], group)
-    # the members whose extremes their element may not carry over, as rows of
-    # their own, reached through the identity
-    zero = (scanned[0][0] == 0.0) | (scanned[1][0] == 0.0)
-    again = np.flatnonzero(~exact[elem] & zero[orbit])
-    if again.size:
-        extra = _scan(dom, vals, alpha, cand, base[again], base_vals[again], col[again],
-                      is_cand[again], group[:1])
-        orbit[again] = reps.size + np.arange(again.size)
-        elem[again] = 0
-        scanned = [(np.concatenate([v, w]), np.concatenate([i, j]), ties)
-                   for (v, i, ties), (w, j, _) in zip(scanned, extra)]
 
     for e, (self_value, _) in enumerate(_EXTREMES):
-        value, witness = _expand(scanned, e, orbit, elem, group, sign, cand,
-                                 result[2 * e:2 * e + 2])
+        value, witness = _expand(scanned, e, orbit, elem, group, sign, vals, base_vals,
+                                 cand, result[2 * e:2 * e + 2])
         if zero_extended:
             # the far field, at 0, wins where strictly better: where the
             # value lies on the self pair's side of 0
@@ -248,10 +235,10 @@ def _scan(dom: GridDomain, vals: np.ndarray, alpha: float, cand: np.ndarray,
           group: list) -> list:
     """The extremes of the rows (flat indices, where u is bv) over the
     ascending candidates cand (where u is vals): for the sup, then the inf,
-    the values, the witnesses as candidate columns, and the rows tied at the
-    extreme (`_ties`, where the group has more than the identity).  Row i is
-    candidate column col[i] where is_cand[i], and that self pair is passed
-    over.
+    the distances |y - x|^alpha at the witnesses, the witnesses as candidate
+    columns, and the rows tied at the extreme (`_ties`, where the group has
+    more than the identity).  Row i is candidate column col[i] where
+    is_cand[i], and that self pair is passed over.
 
     The rows run in blocks of `block_rows` rows.  A scan of more than one
     block is bounded (`_patch_bound`, on envelopes of the table that
@@ -262,9 +249,10 @@ def _scan(dom: GridDomain, vals: np.ndarray, alpha: float, cand: np.ndarray,
     gathering |y - x|^alpha from the alpha-powered offset table, NaN at
     y = x (set apart below).  The sup and the inf are one rule with the
     direction flipped, so both run through one loop.  Each extreme
-    is its argmax or argmin, and the value is read back at that column, so a
-    value and its witness always come from one entry.  Every row is reduced
-    over the same columns, in the same order, whatever its sub-block.
+    is its argmax or argmin, and the distance is read back at that column,
+    so the value `_expand` forms from it is that entry's quotient, bit for
+    bit.  Every row is reduced over the same columns, in the same order,
+    whatever its sub-block.
 
     The distance, quotient and tie workspaces are allocated once per call,
     at the most any sub-block or the bound's first pass writes:
@@ -298,33 +286,34 @@ def _scan(dom: GridDomain, vals: np.ndarray, alpha: float, cand: np.ndarray,
             i = at[:sl.stop - k0]
             self_row = np.flatnonzero(is_cand[sl])
             self_col = col[sl][self_row]
-            q = _quotients(sel_vals, bv[sl], row_keys[sl], sel_keys, dist_a, dist, quot)
+            d, q = _quotients(sel_vals, bv[sl], row_keys[sl], sel_keys, dist_a, dist, quot)
             # the self pair, where its column was kept
             pos = np.minimum(np.searchsorted(sel, self_col), sel.size - 1)
             kept = sel[pos] == self_col
             self_at = (self_row[kept], pos[kept])
             eq = None if tied is None else tied[:q.size].reshape(q.shape)
-            for (self_value, pick), (value, witness, ties) in zip(_EXTREMES, extremes):
+            for (self_value, pick), (d_best, witness, ties) in zip(_EXTREMES, extremes):
                 q[self_at] = self_value
                 best = pick(q, axis=1)
-                value[sl] = q[i, best]
+                d_best[sl] = d[i, best]
                 witness[sl] = sel[best]
                 if eq is not None:
-                    _ties(q, best, value[sl], eq, k0, sel, group, ties)
+                    _ties(q, d, best, eq, k0, sel, group, ties)
     return extremes
 
 
 def _quotients(vals: np.ndarray, bv: np.ndarray, row_keys: np.ndarray,
                col_keys: np.ndarray, dist_a: np.ndarray, dist: np.ndarray,
-               quot: np.ndarray) -> np.ndarray:
-    """The block q[i, j] = (vals[j] - bv[i]) / dist_a[row_keys[i] - col_keys[j]],
-    written into the leading entries of the workspace quot, the distances
-    gathered (`geometry._gather`) into those of dist."""
+               quot: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The distances d[i, j] = dist_a[row_keys[i] - col_keys[j]], gathered
+    (`geometry._gather`) into the leading entries of the workspace dist, and
+    the block q[i, j] = (vals[j] - bv[i]) / d[i, j], written into those of
+    the workspace quot: ``(d, q)``."""
     d = _gather(dist_a, row_keys, col_keys, dist)
     q = quot[:d.size].reshape(d.shape)
     np.subtract(vals[None, :], bv[:, None], out=q)
     q /= d
-    return q
+    return d, q
 
 
 def _patch_bound(dom: GridDomain, rows: np.ndarray, cand: np.ndarray, bv: np.ndarray,
@@ -365,7 +354,8 @@ def _patch_bound(dom: GridDomain, rows: np.ndarray, cand: np.ndarray, bv: np.nda
     nonneg_work = np.empty(d_work.shape, dtype=bool)
 
     def select(rows: slice, dist: np.ndarray, quot: np.ndarray) -> np.ndarray:
-        q = _quotients(sample_vals, bv[rows], row_keys[rows], sample_keys, dist_a, dist, quot)
+        _, q = _quotients(sample_vals, bv[rows], row_keys[rows], sample_keys, dist_a,
+                          dist, quot)
         bp = np.fmax.reduce(q, axis=1)[:, None]
         bm = np.fmin.reduce(q, axis=1)[:, None]
         shape = (2, rows.stop - rows.start, patch_key.size)
@@ -386,54 +376,61 @@ def _patch_bound(dom: GridDomain, rows: np.ndarray, cand: np.ndarray, bv: np.nda
     return select
 
 
-def _ties(q: np.ndarray, best: np.ndarray, extreme: np.ndarray, eq: np.ndarray,
+def _ties(q: np.ndarray, d: np.ndarray, best: np.ndarray, eq: np.ndarray,
           k0: int, sel: np.ndarray, group: list, out: list) -> None:
-    """Append (row, images, quotients) for each row of the block q whose
-    extreme is attained at more than one column: per element of group, the
-    least image of the tied columns and the quotient at that column, so
-    |group| pairs however many columns tie.  The columns of q are the
-    candidates sel, best is the argmax or argmin of each row, and eq a bool
-    workspace of q's shape, the only array of that shape made for ties;
-    the tied columns' images are gathered one element at a time."""
-    np.equal(q, extreme[:, None], out=eq)
-    eq[np.arange(best.size), best] = False
+    """Append (row, images, distances) for each row of the block q whose
+    extreme is attained at more than one column, compared by value (the two
+    zeros tie): per element of group, the least image of the tied columns
+    and the distance d at that column, so |group| pairs however many columns
+    tie.  The columns of q are the candidates sel, best is the argmax or
+    argmin of each row, and eq a bool workspace of q's shape, the only array
+    of that shape made for ties; the tied columns' images are gathered one
+    element at a time."""
+    rows = np.arange(best.size)
+    np.equal(q, q[rows, best][:, None], out=eq)
+    eq[rows, best] = False
     for row in np.flatnonzero(eq.any(axis=1)):
         eq[row, best[row]] = True
         cols = np.flatnonzero(eq[row])
         tied = sel[cols]
         k = np.array([g[tied].argmin() for g in group])
         images = np.array([g[y] for g, y in zip(group, tied[k])])
-        out.append((k0 + row, images, q[row, cols[k]]))
+        out.append((k0 + row, images, d[row, cols[k]]))
 
 
 def _expand(scanned: list, e: int, orbit: np.ndarray, elem: np.ndarray, group: list,
-            sign: np.ndarray, cand: np.ndarray, out: tuple) -> tuple:
+            sign: np.ndarray, vals: np.ndarray, base_vals: np.ndarray, cand: np.ndarray,
+            out: tuple) -> tuple:
     """Values and witnesses of extreme e (0 the sup, 1 the inf) at every
-    base node, written into out, from the scanned rows' (`_scan`), whose
-    witnesses are candidate columns: base node i takes row orbit[i] through
-    the element g = group[elem[i]].  Where g keeps u it takes extreme e of
-    the row; where g flips the sign of u, the other extreme, negated (the
-    sup at g x is -(the inf at x)), which is exact for every nonzero value.
-    The witness is g of the row's, or on a row tied at that extreme what
-    `_ties` kept for g: the smallest image of the tied columns, and the
-    quotient there (equal to the row's, but it may be the other zero).  The
-    columns become flat node indices at the end."""
+    base node, where u is base_vals, written into out, from the scanned
+    rows' witnesses (candidate columns, where u is vals) and distances there
+    (`_scan`): base node i takes row orbit[i] through the element
+    g = group[elem[i]].  Where g keeps u it takes extreme e of the row;
+    where g flips the sign of u, the other extreme (the sup at g x is at g
+    of the inf's witness).  The witness is g of the row's, or on a row tied
+    at that extreme what `_ties` kept for g: the smallest image of the tied
+    columns, and the distance there.  A reflection keeps every distance, so
+    the value at y = g x, (u(w) - u(y)) / d, formed once here, is the
+    quotient a scan of row y itself forms at its witness w, bit for bit,
+    its sign of zero included.  The columns become flat node indices at the
+    end."""
+    # value holds the distance at the witness until the quotient is formed
     value, witness = out
     flip = sign[elem] < 0
     # the base nodes that take each extreme of their row
     takes = [np.flatnonzero(flip == (s != e)) for s in (0, 1)]
-    for (v, w, _), i in zip(scanned, takes):
-        value[i] = v[orbit[i]]
+    for (d, w, _), i in zip(scanned, takes):
+        value[i] = d[orbit[i]]
         witness[i] = w[orbit[i]]
     for k, g in enumerate(group[1:], 1):
         i = np.flatnonzero(elem == k)
         witness[i] = g[witness[i]]
     for (_, _, ties), i in zip(scanned, takes):
-        for row, images, quot in ties:
+        for row, images, dist in ties:
             j = i[orbit[i] == row]
             witness[j] = images[elem[j]]
-            value[j] = quot[elem[j]]
-    np.negative(value, out=value, where=flip)
+            value[j] = dist[elem[j]]
+    np.divide(vals[witness] - base_vals, value, out=value)
     return value, cand.take(witness, out=witness)
 
 

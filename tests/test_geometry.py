@@ -374,14 +374,26 @@ def test_a_function_held_inside_reads_what_its_box_array_holds(dom):
 
 
 def test_node_set_validation():
+    """Empty and out-of-range sets are refused, and so are indices that are
+    not integers, naming the dtype: 12.7 is not truncated to node 12, nor a
+    boolean mask read as the indices 0 and 1.  Unsigned integers are
+    indices."""
     dom = build_interval(0.0, 1.0, 0.25)
     with pytest.raises(ValueError, match="node set is empty"):
         NodeSet(dom, np.array([], dtype=np.int64))
+    with pytest.raises(ValueError, match="node set is empty"):
+        NodeSet(dom, [])
     with pytest.raises(ValueError, match="out of lattice range"):
         NodeSet(dom, np.array([dom.n_nodes]))
+    for indices, dtype in (([12.7], "float64"), (np.array([True, False]), "bool"),
+                           (np.array([1.0, 3.0]), "float64"), (["1"], "<U1")):
+        with pytest.raises(ValueError, match=f"must be integers, got dtype {dtype}"):
+            NodeSet(dom, indices)
     ns = NodeSet(dom, np.array([3, 1, 3]))
     assert len(ns) == 2
     np.testing.assert_array_equal(ns.indices, [1, 3])
+    np.testing.assert_array_equal(NodeSet(dom, np.array([3, 1], dtype=np.uint8)).indices,
+                                  [1, 3])
 
 
 @pytest.mark.parametrize("dom", [

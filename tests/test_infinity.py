@@ -774,29 +774,35 @@ def _centre_cone(dom):
     return cone(dom, nearest_node(dom, (0.3, -0.7)), 0.5, 0.5)
 
 
-@pytest.mark.parametrize("make, alpha, order", [
-    (lambda: _rep(build_disk((0.0, 0.0), 1.0, 1 / 32, 1.0), 0.5), 0.5, 8),
-    (lambda: _rep(build_rectangle((0.0, 0.0), (1.0, 1.0), 1 / 32), 0.9), 0.9, 8),
-    (lambda: _rep(build_rectangle((0.0, 0.0), (1.0, 0.5), 1 / 32), 0.5), 0.5, 4),
-    (lambda: _profile("first"), 0.5, 2),
-    (lambda: _profile("third"), 0.5, 2),
-    (lambda: _ties_integer(build_disk((0.0, 0.0), 1.0, 1 / 8, 1.0)), 1.0, 8),
-    (lambda: _ties_integer(build_rectangle((0.0, 0.0), (1.0, 0.5), 1 / 16, 1.0)), 0.5, 4),
+@pytest.mark.parametrize("make, alpha, order, unpruned", [
+    (lambda: _rep(build_disk((0.0, 0.0), 1.0, 1 / 32, 1.0), 0.5), 0.5, 8, False),
+    (lambda: _rep(build_rectangle((0.0, 0.0), (1.0, 1.0), 1 / 32), 0.9), 0.9, 8, False),
+    (lambda: _rep(build_rectangle((0.0, 0.0), (1.0, 0.5), 1 / 32), 0.5), 0.5, 4, False),
+    (lambda: _profile("first"), 0.5, 2, False),
+    (lambda: _profile("third"), 0.5, 2, False),
+    (lambda: _ties_integer(build_disk((0.0, 0.0), 1.0, 1 / 8, 1.0)), 1.0, 8, False),
+    (lambda: _ties_integer(build_rectangle((0.0, 0.0), (1.0, 0.5), 1 / 16, 1.0)), 0.5, 4,
+     False),
     (lambda: _ties_signed_zeros(build_rectangle((0.0, 0.0), (1.0, 0.5), 1 / 16, 1.0)),
-     1.0, 4),
-    (lambda: _centre_cone(build_disk((0.3, -0.7), 0.9, 0.1, 1.0)), 0.5, 8),
+     1.0, 4, True),
+    (lambda: _centre_cone(build_disk((0.3, -0.7), 0.9, 0.1, 1.0)), 0.5, 8, False),
 ], ids=["disk_infinity", "unit_square", "rectangle", "first", "third", "ties_disk",
         "ties_rectangle", "signed_zeros", "plateau_cone"])
-def test_folded_scan_equals_the_unfolded_scan(monkeypatch, make, alpha, order):
+def test_folded_scan_equals_the_unfolded_scan(monkeypatch, make, alpha, order, unpruned):
     """Scanning one row per orbit changes no bit: values as int64, witnesses
-    exactly, on the inside nodes and on the nonzero nodes."""
+    exactly, on the inside nodes and on the nonzero nodes.  The unfolded
+    scan forms its values as the fold does, at the witness; where the signs
+    of zeros are at stake, the result also equals `_unpruned`, which forms
+    every quotient directly."""
     u = make()
     dom = u.domain
     for base in (dom.inside_indices, np.flatnonzero(u.flat())):
-        group, sign, exact = _box_invariance(u, base)
-        assert len(group) == order and sign.tolist() == [1.0] * order and exact.all()
-        _assert_bitwise(_grid_extremes(u, alpha, base),
-                        _unfolded(monkeypatch, u, alpha, base))
+        group, sign = _box_invariance(u, base)
+        assert len(group) == order and sign.tolist() == [1.0] * order
+        got = _grid_extremes(u, alpha, base)
+        _assert_bitwise(got, _unfolded(monkeypatch, u, alpha, base))
+        if unpruned:
+            _assert_bitwise(got, _unpruned(u, alpha, base))
 
 
 def test_a_wide_plateau_folds_in_bounded_memory():
@@ -887,12 +893,14 @@ def test_symmetry_breaking_gamma1_keeps_only_the_reflections_of_u(monkeypatch):
     _assert_bitwise(got, _unfolded(monkeypatch, u, 0.5, dom.inside_indices))
 
 
-def test_reflections_that_change_bits_of_u_rescan_its_zero_extremes(monkeypatch):
+def test_reflections_that_keep_u_only_by_value_fold_its_zero_extremes_bit_for_bit(
+        monkeypatch):
     """-0.0 at z0 alone (its mirror images keep +0.0) leaves u invariant in
-    value but not in bits: the reflections that move z0 are kept, inexact,
-    and the members they reach whose row has a zero extreme (73 of the 105
-    inside nodes, many tied at a zero) are scanned as rows of their own, so
-    the scan forms no more rows than the unfolded one and equals it bitwise."""
+    value but not in bits: the reflections that move z0 are kept, the scan
+    forms one row per orbit (32 of the 105 inside nodes), and each member's
+    value, formed at its witness, carries the sign of zero that a scan of
+    its own row gives (many rows tie at a zero): the result equals the
+    unfolded scan and `_unpruned` bitwise."""
     u = _ties_signed_zeros(build_rectangle((0.0, 0.0), (1.0, 0.5), 1 / 16, 1.0))
     dom = u.domain
     z0 = dom.inside_indices[0]
@@ -900,12 +908,13 @@ def test_reflections_that_change_bits_of_u_rescan_its_zero_extremes(monkeypatch)
     vals[z0] = -0.0
     v = GridFunction(dom, vals.reshape(dom.lattice_shape), zero_extended=False)
     base = dom.inside_indices
-    group, sign, exact = _box_invariance(v, base)
-    assert sign.tolist() == [1.0] * 4 and exact.tolist() == [True, False, False, False]
+    group, sign = _box_invariance(v, base)
+    assert sign.tolist() == [1.0] * 4
     rows = _scanned_rows(monkeypatch)
     got = _grid_extremes(v, 1.0, base)
-    assert rows == [32, 73] and sum(rows) == base.size
+    assert rows == [32]
     _assert_bitwise(got, _unfolded(monkeypatch, v, 1.0, base))
+    _assert_bitwise(got, _unpruned(v, 1.0, base))
 
 
 @pytest.mark.parametrize("dom, order", [
@@ -964,35 +973,34 @@ def _odd_odd(dom):
 
 
 @pytest.mark.parametrize("alpha", [0.25, 0.5, 1.0])
-@pytest.mark.parametrize("make, sign, exact, again", [
-    (lambda: _second(1 / 128), [1, -1], [True, False], 0),
-    (lambda: _second(1 / 256), [1, -1], [True, False], 0),
-    (lambda: _second(0.01), [1], [True], 0),
-    (lambda: _odd_x_even_y(_FLIP_RECTANGLE), [1, -1, 1, -1], [True, False, True, False], 2),
-    (lambda: _odd_odd(_FLIP_RECTANGLE), [1, -1, -1, 1], [True, False, False, False], 3),
-    (_odd_plateau, [1, -1], [True, False], 38),
+@pytest.mark.parametrize("make, sign", [
+    (lambda: _second(1 / 128), [1, -1]),
+    (lambda: _second(1 / 256), [1, -1]),
+    (lambda: _second(0.01), [1]),
+    (lambda: _odd_x_even_y(_FLIP_RECTANGLE), [1, -1, 1, -1]),
+    (lambda: _odd_odd(_FLIP_RECTANGLE), [1, -1, -1, 1]),
+    (_odd_plateau, [1, -1]),
 ], ids=["second_h128", "second_h256", "second_h001", "odd_x_even_y", "odd_odd",
         "odd_plateau"])
-def test_sign_flipping_fold_equals_the_unfolded_scan(monkeypatch, make, sign, exact,
-                                                      again, alpha):
+def test_sign_flipping_fold_equals_the_unfolded_scan(monkeypatch, make, sign, alpha):
     """Reflections with u o g == -u by value fold too: one row per orbit of
-    the group with its signs, plus a row for each member that an element
-    changing the bits of u reaches from a row with a zero extreme (`again`:
-    on the rectangles, the rows of the extreme values, tied at 0 with a
-    mirror node; on the clipped plateau, its rows), bit for bit with the
-    unfolded scan, on the inside nodes and on the nonzero nodes.  At
-    h = 0.01 the second profile is not odd by value, and every row is
-    scanned."""
+    the group with its signs, also where an element changes the bits of u
+    and a row has a zero extreme (on the rectangles, the rows of the extreme
+    values, tied at 0 with a mirror node; on the clipped plateau, its rows),
+    bit for bit with the unfolded scan and with `_unpruned`, on the inside
+    nodes and on the nonzero nodes.  At h = 0.01 the second profile is not
+    odd by value, and every row is scanned."""
     u = make()
     dom = u.domain
     for base in (dom.inside_indices, np.flatnonzero(u.flat())):
-        group, got_sign, got_exact = _box_invariance(u, base)
-        assert got_sign.tolist() == sign and got_exact.tolist() == exact
+        group, got_sign = _box_invariance(u, base)
+        assert got_sign.tolist() == sign
         orbits = np.unique(np.minimum.reduce([g[base] for g in group])).size
         rows = _scanned_rows(monkeypatch)
         got = _grid_extremes(u, alpha, base)
-        assert rows == [orbits] + [again] * bool(again)
+        assert rows == [orbits]
         _assert_bitwise(got, _unfolded(monkeypatch, u, alpha, base))
+        _assert_bitwise(got, _unpruned(u, alpha, base))
 
 
 # ---------------------------------------------------------------------------
@@ -1295,20 +1303,21 @@ def _scan_every_row(u, alpha):
 def test_rows_tied_on_both_sides_of_a_sub_block_edge_keep_their_records(monkeypatch):
     """The symmetric integer-valued function on the disk at h = 1/8 ties
     many rows.  Its one-block scan, run in sub-blocks of two rows, gives
-    the whole block's values, witnesses and tie records (row, images,
-    quotients) bit for bit, with tied rows on both sides of an edge."""
+    the whole block's distances and witnesses at the extremes and tie
+    records (row, images, distances) bit for bit, with tied rows on both
+    sides of an edge."""
     u = _ties_integer(build_disk((0.0, 0.0), 1.0, 1 / 8, 1.0))
     ncols = np.count_nonzero(_dilate(u.domain.inside))
     want, whole = _with_sub_blocks(monkeypatch, _WHOLE_BLOCKS, _scan_every_row, u, 1.0)
     got, split = _with_sub_blocks(monkeypatch, 2 * ncols, _scan_every_row, u, 1.0)
     n = u.domain.inside_count
     assert whole == [(n, ncols)] and split == [(2, ncols)] * (n // 2) + [(1, ncols)] * (n % 2)
-    for (value, witness, ties), (v, w, t) in zip(got, want):
-        _assert_bitwise((value, witness), (v, w))
+    for (dist, witness, ties), (d, w, t) in zip(got, want):
+        _assert_bitwise((dist, witness), (d, w))
         assert [row for row, _, _ in ties] == [row for row, _, _ in t]
-        for (_, images, quot), (_, im, q) in zip(ties, t):
+        for (_, images, at), (_, im, a) in zip(ties, t):
             np.testing.assert_array_equal(images, im)
-            assert quot.tobytes() == q.tobytes()
+            assert at.tobytes() == a.tobytes()
         tied = {row for row, _, _ in t}
         assert any(row % 2 == 0 and row - 1 in tied for row in tied)
 

@@ -422,3 +422,26 @@ def test_custom_start_with_zero_orbit_means_is_rejected():
     with pytest.raises(ValueError, match="average to zero on every orbit"):
         minimize_first(dom, FracParams(0.75, 4.0),
                        SolverOptions(init_mode="custom", init_values=odd))
+
+
+# The first eigenvalue of (-Delta)^(1/2) on an interval of length 2 (T. Kulczycki,
+# M. Kwasnicki, J. Malecki and A. Stos, "Spectral properties of the Cauchy process
+# on half-line and interval", Proc. LMS 101, 2010).
+CAUCHY_LAMBDA1 = 1.1577738836977
+
+
+def test_p2_alpha1_eigenvalue_tends_to_the_cauchy_process_eigenvalue():
+    """At p = 2 and alpha = 1 the kernel is |x - y|^-2, and the quadratic form
+    of (-Delta)^(1/2) in 1-D is (1/2 pi) times the lab's double integral, which
+    has no normalizing constant: on (0, 2) the lattice lambda tends to
+    2 pi lambda_1.  It lies below that limit with error c h log(1/h), so
+    lambda_0 + a h + b h log h, fitted through h = 1/128, 1/256 and 1/512,
+    meets it to 1e-5 relative (3.4e-6 measured)."""
+    hs = np.array([1 / 128, 1 / 256, 1 / 512])
+    lams = np.array([minimize_first(build_interval(0.0, 2.0, h, 2.0), FracParams(1.0, 2.0)).lam
+                     for h in hs])
+    target = 2.0 * math.pi * CAUCHY_LAMBDA1
+    gaps = target - lams
+    assert (gaps > 0.0).all() and (np.diff(gaps) < 0.0).all()
+    lam0 = np.linalg.solve(np.stack([np.ones(3), hs, hs * np.log(hs)], axis=1), lams)[0]
+    assert abs(lam0 / target - 1.0) <= 1e-5
