@@ -160,10 +160,6 @@ class Interval(_Shape):
     a: float
     b: float
 
-    @property
-    def diameter(self) -> float:
-        return self.b - self.a
-
     def bounding_box(self):
         return np.array([self.a]), np.array([self.b])
 
@@ -182,10 +178,6 @@ class Disk(_Shape):
     cx: float
     cy: float
     r: float
-
-    @property
-    def diameter(self) -> float:
-        return 2.0 * self.r
 
     def bounding_box(self):
         c = np.array([self.cx, self.cy])
@@ -207,10 +199,6 @@ class Rectangle(_Shape):
     loy: float
     hix: float
     hiy: float
-
-    @property
-    def diameter(self) -> float:
-        return math.hypot(self.hix - self.lox, self.hiy - self.loy)
 
     def _inside(self, x, y, guard):
         return (
@@ -837,23 +825,23 @@ def _tile_envelopes(dom: GridDomain, table: np.ndarray, rows: np.ndarray, cols: 
     the second.  Both are read from the table's quarter a >= 0, which a
     reflection of offsets keeps bitwise ((-a)**2 == a**2), and no entry is
     computed afresh: the near one is the smallest entry over offsets with
-    |a_k| >= n_k on every axis (a NaN passed over, so a NaN zero offset is
-    left out), the far one the largest over offsets with 0 < |a|,
+    |a_k| >= n_k on every axis, the far one the largest over offsets with
     |a_k| <= f_k, where n_k and f_k are the least and greatest |a_k| from
-    the row to the tile, f_k at most the table's extent.  For a table that
-    grows with every |a_k|, as a distance raised to a positive power does,
-    they are the least and the greatest entry over the tile's offsets in
-    the table, the zero offset left out."""
+    the row to the tile, f_k at most the table's extent.  Both pass a NaN
+    over (fmin, fmax), so a NaN zero offset is left out whatever the sign
+    of the other entries.  For a table that grows with every |a_k|, as a
+    distance raised to a positive power does, they are the least and the
+    greatest entry over the tile's offsets in the table, the zero offset
+    left out."""
     at, ext = _layout(dom, rows, cols)
     half = side // 2
     quarter = table.reshape([2 * e + 1 for e in ext])[tuple(slice(e, None) for e in ext)]
     low = quarter.copy()
     high = quarter.copy()
-    high.flat[0] = 0.0  # the zero offset, left out of the maxima
     for ax in range(dom.dim):
         back = tuple(slice(None, None, -1) if k == ax else slice(None) for k in range(dom.dim))
         low[back] = np.fmin.accumulate(low[back], axis=ax)
-        np.maximum.accumulate(high, axis=ax, out=high)
+        np.fmax.accumulate(high, axis=ax, out=high)
 
     # the tile of each column, the extremes of vals over each tile's columns,
     # and the patches: the occupied tiles, numbered in flat order

@@ -19,24 +19,29 @@ lattice knows of them.  Ties go to the lowest flat index.
 
 The distance |y - x|^alpha is read by the nodes' integer index offset from one
 table per scan, which `geometry._offset_distances` builds, `geometry._gather`
-reads and `geometry._tile_envelopes` bounds over lattice tiles.  Every
-lattice reflection permutes index offsets, so it keeps every distance bit
-for bit, and the scan is folded over the mask's reflections
-(`geometry._reflections`, the solver's group), held in geometry's one form,
-as permutations of the candidate columns.  Of these, the scan keeps
-the elements g that map the scanned nodes onto themselves and keep u up to a
-sign s, u o g = s u compared by value, so mixed groups (u odd in x and even in
-y) fold too.  One row per orbit is scanned (`geometry._orbits` numbers the
-orbits, as for the solver's tables).  Negation commutes with IEEE subtraction
-and division, so q(g x, g y) = s q(x, y) compared by value (the two zeros
-equal), and a member g x takes its witness from the row's extreme (s = 1) or
-its other extreme (s = -1: the sup at g x is minus the inf at x): the lowest
-flat index in g(T), T the columns tied at that extreme by value, which is
-the witness a scan of its own row would pick.  The fold carries that witness
-w and the distance |w - g x|^alpha there, which g keeps bitwise, and forms
-the value once, (u(w) - u(g x)) / |w - g x|^alpha, as that scan forms it at
-its witness: bit for bit, its sign of zero included, even where g keeps u by
-value but not in bits.  A scan from one node has nothing to fold.
+reads and `geometry._tile_envelopes` bounds over lattice tiles.  The table
+holds NaN at the zero offset, so the self pair's quotient is NaN, and that is
+the scan's one rule for y = x: every reduction passes a NaN over (the bound's
+sample pass, the picks, the ties and both envelopes), so no pass sets the self
+pair apart, and a row whose other quotients all tie, at -inf say, still picks
+one of them.  Every lattice reflection permutes index offsets, so it keeps
+every distance bit for bit, and the scan is folded over the mask's reflections
+(`geometry._reflections`, the solver's group), held in geometry's one form, as
+permutations of the candidate columns.  Of these, the scan keeps the elements
+g that map the scanned nodes onto themselves and keep u up to a sign s,
+u o g = s u compared by value, so mixed groups (u odd in x and even in y) fold
+too.
+One row per orbit is scanned (`geometry._orbits` numbers the orbits, as for
+the solver's tables).  Negation commutes with IEEE subtraction and division,
+so q(g x, g y) = s q(x, y) compared by value (the two zeros equal), and a
+member g x takes its witness from the row's extreme (s = 1) or its other
+extreme (s = -1: the sup at g x is minus the inf at x): the lowest flat index
+in g(T), T the columns tied at that extreme by value, which is the witness a
+scan of its own row would pick.  The fold carries that witness w and the
+distance |w - g x|^alpha there, which g keeps bitwise, and forms the value
+once, (u(w) - u(g x)) / |w - g x|^alpha, as that scan forms it at its witness:
+bit for bit, its sign of zero included, even where g keeps u by value but not
+in bits.  A scan from one node has nothing to fold.
 
 A scan of more than one row block is bounded (`_patch_bound`): it forms only
 the quotients that can reach a row's extreme.  Each block first forms its
@@ -146,9 +151,9 @@ _SAMPLE_STRIDE = 16
 # h = 1/256 from 2.45 to 0.92 MB.
 _SUB_BLOCK_ELEMENTS = _BLOCK_ELEMENTS // 4
 
-# The sup, then the inf: the self pair's value, which the pick passes over,
-# and the pick.
-_EXTREMES = ((-np.inf, np.argmax), (np.inf, np.argmin))
+# The sup, then the inf: the reduction, which passes the self pair's NaN over,
+# and the sign of the values the far field's 0 beats.
+_EXTREMES = ((np.fmax, -1.0), (np.fmin, 1.0))
 
 
 def _candidates(dom: GridDomain, zero_extended: bool) -> np.ndarray:
@@ -189,7 +194,8 @@ def _extreme_quotients(dom: GridDomain, vals: np.ndarray, alpha: float, base: np
     ascending flat indices, of a function u on dom given by its values vals
     at its candidates (`_candidates`) and base_vals at the base nodes: over
     R^n for a zero-extended u, over the box otherwise (see the module
-    docstring).
+    docstring), y = x left out: a base node that is a candidate meets
+    itself as a NaN quotient, which the scan passes over.
 
     One base node per orbit of the invariance group (`_invariance`) is
     scanned (`_scan`), its smallest (`geometry._orbits` over positions in
@@ -206,7 +212,7 @@ def _extreme_quotients(dom: GridDomain, vals: np.ndarray, alpha: float, base: np
     """
     cand = _candidates(dom, zero_extended)
     base = np.asarray(base, dtype=np.int64)
-    # column of each base node among the candidates, where it is one (y = x is excluded)
+    # column of each base node among the candidates, where it is one
     col = np.minimum(np.searchsorted(cand, base), cand.size - 1)
     is_cand = cand[col] == base
     group, sign = _invariance(dom, vals, cand, col if is_cand.all() else None)
@@ -215,30 +221,27 @@ def _extreme_quotients(dom: GridDomain, vals: np.ndarray, alpha: float, base: np
                                 + [np.searchsorted(col, g[col]) for g in group[1:]])
     result = (np.empty(base.size), np.empty(base.size, dtype=np.int64),
               np.empty(base.size), np.empty(base.size, dtype=np.int64))
-    scanned = _scan(dom, vals, alpha, cand, base[reps], base_vals[reps], col[reps],
-                    is_cand[reps], group)
+    scanned = _scan(dom, vals, alpha, cand, base[reps], base_vals[reps], group)
 
-    for e, (self_value, _) in enumerate(_EXTREMES):
+    for e, (_, beaten) in enumerate(_EXTREMES):
         value, witness = _expand(scanned, e, orbit, elem, group, sign, vals, base_vals,
                                  cand, result[2 * e:2 * e + 2])
         if zero_extended:
-            # the far field, at 0, wins where strictly better: where the
-            # value lies on the self pair's side of 0
-            far = np.sign(value) == np.sign(self_value)
+            # the far field, at 0, wins where strictly better
+            far = np.sign(value) == beaten
             value[far] = 0.0
             witness[far] = EXTERIOR_WITNESS
     return result
 
 
 def _scan(dom: GridDomain, vals: np.ndarray, alpha: float, cand: np.ndarray,
-          rows: np.ndarray, bv: np.ndarray, col: np.ndarray, is_cand: np.ndarray,
-          group: list) -> list:
+          rows: np.ndarray, bv: np.ndarray, group: list) -> list:
     """The extremes of the rows (flat indices, where u is bv) over the
     ascending candidates cand (where u is vals): for the sup, then the inf,
     the distances |y - x|^alpha at the witnesses, the witnesses as candidate
     columns, and the rows tied at the extreme (`_ties`, where the group has
-    more than the identity).  Row i is candidate column col[i] where
-    is_cand[i], and that self pair is passed over.
+    more than the identity).  A row that is a candidate meets itself as a
+    NaN quotient, which every reduction here passes over.
 
     The rows run in blocks of `block_rows` rows.  A scan of more than one
     block is bounded (`_patch_bound`, on envelopes of the table that
@@ -247,14 +250,16 @@ def _scan(dom: GridDomain, vals: np.ndarray, alpha: float, cand: np.ndarray,
     columns for each block.  The block then forms its quotients in
     sub-blocks of at most `_SUB_BLOCK_ELEMENTS` entries (one row at least),
     gathering |y - x|^alpha from the alpha-powered offset table, NaN at
-    y = x (set apart below).  The sup and the inf are one rule with the
-    direction flipped, so both run through one loop.  Each extreme
-    is its argmax or argmin, and the distance is read back at that column,
+    y = x.  The sup and the inf are one rule with the direction flipped, so
+    both run through one loop.  Each extreme is its row's fmax or fmin,
+    which passes the NaN over, its witness the first column equal to it
+    (the lowest, as ties go), and the distance is read back at that column,
     so the value `_expand` forms from it is that entry's quotient, bit for
-    bit.  Every row is reduced over the same columns, in the same order,
+    bit.  The mask of the columns equal to the extreme is the one `_ties`
+    reads.  Every row is reduced over the same columns, in the same order,
     whatever its sub-block.
 
-    The distance, quotient and tie workspaces are allocated once per call,
+    The distance, quotient and mask workspaces are allocated once per call,
     at the most any sub-block or the bound's first pass writes:
     `_SUB_BLOCK_ELEMENTS`, one row of every column, or a block of the first
     pass's columns, and never more than a block of every column.  Each of
@@ -274,7 +279,7 @@ def _scan(dom: GridDomain, vals: np.ndarray, alpha: float, cand: np.ndarray,
     dist = np.empty(min(step * cand.size,
                         max(_SUB_BLOCK_ELEMENTS, cand.size, step * sampled)))
     quot = np.empty_like(dist)
-    tied = np.empty(dist.shape, dtype=bool) if len(group) > 1 else None
+    at_extreme = np.empty(dist.shape, dtype=bool)
     at = np.arange(step)
     for b0 in range(0, n, step):
         block = slice(b0, min(b0 + step, n))
@@ -284,21 +289,15 @@ def _scan(dom: GridDomain, vals: np.ndarray, alpha: float, cand: np.ndarray,
         for k0 in range(b0, block.stop, sub):
             sl = slice(k0, min(k0 + sub, block.stop))
             i = at[:sl.stop - k0]
-            self_row = np.flatnonzero(is_cand[sl])
-            self_col = col[sl][self_row]
             d, q = _quotients(sel_vals, bv[sl], row_keys[sl], sel_keys, dist_a, dist, quot)
-            # the self pair, where its column was kept
-            pos = np.minimum(np.searchsorted(sel, self_col), sel.size - 1)
-            kept = sel[pos] == self_col
-            self_at = (self_row[kept], pos[kept])
-            eq = None if tied is None else tied[:q.size].reshape(q.shape)
-            for (self_value, pick), (d_best, witness, ties) in zip(_EXTREMES, extremes):
-                q[self_at] = self_value
-                best = pick(q, axis=1)
+            eq = at_extreme[:q.size].reshape(q.shape)
+            for (reduce, _), (d_best, witness, ties) in zip(_EXTREMES, extremes):
+                np.equal(q, reduce.reduce(q, axis=1)[:, None], out=eq)
+                best = eq.argmax(axis=1)
                 d_best[sl] = d[i, best]
                 witness[sl] = sel[best]
-                if eq is not None:
-                    _ties(q, d, best, eq, k0, sel, group, ties)
+                if len(group) > 1:
+                    _ties(eq, d, best, k0, sel, group, ties)
     return extremes
 
 
@@ -329,21 +328,21 @@ def _patch_bound(dom: GridDomain, rows: np.ndarray, cand: np.ndarray, bv: np.nda
     written into workspaces made here, once per scan.
 
     The block first forms its quotients against every `_SAMPLE_STRIDE`-th
-    candidate.  The self pair's is NaN, which fmax and fmin pass over, so
-    the row maxima bp and minima bm are actual quotients: bp <= max and
-    bm >= min on every row (or NaN, when a row sampled only itself).
+    candidate.  The self pair's is NaN, which fmax and fmin pass over, as
+    the picks do, so the row maxima bp and minima bm are actual quotients:
+    bp <= max and bm >= min on every row (or NaN, when a row sampled only
+    itself).
 
     A patch P is an occupied lattice tile of `_PATCH_SIDE` nodes per axis;
-    `geometry._tile_envelopes` numbers the patches, takes max_P u and
-    min_P u, and builds the near and far envelopes of dist_a between every
-    row and patch, which are read through their keys.  Every quotient of
-    row x against P is at most U = (max_P u - u(x)) / D and at least
-    L = (min_P u - u(x)) / D', each a rounded operation: D is the near
-    envelope when the numerator is >= 0 and the far one when it is < 0, and
-    D' the other way round.  Rounding is monotone in each operand, so the
-    bound holds for the rounded quotients, bit for bit.  A patch is dropped
-    only where U < bp and L > bm on every row of the block, so a NaN keeps
-    it."""
+    `geometry._tile_envelopes` numbers the patches, takes max_P u and min_P u,
+    and builds the near and far envelopes of dist_a between every row and
+    patch, the NaN passed over, which are read through their keys.  Every
+    quotient of row x against P is at most U = (max_P u - u(x)) / D and at
+    least L = (min_P u - u(x)) / D', each a rounded operation: D is the near
+    envelope when the numerator is >= 0 and the far one when it is < 0, and D'
+    the other way round.  Rounding is monotone in each operand, so the bound
+    holds for the rounded quotients, bit for bit.  A patch is dropped only
+    where U < bp and L > bm on every row of the block, so a NaN keeps it."""
     patch, ends, near_far, row_key, patch_key = _tile_envelopes(
         dom, dist_a, rows, cand, vals, _PATCH_SIDE[dom.dim])
     ends = ends[:, None, :]
@@ -376,18 +375,18 @@ def _patch_bound(dom: GridDomain, rows: np.ndarray, cand: np.ndarray, bv: np.nda
     return select
 
 
-def _ties(q: np.ndarray, d: np.ndarray, best: np.ndarray, eq: np.ndarray,
-          k0: int, sel: np.ndarray, group: list, out: list) -> None:
-    """Append (row, images, distances) for each row of the block q whose
-    extreme is attained at more than one column, compared by value (the two
-    zeros tie): per element of group, the least image of the tied columns
-    and the distance d at that column, so |group| pairs however many columns
-    tie.  The columns of q are the candidates sel, best is the argmax or
-    argmin of each row, and eq a bool workspace of q's shape, the only array
-    of that shape made for ties; the tied columns' images are gathered one
-    element at a time."""
+def _ties(eq: np.ndarray, d: np.ndarray, best: np.ndarray, k0: int, sel: np.ndarray,
+          group: list, out: list) -> None:
+    """Append (row, images, distances) for each row of a sub-block whose
+    extreme is attained at more than one column: per element of group, the
+    least image of the tied columns and the distance d at that column, so
+    |group| pairs however many columns tie.  eq is the pick's mask of the
+    columns equal to each row's extreme, compared by value (the two zeros
+    tie, and the self pair's NaN equals nothing), best the first of them,
+    and the columns are the candidates sel.  The mask is read, and altered,
+    in place; the tied columns' images are gathered one element at a
+    time."""
     rows = np.arange(best.size)
-    np.equal(q, q[rows, best][:, None], out=eq)
     eq[rows, best] = False
     for row in np.flatnonzero(eq.any(axis=1)):
         eq[row, best[row]] = True

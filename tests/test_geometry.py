@@ -562,9 +562,6 @@ def test_domain_needs_inside_nodes():
 
 
 def test_canonical_shapes():
-    assert Interval(0.0, 2.0).diameter == 2.0
-    assert Disk(0.0, 0.0, 1.0).diameter == 2.0
-    assert Rectangle(0.0, 0.0, 4.0, 2.0).diameter == pytest.approx(np.sqrt(20.0))
     pts = np.array([[0.5, 0.5], [3.0, 3.0]])
     np.testing.assert_allclose(Rectangle(0.0, 0.0, 1.0, 1.0).distance(pts), [0.5, 0.0])
 

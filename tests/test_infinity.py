@@ -90,6 +90,18 @@ def test_l_plus_at_the_maximum_is_the_far_field(margin):
     assert linf_plus(u, 0.5, int(ridge.indices[0])) == (0.0, EXTERIOR_WITNESS)
 
 
+def test_a_row_whose_other_quotients_all_overflow_does_not_pick_itself():
+    # every quotient from node 0 of this box function overflows to -inf; the
+    # self pair's NaN ties with none of them, so the sup over y != x is -inf,
+    # attained first at node 1
+    dom = build_interval(0.0, 1.0, 1 / 4, 1.0)
+    vals = np.full(dom.n_nodes, -1.7e308)
+    vals[0] = 1.7e308
+    u = GridFunction(dom, vals.reshape(dom.lattice_shape), zero_extended=False)
+    with np.errstate(over="ignore"):
+        assert linf_plus(u, 0.5, 0) == (-np.inf, 1)
+
+
 def _brute_extremes(u, alpha, x, d):
     """(value, witness, unique) for the sup and the inf at node x, scanning
     every box node y != x at the distances d from x, and then the far field,
@@ -1296,8 +1308,7 @@ def _scan_every_row(u, alpha):
     vals = u.flat()[cand]
     group = infinity._invariance(dom, vals, cand, col)[0]
     assert len(group) > 1
-    return infinity._scan(dom, vals, alpha, cand, rows, vals[col], col,
-                          np.ones(rows.size, dtype=bool), group)
+    return infinity._scan(dom, vals, alpha, cand, rows, vals[col], group)
 
 
 def test_rows_tied_on_both_sides_of_a_sub_block_edge_keep_their_records(monkeypatch):
@@ -1325,8 +1336,8 @@ def test_rows_tied_on_both_sides_of_a_sub_block_edge_keep_their_records(monkeypa
 def test_verify1d_blocks_split_at_the_default_size_equal_whole_blocks(monkeypatch):
     """verify1d's first profile at h = 1/256 keeps 288 of the 513 candidates
     for its first block of 255 rows.  At the default size that block runs in
-    sub-blocks of 113, 113 and 29 rows, each setting apart the self pairs of
-    its own rows, and gives the whole block's bits."""
+    sub-blocks of 113, 113 and 29 rows, each meeting the self pairs of its
+    own rows as NaN quotients, and gives the whole block's bits."""
     u = _profile("first")
     base = u.domain.inside_indices
     want, whole = _with_sub_blocks(monkeypatch, _WHOLE_BLOCKS, _grid_extremes, u, 0.5, base)
